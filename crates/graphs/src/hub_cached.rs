@@ -1,5 +1,5 @@
-//! The hub-cached hybrid topology backend: exact CSR adjacency for the
-//! heavy tail, hashed derivation for everything else.
+//! The hub-cached hybrid topology backend: exact adjacency for the heavy
+//! tail, hashed derivation for everything else.
 //!
 //! [`HubCachedGraph`] layers over [`GeneratedGraph`] to remove the one
 //! asymmetry that prices agent protocols out of large generated graphs:
@@ -21,7 +21,11 @@
 //! then materializes each hub's exact sorted neighbor list through the
 //! *identical* enumeration path every hashed query takes
 //! (`GeneratedGraph`'s shared enumerate-sort-dedup routine), storing them
-//! in one CSR-style `(ids, offsets, adjacency)` triple.
+//! concatenated behind `u32` entry offsets. Each entry is **bit-packed** at
+//! `w = max(1, ⌈log₂ n⌉)` bits (a fixed width, so entry `e` is one
+//! two-word read at bit `e·w` — no per-list metadata), and hub membership
+//! is a bitmap with a per-word rank prefix, so a vertex's cache slot is an
+//! `O(1)` popcount rather than a search.
 //!
 //! # Determinism contract
 //!
@@ -44,17 +48,22 @@
 //!
 //! # Cost model
 //!
-//! Memory adds `4·(k + 1) + 4·k + 4·Σ deg(hub)` bytes to the inner
-//! backend's `≈ 8n`; the budget builder caps the cache at a byte ceiling
-//! (accounted conservatively in pre-erasure stub counts, so the realized
-//! cache never exceeds it). Queries on cached vertices cost an `O(log k)`
-//! membership probe plus an `O(1)` array read instead of `O(deg)` Philox
-//! evaluations; tail vertices take one `O(1)` stub-count comparison and
-//! continue on the hashed path unchanged. The win is workload-dependent:
-//! agent walks (visit/meet-exchange) spend most draws on hubs and speed up
-//! by the cached fraction of stationary mass ([`HubCachedGraph::hub_hit_fraction`]);
-//! vertex protocols (push/pull) query every vertex equally often and gain
-//! little. `BENCH_random.json` records the measured speedups.
+//! Memory adds `12·⌈n/64⌉` bytes of membership bitmap and rank prefix,
+//! `4·(k + 1)` bytes of entry offsets and `8·(⌈w·Σ deg(hub) / 64⌉ + 1)`
+//! bytes of packed adjacency (one trailing padding word) to the inner
+//! backend's `≈ 8n`; the budget builder caps the packed adjacency at a
+//! byte ceiling (accounted conservatively in pre-erasure stub counts, so
+//! the realized cache never exceeds it). Queries on cached vertices cost
+//! an `O(1)` bitmap probe and popcount plus an `O(1)` two-word read instead
+//! of `O(deg)` Philox evaluations; tail vertices take the same bitmap
+//! probe and continue on the hashed path unchanged. The win is
+//! workload-dependent: agent walks (visit/meet-exchange) spend most draws
+//! on hubs and speed up by the cached fraction of stationary mass
+//! ([`HubCachedGraph::hub_hit_fraction`]); vertex protocols (push/pull)
+//! query every vertex equally often and gain little. `BENCH_random.json`
+//! records the measured speedups.
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -74,10 +83,10 @@ const DEFAULT_HUB_DIVISOR: usize = 64;
 /// worker (mirrors the generated backend's per-worker chunk floor).
 const PAR_FILL_FLOOR: usize = 16_384;
 
-/// A hub-cached hybrid over [`GeneratedGraph`]: exact CSR adjacency for the
-/// top-k vertices by stub count, hashed `O(deg)` derivation for the tail,
-/// draw streams bit-identical to the uncached backend (see the module docs
-/// above).
+/// A hub-cached hybrid over [`GeneratedGraph`]: exact bit-packed adjacency
+/// for the top-k vertices by stub count, hashed `O(deg)` derivation for the
+/// tail, draw streams bit-identical to the uncached backend (see the module
+/// docs above).
 ///
 /// # Examples
 ///
@@ -100,18 +109,116 @@ const PAR_FILL_FLOOR: usize = 16_384;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct HubCachedGraph {
     inner: GeneratedGraph,
-    /// Stub count of the weakest hub — the `O(1)` tail quick-reject: a
-    /// vertex with a smaller stub count is never cached. `u32::MAX` when
-    /// the cache is empty (no stub count reaches it).
-    threshold: u32,
-    /// Cached vertex ids, ascending (binary-searched for membership).
-    hub_ids: Vec<u32>,
-    /// `hub_offsets[h]..hub_offsets[h + 1]` brackets hub `h`'s list in
-    /// `hub_adj` — prefix sums of the hubs' simple degrees (the total is at
-    /// most `2m ≤ u32::MAX`, inherited from the inner backend's check).
+    /// Hub membership: bit `u % 64` of word `u / 64` is set iff `u` is
+    /// cached.
+    hub_bits: Vec<u64>,
+    /// `hub_rank[i]` counts the hubs below vertex `64·i`; plus a popcount
+    /// of the masked membership word, it is a hub's cache slot.
+    hub_rank: Vec<u32>,
+    /// `hub_offsets[h]..hub_offsets[h + 1]` brackets the entries of the
+    /// hub in slot `h` (slots ascend with vertex id) — prefix sums of the
+    /// hubs' simple degrees (the total is at most `2m ≤ u32::MAX`,
+    /// inherited from the inner backend's check).
     hub_offsets: Vec<u32>,
     /// The concatenated exact sorted neighbor lists.
-    hub_adj: Vec<u32>,
+    hub_adj: PackedIds,
+}
+
+/// A fixed-width bit-packed array of vertex ids: entry `e` occupies bits
+/// `e·width .. (e + 1)·width` of the little-endian word stream. A
+/// non-empty array carries one trailing padding word, so every read can
+/// fetch two adjacent words without a bounds special case.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct PackedIds {
+    width: u32,
+    words: Vec<u64>,
+}
+
+impl PackedIds {
+    /// Words (padding included) that hold `len` entries of `width` bits.
+    fn word_count(len: usize, width: u32) -> usize {
+        if len == 0 {
+            0
+        } else {
+            (len as u64 * u64::from(width)).div_ceil(64) as usize + 1
+        }
+    }
+
+    /// Entry `e`: one shift of two adjacent words and a mask.
+    #[inline]
+    fn get(&self, e: usize) -> u32 {
+        let bit = e as u64 * u64::from(self.width);
+        let (i, shift) = ((bit >> 6) as usize, (bit & 63) as u32);
+        // `<< 1 << (63 - shift)` is `<< (64 - shift)` without the
+        // overflowing shift at `shift = 0`.
+        let pair = (self.words[i] >> shift) | (self.words[i + 1] << 1 << (63 - shift));
+        (pair & ((1u64 << self.width) - 1)) as u32
+    }
+}
+
+/// Appends consecutive entries to a [`PackedIds`] word stream under
+/// construction, starting at entry `first`. Words are flushed with
+/// `fetch_or` into zeroed storage, so writers of adjacent entry ranges can
+/// share their boundary words: every bit has exactly one writer, and the
+/// OR is order-independent — the result is the same at any worker count.
+/// `Relaxed` suffices because the words publish nothing else, and the
+/// fill's thread-scope join orders every write before the words are read.
+struct PackedWriter<'a> {
+    words: &'a [AtomicU64],
+    width: u32,
+    word: usize,
+    shift: u32,
+    acc: u64,
+}
+
+impl<'a> PackedWriter<'a> {
+    fn new(words: &'a [AtomicU64], width: u32, first: usize) -> Self {
+        let bit = first as u64 * u64::from(width);
+        PackedWriter {
+            words,
+            width,
+            word: (bit >> 6) as usize,
+            shift: (bit & 63) as u32,
+            acc: 0,
+        }
+    }
+
+    #[inline]
+    fn push(&mut self, value: u32) {
+        debug_assert!(
+            u64::from(value) >> self.width == 0,
+            "{value} exceeds {} bits",
+            self.width
+        );
+        self.acc |= u64::from(value) << self.shift;
+        self.shift += self.width;
+        if self.shift >= 64 {
+            self.words[self.word].fetch_or(self.acc, Ordering::Relaxed);
+            self.word += 1;
+            self.shift -= 64;
+            // The high bits of `value` that did not fit the flushed word
+            // (none when the entry ended exactly on the boundary).
+            self.acc = u64::from(value) >> (self.width - self.shift);
+        }
+    }
+
+    /// Flushes the partial last word.
+    fn finish(self) {
+        if self.shift > 0 {
+            self.words[self.word].fetch_or(self.acc, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Bits per packed entry for an `n`-vertex graph: `max(1, ⌈log₂ n⌉)`.
+fn id_width(n: usize) -> u32 {
+    (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1)
+}
+
+/// The most entries of `width` bits whose packed words, padding included,
+/// fit in `bytes`.
+fn budget_entries(bytes: usize, width: u32) -> u64 {
+    (bytes / 8).saturating_sub(1) as u64 * 64 / u64::from(width)
 }
 
 /// Builder for [`HubCachedGraph`]: choose the cache size by hub count, by
@@ -127,7 +234,9 @@ pub struct HubCachedGraph {
 ///     .hub_count(500)
 ///     .cache_budget_bytes(64 << 10)
 ///     .build(inner);
-/// assert!(cached.cache_bytes() <= (64 << 10) + 4 * (500 + 1) + 4 * 500);
+/// // Packed adjacency within the budget, plus 4 bytes of offset per hub
+/// // (and one) and 12 bytes of membership bitmap and rank per 64 vertices.
+/// assert!(cached.cache_bytes() <= (64 << 10) + 4 * (500 + 1) + 12 * 5_000usize.div_ceil(64));
 /// # Ok::<(), rumor_graphs::GraphError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -149,10 +258,13 @@ impl HubCacheBuilder {
         self
     }
 
-    /// Caps the cached **adjacency** at `bytes` (4 bytes per entry),
-    /// accounted conservatively in pre-erasure stub counts — the realized
-    /// cache (simple degrees) never exceeds the budget. The `ids` and
-    /// `offsets` side tables (8 bytes per hub) are not charged against it.
+    /// Caps the cached **adjacency** at `bytes`: entries are packed at
+    /// `max(1, ⌈log₂ n⌉)` bits into 8-byte words plus one padding word, so
+    /// the budget buys `⌊64·(⌊bytes/8⌋ − 1) / w⌋` entries. Accounted
+    /// conservatively in pre-erasure stub counts — the realized cache
+    /// (simple degrees) never exceeds the budget. The offsets (4 bytes per
+    /// hub) and the membership bitmap and rank (12 bytes per 64 vertices)
+    /// are not charged against it.
     pub fn cache_budget_bytes(mut self, bytes: usize) -> Self {
         self.budget_bytes = Some(bytes);
         self
@@ -169,9 +281,23 @@ impl HubCacheBuilder {
         } else {
             None
         };
-        let entry_budget = self.budget_bytes.map(|b| (b / 4) as u64);
-        let (threshold, hub_ids) = select_hubs(&inner, self.hub_count.or(default_k), entry_budget);
+        let width = id_width(n);
+        let entry_budget = self.budget_bytes.map(|b| budget_entries(b, width));
+        let hub_ids = select_hubs(&inner, self.hub_count.or(default_k), entry_budget);
 
+        let mut hub_bits = vec![0u64; n.div_ceil(64)];
+        for &u in &hub_ids {
+            hub_bits[u as usize >> 6] |= 1 << (u & 63);
+        }
+        let mut below = 0u32;
+        let hub_rank = hub_bits
+            .iter()
+            .map(|w| {
+                let rank = below;
+                below += w.count_ones();
+                rank
+            })
+            .collect();
         let mut hub_offsets = Vec::with_capacity(hub_ids.len() + 1);
         hub_offsets.push(0u32);
         let mut total = 0u32;
@@ -179,12 +305,15 @@ impl HubCacheBuilder {
             total += inner.degree(u as usize) as u32; // Σ deg ≤ 2m ≤ u32::MAX
             hub_offsets.push(total);
         }
-        let mut hub_adj = vec![0u32; total as usize];
-        fill_cache(&inner, &hub_ids, &hub_offsets, &mut hub_adj);
+        let workers = configured_threads()
+            .min(hub_ids.len())
+            .min((total as usize).div_ceil(PAR_FILL_FLOOR))
+            .max(1);
+        let hub_adj = fill_cache(&inner, &hub_ids, &hub_offsets, width, workers);
         HubCachedGraph {
             inner,
-            threshold,
-            hub_ids,
+            hub_bits,
+            hub_rank,
             hub_offsets,
             hub_adj,
         }
@@ -192,49 +321,64 @@ impl HubCacheBuilder {
 }
 
 /// Picks the hub set: the top-k vertices by stub count, ties broken toward
-/// lower ids. Returns the stub-count threshold (the weakest hub's count;
-/// `u32::MAX` for an empty cache) and the ascending hub id list.
+/// lower ids, `k` capped by `k_limit` and by the longest prefix of that
+/// order whose stub counts fit `entry_budget`. Returns the ascending hub
+/// ids. One histogram of stub counts, walked from the largest count down,
+/// finds both the budget prefix and the weakest hub's count.
 fn select_hubs(
     inner: &GeneratedGraph,
     k_limit: Option<usize>,
     entry_budget: Option<u64>,
-) -> (u32, Vec<u32>) {
+) -> Vec<u32> {
     let n = inner.num_vertices();
+    let mut hist: Vec<usize> = Vec::new();
+    for u in 0..n {
+        let c = inner.stub_degree(u);
+        if c >= hist.len() {
+            hist.resize(c + 1, 0);
+        }
+        hist[c] += 1;
+    }
     let k_budget = match entry_budget {
         None => n,
         Some(budget) => {
-            // Largest k whose top-k stub counts fit the entry budget: sort
-            // a copy descending and take the longest affordable prefix.
-            let mut sorted: Vec<u32> = (0..n).map(|u| inner.stub_degree(u) as u32).collect();
-            sorted.sort_unstable_by(|a, b| b.cmp(a));
-            let mut acc = 0u64;
-            let mut k = 0usize;
-            for &c in &sorted {
-                acc += u64::from(c);
-                if acc > budget {
+            // Whole count levels while they fit; the first level that does
+            // not fit contributes as many vertices as still fit, and ends
+            // the prefix.
+            let (mut k, mut spent) = (0usize, 0u64);
+            for (c, &count) in hist.iter().enumerate().rev() {
+                let fits = match c {
+                    0 => count,
+                    _ => ((budget - spent) / c as u64).min(count as u64) as usize,
+                };
+                k += fits;
+                spent += fits as u64 * c as u64;
+                if fits < count {
                     break;
                 }
-                k += 1;
             }
             k
         }
     };
     let k = k_limit.unwrap_or(n).min(k_budget).min(n);
     if k == 0 {
-        return (u32::MAX, Vec::new());
+        return Vec::new();
     }
-    // The k-th largest stub count (O(n) selection, no full sort), then one
-    // ascending sweep keeps everything strictly above it plus the
-    // lowest-id ties — fully deterministic.
-    let mut counts: Vec<u32> = (0..n).map(|u| inner.stub_degree(u) as u32).collect();
-    let (_, &mut threshold, _) = counts.select_nth_unstable_by(k - 1, |a, b| b.cmp(a));
-    let greater = (0..n)
-        .filter(|&u| inner.stub_degree(u) as u32 > threshold)
-        .count();
-    let mut ties_left = k - greater;
+    // The weakest hub's count: every vertex above it is a hub, plus the
+    // lowest-id `k − above` of its ties.
+    let mut above = 0usize;
+    let mut threshold = 0usize;
+    for (c, &count) in hist.iter().enumerate().rev() {
+        if above + count >= k {
+            threshold = c;
+            break;
+        }
+        above += count;
+    }
+    let mut ties_left = k - above;
     let mut hub_ids = Vec::with_capacity(k);
     for u in 0..n {
-        let c = inner.stub_degree(u) as u32;
+        let c = inner.stub_degree(u);
         if c > threshold {
             hub_ids.push(u as u32);
         } else if c == threshold && ties_left > 0 {
@@ -242,60 +386,58 @@ fn select_hubs(
             ties_left -= 1;
         }
     }
-    (threshold, hub_ids)
+    hub_ids
 }
 
-/// Materializes every hub's exact sorted neighbor list into `hub_adj`,
-/// splitting the hub range across scoped workers at entry-balanced
-/// boundaries (honoring `RUMOR_THREADS`). Each worker writes a disjoint
-/// slice, so the pass is deterministic at every thread count.
-fn fill_cache(inner: &GeneratedGraph, hub_ids: &[u32], hub_offsets: &[u32], hub_adj: &mut [u32]) {
+/// Materializes every hub's exact sorted neighbor list into one packed
+/// array, splitting the hub range across `workers` scoped threads at
+/// entry-balanced boundaries. The words are filled in place: adjacent
+/// workers share only the word that straddles their boundary, through
+/// [`PackedWriter`]'s `fetch_or`, so the bits — and the result — do not
+/// depend on the worker count.
+fn fill_cache(
+    inner: &GeneratedGraph,
+    hub_ids: &[u32],
+    hub_offsets: &[u32],
+    width: u32,
+    workers: usize,
+) -> PackedIds {
     let hubs = hub_ids.len();
-    let total = hub_adj.len();
-    if hubs == 0 {
-        return;
-    }
-    let workers = configured_threads()
-        .min(hubs)
-        .min(total.div_ceil(PAR_FILL_FLOOR))
-        .max(1);
-    if workers == 1 {
-        fill_range(inner, hub_ids, hub_offsets, 0..hubs, hub_adj);
-        return;
-    }
+    let total = hub_offsets[hubs] as usize;
+    let words: Vec<AtomicU64> = (0..PackedIds::word_count(total, width))
+        .map(|_| AtomicU64::new(0))
+        .collect();
     // Worker w takes hubs [bounds[w], bounds[w + 1]): boundaries land at
     // the first hub at or past each equal share of the total entry count,
     // so one giant hub cannot serialize the pass behind it.
-    let mut bounds = Vec::with_capacity(workers + 1);
-    bounds.push(0usize);
+    let mut bounds = vec![0usize];
     for w in 1..workers {
         let target = (total as u64 * w as u64 / workers as u64) as u32;
-        let idx = hub_offsets[..=hubs].partition_point(|&o| o < target);
+        let idx = hub_offsets.partition_point(|&o| o < target);
         bounds.push(idx.min(hubs).max(bounds[w - 1]));
     }
     bounds.push(hubs);
     std::thread::scope(|scope| {
-        let mut rest = hub_adj;
-        for w in 0..workers {
-            let (lo, hi) = (bounds[w], bounds[w + 1]);
-            let entries = (hub_offsets[hi] - hub_offsets[lo]) as usize;
-            let (slice, tail) = rest.split_at_mut(entries);
-            rest = tail;
-            scope.spawn(move || fill_range(inner, hub_ids, hub_offsets, lo..hi, slice));
+        for range in bounds.windows(2).map(|b| b[0]..b[1]) {
+            let out = PackedWriter::new(&words, width, hub_offsets[range.start] as usize);
+            scope.spawn(move || fill_range(inner, hub_ids, range, out));
         }
     });
+    PackedIds {
+        width,
+        // Same size and alignment: the collect reuses the allocation.
+        words: words.into_iter().map(AtomicU64::into_inner).collect(),
+    }
 }
 
-/// One worker's share of the cache fill: hubs `range`, writing into the
-/// sub-slice of the adjacency that starts at `hub_offsets[range.start]`.
+/// One worker's share of the cache fill: hubs `range`, appended through
+/// `out` (positioned at the first entry of `range.start`).
 fn fill_range(
     inner: &GeneratedGraph,
     hub_ids: &[u32],
-    hub_offsets: &[u32],
     range: std::ops::Range<usize>,
-    out: &mut [u32],
+    mut out: PackedWriter<'_>,
 ) {
-    let base = hub_offsets[range.start] as usize;
     let mut scratch: Vec<u32> = Vec::new();
     for h in range {
         let u = hub_ids[h] as usize;
@@ -305,9 +447,11 @@ fn fill_range(
         }
         let len = inner.neighbors_into_buf(u, &mut scratch);
         debug_assert_eq!(len, inner.degree(u), "cache/degree disagreement at {u}");
-        let start = hub_offsets[h] as usize - base;
-        out[start..start + len].copy_from_slice(&scratch[..len]);
+        for &v in &scratch[..len] {
+            out.push(v);
+        }
     }
+    out.finish();
 }
 
 impl HubCachedGraph {
@@ -336,7 +480,7 @@ impl HubCachedGraph {
 
     /// How many vertices are cached.
     pub fn hub_count(&self) -> usize {
-        self.hub_ids.len()
+        self.hub_offsets.len() - 1
     }
 
     /// Whether `u`'s neighbor list is answered from the cache.
@@ -344,11 +488,11 @@ impl HubCachedGraph {
         self.hub_slot(u).is_some()
     }
 
-    /// Bytes held by the cache itself (ids + offsets + adjacency), on top
-    /// of the inner backend's footprint.
+    /// Bytes held by the cache itself (membership bitmap and rank, offsets,
+    /// packed adjacency), on top of the inner backend's footprint.
     pub fn cache_bytes(&self) -> usize {
-        (self.hub_ids.capacity() + self.hub_offsets.capacity() + self.hub_adj.capacity())
-            * std::mem::size_of::<u32>()
+        (self.hub_bits.capacity() + self.hub_adj.words.capacity()) * std::mem::size_of::<u64>()
+            + (self.hub_rank.capacity() + self.hub_offsets.capacity()) * std::mem::size_of::<u32>()
     }
 
     /// The fraction of stationary probability mass the cache absorbs —
@@ -362,21 +506,22 @@ impl HubCachedGraph {
         f64::from(*self.hub_offsets.last().expect("offsets never empty")) / total as f64
     }
 
-    /// The cache slot of `u`, or `None` for tail vertices. The stub-count
-    /// comparison rejects the tail in `O(1)`; actual hubs pay one
-    /// `O(log k)` binary search.
+    /// The cache slot of `u`, or `None` for tail vertices (and ids past
+    /// `n`): one membership-bit test, then a rank lookup and a popcount.
     #[inline]
     fn hub_slot(&self, u: VertexId) -> Option<usize> {
-        if u >= self.inner.num_vertices() || (self.inner.stub_degree(u) as u32) < self.threshold {
+        let word = *self.hub_bits.get(u >> 6)?;
+        let bit = 1u64 << (u & 63);
+        if word & bit == 0 {
             return None;
         }
-        self.hub_ids.binary_search(&(u as u32)).ok()
+        Some(self.hub_rank[u >> 6] as usize + (word & (bit - 1)).count_ones() as usize)
     }
 
-    /// The cached sorted neighbor list of hub slot `h`.
+    /// The packed entry range of hub slot `h`.
     #[inline]
-    fn hub_list(&self, h: usize) -> &[u32] {
-        &self.hub_adj[self.hub_offsets[h] as usize..self.hub_offsets[h + 1] as usize]
+    fn hub_span(&self, h: usize) -> std::ops::Range<usize> {
+        self.hub_offsets[h] as usize..self.hub_offsets[h + 1] as usize
     }
 
     /// The `i`-th neighbor of `u` in ascending order — identical to the
@@ -388,7 +533,11 @@ impl HubCachedGraph {
     /// Panics if `u` or `i` is out of range.
     pub fn nth_neighbor(&self, u: VertexId, i: usize) -> VertexId {
         match self.hub_slot(u) {
-            Some(h) => self.hub_list(h)[i] as VertexId,
+            Some(h) => {
+                let span = self.hub_span(h);
+                assert!(i < span.len(), "neighbor index {i} out of range at {u}");
+                self.hub_adj.get(span.start + i) as VertexId
+            }
             None => self.inner.nth_neighbor(u, i),
         }
     }
@@ -397,15 +546,24 @@ impl HubCachedGraph {
     /// when either endpoint is a hub, the inner `O(deg)` derivation
     /// otherwise. Agrees with [`GeneratedGraph::contains_edge`] everywhere.
     pub fn contains_edge(&self, u: VertexId, v: VertexId) -> bool {
-        if u == v {
+        let n = self.inner.num_vertices();
+        if u == v || u >= n || v >= n {
             return false;
         }
         for (a, b) in [(u, v), (v, u)] {
-            if a >= self.inner.num_vertices() {
-                return false;
-            }
             if let Some(h) = self.hub_slot(a) {
-                return self.hub_list(h).binary_search(&(b as u32)).is_ok();
+                // Binary search of the packed sorted list.
+                let span = self.hub_span(h);
+                let (mut lo, mut hi) = (span.start, span.end);
+                while lo < hi {
+                    let mid = lo + (hi - lo) / 2;
+                    match (self.hub_adj.get(mid) as VertexId).cmp(&b) {
+                        std::cmp::Ordering::Less => lo = mid + 1,
+                        std::cmp::Ordering::Equal => return true,
+                        std::cmp::Ordering::Greater => hi = mid,
+                    }
+                }
+                return false;
             }
         }
         self.inner.contains_edge(u, v)
@@ -431,8 +589,8 @@ impl Topology for HubCachedGraph {
     fn for_each_neighbor(&self, u: VertexId, mut f: impl FnMut(VertexId)) {
         match self.hub_slot(u) {
             Some(h) => {
-                for &v in self.hub_list(h) {
-                    f(v as VertexId);
+                for e in self.hub_span(h) {
+                    f(self.hub_adj.get(e) as VertexId);
                 }
             }
             None => self.inner.for_each_neighbor(u, f),
@@ -515,6 +673,160 @@ mod tests {
         GeneratedGraph::chung_lu(n, 2.5, 6.0, seed).unwrap()
     }
 
+    /// Packs `values` through writers that start at each of `splits` (plus
+    /// entry 0), as parallel fill workers would.
+    fn pack(values: &[u32], width: u32, splits: &[usize]) -> PackedIds {
+        let words: Vec<AtomicU64> = (0..PackedIds::word_count(values.len(), width))
+            .map(|_| AtomicU64::new(0))
+            .collect();
+        let mut starts = vec![0];
+        starts.extend_from_slice(splits);
+        starts.push(values.len());
+        for pair in starts.windows(2) {
+            let mut out = PackedWriter::new(&words, width, pair[0]);
+            for &v in &values[pair[0]..pair[1]] {
+                out.push(v);
+            }
+            out.finish();
+        }
+        PackedIds {
+            width,
+            words: words.into_iter().map(AtomicU64::into_inner).collect(),
+        }
+    }
+
+    /// Bytes of the packed adjacency, padding word included.
+    fn packed_bytes(entries: usize, width: u32) -> usize {
+        PackedIds::word_count(entries, width) * 8
+    }
+
+    /// The selection this module used before the stub-count histogram:
+    /// sort a copy of the counts for the budget prefix, select the k-th
+    /// largest, then sweep.
+    fn select_hubs_by_sort(
+        inner: &GeneratedGraph,
+        k_limit: Option<usize>,
+        entry_budget: Option<u64>,
+    ) -> Vec<u32> {
+        let n = inner.num_vertices();
+        let mut sorted: Vec<u32> = (0..n).map(|u| inner.stub_degree(u) as u32).collect();
+        sorted.sort_unstable_by(|a, b| b.cmp(a));
+        let k_budget = match entry_budget {
+            None => n,
+            Some(budget) => {
+                let mut acc = 0u64;
+                sorted
+                    .iter()
+                    .take_while(|&&c| {
+                        acc += u64::from(c);
+                        acc <= budget
+                    })
+                    .count()
+            }
+        };
+        let k = k_limit.unwrap_or(n).min(k_budget).min(n);
+        if k == 0 {
+            return Vec::new();
+        }
+        let threshold = sorted[k - 1];
+        let greater = sorted.iter().filter(|&&c| c > threshold).count();
+        let mut ties_left = k - greater;
+        (0..n as u32)
+            .filter(|&u| {
+                let c = inner.stub_degree(u as usize) as u32;
+                let take = c > threshold || (c == threshold && ties_left > 0);
+                if take && c == threshold {
+                    ties_left -= 1;
+                }
+                take
+            })
+            .collect()
+    }
+
+    #[test]
+    fn packed_entries_round_trip_at_every_width() {
+        for width in 1..=32u32 {
+            let max = u32::MAX >> (32 - width);
+            // Lengths cover one entry, a single word, exact word fills
+            // (64 entries end on a word boundary, so the last read touches
+            // the padding word) and entries straddling words.
+            for len in [1usize, 3, 63, 64, 65, 200] {
+                let values: Vec<u32> = (0..len)
+                    .map(|e| match e % 4 {
+                        0 => max,
+                        1 => 0,
+                        2 => (e as u32).wrapping_mul(0x9E37_79B9) & max,
+                        _ => max ^ (max >> 1),
+                    })
+                    .collect();
+                let packed = pack(&values, width, &[]);
+                assert_eq!(packed.words.len(), PackedIds::word_count(len, width));
+                assert_eq!(*packed.words.last().unwrap(), 0, "padding word stays zero");
+                for (e, &v) in values.iter().enumerate() {
+                    assert_eq!(packed.get(e), v, "width {width}, len {len}, entry {e}");
+                }
+                // Writers splitting the stream anywhere share boundary
+                // words and still produce the same bits.
+                for split in 1..len {
+                    assert_eq!(
+                        pack(&values, width, &[split]).words,
+                        packed.words,
+                        "width {width}, len {len}, split {split}"
+                    );
+                }
+            }
+            let all_ones = vec![max; 97];
+            let packed = pack(&all_ones, width, &[5, 40, 41]);
+            assert!((0..97).all(|e| packed.get(e) == max), "all ones at {width}");
+        }
+    }
+
+    #[test]
+    fn id_width_covers_every_vertex_id() {
+        assert_eq!(id_width(0), 1);
+        assert_eq!(id_width(1), 1);
+        assert_eq!(id_width(2), 1);
+        assert_eq!(id_width(3), 2);
+        for k in 1..32 {
+            assert_eq!(id_width(1 << k), k);
+            assert_eq!(id_width((1 << k) + 1), k + 1);
+        }
+        assert_eq!(id_width(u32::MAX as usize + 1), 32);
+    }
+
+    #[test]
+    fn histogram_selection_matches_sort_based_selection() {
+        let graphs = [
+            chung_lu(3_000, 11),
+            GeneratedGraph::chung_lu(2_000, 2.1, 12.0, 4).unwrap(),
+            GeneratedGraph::gnp(1_500, 0.004, 9).unwrap(),
+            GeneratedGraph::gnp(700, 0.0, 2).unwrap(),
+        ];
+        for inner in &graphs {
+            let n = inner.num_vertices();
+            let total = inner.total_degree() as u64;
+            let budgets = [
+                None,
+                Some(0),
+                Some(1),
+                Some(37),
+                Some(total / 7),
+                Some(total),
+                Some(u64::MAX / 2),
+            ];
+            let limits = [None, Some(0), Some(1), Some(n / 10), Some(n), Some(n + 5)];
+            for budget in budgets {
+                for limit in limits {
+                    assert_eq!(
+                        select_hubs(inner, limit, budget),
+                        select_hubs_by_sort(inner, limit, budget),
+                        "n {n}, limit {limit:?}, budget {budget:?}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn hub_selection_takes_top_k_by_stub_count_with_low_id_ties() {
         let inner = chung_lu(400, 3);
@@ -546,17 +858,24 @@ mod tests {
 
     #[test]
     fn cached_lists_equal_inner_lists_everywhere() {
-        let inner = chung_lu(500, 7);
-        for k in [0usize, 1, 13, 100, 500, 5000] {
+        let small = chung_lu(500, 7);
+        // Over 3 × PAR_FILL_FLOOR entries when fully cached, so that fill
+        // runs one worker per configured thread, up to 3 — CI runs this
+        // suite at RUMOR_THREADS=1 and 3.
+        let large = chung_lu(12_000, 10);
+        assert!(large.total_degree() > 3 * PAR_FILL_FLOOR);
+        let cases = [0usize, 1, 13, 100, 500, 5000].map(|k| (&small, k));
+        for (inner, k) in cases.into_iter().chain([(&large, 12_000)]) {
+            let n = inner.num_vertices();
             let cached = HubCachedGraph::with_hub_count(inner.clone(), k);
-            assert_eq!(cached.hub_count(), k.min(500));
-            for u in 0..500 {
+            assert_eq!(cached.hub_count(), k.min(n));
+            for u in 0..n {
                 assert_eq!(cached.degree(u), inner.degree(u));
                 let mut a = Vec::new();
                 cached.for_each_neighbor(u, |v| a.push(v));
                 let mut b = Vec::new();
                 inner.for_each_neighbor(u, |v| b.push(v));
-                assert_eq!(a, b, "neighbor list diverged at {u} (k={k})");
+                assert_eq!(a, b, "neighbor list diverged at {u} (n={n}, k={k})");
             }
         }
     }
@@ -601,21 +920,22 @@ mod tests {
         }
         assert!(!cached.contains_edge(0, 120));
         assert!(!cached.contains_edge(120, 0));
+        assert!(!cached.is_hub(120) && !cached.is_hub(usize::MAX));
     }
 
     #[test]
     fn budget_builder_respects_the_byte_ceiling() {
         let inner = chung_lu(1000, 2);
-        let budget = 2 << 10; // 2 KiB of adjacency = 512 entries
+        let budget = 2 << 10; // 2 KiB of packed 10-bit entries = 1,632 entries
         let cached = HubCacheBuilder::new()
             .cache_budget_bytes(budget)
             .build(inner.clone());
         assert!(cached.hub_count() > 0, "2 KiB must afford some hubs");
-        let adj_bytes = cached
-            .hub_adj
-            .len()
-            .checked_mul(std::mem::size_of::<u32>())
-            .unwrap();
+        let adj_bytes = cached.hub_adj.words.len() * std::mem::size_of::<u64>();
+        assert_eq!(
+            adj_bytes,
+            packed_bytes(cached.hub_offsets[cached.hub_count()] as usize, 10)
+        );
         assert!(
             adj_bytes <= budget,
             "cached adjacency {adj_bytes} bytes exceeds the {budget} budget"
@@ -626,6 +946,57 @@ mod tests {
             .hub_count(3)
             .build(inner);
         assert_eq!(both.hub_count(), 3);
+    }
+
+    #[test]
+    fn budget_takes_the_largest_fitting_prefix_at_width_boundaries() {
+        for n in [2usize, 64, 256, 257, 1024, 1025] {
+            let inner = GeneratedGraph::gnp(n, (8.0 / n as f64).min(1.0), n as u64).unwrap();
+            let width = id_width(n);
+            // Stub counts in selection order: descending, ties by id.
+            let mut order: Vec<usize> = (0..n).collect();
+            order.sort_by_key(|&u| std::cmp::Reverse(inner.stub_degree(u)));
+            let prefix_stubs = |k: usize| {
+                order[..k]
+                    .iter()
+                    .map(|&u| inner.stub_degree(u))
+                    .sum::<usize>()
+            };
+            let mut budgets = vec![0, 7, 8, 15, 16];
+            for k in [1, n / 3, n] {
+                let exact = packed_bytes(prefix_stubs(k), width);
+                budgets.extend([exact.saturating_sub(1), exact, exact + 1]);
+            }
+            for budget in budgets {
+                let cached = HubCacheBuilder::new()
+                    .cache_budget_bytes(budget)
+                    .build(inner.clone());
+                let k = cached.hub_count();
+                let bytes = cached.hub_adj.words.len() * 8;
+                assert!(
+                    bytes <= budget,
+                    "n {n}: {bytes} bytes over the {budget} budget"
+                );
+                assert!(
+                    packed_bytes(prefix_stubs(k), width) <= budget,
+                    "n {n}: top-{k} stubs overflow the {budget} budget"
+                );
+                if k < n {
+                    assert!(
+                        packed_bytes(prefix_stubs(k + 1), width) > budget,
+                        "n {n}: top-{} also fits the {budget} budget",
+                        k + 1
+                    );
+                }
+                for u in 0..n {
+                    let mut a = Vec::new();
+                    cached.for_each_neighbor(u, |v| a.push(v));
+                    let mut b = Vec::new();
+                    inner.for_each_neighbor(u, |v| b.push(v));
+                    assert_eq!(a, b, "n {n}, budget {budget}, vertex {u}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -662,17 +1033,17 @@ mod tests {
     #[test]
     fn fill_is_thread_invariant() {
         let inner = chung_lu(800, 8);
-        let reference = HubCachedGraph::with_hub_count(inner.clone(), 200);
-        let previous = std::env::var_os("RUMOR_THREADS");
-        std::env::set_var("RUMOR_THREADS", "3");
-        let threaded = HubCachedGraph::with_hub_count(inner, 200);
-        match previous {
-            Some(value) => std::env::set_var("RUMOR_THREADS", value),
-            None => std::env::remove_var("RUMOR_THREADS"),
+        let hub_ids = select_hubs(&inner, Some(200), None);
+        let mut hub_offsets = vec![0u32];
+        for &u in &hub_ids {
+            hub_offsets.push(hub_offsets.last().unwrap() + inner.degree(u as usize) as u32);
         }
-        assert_eq!(reference.hub_ids, threaded.hub_ids);
-        assert_eq!(reference.hub_offsets, threaded.hub_offsets);
-        assert_eq!(reference.hub_adj, threaded.hub_adj);
+        let width = id_width(800);
+        let reference = fill_cache(&inner, &hub_ids, &hub_offsets, width, 1);
+        for workers in [2, 3, 5, 8, 200, 500] {
+            let words = fill_cache(&inner, &hub_ids, &hub_offsets, width, workers).words;
+            assert_eq!(words, reference.words, "{workers} workers");
+        }
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //!   (two offset tables), so 10⁷-vertex random topologies fit where their
 //!   CSR builds would not.
 //! * [`HubCachedGraph`](crate::HubCachedGraph) — the hub-cached hybrid: a
-//!   layer over the generated backend that materializes exact CSR
-//!   adjacency for the top-k vertices by degree, absorbing the hub-heavy
-//!   query mix of stationary agent walks while tail queries stay on the
-//!   hashed path.
+//!   layer over the generated backend that materializes exact adjacency,
+//!   bit-packed at `⌈log₂ n⌉` bits per entry, for the top-k vertices by
+//!   degree, absorbing the hub-heavy query mix of stationary agent walks
+//!   while tail queries stay on the hashed path.
 //!
 //! **Determinism contract:** for equal degrees all backends consume the
 //! RNG stream identically (each draws neighbor indices through the shared
