@@ -4,10 +4,11 @@
 //! `peak_rss_bytes` stamped on every entry):
 //!
 //! * **Checkpoint overhead** — a full push broadcast on a 10⁶-vertex
-//!   G(n, p) run plain vs through the resumable engine with a 100-round
-//!   checkpoint cadence (the production setting: cadence checks every
-//!   round, snapshots only when due). Target under
-//!   `RUMOR_BENCH_ENFORCE=1`: ≤ 5% wall-clock overhead.
+//!   G(n, p) run plain vs through the resumable engine with a 10-round
+//!   checkpoint cadence (cadence checks every round, snapshots only when
+//!   due; the ~40-round broadcast takes several). Target under
+//!   `RUMOR_BENCH_ENFORCE=1`: ≤ 5% wall-clock overhead; the run must take
+//!   at least one snapshot whether or not the target is enforced.
 //! * **Snapshot serialization** — encode/decode wall-clock and byte size
 //!   of a live 10⁶-vertex snapshot (written at a dense cadence so the
 //!   capture path is actually exercised).
@@ -54,30 +55,36 @@ fn robustness(_c: &mut Criterion) {
         .with_max_rounds(10_000);
     let reps = 3;
 
-    // ---- Checkpoint overhead at the production cadence. ----
-    let plain_s = min_seconds(reps, || {
-        let outcome = simulate_on(&graph, 0, &spec);
-        assert!(outcome.completed, "reference broadcast truncated");
-    });
+    // ---- Checkpoint overhead at a cadence that fires mid-broadcast. ----
+    const CADENCE_ROUNDS: u64 = 10;
+    // The two sides alternate rep by rep, so a change in host load during
+    // the measurement shifts both minima alike instead of only the later one.
+    let (mut plain_s, mut checkpointed_s) = (f64::INFINITY, f64::INFINITY);
     let mut checkpoints = 0u64;
-    let checkpointed_s = min_seconds(reps, || {
+    for _ in 0..reps {
+        plain_s = plain_s.min(min_seconds(1, || {
+            let outcome = simulate_on(&graph, 0, &spec);
+            assert!(outcome.completed, "reference broadcast truncated");
+        }));
         checkpoints = 0;
-        let run = simulate_resumable(
-            &graph,
-            0,
-            &spec,
-            CheckpointCadence::every_rounds(100),
-            &mut |_snapshot: &SimSnapshot| {
-                checkpoints += 1;
-                true
-            },
-        );
-        assert!(run.finished().is_some_and(|o| o.completed));
-    });
+        checkpointed_s = checkpointed_s.min(min_seconds(1, || {
+            let run = simulate_resumable(
+                &graph,
+                0,
+                &spec,
+                CheckpointCadence::every_rounds(CADENCE_ROUNDS),
+                &mut |_snapshot: &SimSnapshot| {
+                    checkpoints += 1;
+                    true
+                },
+            );
+            assert!(run.finished().is_some_and(|o| o.completed));
+        }));
+    }
     let overhead_pct = 100.0 * (checkpointed_s / plain_s - 1.0);
     println!(
         "robust checkpoint overhead: n=1e6 push — plain {plain_s:.3}s vs resumable \
-         {checkpointed_s:.3}s at 100-round cadence ({checkpoints} snapshots) => \
+         {checkpointed_s:.3}s at {CADENCE_ROUNDS}-round cadence ({checkpoints} snapshots) => \
          {overhead_pct:+.2}% (target <= 5%)"
     );
     record_summary_in(
@@ -87,10 +94,15 @@ fn robustness(_c: &mut Criterion) {
             ("n", n as f64),
             ("plain_s", plain_s),
             ("checkpointed_s", checkpointed_s),
-            ("cadence_rounds", 100.0),
+            ("cadence_rounds", CADENCE_ROUNDS as f64),
             ("snapshots", checkpoints as f64),
             ("overhead_pct", overhead_pct),
         ],
+    );
+    // An overhead bound is only meaningful if checkpoints were taken.
+    assert!(
+        checkpoints >= 1,
+        "the resumable run took no snapshot at a {CADENCE_ROUNDS}-round cadence"
     );
     if enforce() {
         assert!(

@@ -27,7 +27,9 @@
 //!    `(seed, u)`.
 //! 2. **Pairing.** The `S = Σ stubs` stub endpoints are matched by a
 //!    keyed pseudorandom permutation: a 4-round Feistel network whose round
-//!    function is `philox2x64_6`, cycle-walked onto `[0, S)`. Stubs at
+//!    function is `philox2x64_6`, cycle-walked onto `[0, S)`. The round
+//!    function only sees half words of at most 16 bits, so its outputs are
+//!    tabulated once at construction and every round is a table read. Stubs at
 //!    positions `2k` and `2k + 1` of the shuffled order form an edge, so the
 //!    partner of a stub is a pure `O(1)` function of `(seed, stub)` and the
 //!    partner relation is an involution — membership is symmetric by
@@ -55,17 +57,21 @@
 //! # Cost model
 //!
 //! Memory is `≈ 8n` bytes (two `u32` offset tables, plus a coarse owner
-//! index of one `u32` per 1024 stubs) — for average degree `d̄` the
+//! index of one `u32` per 1024 stubs) plus the pairing's round table of
+//! `4 · 2^⌈log₂(S)/2⌉` `u16` entries — at most 512 KiB, 16 KiB at
+//! `n = 2·10⁵, d̄ = 12`. For average degree `d̄` the
 //! equivalent CSR footprint (`8m + 16n = (4d̄ + 16)n` bytes) is
 //! `≈ (d̄/2 + 2)` times larger, an order of magnitude from `d̄ ≈ 16` up
 //! (`BENCH_random.json` records the measured ratio — 22× at `d̄ = 40`).
-//! The price is per-query work: a neighbor
-//! query re-derives the vertex's stub partners (`O(deg)` Philox block
-//! evaluations) and sorts them, so a draw costs microseconds instead of
-//! nanoseconds. Prefer the CSR backend when the graph fits in memory and is
-//! reused across many trials; prefer `GeneratedGraph` for scenario sweeps at
-//! scales where the CSR does not fit.
+//! The price is per-query work: a neighbor query re-derives the vertex's
+//! stub partners — `O(deg)` cycle-walked Feistel passes of four round-table
+//! reads each, plus an owner lookup per partner — and sorts them, so a draw
+//! costs microseconds instead of nanoseconds. Prefer the CSR backend when
+//! the graph fits in memory and is reused across many trials; prefer
+//! `GeneratedGraph` for scenario sweeps at scales where the CSR does not
+//! fit.
 
+use std::fmt;
 use std::sync::OnceLock;
 
 use rand::stream::{philox2x64_6, StreamKey, StreamRng};
@@ -85,8 +91,9 @@ const PAIR_PURPOSE: u64 = 1;
 /// Purpose tag for the per-vertex degree streams.
 const DEGREE_PURPOSE: u64 = 2;
 /// Feistel round count for the stub-pairing permutation (each round is one
-/// `philox2x64_6` evaluation; 4 rounds of a keyed PRF give a pseudorandom
-/// permutation by the Luby–Rackoff bound).
+/// `philox2x64_6`-keyed PRF, tabulated per half word by [`Pairing::new`];
+/// 4 rounds of a keyed PRF give a pseudorandom permutation by the
+/// Luby–Rackoff bound).
 const FEISTEL_ROUNDS: u64 = 4;
 /// Neighbor lists up to this many stubs are assembled on the stack; larger
 /// (hub) vertices fall back to a heap buffer.
@@ -126,7 +133,7 @@ pub struct GeneratedGraph {
     n: usize,
     /// Simple-graph edge count (post-erasure).
     num_edges: usize,
-    /// The stub-pairing permutation (key + cycle-walking domain).
+    /// The stub-pairing permutation (round table + cycle-walking domain).
     pairing: Pairing,
     /// `stub_offsets[u]..stub_offsets[u + 1]` are vertex `u`'s stub ids.
     stub_offsets: Vec<u32>,
@@ -172,13 +179,32 @@ enum Model {
 /// power-of-two domain, cycle-walked onto `[0, stubs)`. Encrypt maps a stub
 /// id to its position in the shuffled order; positions `2k` / `2k + 1` are
 /// partners.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+///
+/// The round function `F_k(round, x) = philox2x64_6([x, round], key)[0] &
+/// mask` only ever sees a half word `x < 2^half_bits ≤ 2^16` (the stub total
+/// is at most `u32::MAX`), so [`Pairing::new`] tabulates all of its outputs
+/// once — at most `4 · 2^16` `u16` entries, 512 KiB — and the network reads
+/// the table instead of evaluating Philox, bit-identically.
+#[derive(Clone, Serialize, Deserialize)]
 struct Pairing {
-    key: u64,
     /// Total stub count `S` (the permutation's codomain is `[0, S)`).
     stubs: u64,
     /// Bits per Feistel half; the walked domain is `2^(2 · half_bits)`.
     half_bits: u32,
+    /// `rounds[(round << half_bits) | x]` is the round function's output
+    /// for `round < FEISTEL_ROUNDS` and `x < 2^half_bits`.
+    rounds: Vec<u16>,
+}
+
+impl fmt::Debug for Pairing {
+    /// The shape only: the round table is thousands of opaque entries.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Pairing")
+            .field("stubs", &self.stubs)
+            .field("half_bits", &self.half_bits)
+            .field("round_entries", &self.rounds.len())
+            .finish()
+    }
 }
 
 impl Pairing {
@@ -188,16 +214,29 @@ impl Pairing {
         // terminate in ~2 expected steps).
         let bits = (64 - (stubs.max(2) - 1).leading_zeros()).max(2);
         let half_bits = bits.div_ceil(2);
+        debug_assert!(half_bits <= 16, "round outputs must fit the u16 table");
+        let mask = (1u64 << half_bits) - 1;
+        let rounds = (0..FEISTEL_ROUNDS)
+            .flat_map(|round| {
+                (0..=mask).map(move |x| (philox2x64_6([x, round], key)[0] & mask) as u16)
+            })
+            .collect();
         Pairing {
-            key,
             stubs,
             half_bits,
+            rounds,
         }
     }
 
     #[inline]
     fn half_mask(&self) -> u64 {
         (1u64 << self.half_bits) - 1
+    }
+
+    /// The round function `F_k(round, x)` for a half word `x`.
+    #[inline]
+    fn round(&self, round: u64, x: u64) -> u64 {
+        u64::from(self.rounds[((round << self.half_bits) | x) as usize])
     }
 
     /// The walked power-of-two domain size (test diagnostics).
@@ -209,12 +248,10 @@ impl Pairing {
     /// One Feistel encryption over the power-of-two domain.
     #[inline]
     fn encrypt(&self, x: u64) -> u64 {
-        let mask = self.half_mask();
         let mut l = x >> self.half_bits;
-        let mut r = x & mask;
+        let mut r = x & self.half_mask();
         for round in 0..FEISTEL_ROUNDS {
-            let f = philox2x64_6([r, round], self.key)[0] & mask;
-            (l, r) = (r, l ^ f);
+            (l, r) = (r, l ^ self.round(round, r));
         }
         (l << self.half_bits) | r
     }
@@ -222,12 +259,10 @@ impl Pairing {
     /// The inverse of [`Pairing::encrypt`].
     #[inline]
     fn decrypt(&self, x: u64) -> u64 {
-        let mask = self.half_mask();
         let mut l = x >> self.half_bits;
-        let mut r = x & mask;
+        let mut r = x & self.half_mask();
         for round in (0..FEISTEL_ROUNDS).rev() {
-            let f = philox2x64_6([l, round], self.key)[0] & mask;
-            (l, r) = (r ^ f, l);
+            (l, r) = (r ^ self.round(round, l), l);
         }
         (l << self.half_bits) | r
     }
@@ -994,6 +1029,7 @@ impl Topology for GeneratedGraph {
         self.stub_offsets.capacity() * std::mem::size_of::<u32>()
             + self.slot_offsets.capacity() * std::mem::size_of::<u32>()
             + self.stub_coarse.capacity() * std::mem::size_of::<u32>()
+            + self.pairing.rounds.capacity() * std::mem::size_of::<u16>()
             + std::mem::size_of::<Self>()
     }
 }
@@ -1004,31 +1040,106 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The Philox-per-round Feistel encryption the round table replaced,
+    /// kept as the reference the table-driven network must reproduce.
+    fn reference_encrypt(key: u64, half_bits: u32, x: u64) -> u64 {
+        let mask = (1u64 << half_bits) - 1;
+        let mut l = x >> half_bits;
+        let mut r = x & mask;
+        for round in 0..FEISTEL_ROUNDS {
+            let f = philox2x64_6([r, round], key)[0] & mask;
+            (l, r) = (r, l ^ f);
+        }
+        (l << half_bits) | r
+    }
+
+    /// The inverse of [`reference_encrypt`].
+    fn reference_decrypt(key: u64, half_bits: u32, x: u64) -> u64 {
+        let mask = (1u64 << half_bits) - 1;
+        let mut l = x >> half_bits;
+        let mut r = x & mask;
+        for round in (0..FEISTEL_ROUNDS).rev() {
+            let f = philox2x64_6([l, round], key)[0] & mask;
+            (l, r) = (r ^ f, l);
+        }
+        (l << half_bits) | r
+    }
+
+    /// A pairing whose walked domain is exactly `2^(2 · half_bits)`.
+    fn pairing_with_half_bits(key: u64, half_bits: u32) -> Pairing {
+        let p = Pairing::new(key, 1u64 << (2 * half_bits));
+        assert_eq!(p.half_bits, half_bits);
+        p
+    }
+
+    #[test]
+    fn round_table_matches_the_philox_round_function() {
+        for half_bits in 1..=16u32 {
+            for key in [0u64, 0xDEAD_BEEF] {
+                let p = pairing_with_half_bits(key, half_bits);
+                let mask = p.half_mask();
+                assert_eq!(p.rounds.len() as u64, FEISTEL_ROUNDS << half_bits);
+                for round in 0..FEISTEL_ROUNDS {
+                    for x in 0..=mask {
+                        let want = philox2x64_6([x, round], key)[0] & mask;
+                        assert_eq!(p.round(round, x), want, "bits={half_bits} r={round} x={x}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn table_network_matches_the_philox_reference() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for half_bits in [1u32, 2, 5, 8, 11, 14, 16] {
+            for key in [0u64, 1, 0x5EED_F00D] {
+                let p = pairing_with_half_bits(key, half_bits);
+                for _ in 0..2_000 {
+                    let x = rng.gen_range(0..p.domain());
+                    assert_eq!(p.encrypt(x), reference_encrypt(key, half_bits, x));
+                    assert_eq!(p.decrypt(x), reference_decrypt(key, half_bits, x));
+                    assert_eq!(p.decrypt(p.encrypt(x)), x);
+                }
+            }
+        }
+    }
+
+    /// Checks that `p` is a fixed-point-free involution on `[0, stubs)`,
+    /// leaving exactly the last shuffled position unmatched for odd totals.
+    fn assert_involution(p: &Pairing) {
+        let stubs = p.stubs;
+        assert!(p.domain() >= stubs);
+        let mut unmatched = 0u64;
+        for s in 0..stubs {
+            // position/stub_at invert each other.
+            assert_eq!(p.stub_at(p.position(s)), s, "S={stubs}");
+            match p.partner(s) {
+                Some(t) => {
+                    assert_ne!(t, s, "a stub cannot partner itself");
+                    assert_eq!(p.partner(t), Some(s), "not an involution");
+                }
+                None => {
+                    assert!(stubs % 2 == 1, "unmatched stub in an even total");
+                    assert_eq!(p.position(s), stubs - 1);
+                    unmatched += 1;
+                }
+            }
+        }
+        // Exactly one unmatched stub iff S is odd.
+        assert_eq!(unmatched, stubs % 2);
+    }
+
     #[test]
     fn pairing_is_an_involution_without_fixed_points() {
         for stubs in [2u64, 3, 7, 64, 65, 1000] {
             for key in [0u64, 1, 0xDEAD_BEEF] {
-                let p = Pairing::new(key, stubs);
-                assert!(p.domain() >= stubs);
-                for s in 0..stubs {
-                    // position/stub_at invert each other.
-                    assert_eq!(p.stub_at(p.position(s)), s, "S={stubs} key={key}");
-                    match p.partner(s) {
-                        Some(t) => {
-                            assert_ne!(t, s, "a stub cannot partner itself");
-                            assert_eq!(p.partner(t), Some(s), "not an involution");
-                        }
-                        None => {
-                            assert!(stubs % 2 == 1, "unmatched stub in an even total");
-                            assert_eq!(p.position(s), stubs - 1);
-                        }
-                    }
-                }
-                // Exactly one unmatched stub iff S is odd.
-                let unmatched = (0..stubs).filter(|&s| p.partner(s).is_none()).count();
-                assert_eq!(unmatched as u64, stubs % 2);
+                assert_involution(&Pairing::new(key, stubs));
             }
         }
+        // Past 2^20, an odd total just above a power of four: 11-bit halves
+        // over a domain ~4× the total, so most lookups cycle-walk.
+        assert_involution(&Pairing::new(0xDEAD_BEEF, (1 << 20) + 3));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //!
 //! [`HubCachedGraph`] layers over [`GeneratedGraph`] to remove the one
 //! asymmetry that prices agent protocols out of large generated graphs:
-//! a neighbor query on the hashed backend costs `O(deg)` Philox partner
-//! evaluations plus a sort, and stationary random walks land on
+//! a neighbor query on the hashed backend costs `O(deg)` stub-pairing
+//! partner evaluations plus a sort, and stationary random walks land on
 //! high-degree vertices with probability proportional to their degree —
 //! so the *most expensive* vertices are queried the *most often*. On a
 //! Chung–Lu power-law instance the top few percent of vertices by degree
@@ -55,7 +55,7 @@
 //! byte ceiling (accounted conservatively in pre-erasure stub counts, so
 //! the realized cache never exceeds it). Queries on cached vertices cost
 //! an `O(1)` bitmap probe and popcount plus an `O(1)` two-word read instead
-//! of `O(deg)` Philox evaluations; tail vertices take the same bitmap
+//! of `O(deg)` pairing evaluations; tail vertices take the same bitmap
 //! probe and continue on the hashed path unchanged. The win is
 //! workload-dependent: agent walks (visit/meet-exchange) spend most draws
 //! on hubs and speed up by the cached fraction of stationary mass
