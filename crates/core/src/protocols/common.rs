@@ -241,43 +241,69 @@ impl Iterator for Zeros<'_> {
     }
 }
 
-/// A plain fixed-size bitset with O(1) set/clear and ascending word-at-a-time
-/// iteration, used for the *active* (boundary) sets below. Unlike
-/// [`InformedSet`] it is not monotone — bits are cleared when a vertex
-/// saturates.
+/// Items one summary word covers: one summary bit per 64-item word, 64
+/// summary bits per summary word.
+const ITEMS_PER_SUMMARY_WORD: usize = 64 * 64;
+
+/// A plain fixed-size bitset with O(1) set/clear and ascending iteration,
+/// used for the *active* (boundary) sets below. Unlike [`InformedSet`] it is
+/// not monotone — bits are cleared when a vertex saturates.
+///
+/// **Cost model.** A second level of *summary* words indexes the non-empty
+/// words: bit `k` of the summary is set ⇔ word `k` is non-zero, one summary
+/// word per 4,096 items. `set` and `clear` stay O(1) (each touches one word
+/// and one summary word), so [`Bits::ones`] costs O(n/4096 + active words)
+/// and [`Bits::none_set`] O(n/4096). On the paper's star push that is the
+/// difference between a 257-word scan per round and a 5-word one, for a
+/// frontier of one or two vertices.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Bits {
     words: Vec<u64>,
+    /// Bit `k & 63` of `summary[k >> 6]` set ⇔ `words[k] != 0`.
+    summary: Vec<u64>,
 }
 
 impl Bits {
     pub(crate) fn new(n: usize) -> Self {
         Bits {
             words: vec![0; n.div_ceil(64)],
+            summary: vec![0; n.div_ceil(ITEMS_PER_SUMMARY_WORD)],
         }
     }
 
-    /// All-clear over `n` items, reusing the buffer (workspace reset path).
+    /// All-clear over `n` items, reusing the buffers (workspace reset path).
     pub(crate) fn reset(&mut self, n: usize) {
         self.words.clear();
         self.words.resize(n.div_ceil(64), 0);
+        self.summary.clear();
+        self.summary.resize(n.div_ceil(ITEMS_PER_SUMMARY_WORD), 0);
     }
 
     #[inline]
     pub(crate) fn set(&mut self, i: usize) {
-        self.words[i >> 6] |= 1u64 << (i & 63);
+        let w = i >> 6;
+        self.words[w] |= 1u64 << (i & 63);
+        self.summary[w >> 6] |= 1u64 << (w & 63);
     }
 
     #[inline]
     pub(crate) fn clear(&mut self, i: usize) {
-        self.words[i >> 6] &= !(1u64 << (i & 63));
+        let w = i >> 6;
+        let word = &mut self.words[w];
+        *word &= !(1u64 << (i & 63));
+        // Branchless: drops the summary bit exactly when the word emptied.
+        self.summary[w >> 6] &= !(u64::from(*word == 0) << (w & 63));
     }
 
-    /// Iterator over set bits in ascending order.
-    pub(crate) fn ones(&self) -> Ones<'_> {
-        Ones {
+    /// Iterator over set bits in ascending order: walks the summary, then
+    /// only the non-empty words it names.
+    pub(crate) fn ones(&self) -> BitsOnes<'_> {
+        BitsOnes {
             words: &self.words,
-            current: self.words.first().copied().unwrap_or(0),
+            summary: &self.summary,
+            summary_bits: self.summary.first().copied().unwrap_or(0),
+            summary_idx: 0,
+            current: 0,
             word_idx: 0,
         }
     }
@@ -291,10 +317,44 @@ impl Bits {
 
     /// `true` if no bit is set — for the frontiers below this means no
     /// future draw can change the informed set (stall detection on
-    /// disconnected graphs).
+    /// disconnected graphs). Reads only the summary.
     #[inline]
     pub(crate) fn none_set(&self) -> bool {
-        self.words.iter().all(|&w| w == 0)
+        self.summary.iter().all(|&s| s == 0)
+    }
+}
+
+/// Ascending iterator over the set bits of a [`Bits`] (see [`Bits::ones`]).
+#[derive(Debug, Clone)]
+pub(crate) struct BitsOnes<'a> {
+    words: &'a [u64],
+    summary: &'a [u64],
+    /// Summary bits of `summary[summary_idx]` not yet visited.
+    summary_bits: u64,
+    summary_idx: usize,
+    /// Bits of `words[word_idx]` not yet yielded.
+    current: u64,
+    word_idx: usize,
+}
+
+impl Iterator for BitsOnes<'_> {
+    type Item = VertexId;
+
+    #[inline]
+    fn next(&mut self) -> Option<VertexId> {
+        while self.current == 0 {
+            while self.summary_bits == 0 {
+                self.summary_idx += 1;
+                self.summary_bits = *self.summary.get(self.summary_idx)?;
+            }
+            let bit = self.summary_bits.trailing_zeros() as usize;
+            self.summary_bits &= self.summary_bits - 1;
+            self.word_idx = (self.summary_idx << 6) | bit;
+            self.current = self.words[self.word_idx];
+        }
+        let bit = self.current.trailing_zeros() as usize;
+        self.current &= self.current - 1;
+        Some((self.word_idx << 6) | bit)
     }
 }
 
@@ -634,6 +694,84 @@ mod tests {
         b.set(3);
         b.clear(0);
         assert_eq!(b.ones().collect::<Vec<_>>(), vec![3, 64, 129]);
+    }
+
+    /// `b` agrees with the naive model: `ones()` lists exactly the set
+    /// items in ascending order and `none_set()` answers emptiness.
+    fn assert_bits_match(b: &Bits, model: &[bool], context: &str) {
+        let expected: Vec<usize> = (0..model.len()).filter(|&i| model[i]).collect();
+        assert_eq!(b.ones().collect::<Vec<_>>(), expected, "{context}");
+        assert_eq!(b.none_set(), expected.is_empty(), "{context}");
+    }
+
+    #[test]
+    fn bits_match_a_naive_model_under_random_set_and_clear() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let sizes = [0, 1, 63, 64, 65, 4095, 4096, 4097, 3 * 4096 + 5];
+        let mut rng = SmallRng::seed_from_u64(0xB175);
+        for n in sizes {
+            let mut b = Bits::new(n);
+            let mut model = vec![false; n];
+            assert_bits_match(&b, &model, &format!("n={n} fresh"));
+            if n == 0 {
+                continue;
+            }
+            for phase in 0..3 {
+                // Sparse, dense, then draining: exercises words and summary
+                // words filling up and emptying again.
+                let set_prob = [0.6, 0.9, 0.1][phase];
+                for op in 0..4 * n.min(2_000) {
+                    let i = rng.gen_range(0..n);
+                    if rng.gen_bool(set_prob) {
+                        b.set(i);
+                        model[i] = true;
+                    } else {
+                        b.clear(i);
+                        model[i] = false;
+                    }
+                    if op % 97 == 0 {
+                        assert_bits_match(&b, &model, &format!("n={n} phase={phase} op={op}"));
+                    }
+                }
+                assert_bits_match(&b, &model, &format!("n={n} after phase {phase}"));
+            }
+            // Clearing every remaining member empties the set.
+            for (i, member) in model.iter_mut().enumerate() {
+                b.clear(i);
+                *member = false;
+            }
+            assert_bits_match(&b, &model, &format!("n={n} drained"));
+            // Reset after use, also to another size, behaves like `new`.
+            b.set(n - 1);
+            b.reset(n);
+            assert_eq!(b, Bits::new(n), "n={n} reset");
+            b.set(n - 1);
+            b.reset(n + 4096);
+            assert_eq!(b, Bits::new(n + 4096), "n={n} reset to a larger universe");
+        }
+    }
+
+    #[test]
+    fn clearing_a_words_last_bit_clears_its_summary_bit() {
+        // Items 4096 and 4097 share word 64, the first word of summary word 1.
+        let mut b = Bits::new(3 * 4096 + 5);
+        b.set(4096);
+        b.set(4097);
+        b.set(3 * 4096 + 4);
+        b.clear(4096);
+        assert_eq!(b.summary, vec![0, 1, 0, 1]);
+        b.clear(4097);
+        assert_eq!(b.summary, vec![0, 0, 0, 1]);
+        assert_eq!(b.ones().collect::<Vec<_>>(), vec![3 * 4096 + 4]);
+        b.clear(3 * 4096 + 4);
+        assert!(b.none_set());
+        assert_eq!(b.ones().next(), None);
+        // Clearing an item that was never set keeps an occupied word's bit.
+        b.set(70);
+        b.clear(71);
+        assert_eq!(b.summary[0], 1 << 1);
+        assert!(!b.none_set());
     }
 
     #[test]

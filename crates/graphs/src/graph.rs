@@ -12,6 +12,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{GraphError, Result};
+use crate::topology::{Deferred, DeferredNeighbor};
 
 /// Vertex identifier. Vertices of an `n`-vertex graph are `0..n`.
 pub type VertexId = usize;
@@ -55,6 +56,11 @@ pub struct Graph {
     /// the bulk stationary sampler's regular fast path is an O(1) read (it
     /// sits on the per-trial agent-placement reset path).
     regular: Option<usize>,
+    /// Whether walkers should defer neighbor reads (see
+    /// [`Topology::defers_reads`](crate::Topology::defers_reads)): the
+    /// CSR-tagged lists, the only ones a draw reads, hold at least
+    /// `DEFER_MIN_SLOTS` entries. Cached at construction.
+    defers_reads: bool,
 }
 
 /// Per-vertex neighbor-sampling metadata, array-of-structs so the hot
@@ -84,6 +90,10 @@ const INTERVAL_TAG: u32 = 1 << 30;
 const OUTLIER_TAG: u32 = 1 << 29;
 /// Low bits of the sampler word (degree / shift payload).
 const WORD_PAYLOAD: u32 = OUTLIER_TAG - 1;
+
+/// Entries of CSR-tagged lists (4 bytes each, so 1 MiB) from which the CSR
+/// backend asks walkers to defer the reads of drawn neighbors.
+const DEFER_MIN_SLOTS: usize = 1 << 18;
 
 /// Largest degree the sampler word encodes. The CSR build asserts this in
 /// [`sampler_entry`]; the implicit constructors enforce it up front (their
@@ -271,11 +281,17 @@ impl Graph {
             adjacency.len() <= u32::MAX as usize,
             "adjacency array exceeds u32 addressing"
         );
-        let sampler = offsets
+        let sampler: Vec<NeighborSampler> = offsets
             .windows(2)
             .enumerate()
             .map(|(u, w)| sampler_entry(u, &adjacency[w[0]..w[1]], w[0] as u32))
             .collect();
+        let csr_slots: usize = sampler
+            .iter()
+            .zip(offsets.windows(2))
+            .filter(|(entry, _)| entry.word != 0 && entry.word & INTERVAL_TAG == 0)
+            .map(|(_, w)| w[1] - w[0])
+            .sum();
         let regular = if offsets.len() < 2 {
             None
         } else {
@@ -290,6 +306,7 @@ impl Graph {
             sampler,
             num_edges,
             regular,
+            defers_reads: csr_slots >= DEFER_MIN_SLOTS,
         }
     }
 
@@ -725,6 +742,49 @@ impl crate::Topology for Graph {
         Graph::random_neighbor_with(self, u, make_rng)
     }
 
+    /// Deferring pays only once the lists draws actually read outgrow the
+    /// cache: from `DEFER_MIN_SLOTS` entries (1 MiB) of CSR-tagged lists on.
+    /// Interval-tagged lists are never read, so a large graph made of them
+    /// (the Fig. 1 families) does not defer. Below the threshold a deferred
+    /// read hides no miss, and the queueing and prefetch instructions would
+    /// only cost.
+    #[inline]
+    fn defers_reads(&self) -> bool {
+        self.defers_reads
+    }
+
+    /// Draws exactly like [`Graph::random_neighbor`]. Interval-tagged lists
+    /// resolve here (no adjacency read); CSR-tagged ones prefetch the
+    /// selected adjacency slot and return it.
+    #[inline(always)]
+    fn draw_deferred<R: Rng + ?Sized>(&self, u: VertexId, rng: &mut R) -> DeferredNeighbor {
+        let entry = self.sampler[u];
+        if entry.word == 0 {
+            return DeferredNeighbor::vertex(u);
+        }
+        let i = sample_index(entry.word, rng);
+        if entry.word & INTERVAL_TAG != 0 {
+            return DeferredNeighbor::vertex(self.resolve_neighbor_index(u, entry, i));
+        }
+        let slot = entry.start as usize + i as usize;
+        prefetch(self.adjacency.as_ptr().wrapping_add(slot));
+        DeferredNeighbor(Deferred::Slot(slot))
+    }
+
+    #[inline(always)]
+    fn resolve_deferred(&self, token: DeferredNeighbor) -> VertexId {
+        match token.0 {
+            Deferred::Vertex(v) => v,
+            // Checked: a token from another graph must not read out of range.
+            Deferred::Slot(slot) => self.adjacency[slot] as VertexId,
+        }
+    }
+
+    #[inline(always)]
+    fn prefetch_sampler(&self, u: VertexId) {
+        prefetch(self.sampler.as_ptr().wrapping_add(u));
+    }
+
     fn sample_stationary<R: Rng + ?Sized>(&self, rng: &mut R) -> VertexId {
         Graph::sample_stationary(self, rng)
     }
@@ -761,6 +821,23 @@ impl crate::Topology for Graph {
     fn memory_bytes(&self) -> usize {
         Graph::memory_bytes(self)
     }
+}
+
+/// Asks the CPU to start loading the cache line holding `p` into L1. A hint
+/// only: it never faults and changes no result, so any address is fine.
+#[inline(always)]
+#[allow(unsafe_code)]
+fn prefetch<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: `_mm_prefetch` only needs SSE, which every x86_64 CPU has; a
+    // prefetch does not dereference `p` architecturally and cannot fault,
+    // whatever the address.
+    unsafe {
+        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+        _mm_prefetch::<_MM_HINT_T0>(p.cast::<i8>());
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    let _ = p;
 }
 
 impl fmt::Debug for Graph {
@@ -1098,6 +1175,46 @@ mod tests {
         for _ in 0..2_000 {
             let v = g.sample_stationary(&mut rng);
             assert!(g.degree(v) > 0, "sampled isolated vertex {v}");
+        }
+    }
+
+    #[test]
+    fn deferred_draws_match_random_neighbor_draw_for_draw() {
+        use crate::Topology;
+        let mut rng = StdRng::seed_from_u64(8);
+        // 2^15 vertices of degree 8: exactly the deferral threshold, with
+        // CSR-tagged lists. Then a small graph with interval lists (a
+        // clique, a star) and an isolated vertex, which does not defer.
+        let big = crate::generators::random_regular(1 << 15, 8, &mut rng).unwrap();
+        assert_eq!(big.adjacency.len(), DEFER_MIN_SLOTS);
+        // A large graph of interval lists alone (a star) does not defer.
+        let big_star = crate::generators::star(DEFER_MIN_SLOTS).unwrap();
+        assert!(!big_star.defers_reads());
+        let small =
+            Graph::from_edges(8, &[(0, 1), (1, 2), (0, 2), (3, 4), (3, 5), (3, 6)]).unwrap();
+        assert!(big.defers_reads() && !small.defers_reads());
+        for g in [&big, &small] {
+            let (mut plain, mut deferred) = (StdRng::seed_from_u64(9), StdRng::seed_from_u64(9));
+            let mut slots = 0;
+            for u in (0..g.num_vertices())
+                .cycle()
+                .take(3 * g.num_vertices().max(100))
+            {
+                g.prefetch_sampler(u);
+                let token = g.draw_deferred(u, &mut deferred);
+                slots += usize::from(token.resolved().is_none());
+                let expected = g.random_neighbor(u, &mut plain).unwrap_or(u);
+                assert_eq!(g.resolve_deferred(token), expected, "vertex {u}");
+                assert_eq!(
+                    plain.next_u64(),
+                    deferred.next_u64(),
+                    "stream after vertex {u}"
+                );
+            }
+            // The big graph defers every read; the small one has no
+            // CSR-tagged list (the triangle, star and isolated vertex are
+            // all interval-shaped or empty).
+            assert_eq!(slots > 0, g.defers_reads());
         }
     }
 }

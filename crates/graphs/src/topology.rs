@@ -1,4 +1,4 @@
-//! The `Topology` abstraction: one sampling contract, three storage
+//! The `Topology` abstraction: one sampling contract, four storage
 //! backends.
 //!
 //! Every protocol in the workspace consumes a graph through a handful of
@@ -34,6 +34,20 @@
 //! the same simulation over the corresponding [`Graph`] — the cross-backend
 //! equivalence tests in `rumor-core` pin this for every family, protocol,
 //! engine, and thread count.
+//!
+//! **Deferred draws.** Walkers move many agents per round, and on a large
+//! CSR graph each move is a dependent cache miss. Four hooks let a mover
+//! overlap those misses without changing a single draw:
+//! [`Topology::defers_reads`] says whether to use the others at all,
+//! [`Topology::prefetch_sampler`] starts loading a vertex's sampling
+//! metadata ahead of its draw, [`Topology::draw_deferred`] consumes the RNG
+//! exactly like `random_neighbor(u, rng).unwrap_or(u)` and returns a
+//! [`DeferredNeighbor`] token, and [`Topology::resolve_deferred`] turns the
+//! token into the vertex later. The defaults do not defer (the token is
+//! resolved at draw time and the prefetch does nothing), so the implicit,
+//! generated and hub-cached backends behave exactly as before. [`Graph`]
+//! overrides all four: interval-tagged lists still resolve at draw time,
+//! while CSR-tagged ones prefetch the selected adjacency slot and return it.
 //!
 //! The trait is deliberately **not** object safe (sampling methods are
 //! generic over the RNG so they inline); engines monomorphize over it,
@@ -123,6 +137,47 @@ pub trait Topology: sealed::Sealed + Sync {
         make_rng: F,
     ) -> Option<VertexId>;
 
+    /// Whether a walker pass should draw through
+    /// [`Topology::draw_deferred`] and [`Topology::prefetch_sampler`], i.e.
+    /// whether deferring reads can hide cache misses here. `false` (the
+    /// default) means a pass resolves every draw on the spot, with no
+    /// prefetches; the RNG stream is the same either way.
+    #[inline]
+    fn defers_reads(&self) -> bool {
+        false
+    }
+
+    /// Draws the next position of a walker at `u` now and defers reading
+    /// it: consumes the RNG exactly like
+    /// `random_neighbor(u, rng).unwrap_or(u)` (an isolated walker stays put)
+    /// and returns a token that [`Topology::resolve_deferred`] turns into
+    /// that vertex later. Between the two a backend can fetch the neighbor
+    /// slot in the background, so a caller that draws for several walkers
+    /// before resolving the first overlaps their memory misses.
+    ///
+    /// The default resolves on the spot. The CSR backend resolves
+    /// interval-tagged lists arithmetically at draw time and otherwise
+    /// prefetches the adjacency slot and returns it.
+    #[inline(always)]
+    fn draw_deferred<R: Rng + ?Sized>(&self, u: VertexId, rng: &mut R) -> DeferredNeighbor {
+        DeferredNeighbor::vertex(self.random_neighbor(u, rng).unwrap_or(u))
+    }
+
+    /// The vertex a [`Topology::draw_deferred`] token stands for. The token
+    /// must come from this topology.
+    #[inline(always)]
+    fn resolve_deferred(&self, token: DeferredNeighbor) -> VertexId {
+        token
+            .resolved()
+            .expect("a backend without adjacency slots made every draw resolved")
+    }
+
+    /// Hints that `u`'s sampling metadata is about to be read by a draw.
+    /// Consumes no randomness and changes no result; the default does
+    /// nothing.
+    #[inline(always)]
+    fn prefetch_sampler(&self, _u: VertexId) {}
+
     /// Samples a vertex from the stationary distribution
     /// (degree-proportional). Panics if the graph has no edges.
     fn sample_stationary<R: Rng + ?Sized>(&self, rng: &mut R) -> VertexId;
@@ -151,6 +206,39 @@ pub trait Topology: sealed::Sealed + Sync {
     /// Bytes of storage backing the topology (diagnostic; the headline
     /// number behind the implicit backend's ≥20× footprint reduction).
     fn memory_bytes(&self) -> usize;
+}
+
+/// A neighbor drawn by [`Topology::draw_deferred`] and not yet read: either
+/// the vertex itself or, on the CSR backend, the adjacency slot that holds
+/// it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeferredNeighbor(pub(crate) Deferred);
+
+/// An enum, not a tagged integer, so that after inlining the compiler knows
+/// which kind each draw path produced and branches on it for free.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Deferred {
+    Vertex(VertexId),
+    /// An adjacency slot of the backend that made the token.
+    Slot(usize),
+}
+
+impl DeferredNeighbor {
+    /// A token already resolved to `v` (for a walker that stays put
+    /// without drawing a neighbor).
+    #[inline(always)]
+    pub fn vertex(v: VertexId) -> Self {
+        DeferredNeighbor(Deferred::Vertex(v))
+    }
+
+    /// The vertex, if the draw is already resolved (no read pending).
+    #[inline(always)]
+    pub fn resolved(self) -> Option<VertexId> {
+        match self.0 {
+            Deferred::Vertex(v) => Some(v),
+            Deferred::Slot(_) => None,
+        }
+    }
 }
 
 /// A topology with the backend chosen at runtime.

@@ -34,17 +34,37 @@
 //! [`MultiWalk::refresh_occupancy`] before using them (the accessors panic
 //! on stale data rather than answer wrongly).
 //!
+//! # The pipelined movement pass
+//!
+//! Every sequential step runs one movement loop. On a CSR graph whose
+//! CSR-tagged lists (the ones a draw reads) outgrow the cache
+//! ([`Topology::defers_reads`]), a walk step is a chain of two misses: the
+//! agent's sampler entry, then the adjacency slot the draw selects. The loop
+//! overlaps these misses across agents. Iteration `j`
+//! prefetches the sampler entry of agent `j + P` and draws for agent `j`
+//! ([`Topology::draw_deferred`]). A draw that selected an adjacency slot is
+//! queued while the slot loads; its agent is resolved, stored and marked
+//! `D` slot draws later, so resolution lags the draw by `D` agents that read
+//! the adjacency (`D = 8`, `P = 16`, constants of the code). Draws that
+//! resolved on the spot (lazy stays, isolated vertices, interval-tagged
+//! lists, every non-CSR backend) land at once, and on smaller graphs every
+//! draw does, with no prefetches.
+//!
 //! **Determinism:** all randomness is drawn in the movement pass, one agent
 //! at a time in ascending agent order (a laziness draw when configured, then
-//! a neighbor draw unless the agent stays or is isolated). The occupancy
-//! representation consumes no randomness, so the flat engine is draw-for-draw
-//! identical to the naive `Vec<Vec>` substrate it replaced — the equivalence
-//! tests in `rumor-core` pin this bit-for-bit.
+//! a neighbor draw unless the agent stays or is isolated). Resolving a
+//! queued draw reads memory, never the RNG, and the only outputs the lag
+//! reorders are the position stores and the informed-here marks (ORs), which
+//! do not depend on order. The occupancy representation consumes no
+//! randomness either, so the flat engine is draw-for-draw identical to a
+//! naive per-agent `random_neighbor` loop over a `Vec<Vec>` substrate — the
+//! equivalence tests in `rumor-core` pin this bit-for-bit, and this module's
+//! tests compare the mover with that loop at agent counts around `D`.
 
 use rand::stream::StreamKey;
 use rand::Rng;
 
-use rumor_graphs::{Topology, VertexId};
+use rumor_graphs::{DeferredNeighbor, Topology, VertexId};
 
 use crate::config::WalkConfig;
 use crate::frontier::UninformedFrontier;
@@ -425,39 +445,22 @@ impl MultiWalk {
 
     /// Movement + full counting-sort rebuild (the general-purpose step).
     fn advance_csr<G: Topology, R: Rng + ?Sized>(&mut self, graph: &G, rng: &mut R) -> u64 {
-        let laziness = self.config.laziness();
-        std::mem::swap(&mut self.previous, &mut self.positions);
+        self.previous.copy_from_slice(&self.positions);
         self.previous_fresh = true;
-        self.clear_occupancy();
-        self.clear_informed_marks();
-        // Movement pass: draw per agent in ascending agent order (this is the
-        // only randomness in a step), counting arrivals as we go.
-        let mut moves = 0u64;
-        for agent in 0..self.previous.len() {
-            let at = self.previous[agent] as usize;
-            let stay = laziness > 0.0 && rng.gen_bool(laziness);
-            let next = if stay {
-                at
-            } else {
-                graph.random_neighbor(at, rng).unwrap_or(at)
-            };
-            moves += u64::from(next != at);
-            self.positions[agent] = next as u32;
-            self.count_arrival(next);
-        }
-        self.finish_occupancy();
-        self.occupancy_fresh = true;
+        let laziness = self.config.laziness();
+        let moves = move_agents(graph, rng, laziness, &mut self.positions, &[], &mut []);
+        // Counted after the pass, in ascending agent order, because agents
+        // land out of order.
+        self.rebuild_occupancy();
         self.round += 1;
         moves
     }
 
-    /// The exchange protocols' movement pass: per-agent draws in ascending
-    /// agent order (identical stream to [`MultiWalk::advance_csr`]), fused
-    /// with the informed-here bit marks; no counting-sort rebuild, and
-    /// positions updated **in place** (the previous-position snapshot is
-    /// copied only when a caller records edge traffic), so the per-round
-    /// working set is one position array plus two small bitsets. Informed
-    /// bits are read a word at a time, one word per 64-agent block.
+    /// The exchange protocols' movement pass: [`move_agents`] fused with the
+    /// informed-here bit marks; no counting-sort rebuild, and positions
+    /// updated **in place** (the previous-position snapshot is copied only
+    /// when a caller records edge traffic), so the per-round working set is
+    /// one position array plus two small bitsets.
     fn advance_exchange<G: Topology, R: Rng + ?Sized>(
         &mut self,
         graph: &G,
@@ -465,7 +468,6 @@ impl MultiWalk {
         informed_words: &[u64],
         track_previous: bool,
     ) -> u64 {
-        let laziness = self.config.laziness();
         if track_previous {
             self.previous.copy_from_slice(&self.positions);
             self.previous_fresh = true;
@@ -474,63 +476,15 @@ impl MultiWalk {
         }
         self.clear_informed_marks();
         self.occupancy_fresh = false;
-        let mut moves = 0u64;
-        let positions = &mut self.positions;
-        let informed_here = &mut self.informed_here;
-        for (pos_block, &word) in positions.chunks_mut(64).zip(informed_words) {
-            // Specialize the two homogeneous block shapes: early in a
-            // broadcast almost every 64-agent block is all-uninformed, late
-            // almost every block is all-informed — both skip the per-agent
-            // bit juggling. Marks are unconditional `|=` into the
-            // memset-cleared bitset, so no data-dependent branch either way.
-            if word == 0 {
-                for q in pos_block.iter_mut() {
-                    let at = *q as usize;
-                    let stay = laziness > 0.0 && rng.gen_bool(laziness);
-                    let next = if stay {
-                        at
-                    } else {
-                        graph.random_neighbor(at, rng).unwrap_or(at)
-                    };
-                    moves += u64::from(next != at);
-                    *q = next as u32;
-                }
-            } else if word == u64::MAX {
-                for q in pos_block.iter_mut() {
-                    let at = *q as usize;
-                    let stay = laziness > 0.0 && rng.gen_bool(laziness);
-                    let next = if stay {
-                        at
-                    } else {
-                        graph.random_neighbor(at, rng).unwrap_or(at)
-                    };
-                    moves += u64::from(next != at);
-                    *q = next as u32;
-                    informed_here[next >> 6] |= 1u64 << (next & 63);
-                }
-            } else {
-                let mut bits = word;
-                for q in pos_block.iter_mut() {
-                    let informed = bits & 1;
-                    bits >>= 1;
-                    let at = *q as usize;
-                    let stay = laziness > 0.0 && rng.gen_bool(laziness);
-                    let next = if stay {
-                        at
-                    } else {
-                        graph.random_neighbor(at, rng).unwrap_or(at)
-                    };
-                    moves += u64::from(next != at);
-                    *q = next as u32;
-                    // Branchless mark: ORs zero for uninformed agents, so the
-                    // mixed-block path has no data-dependent branch (mixed
-                    // informed bits mid-broadcast would mispredict ~50%).
-                    informed_here[next >> 6] |= informed << (next & 63);
-                }
-            }
-        }
         self.round += 1;
-        moves
+        move_agents(
+            graph,
+            rng,
+            self.config.laziness(),
+            &mut self.positions,
+            informed_words,
+            &mut self.informed_here,
+        )
     }
 
     /// The sharded, thread-invariant counterpart of
@@ -885,12 +839,164 @@ impl MultiWalk {
     }
 }
 
+/// Adjacency reads in flight: an agent whose draw selected a CSR slot is
+/// resolved, stored and landed `RESOLVE_LAG` slot draws later.
+const RESOLVE_LAG: usize = 8;
+/// Agents between the prefetch of an agent's sampler entry and its draw.
+const PREFETCH_AHEAD: usize = 16;
+
+/// The sequential movement pass shared by every step method: moves each
+/// agent in `positions` one (possibly lazy) step in place and returns the
+/// number of agents that traversed an edge. Fused into the pass, an agent
+/// whose bit is set in `informed_words` marks its arrival vertex in
+/// `informed_here` (pass an empty `informed_words` for no marks).
+///
+/// Software-pipelined for the CSR backend: iteration `j` prefetches the
+/// sampler entry of agent `j + PREFETCH_AHEAD` and draws for agent `j`
+/// ([`Topology::draw_deferred`]). A draw that resolved on the spot (a lazy
+/// stay, an isolated vertex, an interval-tagged list, any non-CSR backend)
+/// lands at once. A draw that selected an adjacency slot is queued while the
+/// slot loads, and lands `RESOLVE_LAG` slot draws later, so up to that many
+/// independent cache misses overlap instead of each stalling the next draw.
+///
+/// Draws still happen one agent at a time in ascending order (laziness
+/// first, then the neighbor) and resolving reads no randomness, so the RNG
+/// stream is exactly that of a plain per-agent `random_neighbor` loop.
+/// Agents land out of order, which neither the marks (ORs) nor the move
+/// count (a sum) can observe.
+#[inline(always)]
+fn move_agents<G: Topology, R: Rng + ?Sized>(
+    graph: &G,
+    rng: &mut R,
+    laziness: f64,
+    positions: &mut [u32],
+    informed_words: &[u64],
+    informed_here: &mut [u64],
+) -> u64 {
+    let args = (laziness, positions, informed_words, informed_here);
+    if graph.defers_reads() {
+        move_pass::<G, R, true>(graph, rng, args)
+    } else {
+        move_pass::<G, R, false>(graph, rng, args)
+    }
+}
+
+/// [`move_agents`] for one answer of [`Topology::defers_reads`]. Not
+/// inlined, so that each of the two instances gets its own register
+/// allocation: inlined together into the step, the instance without
+/// deferral ran a few percent slower than the plain loops it replaced.
+#[inline(never)]
+fn move_pass<G: Topology, R: Rng + ?Sized, const DEFER: bool>(
+    graph: &G,
+    rng: &mut R,
+    (laziness, positions, informed_words, informed_here): (f64, &mut [u32], &[u64], &mut [u64]),
+) -> u64 {
+    let mut m = Mover {
+        graph,
+        rng,
+        laziness,
+        positions,
+        informed_words,
+        informed_here,
+        pending: [(0, DeferredNeighbor::vertex(0)); RESOLVE_LAG],
+        deferred: 0,
+        moves: 0,
+    };
+    for base in (0..m.positions.len()).step_by(64) {
+        // Specialize the two homogeneous block shapes: early in a broadcast
+        // almost every 64-agent block is all-uninformed (no mark stores),
+        // late almost every block is all-informed (unconditional marks).
+        // Mixed blocks mark branchlessly, ORing zero for uninformed agents.
+        let word = informed_words.get(base >> 6).copied().unwrap_or(0);
+        match word {
+            0 => m.block::<DEFER, 0>(base, word),
+            u64::MAX => m.block::<DEFER, 1>(base, word),
+            _ => m.block::<DEFER, 2>(base, word),
+        }
+    }
+    for k in 0..m.deferred.min(RESOLVE_LAG) {
+        let (agent, drawn) = m.pending[k];
+        m.land_deferred(agent, drawn);
+    }
+    m.moves
+}
+
+/// [`move_agents`]'s borrowed inputs and the state it carries across
+/// 64-agent blocks.
+struct Mover<'a, G, R: ?Sized> {
+    graph: &'a G,
+    rng: &'a mut R,
+    laziness: f64,
+    positions: &'a mut [u32],
+    informed_words: &'a [u64],
+    informed_here: &'a mut [u64],
+    /// Queued slot draws `(agent, drawn)`, a ring indexed by `deferred`.
+    pending: [(usize, DeferredNeighbor); RESOLVE_LAG],
+    /// Slot draws queued so far.
+    deferred: usize,
+    moves: u64,
+}
+
+impl<G: Topology, R: Rng + ?Sized> Mover<'_, G, R> {
+    /// Moves the agents of the 64-agent block starting at `base`, whose
+    /// informed word is `word`. `DEFER`: draw through the deferred hooks.
+    /// `MARKS`: 0 = no agent in the block is informed, 1 = all are, 2 =
+    /// mixed.
+    #[inline(always)]
+    fn block<const DEFER: bool, const MARKS: u8>(&mut self, base: usize, word: u64) {
+        for j in base..self.positions.len().min(base + 64) {
+            if DEFER {
+                if let Some(&ahead) = self.positions.get(j + PREFETCH_AHEAD) {
+                    self.graph.prefetch_sampler(ahead as usize);
+                }
+            }
+            let at = self.positions[j] as usize;
+            let drawn = if self.laziness > 0.0 && self.rng.gen_bool(self.laziness) {
+                DeferredNeighbor::vertex(at)
+            } else if DEFER {
+                self.graph.draw_deferred(at, self.rng)
+            } else {
+                DeferredNeighbor::vertex(self.graph.random_neighbor(at, self.rng).unwrap_or(at))
+            };
+            if let Some(next) = drawn.resolved() {
+                self.moves += u64::from(next != at);
+                self.positions[j] = next as u32;
+                match MARKS {
+                    0 => {}
+                    1 => self.informed_here[next >> 6] |= 1u64 << (next & 63),
+                    _ => self.informed_here[next >> 6] |= ((word >> (j & 63)) & 1) << (next & 63),
+                }
+            } else {
+                let slot = self.deferred % RESOLVE_LAG;
+                let (agent, older) = std::mem::replace(&mut self.pending[slot], (j, drawn));
+                self.deferred += 1;
+                if self.deferred > RESOLVE_LAG {
+                    self.land_deferred(agent, older);
+                }
+            }
+        }
+    }
+
+    /// Resolves a queued draw, stores it, and marks it from the agent's
+    /// informed bit, branchlessly: queued agents come from blocks of every
+    /// shape.
+    #[inline(always)]
+    fn land_deferred(&mut self, agent: usize, drawn: DeferredNeighbor) {
+        let next = self.graph.resolve_deferred(drawn);
+        if let Some(&word) = self.informed_words.get(agent >> 6) {
+            self.informed_here[next >> 6] |= ((word >> (agent & 63)) & 1) << (next & 63);
+        }
+        let at = std::mem::replace(&mut self.positions[agent], next as u32);
+        self.moves += u64::from(next != at as usize);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::Placement;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
     use rumor_graphs::generators::{complete, cycle, path, star};
 
     fn rng(seed: u64) -> StdRng {
@@ -1242,6 +1348,156 @@ mod tests {
             recycled.step(&g, &mut ra);
             fresh.step(&g, &mut rb);
             assert_eq!(recycled.positions(), fresh.positions());
+        }
+    }
+
+    /// A graph past the CSR backend's deferral threshold that mixes every
+    /// list shape the mover sees: a 100-clique (interval lists with a hole),
+    /// a 999-leaf star (interval lists), random edges (CSR lists) up to
+    /// 141,000 edges in all, and ten isolated vertices at the top.
+    fn mixed_deferring_graph() -> rumor_graphs::Graph {
+        let n = 40_000;
+        let mut b = rumor_graphs::GraphBuilder::new(n);
+        b.add_clique(&(0..100).collect::<Vec<_>>()).unwrap();
+        for leaf in 101..1_100 {
+            b.add_edge(100, leaf).unwrap();
+        }
+        let mut r = rng(41);
+        while b.num_edges() < 141_000 {
+            let u = r.gen_range(1_100..n - 10);
+            let v = r.gen_range(1_100..n - 10);
+            if u != v {
+                b.add_edge_dedup(u, v).unwrap();
+            }
+        }
+        let g = b.build();
+        assert!(
+            g.defers_reads(),
+            "the test graph must exercise deferred reads"
+        );
+        g
+    }
+
+    /// One step of the naive per-agent loop the pipelined mover must match:
+    /// returns the move count and the informed-here marks.
+    fn naive_step<G: Topology>(
+        graph: &G,
+        positions: &mut [u32],
+        laziness: f64,
+        informed: &UninformedFrontier,
+        rng: &mut StdRng,
+    ) -> (u64, Vec<bool>) {
+        let mut moves = 0;
+        let mut marks = vec![false; graph.num_vertices()];
+        for (agent, q) in positions.iter_mut().enumerate() {
+            let at = *q as usize;
+            let stay = laziness > 0.0 && rng.gen_bool(laziness);
+            let next = if stay {
+                at
+            } else {
+                graph.random_neighbor(at, rng).unwrap_or(at)
+            };
+            moves += u64::from(next != at);
+            *q = next as u32;
+            marks[next] |= informed.is_informed(agent);
+        }
+        (moves, marks)
+    }
+
+    /// Compares `step_exchange` (and `step_counting`) with [`naive_step`] over
+    /// a few rounds: positions, marks, move counts, previous positions and
+    /// the RNG state after each step.
+    fn check_against_naive<G: Topology>(graph: &G, agents: usize, config: WalkConfig) {
+        let n = graph.num_vertices();
+        // Spread agents over every list shape; every fifth sits on the
+        // isolated top vertex.
+        let start: Vec<VertexId> = (0..agents)
+            .map(|a| {
+                if a % 5 == 4 {
+                    n - 1
+                } else {
+                    (a * 7_919 + a / 3) % n
+                }
+            })
+            .collect();
+        // All-uninformed, all-informed and mixed 64-agent blocks.
+        let mut informed = UninformedFrontier::new(agents);
+        for a in 0..agents {
+            let mixed = (a / 64) % 3 == 2 && a % 3 == 0;
+            if (a / 64) % 3 == 1 || mixed {
+                informed.mark_informed(a);
+            }
+        }
+        let context = format!("{agents} agents, laziness {}", config.laziness());
+        let mut walk = MultiWalk::from_positions(graph, start.clone(), config);
+        let mut counting = MultiWalk::from_positions(graph, start.clone(), config);
+        let mut naive: Vec<u32> = start.iter().map(|&v| v as u32).collect();
+        let (mut r_walk, mut r_counting, mut r_naive) = (rng(43), rng(43), rng(43));
+        for round in 0..3 {
+            let before = naive.clone();
+            let (moves, marks) = naive_step(
+                graph,
+                &mut naive,
+                config.laziness(),
+                &informed,
+                &mut r_naive,
+            );
+            let track = round != 1;
+            assert_eq!(
+                walk.step_exchange(graph, &mut r_walk, &informed, track),
+                moves,
+                "{context}"
+            );
+            assert_eq!(walk.positions(), &naive[..], "{context}");
+            for (v, &mark) in marks.iter().enumerate() {
+                assert_eq!(walk.informed_here(v), mark, "{context}: vertex {v}");
+            }
+            if track {
+                for (agent, &prev) in before.iter().enumerate() {
+                    assert_eq!(walk.previous_position(agent), prev as usize, "{context}");
+                }
+            }
+            assert_eq!(
+                counting.step_counting(graph, &mut r_counting),
+                moves,
+                "{context}"
+            );
+            assert_eq!(counting.positions(), &naive[..], "{context}");
+            let mut here = vec![Vec::new(); n];
+            for (agent, &v) in naive.iter().enumerate() {
+                here[v as usize].push(agent as u32);
+            }
+            for (v, here) in here.iter().enumerate() {
+                assert_eq!(counting.agents_at(v), &here[..], "{context}: vertex {v}");
+            }
+            // The same draws were consumed: the streams continue in step.
+            let next = r_naive.next_u64();
+            assert_eq!(r_walk.next_u64(), next, "{context}");
+            assert_eq!(r_counting.next_u64(), next, "{context}");
+        }
+    }
+
+    #[test]
+    fn pipelined_mover_matches_a_naive_per_agent_loop() {
+        let big = mixed_deferring_graph();
+        let d = RESOLVE_LAG;
+        for agents in [0, 1, d - 1, d, d + 1, 64, 65, 1_000] {
+            for config in [WalkConfig::simple(), WalkConfig::lazy()] {
+                check_against_naive(&big, agents, config);
+            }
+        }
+    }
+
+    #[test]
+    fn mover_matches_the_naive_loop_without_deferral() {
+        // Small graphs resolve every draw on the spot; same contract.
+        let g =
+            rumor_graphs::Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (2, 3), (4, 2)]).unwrap();
+        assert!(!g.defers_reads());
+        for agents in [0, 1, 65, 200] {
+            for config in [WalkConfig::simple(), WalkConfig::lazy()] {
+                check_against_naive(&g, agents, config);
+            }
         }
     }
 
