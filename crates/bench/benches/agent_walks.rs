@@ -5,7 +5,7 @@
 //! `Vec<Vec<AgentId>>` occupancy rebuilt with fresh allocations every round,
 //! full per-agent exchange scans, linear-scan stationary placement, ChaCha12
 //! (`StdRng`) randomness drawn through `&mut dyn RngCore` (one virtual call
-//! per sample). Subject: [`rumor_core::simulate`] running `meet-exchange`,
+//! per sample). Subject: [`rumor_core::simulate_on`] running `meet-exchange`,
 //! i.e. the counting-sort CSR `MultiWalk` + uninformed-frontier exchange +
 //! per-vertex sampler words, monomorphized over xoshiro256++.
 //!
@@ -21,7 +21,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rumor_bench::summary::record_summary_in;
-use rumor_core::{simulate, ProtocolKind, SimulationSpec};
+use rumor_core::{simulate_on, ProtocolKind, SimulationSpec};
 use rumor_graphs::generators::CycleOfStarsOfCliques;
 use rumor_graphs::Graph;
 
@@ -139,7 +139,7 @@ fn engine_meet_exchange_broadcast(graph: &Graph, source: usize, seed: u64) -> u6
         .with_seed(seed)
         .with_max_rounds(u64::MAX)
         .adapted_to(graph);
-    simulate(graph, source, &spec).rounds
+    simulate_on(graph, source, &spec).rounds
 }
 
 /// Times `samples` full broadcasts and reports (mean wall-clock, mean round
@@ -237,7 +237,7 @@ fn agent_walks(c: &mut Criterion) {
             .with_seed(7)
             .with_max_rounds(u64::MAX)
             .adapted_to(big.graph());
-        let outcome = simulate(big.graph(), big.a_clique_source(), &spec);
+        let outcome = simulate_on(big.graph(), big.a_clique_source(), &spec);
         println!(
             "agent_walks scale: n={} visit-exchange broadcast completed in {} rounds, {:.3?} \
              wall-clock",

@@ -3,7 +3,7 @@
 //! Baseline: a faithful transcription of the pre-frontier `push` hot path —
 //! `Vec<bool>` membership, a full `0..n` scan every round, per-round buffer
 //! allocation, ChaCha12 (`StdRng`) randomness drawn through `&mut dyn
-//! RngCore` (one virtual call per sample). Subject: [`rumor_core::simulate`],
+//! RngCore` (one virtual call per sample). Subject: [`rumor_core::simulate_on`],
 //! i.e. the frontier `InformedSet` + monomorphized xoshiro256++ engine.
 //!
 //! Both run full `push` broadcasts from a clique vertex on the Fig. 1(e)
@@ -18,7 +18,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rumor_bench::summary::record_summary_in;
-use rumor_core::{simulate, ProtocolKind, SimulationSpec};
+use rumor_core::{simulate_on, ProtocolKind, SimulationSpec};
 use rumor_graphs::generators::CycleOfStarsOfCliques;
 use rumor_graphs::Graph;
 
@@ -67,7 +67,7 @@ fn frontier_push_broadcast(graph: &Graph, source: usize, seed: u64) -> u64 {
     let spec = SimulationSpec::new(ProtocolKind::Push)
         .with_seed(seed)
         .with_max_rounds(u64::MAX);
-    simulate(graph, source, &spec).rounds
+    simulate_on(graph, source, &spec).rounds
 }
 
 fn measure<F: FnMut(u64) -> u64>(samples: u64, mut f: F) -> Duration {

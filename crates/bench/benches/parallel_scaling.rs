@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rumor_bench::summary::record_summary_in;
-use rumor_core::{simulate, ProtocolKind, SimulationSpec};
+use rumor_core::{simulate_on, ProtocolKind, SimulationSpec};
 use rumor_graphs::generators::CycleOfStarsOfCliques;
 use rumor_graphs::Graph;
 
@@ -68,7 +68,7 @@ fn measure(graph: &Graph, source: usize, spec: &SimulationSpec, samples: u64) ->
     for seed in 0..samples {
         let run = spec.clone().with_seed(spec.seed + seed);
         let t0 = Instant::now();
-        black_box(simulate(graph, source, &run));
+        black_box(simulate_on(graph, source, &run));
         total += t0.elapsed();
     }
     total / samples as u32
@@ -154,7 +154,7 @@ fn parallel_scaling(c: &mut Criterion) {
     group.bench_function("sequential", |b| {
         b.iter(|| {
             seed = seed.wrapping_add(1);
-            simulate(small.graph(), small_source, &push_spec(seed))
+            simulate_on(small.graph(), small_source, &push_spec(seed))
         })
     });
     for threads in THREADS {
@@ -163,7 +163,7 @@ fn parallel_scaling(c: &mut Criterion) {
         group.bench_function(id.as_str(), |b| {
             b.iter(|| {
                 seed = seed.wrapping_add(1);
-                simulate(
+                simulate_on(
                     small.graph(),
                     small_source,
                     &push_spec(seed).with_sharded(threads),

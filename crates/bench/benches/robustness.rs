@@ -22,7 +22,8 @@ use std::time::Instant;
 use criterion::{criterion_group, criterion_main, Criterion};
 use rumor_bench::summary::{peak_rss_bytes, record_summary_in};
 use rumor_core::{
-    simulate_on, simulate_resumable, CheckpointCadence, ProtocolKind, SimSnapshot, SimulationSpec,
+    simulate_on, simulate_resumable_in, CheckpointCadence, ProtocolKind, SimSnapshot, SimWorkspace,
+    SimulationSpec,
 };
 use rumor_experiments::{run_trials_guarded, ExperimentConfig, FaultPlan, Scale, TrialPolicy};
 use rumor_graphs::GeneratedGraph;
@@ -68,10 +69,11 @@ fn robustness(_c: &mut Criterion) {
         }));
         checkpoints = 0;
         checkpointed_s = checkpointed_s.min(min_seconds(1, || {
-            let run = simulate_resumable(
+            let run = simulate_resumable_in(
                 &graph,
                 0,
                 &spec,
+                &mut SimWorkspace::new(),
                 CheckpointCadence::every_rounds(CADENCE_ROUNDS),
                 &mut |_snapshot: &SimSnapshot| {
                     checkpoints += 1;
@@ -114,10 +116,11 @@ fn robustness(_c: &mut Criterion) {
     // ---- Snapshot encode/decode at a cadence that actually captures. ----
     let mut last: Option<SimSnapshot> = None;
     let capture_s = min_seconds(1, || {
-        let run = simulate_resumable(
+        let run = simulate_resumable_in(
             &graph,
             0,
             &spec,
+            &mut SimWorkspace::new(),
             CheckpointCadence::every_rounds(4),
             &mut |snapshot: &SimSnapshot| {
                 last = Some(snapshot.clone());

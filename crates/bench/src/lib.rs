@@ -1,108 +1,10 @@
 //! Shared helpers for the criterion benchmark harness.
 //!
-//! Every bench target regenerates one figure panel / lemma / theorem of the
-//! paper (see `DESIGN.md` for the index). The benchmarks measure the
-//! wall-clock cost of a full broadcast simulation on a representative
-//! instance; the *round counts* (the quantities the paper actually talks
-//! about) are produced by the `rumor-experiments` binary and recorded in
-//! `EXPERIMENTS.md` — the benches keep those code paths warm and provide a
-//! regression signal on simulator performance.
-
-use criterion::{BenchmarkId, Criterion};
-
-use rumor_core::{simulate, AgentConfig, ProtocolKind, SimulationSpec};
-use rumor_graphs::{Graph, VertexId};
-
-/// One benchmark entry: a protocol under a display label and agent
-/// configuration.
-#[derive(Debug, Clone)]
-pub struct BenchProtocol {
-    /// Display label.
-    pub label: &'static str,
-    /// Protocol to simulate.
-    pub kind: ProtocolKind,
-    /// Agent configuration (ignored by vertex-only protocols).
-    pub agents: AgentConfig,
-}
-
-impl BenchProtocol {
-    /// Entry with the default agent configuration.
-    pub fn new(label: &'static str, kind: ProtocolKind) -> Self {
-        BenchProtocol {
-            label,
-            kind,
-            agents: AgentConfig::default(),
-        }
-    }
-
-    /// Entry with lazy agent walks (bipartite graphs).
-    pub fn lazy(label: &'static str, kind: ProtocolKind) -> Self {
-        BenchProtocol {
-            label,
-            kind,
-            agents: AgentConfig::default().lazy(),
-        }
-    }
-}
-
-/// Registers one benchmark per protocol: each iteration runs a complete
-/// broadcast of the rumor from `source` on `graph`.
-pub fn bench_broadcast(
-    c: &mut Criterion,
-    group_name: &str,
-    graph: &Graph,
-    source: VertexId,
-    protocols: &[BenchProtocol],
-) {
-    let mut group = c.benchmark_group(group_name);
-    // Full-broadcast iterations are relatively slow and their variance is
-    // dominated by the protocol's own randomness, so short measurement windows
-    // are enough and keep `cargo bench --workspace` under a few minutes.
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-    for protocol in protocols {
-        // `adapted_to` applies the paper's bipartite remedy (lazy walks for
-        // meet-exchange), so no bench can hang on a parity-trapped instance.
-        let spec = SimulationSpec::new(protocol.kind)
-            .with_agents(protocol.agents.clone())
-            .with_max_rounds(100_000_000)
-            .adapted_to(graph);
-        group.bench_with_input(
-            BenchmarkId::new(protocol.label, graph.num_vertices()),
-            &spec,
-            |b, spec| {
-                let mut seed = 0u64;
-                b.iter(|| {
-                    seed = seed.wrapping_add(1);
-                    simulate(graph, source, &spec.clone().with_seed(seed))
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
-/// The four protocols the paper compares, with simple walks.
-pub fn paper_protocols() -> Vec<BenchProtocol> {
-    vec![
-        BenchProtocol::new("push", ProtocolKind::Push),
-        BenchProtocol::new("push-pull", ProtocolKind::PushPull),
-        BenchProtocol::new("visit-exchange", ProtocolKind::VisitExchange),
-        BenchProtocol::new("meet-exchange", ProtocolKind::MeetExchange),
-    ]
-}
-
-/// The four protocols with lazy walks for the agent-based ones (bipartite
-/// graphs such as the star and double star).
-pub fn paper_protocols_lazy() -> Vec<BenchProtocol> {
-    vec![
-        BenchProtocol::new("push", ProtocolKind::Push),
-        BenchProtocol::new("push-pull", ProtocolKind::PushPull),
-        BenchProtocol::lazy("visit-exchange", ProtocolKind::VisitExchange),
-        BenchProtocol::lazy("meet-exchange", ProtocolKind::MeetExchange),
-    ]
-}
+//! The bench targets are perf-regression benches for the engine layers
+//! (vertex frontiers, agent walks, the sharded engine, topology backends,
+//! checkpointing, the sweep server); the *round counts* the paper talks
+//! about are produced by the `rumor-experiments` binary. Each perf bench
+//! records its numbers through [`summary`].
 
 pub mod summary {
     //! Machine-readable bench summaries (`BENCH_*.json`).
@@ -284,14 +186,6 @@ pub mod summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn protocol_sets_have_four_entries() {
-        assert_eq!(paper_protocols().len(), 4);
-        assert_eq!(paper_protocols_lazy().len(), 4);
-        assert!(paper_protocols_lazy()[2].agents.walk.is_lazy());
-        assert!(!paper_protocols()[2].agents.walk.is_lazy());
-    }
 
     #[test]
     fn summary_merge_replaces_in_place_and_sorts() {

@@ -1,13 +1,19 @@
 //! Driving protocols to completion and collecting outcomes.
 //!
-//! Two paths lead through this module:
+//! Every entry point here funnels into one private dispatch, which
+//! validates the spec, picks the engine, primes the protocol state, and
+//! hands the run to the crate's single round loop (`driver::drive`):
 //!
-//! * [`simulate`] — the hot path. It knows the concrete protocol type from
-//!   [`ProtocolKind`], so the whole run loop is monomorphized over both the
-//!   protocol and the engine's fast RNG ([`SmallRng`], xoshiro256++): no
-//!   per-round virtual calls, no per-sample `dyn RngCore` dispatch, and no
-//!   history allocation unless [`ProtocolOptions::record_history`] asks for
-//!   it.
+//! * [`simulate_on`] — the hot path, over any [`Topology`] backend. It knows
+//!   the concrete protocol type from [`ProtocolKind`], so the whole run is
+//!   monomorphized over both the protocol and the engine's fast RNG
+//!   ([`SmallRng`], xoshiro256++): no per-round virtual calls, no per-sample
+//!   `dyn RngCore` dispatch, and no history allocation unless
+//!   [`ProtocolOptions::record_history`] asks for it. [`try_simulate_on`] is
+//!   its non-panicking twin, [`simulate_topology`] its runtime-backend
+//!   front, and [`simulate_in`] its pooled form over a [`SimWorkspace`].
+//! * [`simulate_resumable_in`] / [`resume_in`] — the same runs with
+//!   checkpointing and bit-identical resume.
 //! * [`run_to_completion`] — the flexible path for callers holding any
 //!   `P: Protocol` (including `Box<dyn Protocol>` from [`build_protocol`])
 //!   and their own `dyn RngCore`. It always records history, as documented.
@@ -33,15 +39,16 @@
 //! trial, so a sweep's results are independent of scheduling.
 
 use rand::rngs::SmallRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 use rumor_graphs::{AnyTopology, Graph, Topology, VertexId};
 
 use std::fmt;
 
-use crate::metrics::{BroadcastOutcome, RoundRecord};
+use crate::driver::{drive, Checkpoint, Seq};
+use crate::metrics::BroadcastOutcome;
 use crate::options::{AgentConfig, ProtocolOptions};
-use crate::protocol::{FastStep, Protocol, ProtocolKind};
+use crate::protocol::{Protocol, ProtocolKind};
 use crate::protocols::{
     AsyncPush, AsyncPushPull, MeetExchange, Pull, Push, PushPull, PushPullVisitExchange,
     VisitExchange,
@@ -55,8 +62,8 @@ use rumor_walks::AgentCount;
 /// collects the outcome.
 ///
 /// Per-round history is always recorded on this path (it is cheap relative to
-/// a round at this API's typical scales); use [`simulate`] for large sweeps —
-/// it skips history entirely unless
+/// a round at this API's typical scales); use [`simulate_on`] for large
+/// sweeps — it skips history entirely unless
 /// [`ProtocolOptions::record_history`] is set.
 ///
 /// # Examples
@@ -81,181 +88,54 @@ pub fn run_to_completion<P>(
 where
     P: Protocol + ?Sized,
 {
-    let mut history = Vec::new();
-    while !protocol.is_complete() && protocol.round() < max_rounds {
-        protocol.step(rng);
-        history.push(RoundRecord {
-            round: protocol.round(),
-            informed_vertices: protocol.informed_vertex_count(),
-            informed_agents: protocol.informed_agent_count(),
-            messages: protocol.messages_last_round(),
-        });
-    }
-    collect_outcome(protocol, history)
-}
-
-/// Monomorphized run loop: `P` and `R` are concrete here, so every protocol
-/// round inlines down to the RNG's arithmetic. `record_history` is threaded
-/// through (rather than read from the protocol) so that sweeps which do not
-/// want history never allocate a single [`RoundRecord`].
-fn run_fast<P: FastStep, R: Rng + ?Sized>(
-    protocol: &mut P,
-    max_rounds: u64,
-    record_history: bool,
-    rng: &mut R,
-) -> BroadcastOutcome {
-    let mut history = Vec::new();
-    if record_history {
-        while !protocol.is_complete() && protocol.round() < max_rounds {
-            protocol.fast_step(rng);
-            history.push(RoundRecord {
-                round: protocol.round(),
-                informed_vertices: protocol.informed_vertex_count(),
-                informed_agents: protocol.informed_agent_count(),
-                messages: protocol.messages_last_round(),
-            });
-            // A stalled protocol (disconnected graph: boundary empty,
-            // broadcast incomplete) can never change state again — stop now
-            // with `completed == false` instead of spinning to the cap.
-            if protocol.is_stalled() {
-                break;
-            }
-        }
-    } else {
-        while !protocol.is_complete() && protocol.round() < max_rounds {
-            protocol.fast_step(rng);
-            if protocol.is_stalled() {
-                break;
-            }
-        }
-    }
-    collect_outcome(protocol, history)
-}
-
-/// The spec-derived constants of one resumable sequential run, bundled so
-/// [`run_fast_resumable`] keeps a readable arity across the six protocol
-/// slots.
-#[derive(Clone, Copy)]
-struct ResumableParams {
-    spec_digest: u64,
-    max_rounds: u64,
-    record_history: bool,
-    cadence: CheckpointCadence,
-}
-
-impl ResumableParams {
-    fn of(spec: &SimulationSpec, cadence: CheckpointCadence) -> Self {
-        ResumableParams {
-            spec_digest: spec.digest(),
-            max_rounds: spec.max_rounds,
-            record_history: spec.options.record_history,
-            cadence,
-        }
-    }
-}
-
-/// The resumable variant of [`run_fast`] for the sequential engine: same
-/// loop, but after each round where a checkpoint is due it captures a
-/// [`SimSnapshot`] (including the live RNG state) and offers it to `sink`.
-/// A `false` from the sink suspends the run at that snapshot. `history`
-/// carries the rounds already recorded before a resume, so a resumed run's
-/// outcome has the complete curve.
-fn run_fast_resumable<P>(
-    protocol: &mut P,
-    params: ResumableParams,
-    rng: &mut SmallRng,
-    mut history: Vec<RoundRecord>,
-    sink: &mut dyn FnMut(&SimSnapshot) -> bool,
-) -> ResumableRun
-where
-    P: FastStep + Checkpointable,
-{
-    let ResumableParams {
-        spec_digest,
+    finished(drive(
+        &mut Seq::new(protocol, rng),
         max_rounds,
-        record_history,
-        cadence,
-    } = params;
-    let mut last_checkpoint = std::time::Instant::now();
-    while !protocol.is_complete() && protocol.round() < max_rounds {
-        protocol.fast_step(rng);
-        if record_history {
-            history.push(RoundRecord {
-                round: protocol.round(),
-                informed_vertices: protocol.informed_vertex_count(),
-                informed_agents: protocol.informed_agent_count(),
-                messages: protocol.messages_last_round(),
-            });
-        }
-        if protocol.is_complete() || protocol.is_stalled() {
-            break;
-        }
-        if cadence.due(protocol.round(), &mut last_checkpoint) {
-            let snapshot = protocol.capture(spec_digest, Some(rng.state()), &history);
-            if !sink(&snapshot) {
-                return ResumableRun::Suspended(snapshot);
-            }
-        }
-    }
-    ResumableRun::Finished(collect_outcome(protocol, history))
+        true,
+        Vec::new(),
+        (),
+    ))
 }
 
-fn collect_outcome<P: Protocol + ?Sized>(
-    protocol: &P,
-    history: Vec<RoundRecord>,
-) -> BroadcastOutcome {
-    let rounds = protocol.round();
-    let edge_traffic = protocol.edge_traffic_stats(rounds.max(1));
-    BroadcastOutcome {
-        protocol: protocol.name().to_string(),
-        rounds,
-        completed: protocol.is_complete(),
-        informed_vertices: protocol.informed_vertex_count(),
-        informed_agents: protocol.informed_agent_count(),
-        total_messages: protocol.messages_sent(),
-        history,
-        edge_traffic,
-    }
-}
-
-/// One-call simulation: builds a protocol of `kind` on `graph` with the rumor
-/// at `source`, runs it to completion (or `max_rounds`), and returns the
-/// outcome. The run is fully determined by `seed` (see the module docs for
-/// the determinism guarantee).
+/// One-call simulation over any [`Topology`] backend: builds a protocol of
+/// `kind` on `graph` with the rumor at `source`, runs it to completion (or
+/// `max_rounds`), and returns the outcome. The run is fully determined by
+/// `seed` (see the module docs for the determinism guarantee).
 ///
 /// This is the hot path: the protocol is constructed concretely (no trait
 /// object) and driven by the engine's fast RNG, so per-sample costs are fully
-/// inlined.
+/// inlined. The CSR, implicit, generated, and hub-cached instantiations each
+/// compile their own fully-inlined run (the `FastStep` pattern, one level
+/// up). For equal degrees the backends consume randomness identically and
+/// resolve sampled indices to identical neighbors, so the outcome is
+/// **bit-identical across backends** — `tests/implicit_topology.rs` and
+/// `tests/generated_topology.rs` pin this for every family, protocol,
+/// engine, and thread count.
 ///
 /// # Panics
 ///
-/// Panics if `source` is out of range, or if an agent-based protocol is
-/// requested on a graph with no edges.
+/// Panics if the spec fails [`SimulationSpec::validate`] (e.g. `source` out
+/// of range, or an agent-based protocol on a graph with no edges); use
+/// [`try_simulate_on`] to get the [`SpecError`] instead.
 ///
 /// # Examples
 ///
 /// ```
-/// use rumor_core::{simulate, AgentConfig, ProtocolKind, ProtocolOptions, SimulationSpec};
+/// use rumor_core::{simulate_on, ProtocolKind, SimulationSpec};
 /// use rumor_graphs::generators::star;
 ///
 /// let g = star(100)?;
 /// let spec = SimulationSpec::new(ProtocolKind::VisitExchange).with_seed(3);
-/// let outcome = simulate(&g, 0, &spec);
+/// let outcome = simulate_on(&g, 0, &spec);
 /// assert!(outcome.completed);
 /// # Ok::<(), rumor_graphs::GraphError>(())
 /// ```
-pub fn simulate(graph: &Graph, source: VertexId, spec: &SimulationSpec) -> BroadcastOutcome {
-    simulate_on(graph, source, spec)
-}
-
-/// Non-panicking [`simulate`]: validates `(graph, source, spec)` first and
-/// returns a typed [`SpecError`] instead of panicking on bad user input.
-pub fn try_simulate(
-    graph: &Graph,
+pub fn simulate_on<G: Topology>(
+    graph: &G,
     source: VertexId,
     spec: &SimulationSpec,
-) -> Result<BroadcastOutcome, SpecError> {
-    try_simulate_on(graph, source, spec)
+) -> BroadcastOutcome {
+    simulate_in(graph, source, spec, &mut SimWorkspace::new())
 }
 
 /// Non-panicking [`simulate_on`]: validates `(graph, source, spec)` via
@@ -266,82 +146,13 @@ pub fn try_simulate_on<G: Topology>(
     source: VertexId,
     spec: &SimulationSpec,
 ) -> Result<BroadcastOutcome, SpecError> {
-    spec.validate(graph, source)?;
-    Ok(simulate_on_validated(graph, source, spec))
+    let run = run(graph, source, spec, &mut SimWorkspace::new(), None, None)?;
+    Ok(finished(
+        run.expect("a run without a snapshot cannot mismatch one"),
+    ))
 }
 
-/// [`simulate`] over any [`Topology`] backend, monomorphized: the CSR,
-/// implicit, and generated instantiations each compile their own
-/// fully-inlined run loops (the `FastStep` pattern, one level up). For equal
-/// degrees the backends consume randomness identically and resolve sampled
-/// indices to identical neighbors, so the outcome is **bit-identical across
-/// backends** — `tests/implicit_topology.rs` and
-/// `tests/generated_topology.rs` pin this for every family, protocol,
-/// engine, and thread count.
-pub fn simulate_on<G: Topology>(
-    graph: &G,
-    source: VertexId,
-    spec: &SimulationSpec,
-) -> BroadcastOutcome {
-    if let Err(e) = spec.validate(graph, source) {
-        panic!("invalid simulation spec: {e}");
-    }
-    simulate_on_validated(graph, source, spec)
-}
-
-/// [`simulate_on`] after validation (shared by the panicking and `try_`
-/// entry points).
-fn simulate_on_validated<G: Topology>(
-    graph: &G,
-    source: VertexId,
-    spec: &SimulationSpec,
-) -> BroadcastOutcome {
-    if let Engine::Sharded { threads } = spec.engine {
-        if crate::parallel::supports(spec) {
-            return crate::parallel::simulate_sharded(
-                graph,
-                source,
-                spec,
-                crate::parallel::resolve_threads(threads),
-            );
-        }
-        // Unsupported configurations (combined protocol, edge-traffic
-        // observability) fall back to the sequential reference engine —
-        // still deterministic, just under the draw-order contract.
-    }
-    let mut rng = SmallRng::seed_from_u64(spec.seed);
-    let record = spec.options.record_history;
-    let rounds = spec.max_rounds;
-    match spec.kind {
-        ProtocolKind::Push => {
-            let mut p = Push::new(graph, source, spec.options);
-            run_fast(&mut p, rounds, record, &mut rng)
-        }
-        ProtocolKind::Pull => {
-            let mut p = Pull::new(graph, source, spec.options);
-            run_fast(&mut p, rounds, record, &mut rng)
-        }
-        ProtocolKind::PushPull => {
-            let mut p = PushPull::new(graph, source, spec.options);
-            run_fast(&mut p, rounds, record, &mut rng)
-        }
-        ProtocolKind::VisitExchange => {
-            let mut p = VisitExchange::new(graph, source, &spec.agents, spec.options, &mut rng);
-            run_fast(&mut p, rounds, record, &mut rng)
-        }
-        ProtocolKind::MeetExchange => {
-            let mut p = MeetExchange::new(graph, source, &spec.agents, spec.options, &mut rng);
-            run_fast(&mut p, rounds, record, &mut rng)
-        }
-        ProtocolKind::PushPullVisitExchange => {
-            let mut p =
-                PushPullVisitExchange::new(graph, source, &spec.agents, spec.options, &mut rng);
-            run_fast(&mut p, rounds, record, &mut rng)
-        }
-    }
-}
-
-/// [`simulate`] over a runtime-selected [`AnyTopology`]: matches the backend
+/// [`simulate_on`] over a runtime-selected [`AnyTopology`]: matches the backend
 /// **once** and hands off to the corresponding monomorphized
 /// [`simulate_on`] instantiation — the enum never sits on a sampling hot
 /// path.
@@ -399,49 +210,92 @@ impl<'g, G: Topology> SimWorkspace<'g, G> {
         SimWorkspace { slot: None }
     }
 
-    /// Primes this workspace with the exact mid-run state in `snapshot` —
-    /// the restore half of the tentpole contract — and returns the
-    /// sequential RNG positioned exactly where the checkpointed run left
-    /// off. The caller supplies the same `(graph, source, spec)` the
-    /// snapshot came from; the snapshot's spec digest is checked against
-    /// `spec` and mismatches are rejected with
-    /// [`SnapshotError::SpecMismatch`]. A snapshot without generator state
-    /// (one captured by the sharded engine, whose counter-based streams
+    /// Primes the slot for `(graph, source, spec)` — reset-in-place when
+    /// the fingerprint matches, fresh construction otherwise — and returns
+    /// the run's generator, which has consumed the construction's placement
+    /// draws either way.
+    fn prime(&mut self, graph: &'g G, source: VertexId, spec: &SimulationSpec) -> SmallRng {
+        let mut rng = SmallRng::seed_from_u64(spec.seed);
+        let graph_addr = graph as *const G as usize;
+        // Compare the fingerprint by reference — the key (and its
+        // AgentConfig clone) is only materialized when a slot is actually
+        // (re)built, so the per-trial reuse path stays allocation-free. A
+        // slot is never reused for an edge-traffic run: reset drops the
+        // recorder, which must start empty.
+        let reuse = !spec.options.record_edge_traffic
+            && matches!(
+                &self.slot,
+                Some((k, _)) if k.kind == spec.kind && k.graph_addr == graph_addr && k.agents == spec.agents
+            );
+        if reuse {
+            // Reset in place: bit-identical to fresh construction (the agent
+            // resets re-draw placements from `rng` exactly like `new`).
+            match &mut self.slot.as_mut().expect("slot checked above").1 {
+                Slot::Push(p) => p.reset(source),
+                Slot::Pull(p) => p.reset(source),
+                Slot::PushPull(p) => p.reset(source),
+                Slot::VisitExchange(p) => p.reset(source, &spec.agents, &mut rng),
+                Slot::MeetExchange(p) => p.reset(source, &spec.agents, &mut rng),
+                Slot::Combined(p) => p.reset(source, &spec.agents, &mut rng),
+            }
+        } else {
+            let (agents, options, rng) = (&spec.agents, spec.options, &mut rng);
+            let slot = match spec.kind {
+                ProtocolKind::Push => Slot::Push(Push::new(graph, source, options)),
+                ProtocolKind::Pull => Slot::Pull(Pull::new(graph, source, options)),
+                ProtocolKind::PushPull => Slot::PushPull(PushPull::new(graph, source, options)),
+                ProtocolKind::VisitExchange => {
+                    Slot::VisitExchange(VisitExchange::new(graph, source, agents, options, rng))
+                }
+                ProtocolKind::MeetExchange => {
+                    Slot::MeetExchange(MeetExchange::new(graph, source, agents, options, rng))
+                }
+                ProtocolKind::PushPullVisitExchange => Slot::Combined(PushPullVisitExchange::new(
+                    graph, source, agents, options, rng,
+                )),
+            };
+            let key = WorkspaceKey {
+                kind: spec.kind,
+                agents: spec.agents.clone(),
+                graph_addr,
+            };
+            self.slot = Some((key, slot));
+        }
+        rng
+    }
+
+    fn slot(&mut self) -> &mut Slot<'g, G> {
+        &mut self.slot.as_mut().expect("slot primed").1
+    }
+
+    /// Primes this workspace with the exact mid-run state in `snapshot`
+    /// (whose spec digest the caller has checked against `spec`) and
+    /// returns the sequential generator positioned exactly where the
+    /// checkpointed run left off. A snapshot without generator state (one
+    /// captured by the sharded engine, whose counter-based streams
     /// re-derive from the round counter) is rejected with
-    /// [`SnapshotError::EngineMismatch`] — resume those via [`resume_on`]
-    /// under the sharded spec instead.
-    ///
-    /// Most callers want [`resume_in`] / [`resume_on`], which wrap this and
-    /// continue the run; `restore` is the building block for drivers that
-    /// step the workspace themselves.
-    pub fn restore(
+    /// [`SnapshotError::EngineMismatch`].
+    pub(crate) fn restore(
         &mut self,
         graph: &'g G,
         source: VertexId,
         spec: &SimulationSpec,
         snapshot: &SimSnapshot,
     ) -> Result<SmallRng, SnapshotError> {
-        let expected = spec.digest();
-        if snapshot.spec_digest != expected {
-            return Err(SnapshotError::SpecMismatch {
-                expected,
-                found: snapshot.spec_digest,
-            });
-        }
         let state = snapshot.rng.ok_or(SnapshotError::EngineMismatch)?;
         // Prime the slot exactly as a fresh run would (the construction
         // placement draws are discarded — the restored state overwrites
         // them), then overwrite the protocol state from the snapshot.
-        let mut rng = SmallRng::seed_from_u64(spec.seed);
-        let slot = ensure_slot(self, graph, source, spec, &mut rng);
-        match slot {
-            Slot::Push(p) => p.restore(snapshot),
-            Slot::Pull(p) => p.restore(snapshot),
-            Slot::PushPull(p) => p.restore(snapshot),
-            Slot::VisitExchange(p) => p.restore(snapshot),
-            Slot::MeetExchange(p) => p.restore(snapshot),
-            Slot::Combined(p) => p.restore(snapshot),
-        }
+        self.prime(graph, source, spec);
+        let protocol: &mut dyn Checkpointable = match self.slot() {
+            Slot::Push(p) => p,
+            Slot::Pull(p) => p,
+            Slot::PushPull(p) => p,
+            Slot::VisitExchange(p) => p,
+            Slot::MeetExchange(p) => p,
+            Slot::Combined(p) => p,
+        };
+        protocol.restore(snapshot);
         Ok(SmallRng::from_state(state))
     }
 }
@@ -451,104 +305,24 @@ impl<'g, G: Topology> SimWorkspace<'g, G> {
 /// and consumes identical placement draws), with zero heap allocation per
 /// trial after the first.
 ///
-/// Configurations the workspace cannot pool — the sharded engine (which
-/// reuses its own internal buffers per run) and edge-traffic observability
-/// (whose recorder must start empty) — transparently fall through to
-/// [`simulate_on`].
+/// The sharded engine reuses its own internal buffers per run and leaves
+/// the workspace untouched; an edge-traffic run rebuilds the slot, since its
+/// recorder must start empty.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`simulate_on`].
 pub fn simulate_in<'g, G: Topology>(
     graph: &'g G,
     source: VertexId,
     spec: &SimulationSpec,
     workspace: &mut SimWorkspace<'g, G>,
 ) -> BroadcastOutcome {
-    if spec.options.record_edge_traffic || spec.engine != Engine::Sequential {
-        return simulate_on(graph, source, spec);
-    }
-    if let Err(e) = spec.validate(graph, source) {
-        panic!("invalid simulation spec: {e}");
-    }
-    let mut rng = SmallRng::seed_from_u64(spec.seed);
-    let slot = ensure_slot(workspace, graph, source, spec, &mut rng);
-    let record = spec.options.record_history;
-    let rounds = spec.max_rounds;
-    match slot {
-        Slot::Push(p) => run_fast(p, rounds, record, &mut rng),
-        Slot::Pull(p) => run_fast(p, rounds, record, &mut rng),
-        Slot::PushPull(p) => run_fast(p, rounds, record, &mut rng),
-        Slot::VisitExchange(p) => run_fast(p, rounds, record, &mut rng),
-        Slot::MeetExchange(p) => run_fast(p, rounds, record, &mut rng),
-        Slot::Combined(p) => run_fast(p, rounds, record, &mut rng),
-    }
+    let run = valid(run(graph, source, spec, workspace, None, None));
+    finished(run.expect("a run without a snapshot cannot mismatch one"))
 }
 
-/// Primes the workspace slot for `(graph, source, spec)` — reset-in-place
-/// when the fingerprint matches, fresh construction otherwise — consuming
-/// the same placement draws from `rng` either way, and returns the ready
-/// protocol slot.
-fn ensure_slot<'g, 's, G: Topology>(
-    workspace: &'s mut SimWorkspace<'g, G>,
-    graph: &'g G,
-    source: VertexId,
-    spec: &SimulationSpec,
-    rng: &mut SmallRng,
-) -> &'s mut Slot<'g, G> {
-    let graph_addr = graph as *const G as usize;
-    // Compare the fingerprint by reference — the key (and its AgentConfig
-    // clone) is only materialized when a slot is actually (re)built, so the
-    // per-trial reuse path stays allocation-free.
-    let reuse = matches!(
-        &workspace.slot,
-        Some((k, _)) if k.kind == spec.kind && k.graph_addr == graph_addr && k.agents == spec.agents
-    );
-    if reuse {
-        // Reset in place: bit-identical to fresh construction (the agent
-        // resets re-draw placements from `rng` exactly like `new`).
-        match &mut workspace.slot.as_mut().expect("slot checked above").1 {
-            Slot::Push(p) => p.reset(source),
-            Slot::Pull(p) => p.reset(source),
-            Slot::PushPull(p) => p.reset(source),
-            Slot::VisitExchange(p) => p.reset(source, &spec.agents, rng),
-            Slot::MeetExchange(p) => p.reset(source, &spec.agents, rng),
-            Slot::Combined(p) => p.reset(source, &spec.agents, rng),
-        }
-    } else {
-        let slot = match spec.kind {
-            ProtocolKind::Push => Slot::Push(Push::new(graph, source, spec.options)),
-            ProtocolKind::Pull => Slot::Pull(Pull::new(graph, source, spec.options)),
-            ProtocolKind::PushPull => Slot::PushPull(PushPull::new(graph, source, spec.options)),
-            ProtocolKind::VisitExchange => Slot::VisitExchange(VisitExchange::new(
-                graph,
-                source,
-                &spec.agents,
-                spec.options,
-                rng,
-            )),
-            ProtocolKind::MeetExchange => Slot::MeetExchange(MeetExchange::new(
-                graph,
-                source,
-                &spec.agents,
-                spec.options,
-                rng,
-            )),
-            ProtocolKind::PushPullVisitExchange => Slot::Combined(PushPullVisitExchange::new(
-                graph,
-                source,
-                &spec.agents,
-                spec.options,
-                rng,
-            )),
-        };
-        let key = WorkspaceKey {
-            kind: spec.kind,
-            agents: spec.agents.clone(),
-            graph_addr,
-        };
-        workspace.slot = Some((key, slot));
-    }
-    &mut workspace.slot.as_mut().expect("slot just filled").1
-}
-
-/// [`simulate_on`] with checkpointing: runs the broadcast and, whenever
+/// [`simulate_in`] with checkpointing: runs the broadcast and, whenever
 /// `cadence` is due at a round boundary, captures a [`SimSnapshot`] and
 /// passes it to `sink`. The sink persists it (e.g.
 /// [`SimSnapshot::write_atomic`]) and returns `true` to continue or `false`
@@ -558,7 +332,7 @@ fn ensure_slot<'g, 's, G: Topology>(
 /// [`ResumableRun::Finished`] with **exactly** the outcome
 /// [`simulate_on`] produces — checkpoint capture reads state without
 /// consuming draws — and a run resumed from any of its snapshots via
-/// [`resume_on`] finishes with that same outcome, bit for bit, on every
+/// [`resume_in`] finishes with that same outcome, bit for bit, on every
 /// backend, engine, and thread count.
 ///
 /// # Panics
@@ -566,26 +340,6 @@ fn ensure_slot<'g, 's, G: Topology>(
 /// Panics if the spec fails validation, or if
 /// [`ProtocolOptions::record_edge_traffic`] is set (per-edge traffic is the
 /// one observability structure snapshots do not carry).
-pub fn simulate_resumable<G: Topology>(
-    graph: &G,
-    source: VertexId,
-    spec: &SimulationSpec,
-    cadence: CheckpointCadence,
-    sink: &mut dyn FnMut(&SimSnapshot) -> bool,
-) -> ResumableRun {
-    let mut workspace = SimWorkspace::new();
-    simulate_resumable_in(graph, source, spec, &mut workspace, cadence, sink)
-}
-
-/// [`simulate_resumable`] sourcing per-trial state from a pooled
-/// [`SimWorkspace`] (see [`simulate_in`]). Sharded specs delegate to the
-/// sharded engine's own resumable loop; the workspace is used by the
-/// sequential contract (including the sharded engine's documented
-/// sequential fallbacks).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate_resumable`].
 pub fn simulate_resumable_in<'g, G: Topology>(
     graph: &'g G,
     source: VertexId,
@@ -594,68 +348,24 @@ pub fn simulate_resumable_in<'g, G: Topology>(
     cadence: CheckpointCadence,
     sink: &mut dyn FnMut(&SimSnapshot) -> bool,
 ) -> ResumableRun {
-    assert!(
-        !spec.options.record_edge_traffic,
-        "checkpointing does not support edge-traffic recording"
-    );
-    if let Err(e) = spec.validate(graph, source) {
-        panic!("invalid simulation spec: {e}");
-    }
-    if let Engine::Sharded { threads } = spec.engine {
-        if crate::parallel::supports(spec) {
-            return crate::parallel::simulate_sharded_resumable(
-                graph,
-                source,
-                spec,
-                crate::parallel::resolve_threads(threads),
-                None,
-                cadence,
-                sink,
-            );
-        }
-    }
-    let params = ResumableParams::of(spec, cadence);
-    let mut rng = SmallRng::seed_from_u64(spec.seed);
-    let slot = ensure_slot(workspace, graph, source, spec, &mut rng);
-    match slot {
-        Slot::Push(p) => run_fast_resumable(p, params, &mut rng, Vec::new(), sink),
-        Slot::Pull(p) => run_fast_resumable(p, params, &mut rng, Vec::new(), sink),
-        Slot::PushPull(p) => run_fast_resumable(p, params, &mut rng, Vec::new(), sink),
-        Slot::VisitExchange(p) => run_fast_resumable(p, params, &mut rng, Vec::new(), sink),
-        Slot::MeetExchange(p) => run_fast_resumable(p, params, &mut rng, Vec::new(), sink),
-        Slot::Combined(p) => run_fast_resumable(p, params, &mut rng, Vec::new(), sink),
-    }
+    let checkpoint = Checkpoint::new(spec, cadence, sink);
+    valid(run(graph, source, spec, workspace, None, Some(checkpoint)))
+        .expect("a run without a snapshot cannot mismatch one")
 }
 
 /// Continues a suspended or crashed run from `snapshot`, with the same
-/// checkpointing contract as [`simulate_resumable`]. The caller supplies the
-/// same `(graph, source, spec)` the snapshot came from — the topology is
+/// checkpointing contract as [`simulate_resumable_in`]. The caller supplies
+/// the same `(graph, source, spec)` the snapshot came from — the topology is
 /// reconstructed from its spec rather than serialized — and the snapshot's
 /// spec digest is checked against `spec` ([`SnapshotError::SpecMismatch`]
 /// otherwise). `spec.max_rounds` may exceed the original run's cap (the
 /// digest deliberately ignores it), so a `RoundCapped` run can be extended.
+/// The workspace may hold any earlier run; it is re-primed from the
+/// snapshot.
 ///
 /// # Panics
 ///
-/// Panics under the same conditions as [`simulate_resumable`].
-pub fn resume_on<G: Topology>(
-    graph: &G,
-    source: VertexId,
-    spec: &SimulationSpec,
-    snapshot: &SimSnapshot,
-    cadence: CheckpointCadence,
-    sink: &mut dyn FnMut(&SimSnapshot) -> bool,
-) -> Result<ResumableRun, SnapshotError> {
-    let mut workspace = SimWorkspace::new();
-    resume_in(graph, source, spec, snapshot, &mut workspace, cadence, sink)
-}
-
-/// [`resume_on`] sourcing per-trial state from a pooled [`SimWorkspace`]
-/// (see [`SimWorkspace::restore`]).
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`simulate_resumable`].
+/// Panics under the same conditions as [`simulate_resumable_in`].
 pub fn resume_in<'g, G: Topology>(
     graph: &'g G,
     source: VertexId,
@@ -665,49 +375,87 @@ pub fn resume_in<'g, G: Topology>(
     cadence: CheckpointCadence,
     sink: &mut dyn FnMut(&SimSnapshot) -> bool,
 ) -> Result<ResumableRun, SnapshotError> {
+    let checkpoint = Checkpoint::new(spec, cadence, sink);
+    valid(run(
+        graph,
+        source,
+        spec,
+        workspace,
+        Some(snapshot),
+        Some(checkpoint),
+    ))
+}
+
+/// The one dispatch behind every entry point above: validates the spec,
+/// picks the sharded or the sequential engine, primes the run's state —
+/// fresh, pooled in `workspace`, or restored from `resume` — and hands it
+/// to the round driver.
+fn run<'g, G: Topology>(
+    graph: &'g G,
+    source: VertexId,
+    spec: &SimulationSpec,
+    workspace: &mut SimWorkspace<'g, G>,
+    resume: Option<&SimSnapshot>,
+    checkpoint: Option<Checkpoint<'_>>,
+) -> Result<Result<ResumableRun, SnapshotError>, SpecError> {
     assert!(
-        !spec.options.record_edge_traffic,
+        checkpoint.is_none() || !spec.options.record_edge_traffic,
         "checkpointing does not support edge-traffic recording"
     );
-    if let Err(e) = spec.validate(graph, source) {
-        panic!("invalid simulation spec: {e}");
+    spec.validate(graph, source)?;
+    let mut history = Vec::new();
+    if let Some(snapshot) = resume {
+        let expected = spec.digest();
+        if snapshot.spec_digest != expected {
+            return Ok(Err(SnapshotError::SpecMismatch {
+                expected,
+                found: snapshot.spec_digest,
+            }));
+        }
+        history.clone_from(&snapshot.history);
     }
     if let Engine::Sharded { threads } = spec.engine {
         if crate::parallel::supports(spec) {
-            let expected = spec.digest();
-            if snapshot.spec_digest != expected {
-                return Err(SnapshotError::SpecMismatch {
-                    expected,
-                    found: snapshot.spec_digest,
-                });
-            }
-            return Ok(crate::parallel::simulate_sharded_resumable(
-                graph,
-                source,
-                spec,
-                crate::parallel::resolve_threads(threads),
-                Some(snapshot),
-                cadence,
-                sink,
-            ));
+            let threads = crate::parallel::resolve_threads(threads);
+            return Ok(Ok(crate::parallel::drive_sharded(
+                graph, source, spec, threads, resume, history, checkpoint,
+            )));
         }
+        // Unsupported configurations (combined protocol, edge-traffic
+        // observability) fall back to the sequential reference engine —
+        // still deterministic, just under the draw-order contract.
     }
-    let params = ResumableParams::of(spec, cadence);
-    let mut rng = workspace.restore(graph, source, spec, snapshot)?;
-    let history = snapshot.history.clone();
-    let slot = &mut workspace.slot.as_mut().expect("slot restored above").1;
-    Ok(match slot {
-        Slot::Push(p) => run_fast_resumable(p, params, &mut rng, history, sink),
-        Slot::Pull(p) => run_fast_resumable(p, params, &mut rng, history, sink),
-        Slot::PushPull(p) => run_fast_resumable(p, params, &mut rng, history, sink),
-        Slot::VisitExchange(p) => run_fast_resumable(p, params, &mut rng, history, sink),
-        Slot::MeetExchange(p) => run_fast_resumable(p, params, &mut rng, history, sink),
-        Slot::Combined(p) => run_fast_resumable(p, params, &mut rng, history, sink),
-    })
+    let mut rng = match resume {
+        Some(snapshot) => match workspace.restore(graph, source, spec, snapshot) {
+            Ok(rng) => rng,
+            Err(e) => return Ok(Err(e)),
+        },
+        None => workspace.prime(graph, source, spec),
+    };
+    let (cap, record, sink) = (spec.max_rounds, spec.options.record_history, checkpoint);
+    Ok(Ok(match workspace.slot() {
+        Slot::Push(p) => drive(&mut Seq::new(p, &mut rng), cap, record, history, sink),
+        Slot::Pull(p) => drive(&mut Seq::new(p, &mut rng), cap, record, history, sink),
+        Slot::PushPull(p) => drive(&mut Seq::new(p, &mut rng), cap, record, history, sink),
+        Slot::VisitExchange(p) => drive(&mut Seq::new(p, &mut rng), cap, record, history, sink),
+        Slot::MeetExchange(p) => drive(&mut Seq::new(p, &mut rng), cap, record, history, sink),
+        Slot::Combined(p) => drive(&mut Seq::new(p, &mut rng), cap, record, history, sink),
+    }))
 }
 
-/// Like [`simulate`], but for the asynchronous protocol variants that are not
-/// part of [`ProtocolKind`]. Runs `async-push` when `push_pull` is false,
+/// Unwraps a validated run, failing fast with the spec error's message.
+fn valid<T>(run: Result<T, SpecError>) -> T {
+    run.unwrap_or_else(|e| panic!("invalid simulation spec: {e}"))
+}
+
+/// The outcome of a run that had no checkpoint sink, so it cannot suspend.
+fn finished(run: ResumableRun) -> BroadcastOutcome {
+    run.finished()
+        .expect("a run without a checkpoint sink cannot suspend")
+}
+
+/// Like [`simulate_on`], but for the asynchronous protocol variants that are
+/// not part of [`ProtocolKind`]. Runs `async-push` when `push_pull` is false,
 /// `async-push-pull` otherwise, with the same determinism guarantee.
 pub fn simulate_async(
     graph: &Graph,
@@ -718,13 +466,27 @@ pub fn simulate_async(
     seed: u64,
 ) -> BroadcastOutcome {
     let mut rng = SmallRng::seed_from_u64(seed);
-    if push_pull {
+    let record = options.record_history;
+    let run = if push_pull {
         let mut p = AsyncPushPull::new(graph, source, options);
-        run_fast(&mut p, max_rounds, options.record_history, &mut rng)
+        drive(
+            &mut Seq::new(&mut p, &mut rng),
+            max_rounds,
+            record,
+            Vec::new(),
+            (),
+        )
     } else {
         let mut p = AsyncPush::new(graph, source, options);
-        run_fast(&mut p, max_rounds, options.record_history, &mut rng)
-    }
+        drive(
+            &mut Seq::new(&mut p, &mut rng),
+            max_rounds,
+            record,
+            Vec::new(),
+            (),
+        )
+    };
+    finished(run)
 }
 
 /// Which simulation engine drives a run — i.e. which of the two determinism
@@ -863,10 +625,9 @@ impl SimulationSpec {
     /// placement on an edgeless graph (the stationary distribution is
     /// undefined there).
     ///
-    /// The panicking entry points ([`simulate`], [`simulate_on`],
-    /// [`simulate_in`], and the resumable variants) all route through this
-    /// check and fail fast with the error's message; [`try_simulate`] /
-    /// [`try_simulate_on`] surface the error instead.
+    /// The panicking entry points ([`simulate_on`], [`simulate_in`], and the
+    /// resumable variants) all route through this check and fail fast with
+    /// the error's message; [`try_simulate_on`] surfaces the error instead.
     pub fn validate<G: Topology>(&self, graph: &G, source: VertexId) -> Result<(), SpecError> {
         let n = graph.num_vertices();
         if n == 0 {
@@ -1032,10 +793,10 @@ mod tests {
     fn simulate_is_reproducible() {
         let g = star(100).unwrap();
         let spec = SimulationSpec::new(ProtocolKind::VisitExchange).with_seed(42);
-        let a = simulate(&g, 0, &spec);
-        let b = simulate(&g, 0, &spec);
+        let a = simulate_on(&g, 0, &spec);
+        let b = simulate_on(&g, 0, &spec);
         assert_eq!(a, b);
-        let c = simulate(&g, 0, &spec.clone().with_seed(43));
+        let c = simulate_on(&g, 0, &spec.clone().with_seed(43));
         // A different seed will almost surely give a different broadcast time
         // or at least a different message count.
         assert!(a.rounds != c.rounds || a.total_messages != c.total_messages);
@@ -1066,7 +827,7 @@ mod tests {
             let spec = SimulationSpec::new(kind)
                 .with_seed(5)
                 .with_max_rounds(100_000);
-            let outcome = simulate(&g, 3, &spec);
+            let outcome = simulate_on(&g, 3, &spec);
             assert!(outcome.completed, "{kind} did not complete");
             assert_eq!(outcome.protocol, kind.name());
         }
@@ -1075,9 +836,9 @@ mod tests {
     #[test]
     fn simulate_drops_history_unless_requested() {
         let g = complete(16).unwrap();
-        let without = simulate(&g, 0, &SimulationSpec::new(ProtocolKind::Push).with_seed(1));
+        let without = simulate_on(&g, 0, &SimulationSpec::new(ProtocolKind::Push).with_seed(1));
         assert!(without.history.is_empty());
-        let with = simulate(
+        let with = simulate_on(
             &g,
             0,
             &SimulationSpec::new(ProtocolKind::Push)
@@ -1097,7 +858,7 @@ mod tests {
         let spec = SimulationSpec::new(ProtocolKind::VisitExchange)
             .with_seed(9)
             .with_options(ProtocolOptions::with_edge_traffic());
-        let outcome = simulate(&g, 0, &spec);
+        let outcome = simulate_on(&g, 0, &spec);
         let stats = outcome.edge_traffic.expect("requested edge traffic");
         assert_eq!(stats.edges, g.num_edges());
         assert!(stats.mean_per_round > 0.0);
@@ -1136,7 +897,7 @@ mod tests {
             .with_seed(4)
             .with_max_rounds(200_000)
             .adapted_to(&g);
-        let outcome = simulate(&g, 0, &spec);
+        let outcome = simulate_on(&g, 0, &spec);
         assert!(
             outcome.completed,
             "lazy meet-exchange must finish on the hypercube"
@@ -1245,11 +1006,11 @@ mod tests {
         use rumor_graphs::generators::complete;
         let g = complete(6).unwrap();
         let spec = SimulationSpec::new(ProtocolKind::Push).with_seed(3);
-        let err = try_simulate(&g, 99, &spec).unwrap_err();
+        let err = try_simulate_on(&g, 99, &spec).unwrap_err();
         assert_eq!(err.to_string(), "source 99 out of range for 6 vertices");
         assert_eq!(
-            try_simulate(&g, 0, &spec).unwrap(),
-            simulate(&g, 0, &spec),
+            try_simulate_on(&g, 0, &spec).unwrap(),
+            simulate_on(&g, 0, &spec),
             "the checked path must not change valid outcomes"
         );
     }

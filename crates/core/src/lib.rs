@@ -19,7 +19,7 @@
 //! ## Quick start
 //!
 //! ```
-//! use rumor_core::{simulate, ProtocolKind, SimulationSpec};
+//! use rumor_core::{simulate_on, ProtocolKind, SimulationSpec};
 //! use rumor_graphs::generators::double_star;
 //!
 //! // Lemma 3: on the double star, push-pull needs Ω(n) rounds in expectation
@@ -27,7 +27,7 @@
 //! let g = double_star(500)?;
 //! let mean = |kind| -> f64 {
 //!     (0..5)
-//!         .map(|seed| simulate(&g, 2, &SimulationSpec::new(kind).with_seed(seed)).rounds)
+//!         .map(|seed| simulate_on(&g, 2, &SimulationSpec::new(kind).with_seed(seed)).rounds)
 //!         .sum::<u64>() as f64
 //!         / 5.0
 //! };
@@ -41,7 +41,9 @@
 //!   [`build_protocol`] construct them dynamically.
 //! * [`Push`], [`Pull`], [`PushPull`], [`VisitExchange`], [`MeetExchange`],
 //!   [`PushPullVisitExchange`] — the implementations.
-//! * [`run_to_completion`], [`simulate`], [`SimulationSpec`] — the engine.
+//! * [`simulate_on`], [`SimulationSpec`], [`run_to_completion`] — the
+//!   engine. Every entry point (plain, pooled, checkpointed, resumed,
+//!   sharded or sequential) advances rounds through one private driver.
 //! * [`BroadcastOutcome`], [`RoundRecord`], [`EdgeTraffic`],
 //!   [`EdgeTrafficStats`] — measurements.
 //! * [`instrument`] — the proof machinery of Sections 5–6 (visit counters,
@@ -63,7 +65,7 @@
 //!   [`ProtocolOptions::record_edge_traffic`] set, every draw is realized
 //!   instead (per-edge traffic must observe it).
 //! * Every protocol exposes a generic `step_with<R: Rng>` next to the
-//!   object-safe [`Protocol::step`]; [`simulate`] drives concrete protocol
+//!   object-safe [`Protocol::step`]; [`simulate_on`] drives concrete protocol
 //!   types with the engine's fast RNG (xoshiro256++ `SmallRng`), so neighbor
 //!   sampling inlines with no per-draw virtual dispatch. `StdRng` (ChaCha12)
 //!   remains available for callers that want it.
@@ -98,9 +100,9 @@
 //!   construction-equivalent, with an `O(Σ deg(informed))` undo path after
 //!   windowed trials) replaces reallocation, which is what makes the sweep
 //!   runner's trials allocation-free after warm-up.
-//! * **Checkpoint/resume:** [`simulate_resumable`] hands versioned,
+//! * **Checkpoint/resume:** [`simulate_resumable_in`] hands versioned,
 //!   checksummed [`SimSnapshot`]s to a sink at a [`CheckpointCadence`];
-//!   [`resume_on`] continues from one **bit-identically** to the
+//!   [`resume_in`] continues from one **bit-identically** to the
 //!   uninterrupted run, on every backend and both engines (sharded
 //!   snapshots carry no RNG state — counter streams re-derive from the
 //!   round — so they resume at *any* thread count). Snapshots never store
@@ -115,6 +117,7 @@
 #![warn(missing_debug_implementations)]
 #![forbid(unsafe_code)]
 
+mod driver;
 mod engine;
 mod metrics;
 mod options;
@@ -126,9 +129,8 @@ mod snapshot;
 pub mod instrument;
 
 pub use engine::{
-    resume_in, resume_on, run_to_completion, simulate, simulate_async, simulate_in, simulate_on,
-    simulate_resumable, simulate_resumable_in, simulate_topology, try_simulate, try_simulate_on,
-    Engine, SimWorkspace, SimulationSpec, SpecError,
+    resume_in, run_to_completion, simulate_async, simulate_in, simulate_on, simulate_resumable_in,
+    simulate_topology, try_simulate_on, Engine, SimWorkspace, SimulationSpec, SpecError,
 };
 pub use metrics::{BroadcastOutcome, EdgeTraffic, EdgeTrafficStats, RoundRecord};
 pub use options::{AgentConfig, ProtocolOptions};
@@ -180,7 +182,7 @@ mod proptests {
                 .with_max_rounds(200_000)
                 .with_options(ProtocolOptions::with_history())
                 .adapted_to(&graph);
-            let outcome = simulate(&graph, source, &spec);
+            let outcome = simulate_on(&graph, source, &spec);
             prop_assert!(outcome.completed, "{} did not complete on n={}", kind, n);
             if kind == ProtocolKind::MeetExchange {
                 prop_assert_eq!(outcome.informed_agents, graph.num_vertices());
@@ -213,8 +215,8 @@ mod proptests {
             let graph = arbitrary_graph(n, seed);
             let kind = ProtocolKind::ALL[kind_idx];
             let spec = SimulationSpec::new(kind).with_seed(seed).with_max_rounds(100_000);
-            let a = simulate(&graph, 0, &spec);
-            let b = simulate(&graph, 0, &spec);
+            let a = simulate_on(&graph, 0, &spec);
+            let b = simulate_on(&graph, 0, &spec);
             prop_assert_eq!(a, b);
         }
 
@@ -226,9 +228,9 @@ mod proptests {
         fn push_cannot_beat_graph_distance(n in 4usize..40, seed in 0u64..200) {
             let graph = arbitrary_graph(n, seed);
             let ecc = rumor_graphs::algorithms::eccentricity(&graph, 0).unwrap() as u64;
-            let outcome = simulate(&graph, 0, &SimulationSpec::new(ProtocolKind::Push).with_seed(seed));
+            let outcome = simulate_on(&graph, 0, &SimulationSpec::new(ProtocolKind::Push).with_seed(seed));
             prop_assert!(outcome.rounds >= ecc);
-            let outcome_pp = simulate(&graph, 0, &SimulationSpec::new(ProtocolKind::PushPull).with_seed(seed));
+            let outcome_pp = simulate_on(&graph, 0, &SimulationSpec::new(ProtocolKind::PushPull).with_seed(seed));
             prop_assert!(outcome_pp.rounds >= ecc);
         }
     }

@@ -42,11 +42,12 @@ use rand::SeedableRng;
 use rumor_graphs::{Topology, VertexId};
 use rumor_walks::{AgentId, MultiWalk, UninformedFrontier};
 
+use crate::driver::{drive, Capture, Checkpoint, Rounds};
 use crate::engine::SimulationSpec;
 use crate::metrics::{BroadcastOutcome, RoundRecord};
 use crate::protocol::ProtocolKind;
 use crate::protocols::common::{InformedSet, PullFrontier, PushFrontier, PushPullFrontier};
-use crate::snapshot::{CheckpointCadence, ResumableRun, SimSnapshot};
+use crate::snapshot::{ResumableRun, SimSnapshot};
 
 /// Minimum number of realized draws per shard before a vertex round spawns
 /// workers (a draw is tens of nanoseconds; a scoped spawn is microseconds).
@@ -92,60 +93,42 @@ pub(crate) fn supports(spec: &SimulationSpec) -> bool {
         )
 }
 
-/// Runs `spec` on the sharded engine with `threads` workers. Callers must
-/// have checked [`supports`]; `threads` must already be resolved (> 0).
-pub(crate) fn simulate_sharded<G: Topology>(
-    graph: &G,
-    source: VertexId,
-    spec: &SimulationSpec,
-    threads: usize,
-) -> BroadcastOutcome {
-    debug_assert!(threads > 0);
-    debug_assert!(supports(spec));
-    match spec.kind {
-        ProtocolKind::Push | ProtocolKind::Pull | ProtocolKind::PushPull => {
-            VertexEngine::new(graph, source, spec.kind, threads, spec.seed).run(spec)
-        }
-        ProtocolKind::VisitExchange | ProtocolKind::MeetExchange => {
-            AgentEngine::new(graph, source, spec, threads).run(spec)
-        }
-        _ => unreachable!("unsupported kind routed to the sharded engine"),
-    }
-}
-
-/// Runs `spec` on the sharded engine with checkpointing: every time
-/// `cadence` fires, the engine's cross-round state is captured into a
-/// [`SimSnapshot`] and offered to `sink` (a `false` suspends the run at that
-/// snapshot). With `resume = Some(snapshot)` the engine starts from the
-/// snapshot's round instead of round zero.
+/// Runs `spec` on the sharded engine with `threads` workers, from
+/// `resume`'s round when given (after its spec digest has been checked),
+/// with `history` holding the rounds recorded before it, and offers a
+/// capture to `checkpoint` between rounds. Callers must have checked
+/// [`supports`]; `threads` must already be resolved (> 0).
 ///
 /// Sharded snapshots carry no generator state (`rng: None`): the
 /// counter-based streams are re-derived from the round counter, which is why
 /// a sharded resume is bit-identical at **any** thread count — including one
 /// different from the thread count that wrote the checkpoint.
-///
-/// Callers must have checked [`supports`] and, when resuming, the snapshot's
-/// spec digest; `threads` must already be resolved (> 0).
-pub(crate) fn simulate_sharded_resumable<G: Topology>(
+pub(crate) fn drive_sharded<G: Topology>(
     graph: &G,
     source: VertexId,
     spec: &SimulationSpec,
     threads: usize,
     resume: Option<&SimSnapshot>,
-    cadence: CheckpointCadence,
-    sink: &mut dyn FnMut(&SimSnapshot) -> bool,
+    history: Vec<RoundRecord>,
+    checkpoint: Option<Checkpoint<'_>>,
 ) -> ResumableRun {
     debug_assert!(threads > 0);
     debug_assert!(supports(spec));
-    let digest = spec.digest();
+    let (cap, record) = (spec.max_rounds, spec.options.record_history);
     match spec.kind {
         ProtocolKind::Push | ProtocolKind::Pull | ProtocolKind::PushPull => {
-            VertexEngine::new(graph, source, spec.kind, threads, spec.seed)
-                .run_resumable(spec, digest, resume, cadence, sink)
+            let mut engine = VertexEngine::new(graph, source, spec.kind, threads, spec.seed);
+            if let Some(snapshot) = resume {
+                engine.restore(snapshot);
+            }
+            drive(&mut engine, cap, record, history, checkpoint)
         }
         ProtocolKind::VisitExchange | ProtocolKind::MeetExchange => {
-            AgentEngine::new(graph, source, spec, threads)
-                .run_resumable(spec, digest, resume, cadence, sink)
+            let mut engine = AgentEngine::new(graph, source, spec, threads);
+            if let Some(snapshot) = resume {
+                engine.restore(snapshot);
+            }
+            drive(&mut engine, cap, record, history, checkpoint)
         }
         _ => unreachable!("unsupported kind routed to the sharded engine"),
     }
@@ -449,6 +432,26 @@ impl<'g, G: Topology> VertexEngine<'g, G> {
         }
     }
 
+    /// Rebuilds the exact mid-run state from `snapshot` by replaying the
+    /// informed set in its stored insertion order — the same `insert` +
+    /// `on_informed` call sequence the original run made, so the frontier
+    /// (including its message counters) is bit-identical by construction.
+    fn restore(&mut self, snapshot: &SimSnapshot) {
+        self.informed.reset(self.graph.num_vertices());
+        self.frontier = VertexFrontier::new(self.kind, self.graph);
+        for &v in &snapshot.informed_vertices {
+            let v = v as usize;
+            if self.informed.insert(v) {
+                self.frontier.on_informed(self.graph, v, &self.informed);
+            }
+        }
+        self.round = snapshot.round;
+        self.messages_total = snapshot.messages_total;
+        self.messages_last = snapshot.messages_last;
+    }
+}
+
+impl<G: Topology> Rounds for VertexEngine<'_, G> {
     /// One synchronous round: sharded draws, then the sequential merge that
     /// the sequential engine also runs (insert + boundary update).
     fn step(&mut self) {
@@ -533,6 +536,14 @@ impl<'g, G: Topology> VertexEngine<'g, G> {
         }
     }
 
+    fn round(&self) -> u64 {
+        self.round
+    }
+
+    fn is_complete(&self) -> bool {
+        self.informed.is_full()
+    }
+
     /// The sharded twin of [`crate::protocol::FastStep::is_stalled`]: on a
     /// disconnected graph the reachable component saturates with the
     /// frontier quiescent, and every further round would realize zero draws.
@@ -540,68 +551,18 @@ impl<'g, G: Topology> VertexEngine<'g, G> {
         !self.informed.is_full() && self.frontier.is_quiescent()
     }
 
-    fn run(mut self, spec: &SimulationSpec) -> BroadcastOutcome {
-        let mut history = Vec::new();
-        while !self.informed.is_full() && self.round < spec.max_rounds {
-            self.step();
-            if spec.options.record_history {
-                history.push(RoundRecord {
-                    round: self.round,
-                    informed_vertices: self.informed.count(),
-                    informed_agents: 0,
-                    messages: self.messages_last,
-                });
-            }
-            if self.is_stalled() {
-                break;
-            }
+    fn record(&self) -> RoundRecord {
+        RoundRecord {
+            round: self.round,
+            informed_vertices: self.informed.count(),
+            informed_agents: 0,
+            messages: self.messages_last,
         }
-        self.into_outcome(spec, history)
     }
 
-    /// [`VertexEngine::run`] with the checkpoint contract of
-    /// [`simulate_sharded_resumable`] (same loop; a capture is offered to
-    /// `sink` whenever `cadence` fires between rounds).
-    fn run_resumable(
-        mut self,
-        spec: &SimulationSpec,
-        digest: u64,
-        resume: Option<&SimSnapshot>,
-        cadence: CheckpointCadence,
-        sink: &mut dyn FnMut(&SimSnapshot) -> bool,
-    ) -> ResumableRun {
-        let mut history = Vec::new();
-        if let Some(snapshot) = resume {
-            self.restore(snapshot);
-            history = snapshot.history.clone();
-        }
-        let mut last_checkpoint = std::time::Instant::now();
-        while !self.informed.is_full() && self.round < spec.max_rounds {
-            self.step();
-            if spec.options.record_history {
-                history.push(RoundRecord {
-                    round: self.round,
-                    informed_vertices: self.informed.count(),
-                    informed_agents: 0,
-                    messages: self.messages_last,
-                });
-            }
-            if self.informed.is_full() || self.is_stalled() {
-                break;
-            }
-            if cadence.due(self.round, &mut last_checkpoint) {
-                let snapshot = self.capture(digest, &history);
-                if !sink(&snapshot) {
-                    return ResumableRun::Suspended(snapshot);
-                }
-            }
-        }
-        ResumableRun::Finished(self.into_outcome(spec, history))
-    }
-
-    fn into_outcome(self, spec: &SimulationSpec, history: Vec<RoundRecord>) -> BroadcastOutcome {
+    fn outcome(&self, history: Vec<RoundRecord>) -> BroadcastOutcome {
         BroadcastOutcome {
-            protocol: spec.kind.name().to_string(),
+            protocol: self.kind.name().to_string(),
             rounds: self.round,
             completed: self.informed.is_full(),
             informed_vertices: self.informed.count(),
@@ -611,7 +572,9 @@ impl<'g, G: Topology> VertexEngine<'g, G> {
             edge_traffic: None,
         }
     }
+}
 
+impl<G: Topology> Capture for VertexEngine<'_, G> {
     /// Captures the engine's cross-round state. No generator state is
     /// stored: the counter-based streams re-derive every draw from
     /// `(seed, round, vertex)`, so the round counter *is* the RNG position.
@@ -629,24 +592,6 @@ impl<'g, G: Topology> VertexEngine<'g, G> {
             source_active: false,
             history: history.to_vec(),
         }
-    }
-
-    /// Rebuilds the exact mid-run state from `snapshot` by replaying the
-    /// informed set in its stored insertion order — the same `insert` +
-    /// `on_informed` call sequence the original run made, so the frontier
-    /// (including its message counters) is bit-identical by construction.
-    fn restore(&mut self, snapshot: &SimSnapshot) {
-        self.informed.reset(self.graph.num_vertices());
-        self.frontier = VertexFrontier::new(self.kind, self.graph);
-        for &v in &snapshot.informed_vertices {
-            let v = v as usize;
-            if self.informed.insert(v) {
-                self.frontier.on_informed(self.graph, v, &self.informed);
-            }
-        }
-        self.round = snapshot.round;
-        self.messages_total = snapshot.messages_total;
-        self.messages_last = snapshot.messages_last;
     }
 }
 
@@ -717,6 +662,60 @@ impl<'g, G: Topology> AgentEngine<'g, G> {
         }
     }
 
+    /// The round-barrier compaction: applies the sharded scans' uninformed-
+    /// frontier removals (shard order; the outcome is a set union, so the
+    /// partition cannot influence it).
+    fn apply_agent_marks(&mut self, shards: usize) {
+        for i in 0..shards {
+            let buf = std::mem::take(&mut self.shard_newly[i]);
+            for &a in &buf {
+                self.agents.mark_informed(a as usize);
+            }
+            self.shard_newly[i] = buf;
+        }
+    }
+
+    /// Rebuilds the exact mid-run state from `snapshot`: the walk ensemble
+    /// from its stored positions and round, the uninformed frontier by
+    /// re-marking the stored informed agents, and (visit-exchange) the
+    /// vertex informed set by replaying its stored insertion order.
+    fn restore(&mut self, snapshot: &SimSnapshot) {
+        let positions = snapshot
+            .positions
+            .clone()
+            .expect("agent-engine snapshot stores walk positions");
+        self.walks = MultiWalk::restore(
+            self.graph,
+            positions,
+            snapshot.walk_round,
+            self.walks.config(),
+        );
+        self.agents.reset(self.walks.num_agents());
+        for &agent in &snapshot.informed_agents {
+            self.agents.mark_informed(agent as AgentId);
+        }
+        self.informed_vertices.reset(self.graph.num_vertices());
+        for &v in &snapshot.informed_vertices {
+            self.informed_vertices.insert(v as usize);
+        }
+        self.source_active = snapshot.source_active;
+        self.round = snapshot.round;
+        self.messages_total = snapshot.messages_total;
+        self.messages_last = snapshot.messages_last;
+    }
+
+    fn informed_vertex_count(&self) -> usize {
+        match self.kind {
+            ProtocolKind::VisitExchange => self.informed_vertices.count(),
+            _ => usize::from(self.source_active),
+        }
+    }
+}
+
+// No `is_stalled`: agent-protocol quiescence is a reachability property of
+// the walk state, too expensive to test per round — the round cap remains
+// the terminator on pathological instances (as in the sequential engine).
+impl<G: Topology> Rounds for AgentEngine<'_, G> {
     fn step(&mut self) {
         self.round += 1;
         // Sharded movement: per-agent streams, per-shard informed-here
@@ -797,17 +796,8 @@ impl<'g, G: Topology> AgentEngine<'g, G> {
         }
     }
 
-    /// The round-barrier compaction: applies the sharded scans' uninformed-
-    /// frontier removals (shard order; the outcome is a set union, so the
-    /// partition cannot influence it).
-    fn apply_agent_marks(&mut self, shards: usize) {
-        for i in 0..shards {
-            let buf = std::mem::take(&mut self.shard_newly[i]);
-            for &a in &buf {
-                self.agents.mark_informed(a as usize);
-            }
-            self.shard_newly[i] = buf;
-        }
+    fn round(&self) -> u64 {
+        self.round
     }
 
     fn is_complete(&self) -> bool {
@@ -817,67 +807,18 @@ impl<'g, G: Topology> AgentEngine<'g, G> {
         }
     }
 
-    fn run(mut self, spec: &SimulationSpec) -> BroadcastOutcome {
-        let mut history = Vec::new();
-        while !self.is_complete() && self.round < spec.max_rounds {
-            self.step();
-            if spec.options.record_history {
-                history.push(RoundRecord {
-                    round: self.round,
-                    informed_vertices: self.informed_vertex_count(),
-                    informed_agents: self.agents.informed_count(),
-                    messages: self.messages_last,
-                });
-            }
+    fn record(&self) -> RoundRecord {
+        RoundRecord {
+            round: self.round,
+            informed_vertices: self.informed_vertex_count(),
+            informed_agents: self.agents.informed_count(),
+            messages: self.messages_last,
         }
-        self.into_outcome(spec, history)
     }
 
-    /// [`AgentEngine::run`] with the checkpoint contract of
-    /// [`simulate_sharded_resumable`]. No stall break here: agent-protocol
-    /// quiescence is a reachability property of the walk state, which is too
-    /// expensive to test per round — the round cap remains the terminator on
-    /// pathological instances (as in the sequential engine).
-    fn run_resumable(
-        mut self,
-        spec: &SimulationSpec,
-        digest: u64,
-        resume: Option<&SimSnapshot>,
-        cadence: CheckpointCadence,
-        sink: &mut dyn FnMut(&SimSnapshot) -> bool,
-    ) -> ResumableRun {
-        let mut history = Vec::new();
-        if let Some(snapshot) = resume {
-            self.restore(snapshot);
-            history = snapshot.history.clone();
-        }
-        let mut last_checkpoint = std::time::Instant::now();
-        while !self.is_complete() && self.round < spec.max_rounds {
-            self.step();
-            if spec.options.record_history {
-                history.push(RoundRecord {
-                    round: self.round,
-                    informed_vertices: self.informed_vertex_count(),
-                    informed_agents: self.agents.informed_count(),
-                    messages: self.messages_last,
-                });
-            }
-            if self.is_complete() {
-                break;
-            }
-            if cadence.due(self.round, &mut last_checkpoint) {
-                let snapshot = self.capture(digest, &history);
-                if !sink(&snapshot) {
-                    return ResumableRun::Suspended(snapshot);
-                }
-            }
-        }
-        ResumableRun::Finished(self.into_outcome(spec, history))
-    }
-
-    fn into_outcome(self, spec: &SimulationSpec, history: Vec<RoundRecord>) -> BroadcastOutcome {
+    fn outcome(&self, history: Vec<RoundRecord>) -> BroadcastOutcome {
         BroadcastOutcome {
-            protocol: spec.kind.name().to_string(),
+            protocol: self.kind.name().to_string(),
             rounds: self.round,
             completed: self.is_complete(),
             informed_vertices: self.informed_vertex_count(),
@@ -887,7 +828,9 @@ impl<'g, G: Topology> AgentEngine<'g, G> {
             edge_traffic: None,
         }
     }
+}
 
+impl<G: Topology> Capture for AgentEngine<'_, G> {
     /// Captures the engine's cross-round state: agent positions plus the
     /// walk round fully determine every future movement draw (per-step
     /// scratch is rebuilt each round), and the informed sets are stored as
@@ -912,42 +855,6 @@ impl<'g, G: Topology> AgentEngine<'g, G> {
             walk_round: self.walks.round(),
             source_active: self.source_active,
             history: history.to_vec(),
-        }
-    }
-
-    /// Rebuilds the exact mid-run state from `snapshot`: the walk ensemble
-    /// from its stored positions and round, the uninformed frontier by
-    /// re-marking the stored informed agents, and (visit-exchange) the
-    /// vertex informed set by replaying its stored insertion order.
-    fn restore(&mut self, snapshot: &SimSnapshot) {
-        let positions = snapshot
-            .positions
-            .clone()
-            .expect("agent-engine snapshot stores walk positions");
-        self.walks = MultiWalk::restore(
-            self.graph,
-            positions,
-            snapshot.walk_round,
-            self.walks.config(),
-        );
-        self.agents.reset(self.walks.num_agents());
-        for &agent in &snapshot.informed_agents {
-            self.agents.mark_informed(agent as AgentId);
-        }
-        self.informed_vertices.reset(self.graph.num_vertices());
-        for &v in &snapshot.informed_vertices {
-            self.informed_vertices.insert(v as usize);
-        }
-        self.source_active = snapshot.source_active;
-        self.round = snapshot.round;
-        self.messages_total = snapshot.messages_total;
-        self.messages_last = snapshot.messages_last;
-    }
-
-    fn informed_vertex_count(&self) -> usize {
-        match self.kind {
-            ProtocolKind::VisitExchange => self.informed_vertices.count(),
-            _ => usize::from(self.source_active),
         }
     }
 }

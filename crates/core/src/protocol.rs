@@ -85,9 +85,9 @@ pub trait Protocol {
 /// `Box<dyn Protocol>`), which forces its RNG argument to be `&mut dyn
 /// RngCore` — and a virtual call per random number is the single largest
 /// constant-factor cost in a simulation round. `FastStep` carries the same
-/// round logic as a generic method, so [`crate::simulate`] — which knows the
-/// concrete protocol type from [`ProtocolKind`] — can drive whole runs with
-/// the engine's concrete fast RNG, letting every `gen_range` inline.
+/// round logic as a generic method, so [`crate::simulate_on`] — which knows
+/// the concrete protocol type from [`ProtocolKind`] — can drive whole runs
+/// with the engine's concrete fast RNG, letting every `gen_range` inline.
 ///
 /// Implementations must guarantee `FastStep::fast_step` and
 /// [`Protocol::step`] perform the identical state transition and draw the

@@ -233,7 +233,7 @@ pub enum ResumableRun {
     /// entry points would have produced.
     Finished(BroadcastOutcome),
     /// The checkpoint sink requested suspension; this snapshot resumes the
-    /// run via [`resume_on`](crate::resume_on).
+    /// run via [`resume_in`](crate::resume_in).
     Suspended(SimSnapshot),
 }
 
@@ -258,9 +258,9 @@ impl ResumableRun {
 /// A complete mid-run simulation state, sufficient to continue the run
 /// bit-identically on a reconstructed topology.
 ///
-/// Captured by [`simulate_resumable`](crate::simulate_resumable) (and the
-/// sharded engine) at a [`CheckpointCadence`]; applied by
-/// [`resume_on`](crate::resume_on) / [`SimWorkspace::restore`](crate::SimWorkspace::restore).
+/// Captured by [`simulate_resumable_in`](crate::simulate_resumable_in) (on
+/// either engine) at a [`CheckpointCadence`]; applied by
+/// [`resume_in`](crate::resume_in).
 /// Serialized via [`SimSnapshot::to_bytes`] with a version gate and an
 /// FNV-1a-64 checksum; [`SimSnapshot::write_atomic`] persists it crash-safely.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,13 +1,16 @@
 //! The tentpole contract of the fault-tolerance PR: a run resumed from any
 //! checkpoint is **bit-identical** to the uninterrupted run — same rounds,
 //! same messages, same informed sets, same history — on every backend
-//! (CSR / implicit / generated), every engine, and every thread count.
+//! (CSR / implicit / generated / hub-cached), every engine, and every
+//! thread count.
 //!
 //! Grid covered here:
 //!
 //! * all five sharded-supported protocols plus the combined protocol on the
 //!   sequential engine,
-//! * three topology backends,
+//! * four topology backends (CSR / implicit / generated / hub-cached),
+//!   resuming through fresh workspaces and through a reused one that last
+//!   ran a different protocol or seed,
 //! * sequential engine and sharded engine at 1/2/3/8 workers — including
 //!   resuming a checkpoint under a *different* worker count than the one
 //!   that wrote it (the counter-based streams re-derive from the round
@@ -21,10 +24,11 @@
 //! * encode/decode round-trips for live mid-run snapshots (proptest).
 
 use rumor_core::{
-    resume_on, simulate_on, simulate_resumable, CheckpointCadence, ProtocolKind, ProtocolOptions,
-    ResumableRun, SimSnapshot, SimulationSpec, SnapshotError,
+    resume_in, simulate_in, simulate_on, simulate_resumable_in, CheckpointCadence, Engine,
+    ProtocolKind, ProtocolOptions, ResumableRun, SimSnapshot, SimWorkspace, SimulationSpec,
+    SnapshotError,
 };
-use rumor_graphs::{GeneratedGraph, ImplicitGraph, Topology};
+use rumor_graphs::{GeneratedGraph, HubCachedGraph, ImplicitGraph, Topology};
 
 const SHARDED_PROTOCOLS: [ProtocolKind; 5] = [
     ProtocolKind::Push,
@@ -61,10 +65,11 @@ fn run_collecting<G: Topology>(
     every: u64,
 ) -> (rumor_core::BroadcastOutcome, Vec<SimSnapshot>) {
     let mut snapshots = Vec::new();
-    let outcome = simulate_resumable(
+    let outcome = simulate_resumable_in(
         graph,
         source,
         spec,
+        &mut SimWorkspace::new(),
         CheckpointCadence::every_rounds(every),
         &mut |snap: &SimSnapshot| {
             snapshots.push(snap.clone());
@@ -87,11 +92,12 @@ fn assert_all_resumes_match<G: Topology>(
     context: &str,
 ) {
     for snap in snapshots {
-        let resumed = resume_on(
+        let resumed = resume_in(
             graph,
             source,
             spec,
             snap,
+            &mut SimWorkspace::new(),
             CheckpointCadence::every_rounds(u64::MAX),
             &mut |_: &SimSnapshot| true,
         )
@@ -107,13 +113,63 @@ fn assert_all_resumes_match<G: Topology>(
     }
 }
 
+/// [`assert_all_resumes_match`] through one pooled `workspace`, which runs
+/// a sequential decoy before every resume — alternately the same protocol
+/// under another seed and `other` under the same seed — so each resume
+/// restores over state the workspace left behind for a different run.
+#[allow(clippy::too_many_arguments)]
+fn assert_all_resumes_match_in<'g, G: Topology>(
+    graph: &'g G,
+    source: usize,
+    spec: &SimulationSpec,
+    snapshots: &[SimSnapshot],
+    reference: &rumor_core::BroadcastOutcome,
+    context: &str,
+    other: ProtocolKind,
+    workspace: &mut SimWorkspace<'g, G>,
+) {
+    let sequential = spec.clone().with_engine(Engine::Sequential);
+    let decoys = [
+        sequential.clone().with_seed(spec.seed + 1),
+        SimulationSpec {
+            kind: other,
+            ..sequential
+        }
+        .adapted_to(graph),
+    ];
+    for (i, snap) in snapshots.iter().enumerate() {
+        simulate_in(graph, source, &decoys[i % 2], workspace);
+        let resumed = resume_in(
+            graph,
+            source,
+            spec,
+            snap,
+            workspace,
+            CheckpointCadence::every_rounds(u64::MAX),
+            &mut |_: &SimSnapshot| true,
+        )
+        .expect("snapshot accepted")
+        .finished()
+        .expect("sink never suspends");
+        assert_eq!(
+            &resumed,
+            reference,
+            "{context}: reused-workspace resume from round {} diverged",
+            snap.round()
+        );
+    }
+}
+
 #[test]
 fn sequential_resume_is_bit_identical_on_all_backends() {
     let generated = GeneratedGraph::gnp(120, 0.06, 2).unwrap();
     let csr = generated.materialize().unwrap();
     let implicit = ImplicitGraph::cycle_of_stars_of_cliques(4).unwrap();
+    // A partial hub cache: the highest-degree rows cached, the rest hashed.
+    let hub = HubCachedGraph::with_hub_count(generated.clone(), 8);
+    let mut hub_workspace = SimWorkspace::new();
 
-    for kind in ALL_PROTOCOLS {
+    for (k, kind) in ALL_PROTOCOLS.into_iter().enumerate() {
         for seed in 0..2u64 {
             // CSR and generated backends share a spec (same degrees ⇒ same
             // adaptation); the implicit family gets its own.
@@ -139,6 +195,20 @@ fn sequential_resume_is_bit_identical_on_all_backends() {
                 "generated",
             );
 
+            let (hub_direct, hub_snapshots) = run_collecting(&hub, 3, &spec, 3);
+            assert_eq!(hub_direct, reference, "{kind}: hub-cached backend diverged");
+            assert_all_resumes_match(&hub, 3, &spec, &hub_snapshots, &reference, "hub-cached");
+            assert_all_resumes_match_in(
+                &hub,
+                3,
+                &spec,
+                &snapshots,
+                &reference,
+                "hub-cached",
+                ALL_PROTOCOLS[(k + 1) % ALL_PROTOCOLS.len()],
+                &mut hub_workspace,
+            );
+
             let ispec = spec_for(kind, seed, &implicit);
             let ireference = simulate_on(&implicit, 0, &ispec);
             let (idirect, isnapshots) = run_collecting(&implicit, 0, &ispec, 3);
@@ -152,8 +222,10 @@ fn sequential_resume_is_bit_identical_on_all_backends() {
 fn sharded_resume_is_bit_identical_at_every_thread_count() {
     let generated = GeneratedGraph::gnp(120, 0.06, 4).unwrap();
     let csr = generated.materialize().unwrap();
+    let hub = HubCachedGraph::with_hub_count(generated.clone(), 8);
+    let mut hub_workspace = SimWorkspace::new();
 
-    for kind in SHARDED_PROTOCOLS {
+    for (k, kind) in SHARDED_PROTOCOLS.into_iter().enumerate() {
         let spec = spec_for(kind, 7, &generated).with_sharded(1);
         let reference = simulate_on(&csr, 5, &spec);
         // Checkpoints written at 2 workers…
@@ -166,6 +238,11 @@ fn sharded_resume_is_bit_identical_at_every_thread_count() {
             !snapshots.is_empty(),
             "{kind}: no checkpoint emitted (run took {} rounds)",
             reference.rounds
+        );
+        let (hub_direct, _) = run_collecting(&hub, 5, &spec.clone().with_sharded(2), 3);
+        assert_eq!(
+            hub_direct, reference,
+            "{kind}: hub-cached sharded run diverged"
         );
         // …must resume bit-identically at every worker count (the snapshot
         // stores no generator state; worker count is not in the digest).
@@ -187,6 +264,16 @@ fn sharded_resume_is_bit_identical_at_every_thread_count() {
                 &reference,
                 &format!("sharded generated t={threads}"),
             );
+            assert_all_resumes_match_in(
+                &hub,
+                5,
+                &resume_spec,
+                &snapshots,
+                &reference,
+                &format!("sharded hub-cached t={threads}"),
+                ALL_PROTOCOLS[(k + 1) % ALL_PROTOCOLS.len()],
+                &mut hub_workspace,
+            );
         }
     }
 }
@@ -197,10 +284,11 @@ fn suspended_run_resumes_to_the_reference_outcome() {
     for kind in ALL_PROTOCOLS {
         let spec = spec_for(kind, 11, &graph).with_max_rounds(500_000);
         let reference = simulate_on(&graph, 0, &spec);
-        let suspended = simulate_resumable(
+        let suspended = simulate_resumable_in(
             &graph,
             0,
             &spec,
+            &mut SimWorkspace::new(),
             CheckpointCadence::every_rounds(2),
             &mut |_: &SimSnapshot| false, // suspend at the first checkpoint
         );
@@ -213,11 +301,12 @@ fn suspended_run_resumes_to_the_reference_outcome() {
             }
         };
         assert!(snapshot.round() < reference.rounds);
-        let resumed = resume_on(
+        let resumed = resume_in(
             &graph,
             0,
             &spec,
             &snapshot,
+            &mut SimWorkspace::new(),
             CheckpointCadence::every_rounds(u64::MAX),
             &mut |_: &SimSnapshot| true,
         )
@@ -241,11 +330,12 @@ fn history_recording_survives_resume() {
             assert_eq!(reference.history.len() as u64, reference.rounds);
             let (_, snapshots) = run_collecting(&generated, 0, &spec, 4);
             for snap in &snapshots {
-                let resumed = resume_on(
+                let resumed = resume_in(
                     &generated,
                     0,
                     &spec,
                     snap,
+                    &mut SimWorkspace::new(),
                     CheckpointCadence::every_rounds(u64::MAX),
                     &mut |_: &SimSnapshot| true,
                 )
@@ -275,11 +365,12 @@ fn cross_engine_and_wrong_spec_resumes_are_rejected() {
     let sharded_snap = sharded_snaps.first().expect("sharded checkpoint");
 
     let reject = |spec: &SimulationSpec, snap: &SimSnapshot| {
-        let err = resume_on(
+        let err = resume_in(
             &graph,
             0,
             spec,
             snap,
+            &mut SimWorkspace::new(),
             CheckpointCadence::every_rounds(u64::MAX),
             &mut |_: &SimSnapshot| true,
         )
@@ -299,11 +390,12 @@ fn cross_engine_and_wrong_spec_resumes_are_rejected() {
     // But the round cap is deliberately *not*: a capped run may be resumed
     // with a higher cap, and the sharded worker count may change freely.
     let extended = seq_spec.clone().with_max_rounds(1_000_000);
-    assert!(resume_on(
+    assert!(resume_in(
         &graph,
         0,
         &extended,
         seq_snap,
+        &mut SimWorkspace::new(),
         CheckpointCadence::every_rounds(u64::MAX),
         &mut |_: &SimSnapshot| true,
     )

@@ -794,7 +794,7 @@ mod agent_substrate {
         // sampling modes (every agent always draws); edge-traffic recording
         // is pure observation. Full outcomes must therefore coincide, and
         // the recorded traffic must account for every message.
-        use rumor_core::{simulate, ProtocolKind, SimulationSpec};
+        use rumor_core::{simulate_on, ProtocolKind, SimulationSpec};
         for kind in [ProtocolKind::VisitExchange, ProtocolKind::MeetExchange] {
             for (name, graph, source) in agent_families() {
                 for seed in SEEDS {
@@ -802,11 +802,11 @@ mod agent_substrate {
                         .with_seed(seed)
                         .with_max_rounds(200_000)
                         .adapted_to(&graph);
-                    let plain = simulate(&graph, source, &base);
+                    let plain = simulate_on(&graph, source, &base);
                     let traffic_spec = base
                         .clone()
                         .with_options(ProtocolOptions::with_edge_traffic());
-                    let with_traffic = simulate(&graph, source, &traffic_spec);
+                    let with_traffic = simulate_on(&graph, source, &traffic_spec);
                     assert_eq!(
                         plain.rounds, with_traffic.rounds,
                         "{kind} rounds diverged on {name} (seed {seed})"

@@ -16,7 +16,7 @@
 //! The fallback rules (combined protocol, edge-traffic observability) are
 //! pinned too: those specs must produce exactly the sequential outcome.
 
-use rumor_core::{simulate, AgentConfig, Engine, ProtocolKind, ProtocolOptions, SimulationSpec};
+use rumor_core::{simulate_on, AgentConfig, Engine, ProtocolKind, ProtocolOptions, SimulationSpec};
 use rumor_graphs::generators::{
     complete, connected_erdos_renyi, cycle, double_star, path, star, CycleOfStarsOfCliques,
     HeavyBinaryTree,
@@ -73,7 +73,7 @@ fn sharded_outputs_are_bit_identical_across_thread_counts() {
                     .with_seed(seed)
                     .with_max_rounds(300_000)
                     .adapted_to(&graph);
-                let reference = simulate(&graph, source, &spec.clone().with_sharded(1));
+                let reference = simulate_on(&graph, source, &spec.clone().with_sharded(1));
                 assert!(
                     reference.completed,
                     "{kind} did not complete on {name} (seed {seed})"
@@ -83,7 +83,7 @@ fn sharded_outputs_are_bit_identical_across_thread_counts() {
                 // range midpoints; 0 resolves via RUMOR_THREADS / all cores
                 // (CI runs this suite under RUMOR_THREADS=1 and =3).
                 for threads in [2usize, 3, 8, 0] {
-                    let outcome = simulate(&graph, source, &spec.clone().with_sharded(threads));
+                    let outcome = simulate_on(&graph, source, &spec.clone().with_sharded(threads));
                     assert_eq!(
                         outcome, reference,
                         "{kind} diverged on {name} at {threads} threads (seed {seed})"
@@ -103,12 +103,12 @@ fn sharded_history_runs_are_thread_invariant_and_consistent() {
             .with_max_rounds(300_000)
             .with_options(ProtocolOptions::with_history())
             .adapted_to(&graph);
-        let one = simulate(&graph, 2, &spec.clone().with_sharded(1));
-        let three = simulate(&graph, 2, &spec.clone().with_sharded(3));
+        let one = simulate_on(&graph, 2, &spec.clone().with_sharded(1));
+        let three = simulate_on(&graph, 2, &spec.clone().with_sharded(3));
         assert_eq!(one, three, "{kind} history runs diverged");
         assert_eq!(one.history.len() as u64, one.rounds);
         // History must not perturb the run.
-        let plain = simulate(
+        let plain = simulate_on(
             &graph,
             2,
             &SimulationSpec::new(kind)
@@ -144,8 +144,8 @@ fn sharded_engine_is_reproducible() {
             .with_max_rounds(300_000)
             .adapted_to(&graph)
             .with_sharded(4);
-        let a = simulate(&graph, 0, &spec);
-        let b = simulate(&graph, 0, &spec);
+        let a = simulate_on(&graph, 0, &spec);
+        let b = simulate_on(&graph, 0, &spec);
         assert_eq!(a, b, "{kind} not reproducible");
     }
 }
@@ -157,13 +157,13 @@ fn unsupported_specs_fall_back_to_the_sequential_engine_exactly() {
     let traffic = SimulationSpec::new(ProtocolKind::Push)
         .with_seed(3)
         .with_options(ProtocolOptions::with_edge_traffic());
-    let seq = simulate(&graph, 0, &traffic);
-    let sharded = simulate(&graph, 0, &traffic.clone().with_sharded(3));
+    let seq = simulate_on(&graph, 0, &traffic);
+    let sharded = simulate_on(&graph, 0, &traffic.clone().with_sharded(3));
     assert_eq!(seq, sharded, "edge-traffic spec must fall back bit-for-bit");
     // The combined protocol has no sharded implementation.
     let combined = SimulationSpec::new(ProtocolKind::PushPullVisitExchange).with_seed(3);
-    let seq = simulate(&graph, 0, &combined);
-    let sharded = simulate(&graph, 0, &combined.clone().with_sharded(3));
+    let seq = simulate_on(&graph, 0, &combined);
+    let sharded = simulate_on(&graph, 0, &combined.clone().with_sharded(3));
     assert_eq!(seq, sharded, "combined spec must fall back bit-for-bit");
 }
 
@@ -187,7 +187,7 @@ fn engine_selection_builders() {
 fn mean_rounds(graph: &Graph, source: usize, spec: &SimulationSpec, trials: u64) -> f64 {
     let total: u64 = (0..trials)
         .map(|t| {
-            let outcome = simulate(graph, source, &spec.clone().with_seed(spec.seed + t));
+            let outcome = simulate_on(graph, source, &spec.clone().with_seed(spec.seed + t));
             assert!(outcome.completed, "trial did not complete");
             outcome.rounds
         })
@@ -259,7 +259,7 @@ fn sharded_message_totals_match_sequential_in_distribution() {
     let base = SimulationSpec::new(ProtocolKind::Push).with_seed(7);
     let total = |spec: &SimulationSpec| -> f64 {
         (0..60u64)
-            .map(|t| simulate(&graph, 0, &spec.clone().with_seed(7 + t)).total_messages)
+            .map(|t| simulate_on(&graph, 0, &spec.clone().with_seed(7 + t)).total_messages)
             .sum::<u64>() as f64
             / 60.0
     };
@@ -287,8 +287,8 @@ fn sharded_and_sequential_share_initial_placement() {
     let spec = SimulationSpec::new(ProtocolKind::MeetExchange)
         .with_seed(2)
         .with_agents(cfg);
-    let seq = simulate(&graph, 4, &spec);
-    let sharded = simulate(&graph, 4, &spec.clone().with_sharded(2));
+    let seq = simulate_on(&graph, 4, &spec);
+    let sharded = simulate_on(&graph, 4, &spec.clone().with_sharded(2));
     assert_eq!(seq.rounds, 0);
     assert_eq!(sharded.rounds, 0);
     assert_eq!(seq.informed_agents, sharded.informed_agents);

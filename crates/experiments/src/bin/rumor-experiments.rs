@@ -97,8 +97,8 @@ fn parse_args(args: &[String]) -> Result<CliOptions, String> {
 /// generated G(n, p) instance, checkpointing into `--dir`.
 fn checkpoint_run(args: &[String]) -> Result<(), String> {
     use rumor_core::{
-        resume_on, simulate_resumable, CheckpointCadence, ProtocolKind, ResumableRun, SimSnapshot,
-        SimulationSpec,
+        resume_in, simulate_resumable_in, CheckpointCadence, ProtocolKind, ResumableRun,
+        SimSnapshot, SimWorkspace, SimulationSpec,
     };
     use rumor_graphs::GeneratedGraph;
 
@@ -167,20 +167,22 @@ fn checkpoint_run(args: &[String]) -> Result<(), String> {
             .map_err(|e| format!("loading checkpoints: {e}"))?
             .ok_or("no valid checkpoint to resume from")?;
         println!("resumed {}", snapshot.round());
-        resume_on(
+        resume_in(
             &graph,
             0,
             &spec,
             &snapshot,
+            &mut SimWorkspace::new(),
             CheckpointCadence::every_rounds(cadence),
             &mut sink,
         )
         .map_err(|e| format!("resume rejected: {e}"))?
     } else {
-        simulate_resumable(
+        simulate_resumable_in(
             &graph,
             0,
             &spec,
+            &mut SimWorkspace::new(),
             CheckpointCadence::every_rounds(cadence),
             &mut sink,
         )

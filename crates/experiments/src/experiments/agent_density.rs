@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rumor_analysis::{Summary, Table};
-use rumor_core::{simulate, AgentConfig, AgentCount, ProtocolKind, SimulationSpec};
+use rumor_core::{simulate_on, AgentConfig, AgentCount, ProtocolKind, SimulationSpec};
 use rumor_graphs::generators::{double_star, logarithmic_degree, random_regular};
 use rumor_graphs::{Graph, VertexId};
 
@@ -33,7 +33,7 @@ fn mean_time(
 ) -> f64 {
     let times: Vec<u64> = (0..trials as u64)
         .map(|t| {
-            simulate(
+            simulate_on(
                 graph,
                 source,
                 &SimulationSpec::new(kind)

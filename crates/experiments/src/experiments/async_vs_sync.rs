@@ -11,7 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rumor_analysis::{Summary, Table};
-use rumor_core::{simulate, simulate_async, ProtocolKind, ProtocolOptions, SimulationSpec};
+use rumor_core::{simulate_async, simulate_on, ProtocolKind, ProtocolOptions, SimulationSpec};
 use rumor_graphs::generators::{logarithmic_degree, random_regular, star, STAR_CENTER};
 use rumor_graphs::{Graph, VertexId};
 
@@ -40,7 +40,7 @@ fn measure(graph: &Graph, source: VertexId, trials: usize, seed: u64) -> [f64; 4
             .with_max_rounds(MAX_ROUNDS)
     };
     let sync_push = mean_rounds(
-        |s| simulate(graph, source, &sync_spec(ProtocolKind::Push, s)).rounds,
+        |s| simulate_on(graph, source, &sync_spec(ProtocolKind::Push, s)).rounds,
         trials,
         seed,
     );
@@ -50,7 +50,7 @@ fn measure(graph: &Graph, source: VertexId, trials: usize, seed: u64) -> [f64; 4
         seed,
     );
     let sync_pp = mean_rounds(
-        |s| simulate(graph, source, &sync_spec(ProtocolKind::PushPull, s)).rounds,
+        |s| simulate_on(graph, source, &sync_spec(ProtocolKind::PushPull, s)).rounds,
         trials,
         seed,
     );

@@ -149,7 +149,7 @@ pub fn run(config: &ExperimentConfig) -> ExperimentReport {
 mod tests {
     use super::*;
     use rumor_analysis::Summary;
-    use rumor_core::{simulate, SimulationSpec};
+    use rumor_core::{simulate_on, SimulationSpec};
 
     fn mean_rounds(
         graph: &rumor_graphs::Graph,
@@ -160,7 +160,7 @@ mod tests {
     ) -> f64 {
         let times: Vec<u64> = (0..trials)
             .map(|seed| {
-                simulate(
+                simulate_on(
                     graph,
                     source,
                     &SimulationSpec::new(kind)

@@ -866,7 +866,7 @@ mod tests {
     #[test]
     fn pooled_workspace_matches_fresh_simulations() {
         // The workspace reuse inside run_trials must be invisible: every
-        // trial's outcome equals a fresh standalone simulate() of its seed.
+        // trial's outcome equals a fresh standalone simulate_on() of its seed.
         let g = star(40).unwrap();
         let cfg = ExperimentConfig::smoke().with_threads(2);
         for kind in [
@@ -887,7 +887,7 @@ mod tests {
                 let pooled = run_trials(&g, 0, &spec, 6, &cfg);
                 for (trial, outcome) in pooled.iter().enumerate() {
                     let fresh =
-                        rumor_core::simulate(&g, 0, &spec.clone().with_seed(31 + trial as u64));
+                        rumor_core::simulate_on(&g, 0, &spec.clone().with_seed(31 + trial as u64));
                     assert_eq!(
                         outcome, &fresh,
                         "{kind} trial {trial} (cap {max_rounds}) diverged under pooling"

@@ -233,7 +233,9 @@ struct JobState {
 
 impl Job {
     /// Records one trial outcome: manifest write, in-order line emission,
-    /// subscriber wakeup. Returns `true` when this record finished the job.
+    /// subscriber wakeup. Returns `true` when this was the job's last
+    /// outcome; the caller then owes a [`retire`] under the scheduler lock,
+    /// which is what marks the job finished.
     fn record(&self, trial: usize, outcome: TrialOutcome) -> bool {
         // Poison-tolerant throughout `Job` and `Scheduler`: a worker or
         // session thread that panics while holding a lock must cost only
@@ -249,12 +251,8 @@ impl Job {
         state.outcomes[trial] = Some(outcome);
         state.recorded += 1;
         advance_emit(&mut state);
-        let finished = state.recorded == self.trials;
-        if finished {
-            state.finished = true;
-        }
         self.progress.notify_all();
-        finished
+        state.recorded == self.trials
     }
 
     /// Bounded wait for session forwarder threads: blocks until the feed
@@ -690,6 +688,19 @@ impl Drop for Scheduler {
     }
 }
 
+/// Retires a job whose every trial is recorded: removes it from `running`,
+/// publishes it to the result cache, and only then marks it finished and
+/// wakes its subscribers — so a client that saw the finished feed and
+/// resubmits always hits the cache. Runs under the scheduler lock (lock
+/// order scheduler → job); the manifest writes already happened in
+/// [`Job::record`], outside it.
+fn retire(state: &mut SchedState, job: &Job) {
+    state.running.remove(&job.digest);
+    cache_if_deterministic(state, job);
+    lock_recover(&job.state).finished = true;
+    job.progress.notify_all();
+}
+
 /// Publishes a finished job to the result cache if every trial is
 /// deterministic (completed/round-capped); jobs with timed-out, panicked,
 /// or skipped trials must re-run on resubmission.
@@ -732,10 +743,7 @@ fn worker_loop(shared: &Shared) {
             Some(outcome) => {
                 shared.executed.fetch_add(1, Ordering::Relaxed);
                 if job.record(trial, outcome) {
-                    let mut state = lock_recover(&shared.state);
-                    state.running.remove(&job.digest);
-                    cache_if_deterministic(&mut state, &job);
-                    drop(state);
+                    retire(&mut lock_recover(&shared.state), &job);
                     release_upload_pin(shared, &job);
                 }
             }
@@ -790,7 +798,7 @@ fn claim_next(shared: &Shared, state: &mut SchedState) -> Option<(Arc<Job>, usiz
         while let Some(trial) = claim_ticket(&job) {
             marked += 1;
             if job.record(trial, TrialOutcome::NotRun) {
-                state.running.remove(&job.digest);
+                retire(state, &job);
                 release_upload_pin(shared, &job);
             }
         }
@@ -981,6 +989,29 @@ mod tests {
         assert_eq!(cached.trial_lines, lines);
         assert_eq!(scheduler.stats().trials_executed, 4);
         assert_eq!(scheduler.stats().cache_hits, 1);
+    }
+
+    #[test]
+    fn a_finished_feed_is_always_a_cache_hit_on_resubmission() {
+        // Regression: the job used to be marked finished (waking `collect`)
+        // before the worker published it to the cache, so a resubmission
+        // racing that window attached as a duplicate instead.
+        let scheduler = Scheduler::start(smoke_config()).expect("scheduler");
+        for seed in 0..500u64 {
+            let mut request = SubmitRequest::new("t", TopologySpec::new("complete", 16), "push", 2);
+            request.seed = seed;
+            let Submission::Attached { job, .. } = scheduler.submit(request.clone()) else {
+                panic!("seed {seed}: expected attachment");
+            };
+            let (lines, drained) = collect(&job);
+            assert!(!drained);
+            let Submission::Cached(cached) = scheduler.submit(request) else {
+                panic!("seed {seed}: expected cache hit");
+            };
+            assert_eq!(cached.trial_lines, lines);
+        }
+        assert_eq!(scheduler.stats().cache_hits, 500);
+        assert_eq!(scheduler.stats().duplicate_hits, 0);
     }
 
     #[test]

@@ -7,7 +7,8 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use rumor_core::{
-    simulate_resumable, CheckpointCadence, ProtocolKind, SimSnapshot, SimulationSpec,
+    simulate_resumable_in, CheckpointCadence, ProtocolKind, SimSnapshot, SimWorkspace,
+    SimulationSpec,
 };
 use rumor_experiments::{
     run_trials, run_trials_guarded, ExperimentConfig, FaultPlan, ProtocolSetup, ScalingSweep,
@@ -260,10 +261,11 @@ fn corrupted_checkpoints_fall_back_to_the_newest_valid_one() {
         .with_seed(6)
         .with_max_rounds(1_000_000);
     let dir = temp_dir("corrupt");
-    simulate_resumable(
+    simulate_resumable_in(
         &g,
         0,
         &spec,
+        &mut SimWorkspace::new(),
         CheckpointCadence::every_rounds(1),
         &mut |snap: &SimSnapshot| {
             snap.write_atomic(&dir).unwrap();

@@ -7,7 +7,7 @@
 //! ```
 
 use rumor_analysis::{Summary, Table};
-use rumor_core::{simulate, AgentConfig, ProtocolKind, SimulationSpec};
+use rumor_core::{simulate_on, AgentConfig, ProtocolKind, SimulationSpec};
 use rumor_graphs::generators::{
     double_star, star, CycleOfStarsOfCliques, HeavyBinaryTree, SiameseHeavyBinaryTree, STAR_CENTER,
 };
@@ -23,7 +23,7 @@ fn mean_rounds(graph: &Graph, source: VertexId, kind: ProtocolKind, lazy: bool) 
     };
     let times: Vec<u64> = (0..TRIALS)
         .map(|seed| {
-            simulate(
+            simulate_on(
                 graph,
                 source,
                 &SimulationSpec::new(kind)

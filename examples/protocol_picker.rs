@@ -24,7 +24,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rumor_analysis::{Summary, Table};
-use rumor_core::{simulate, ProtocolKind, SimulationSpec};
+use rumor_core::{simulate_on, ProtocolKind, SimulationSpec};
 use rumor_graphs::algorithms::{bipartition_sizes, diameter_lower_bound, DegreeStats};
 use rumor_graphs::generators::{
     complete, double_star, grid, hypercube, logarithmic_degree, random_regular, star,
@@ -174,7 +174,7 @@ fn main() -> ExitCode {
         let mut messages = Vec::with_capacity(trials as usize);
         for seed in 0..trials {
             let spec = SimulationSpec::new(kind).with_seed(seed).adapted_to(&graph);
-            let outcome = simulate(&graph, source, &spec);
+            let outcome = simulate_on(&graph, source, &spec);
             rounds.push(outcome.rounds);
             messages.push(outcome.total_messages);
         }

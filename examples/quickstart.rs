@@ -6,7 +6,7 @@
 //! ```
 
 use rumor_analysis::Table;
-use rumor_core::{simulate, ProtocolKind, SimulationSpec};
+use rumor_core::{simulate_on, ProtocolKind, SimulationSpec};
 use rumor_graphs::generators::double_star;
 use rumor_graphs::GraphError;
 
@@ -29,7 +29,7 @@ fn main() -> Result<(), GraphError> {
         // `adapted_to` switches meet-exchange to lazy walks here: the double
         // star is bipartite, and simple walks could be parity-trapped forever.
         let spec = SimulationSpec::new(kind).with_seed(42).adapted_to(&graph);
-        let outcome = simulate(&graph, source, &spec);
+        let outcome = simulate_on(&graph, source, &spec);
         table.push_row(&[
             kind.name().to_string(),
             outcome.rounds.to_string(),

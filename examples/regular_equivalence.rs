@@ -13,7 +13,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rumor_analysis::{fit_power_law, Summary, Table};
 use rumor_core::instrument::CoupledRun;
-use rumor_core::{simulate, AgentConfig, ProtocolKind, SimulationSpec};
+use rumor_core::{simulate_on, AgentConfig, ProtocolKind, SimulationSpec};
 use rumor_graphs::generators::{logarithmic_degree, random_regular};
 use rumor_graphs::GraphError;
 
@@ -34,7 +34,9 @@ fn main() -> Result<(), GraphError> {
         let graph = random_regular(n, d, &mut rng)?;
         let run = |kind: ProtocolKind| -> f64 {
             let times: Vec<u64> = (0..TRIALS)
-                .map(|seed| simulate(&graph, 0, &SimulationSpec::new(kind).with_seed(seed)).rounds)
+                .map(|seed| {
+                    simulate_on(&graph, 0, &SimulationSpec::new(kind).with_seed(seed)).rounds
+                })
                 .collect();
             Summary::of_u64(&times).mean
         };

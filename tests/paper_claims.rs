@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use rumor_analysis::{best_law, GrowthLaw, Summary};
-use rumor_core::{simulate, AgentConfig, ProtocolKind, SimulationSpec};
+use rumor_core::{simulate_on, AgentConfig, ProtocolKind, SimulationSpec};
 use rumor_graphs::generators::{
     double_star, logarithmic_degree, random_regular, star, CycleOfStarsOfCliques, HeavyBinaryTree,
     SiameseHeavyBinaryTree, STAR_CENTER,
@@ -22,7 +22,7 @@ fn mean_time(
 ) -> f64 {
     let times: Vec<u64> = (0..trials)
         .map(|seed| {
-            simulate(
+            simulate_on(
                 graph,
                 source,
                 &SimulationSpec::new(kind)
@@ -211,7 +211,7 @@ fn theorems24_25_logarithmic_lower_bound() {
     let log2n = (n as f64).log2();
     for kind in [ProtocolKind::VisitExchange, ProtocolKind::MeetExchange] {
         let fastest = (0..6u64)
-            .map(|seed| simulate(&graph, 0, &SimulationSpec::new(kind).with_seed(seed)).rounds)
+            .map(|seed| simulate_on(&graph, 0, &SimulationSpec::new(kind).with_seed(seed)).rounds)
             .min()
             .unwrap() as f64;
         assert!(

@@ -8,7 +8,7 @@ use rand::SeedableRng;
 use rumor_analysis::{Summary, Table};
 use rumor_core::instrument::{CCounterTrace, CoupledRun};
 use rumor_core::{
-    build_protocol, simulate, AgentConfig, ProtocolKind, ProtocolOptions, SimulationSpec,
+    build_protocol, simulate_on, AgentConfig, ProtocolKind, ProtocolOptions, SimulationSpec,
 };
 use rumor_experiments::{all_experiment_ids, run_experiment, ExperimentConfig};
 use rumor_graphs::algorithms::{diameter_exact, is_connected, DegreeStats};
@@ -62,7 +62,7 @@ fn every_generator_supports_every_protocol() {
                 .with_seed(7)
                 .with_agents(agents)
                 .with_max_rounds(2_000_000);
-            let outcome = simulate(graph, 0, &spec);
+            let outcome = simulate_on(graph, 0, &spec);
             assert!(outcome.completed, "{kind} did not complete on {name}");
         }
     }
@@ -120,7 +120,7 @@ fn walks_instrumentation_and_analysis_compose() {
     // Analysis over simulated times.
     let times: Vec<u64> = (0..6)
         .map(|seed| {
-            simulate(
+            simulate_on(
                 &graph,
                 0,
                 &SimulationSpec::new(ProtocolKind::PushPull).with_seed(seed),
