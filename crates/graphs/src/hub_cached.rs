@@ -20,12 +20,16 @@
 //! same worker discipline as the generated backend's construction passes —
 //! then materializes each hub's exact sorted neighbor list through the
 //! *identical* enumeration path every hashed query takes
-//! (`GeneratedGraph`'s shared enumerate-sort-dedup routine), storing them
-//! concatenated behind `u32` entry offsets. Each entry is **bit-packed** at
-//! `w = max(1, ⌈log₂ n⌉)` bits (a fixed width, so entry `e` is one
-//! two-word read at bit `e·w` — no per-list metadata), and hub membership
-//! is a bitmap with a per-word rank prefix, so a vertex's cache slot is an
-//! `O(1)` popcount rather than a search.
+//! (`GeneratedGraph`'s shared enumerate-sort-dedup routine) and stores it
+//! as an **Elias–Fano list**. For `d` ids below `n`, each id keeps its low
+//! `l = ⌊log₂(n/d)⌋` bits in a fixed-width array, and its high bits go in
+//! unary: entry `i` sets bit `(id >> l) + i` of an upper bit array. A select
+//! sample every 64 entries (entry `64j`'s high bits) bounds the search for
+//! entry `i`'s one to a word or two, found by broadword select — so entry
+//! `i` is `O(1)`. Lists are byte-aligned behind `u32` byte offsets, and `l`
+//! and every region length follow from `n` and `d`, so a list carries no
+//! header. Hub membership is a bitmap with a per-word rank prefix, so a
+//! vertex's cache slot is an `O(1)` popcount rather than a search.
 //!
 //! # Determinism contract
 //!
@@ -48,22 +52,32 @@
 //!
 //! # Cost model
 //!
-//! Memory adds `12·⌈n/64⌉` bytes of membership bitmap and rank prefix,
-//! `4·(k + 1)` bytes of entry offsets and `8·(⌈w·Σ deg(hub) / 64⌉ + 1)`
-//! bytes of packed adjacency (one trailing padding word) to the inner
-//! backend's `≈ 8n`; the budget builder caps the packed adjacency at a
-//! byte ceiling (accounted conservatively in pre-erasure stub counts, so
-//! the realized cache never exceeds it). Queries on cached vertices cost
-//! an `O(1)` bitmap probe and popcount plus an `O(1)` two-word read instead
-//! of `O(deg)` pairing evaluations; tail vertices take the same bitmap
-//! probe and continue on the hashed path unchanged. The win is
-//! workload-dependent: agent walks (visit/meet-exchange) spend most draws
-//! on hubs and speed up by the cached fraction of stationary mass
-//! ([`HubCachedGraph::hub_hit_fraction`]); vertex protocols (push/pull)
-//! query every vertex equally often and gain little. `BENCH_random.json`
-//! records the measured speedups.
-
-use std::sync::atomic::{AtomicU64, Ordering};
+//! A list of `d` ids spends `d·l` lower bits, `d + ⌊(n − 1)/2^l⌋` upper
+//! bits (between `2d` and `3d`) and `⌈d/64⌉` samples of `⌈log₂ n⌉ − l`
+//! bits, rounded up to a whole byte: about `⌊log₂(n/d)⌋ + 2.5` bits per
+//! entry, where a fixed-width array spends `⌈log₂ n⌉`. A non-empty cache
+//! adds `12·⌈n/64⌉` bytes of membership bitmap and rank, `4·(k + 1)` bytes
+//! of offsets and 7 bytes of read padding to the inner backend's `≈ 8n`.
+//! The budget builder charges all of it, pricing each list at its stub
+//! count (the size grows with `d`, and a stub count bounds the simple
+//! degree), so [`HubCachedGraph::cache_bytes`] never exceeds the budget.
+//! Queries on cached vertices cost an `O(1)` bitmap probe and popcount plus
+//! two field reads and a select instead of `O(deg)` pairing evaluations;
+//! tail vertices take the same bitmap probe and continue on the hashed
+//! path unchanged. The win is workload-dependent: agent walks
+//! (visit/meet-exchange) spend most draws on hubs and speed up by the
+//! cached fraction of stationary mass ([`HubCachedGraph::hub_hit_fraction`]);
+//! vertex protocols (push/pull) query every vertex equally often and gain
+//! little. On perfbench's `chunglu-hub` graph (n = 2·10⁵, β = 2.5, budget
+//! a quarter of the CSR-equivalent bytes) the budget buys 60,922 hubs at
+//! hit fraction 0.68, where fixed-width lists bought 42,327 at 0.59 while
+//! overrunning the budget; a hit costs about 55 ns there against about
+//! 25 ns for a fixed-width read, and a miss about 0.5 µs (README).
+//! `BENCH_random.json` records the measured speedups.
+//!
+//! Lists are addressed by `u32` byte offsets, so the lists of one cache
+//! total at most 4 GiB: selection stops at the longest prefix within that,
+//! even under an explicit hub count.
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -83,7 +97,16 @@ const DEFAULT_HUB_DIVISOR: usize = 64;
 /// worker (mirrors the generated backend's per-worker chunk floor).
 const PAR_FILL_FLOOR: usize = 16_384;
 
-/// A hub-cached hybrid over [`GeneratedGraph`]: exact bit-packed adjacency
+/// Zero bytes after the last list, so that every read can load eight bytes.
+const READ_PAD: usize = 7;
+
+/// Bytes per hub of list offset.
+const OFFSET_BYTES: u64 = 4;
+
+/// Bytes per 64 vertices of membership bitmap (8) and rank prefix (4).
+const MEMBERSHIP_BYTES: u64 = 12;
+
+/// A hub-cached hybrid over [`GeneratedGraph`]: exact Elias–Fano adjacency
 /// for the top-k vertices by stub count, hashed `O(deg)` derivation for the
 /// tail, draw streams bit-identical to the uncached backend (see the module
 /// docs above).
@@ -115,110 +138,245 @@ pub struct HubCachedGraph {
     /// `hub_rank[i]` counts the hubs below vertex `64·i`; plus a popcount
     /// of the masked membership word, it is a hub's cache slot.
     hub_rank: Vec<u32>,
-    /// `hub_offsets[h]..hub_offsets[h + 1]` brackets the entries of the
-    /// hub in slot `h` (slots ascend with vertex id) — prefix sums of the
-    /// hubs' simple degrees (the total is at most `2m ≤ u32::MAX`,
-    /// inherited from the inner backend's check).
+    /// `hub_offsets[h]..hub_offsets[h + 1]` brackets the bytes of the list
+    /// of the hub in slot `h` (slots ascend with vertex id). It, the two
+    /// tables above and `lists` are all empty when no vertex is cached.
     hub_offsets: Vec<u32>,
-    /// The concatenated exact sorted neighbor lists.
-    hub_adj: PackedIds,
+    /// The concatenated Elias–Fano lists (see [`Shape`]), then
+    /// [`READ_PAD`] zero bytes.
+    lists: Vec<u8>,
+    /// `Σ deg(hub)`: how many entries the lists hold.
+    entries: usize,
 }
 
-/// A fixed-width bit-packed array of vertex ids: entry `e` occupies bits
-/// `e·width .. (e + 1)·width` of the little-endian word stream. A
-/// non-empty array carries one trailing padding word, so every read can
-/// fetch two adjacent words without a bounds special case.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct PackedIds {
-    width: u32,
-    words: Vec<u64>,
+/// The layout of one Elias–Fano list of `len` ascending ids below `n`, a
+/// pure function of the two: `len` lower halves of `low` bits, then one
+/// `high`-bit select sample per 64 entries (entry `64j`'s upper half), then
+/// the upper bits, where entry `i` sets bit `(id >> low) + i`.
+#[derive(Debug, Clone, Copy)]
+struct Shape {
+    len: usize,
+    low: u32,
+    high: u32,
 }
 
-impl PackedIds {
-    /// Words (padding included) that hold `len` entries of `width` bits.
-    fn word_count(len: usize, width: u32) -> usize {
+impl Shape {
+    /// `low = ⌊log₂(n/len)⌋` (0 once `len ≥ n`) from bit lengths, without a
+    /// division; `high` is the bit length of the largest upper half,
+    /// `(n − 1) >> low`. `len` must be positive.
+    #[inline]
+    fn new(n: usize, len: usize) -> Self {
+        // ⌊log₂ n⌋ − ⌊log₂ len⌋, less one when n/len falls short of that
+        // power of two.
+        let t = len.leading_zeros().saturating_sub(n.leading_zeros());
+        let low = t.saturating_sub(u32::from(n < len << t));
+        Shape {
+            len,
+            low,
+            high: id_width(n).saturating_sub(low),
+        }
+    }
+
+    /// Bit offset of the select samples from the list start.
+    #[inline]
+    fn samples(&self) -> usize {
+        self.len * self.low as usize
+    }
+
+    /// Bit offset of the upper bits from the list start.
+    #[inline]
+    fn upper(&self) -> usize {
+        self.samples() + self.len.div_ceil(64) * self.high as usize
+    }
+
+    /// Bytes a list of `len` ids below `n` occupies (0 when empty). Never
+    /// decreases as `len` grows, so a stub count prices the list of any
+    /// simple degree at or below it.
+    fn bytes(n: usize, len: usize) -> usize {
         if len == 0 {
-            0
-        } else {
-            (len as u64 * u64::from(width)).div_ceil(64) as usize + 1
+            return 0;
         }
-    }
-
-    /// Entry `e`: one shift of two adjacent words and a mask.
-    #[inline]
-    fn get(&self, e: usize) -> u32 {
-        let bit = e as u64 * u64::from(self.width);
-        let (i, shift) = ((bit >> 6) as usize, (bit & 63) as u32);
-        // `<< 1 << (63 - shift)` is `<< (64 - shift)` without the
-        // overflowing shift at `shift = 0`.
-        let pair = (self.words[i] >> shift) | (self.words[i + 1] << 1 << (63 - shift));
-        (pair & ((1u64 << self.width) - 1)) as u32
+        let shape = Shape::new(n, len);
+        (shape.upper() + len + ((n - 1) >> shape.low)).div_ceil(8)
     }
 }
 
-/// Appends consecutive entries to a [`PackedIds`] word stream under
-/// construction, starting at entry `first`. Words are flushed with
-/// `fetch_or` into zeroed storage, so writers of adjacent entry ranges can
-/// share their boundary words: every bit has exactly one writer, and the
-/// OR is order-independent — the result is the same at any worker count.
-/// `Relaxed` suffices because the words publish nothing else, and the
-/// fill's thread-scope join orders every write before the words are read.
-struct PackedWriter<'a> {
-    words: &'a [AtomicU64],
-    width: u32,
-    word: usize,
-    shift: u32,
-    acc: u64,
-}
-
-impl<'a> PackedWriter<'a> {
-    fn new(words: &'a [AtomicU64], width: u32, first: usize) -> Self {
-        let bit = first as u64 * u64::from(width);
-        PackedWriter {
-            words,
-            width,
-            word: (bit >> 6) as usize,
-            shift: (bit & 63) as u32,
-            acc: 0,
-        }
-    }
-
-    #[inline]
-    fn push(&mut self, value: u32) {
-        debug_assert!(
-            u64::from(value) >> self.width == 0,
-            "{value} exceeds {} bits",
-            self.width
-        );
-        self.acc |= u64::from(value) << self.shift;
-        self.shift += self.width;
-        if self.shift >= 64 {
-            self.words[self.word].fetch_or(self.acc, Ordering::Relaxed);
-            self.word += 1;
-            self.shift -= 64;
-            // The high bits of `value` that did not fit the flushed word
-            // (none when the entry ended exactly on the boundary).
-            self.acc = u64::from(value) >> (self.width - self.shift);
-        }
-    }
-
-    /// Flushes the partial last word.
-    fn finish(self) {
-        if self.shift > 0 {
-            self.words[self.word].fetch_or(self.acc, Ordering::Relaxed);
-        }
-    }
-}
-
-/// Bits per packed entry for an `n`-vertex graph: `max(1, ⌈log₂ n⌉)`.
+/// Bits for a vertex id of an `n`-vertex graph: `max(1, ⌈log₂ n⌉)`.
 fn id_width(n: usize) -> u32 {
     (usize::BITS - n.saturating_sub(1).leading_zeros()).max(1)
 }
 
-/// The most entries of `width` bits whose packed words, padding included,
-/// fit in `bytes`.
-fn budget_entries(bytes: usize, width: u32) -> u64 {
-    (bytes / 8).saturating_sub(1) as u64 * 64 / u64::from(width)
+/// The bits of `bytes` from bit `bit` on, in the low end of the word: 57
+/// to 64 of them (those past the eight loaded bytes read as zero).
+#[inline]
+fn load(bytes: &[u8], bit: usize) -> u64 {
+    let at = bit >> 3;
+    u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes")) >> (bit & 7)
+}
+
+/// The `width`-bit field at bit `bit` (`width ≤ 57`).
+#[inline]
+fn field(bytes: &[u8], bit: usize, width: u32) -> u64 {
+    load(bytes, bit) & ((1u64 << width) - 1)
+}
+
+/// `SELECT_IN_BYTE[256·r + b]`: the position of the one of rank `r` in
+/// byte `b`.
+const SELECT_IN_BYTE: [u8; 2048] = {
+    let mut table = [0u8; 2048];
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut rank, mut bit) = (0, 0);
+        while bit < 8 {
+            if byte >> bit & 1 == 1 {
+                table[rank * 256 + byte] = bit as u8;
+                rank += 1;
+            }
+            bit += 1;
+        }
+        byte += 1;
+    }
+    table
+};
+
+/// The position of `word`'s one of rank `rank` (0-based), or, when `word`
+/// holds `rank` ones or fewer, `Err` with its popcount. Broadword select:
+/// byte popcounts and their running sums in SWAR, all eight sums compared
+/// against `rank` at once, then a table lookup inside the chosen byte.
+#[inline]
+fn select(word: u64, rank: u32) -> Result<u32, u32> {
+    const ONES: u64 = 0x0101_0101_0101_0101;
+    const HIGHS: u64 = 0x8080_8080_8080_8080;
+    let mut s = word - ((word >> 1) & 0x5555_5555_5555_5555);
+    s = (s & 0x3333_3333_3333_3333) + ((s >> 2) & 0x3333_3333_3333_3333);
+    s = (s + (s >> 4)) & 0x0F0F_0F0F_0F0F_0F0F;
+    // Byte b of `sums` counts the ones in bytes 0..=b.
+    let sums = s.wrapping_mul(ONES);
+    let total = (sums >> 56) as u32;
+    if rank >= total {
+        return Err(total);
+    }
+    // The high bit of every byte whose running sum is at most `rank`: those
+    // bytes lie wholly below the target one.
+    let below = (((u64::from(rank) * ONES) | HIGHS) - sums) & HIGHS;
+    let shift = (((below >> 7).wrapping_mul(ONES) >> 56) * 8) as u32;
+    let before = ((sums << 8) >> shift) as u32 & 0xFF;
+    let byte = (word >> shift) as usize & 0xFF;
+    Ok(shift + u32::from(SELECT_IN_BYTE[(rank - before) as usize * 256 + byte]))
+}
+
+/// One encoded list: its bytes start at byte `start` of `bytes`.
+#[derive(Clone, Copy)]
+struct List<'a> {
+    bytes: &'a [u8],
+    start: usize,
+    shape: Shape,
+}
+
+impl List<'_> {
+    /// Entry `i` (`i < len`): the lower half read in place, the upper half
+    /// by selecting entry `i`'s one, searched from its block's sample.
+    #[inline]
+    fn get(&self, i: usize) -> u32 {
+        let Shape { low, high, .. } = self.shape;
+        let base = self.start << 3;
+        let lower = field(self.bytes, base + i * low as usize, low);
+        let block = i >> 6;
+        let sample = field(
+            self.bytes,
+            base + self.shape.samples() + block * high as usize,
+            high,
+        );
+        let upper = base + self.shape.upper();
+        // Entry 64·block's one sits past its upper half in zeros and
+        // 64·block earlier ones.
+        let mut at = upper + sample as usize + (block << 6);
+        let mut rank = (i & 63) as u32;
+        loop {
+            match select(load(self.bytes, at), rank) {
+                Ok(offset) => {
+                    let high_half = (at + offset as usize - upper - i) as u64;
+                    return (high_half << low | lower) as u32;
+                }
+                Err(ones) => {
+                    rank -= ones;
+                    // The load ended on a byte boundary; resume there.
+                    at += 64 - (at & 7);
+                }
+            }
+        }
+    }
+
+    /// Every entry in order, decoding the upper bits one word at a time.
+    fn for_each(&self, mut f: impl FnMut(u32)) {
+        let low = self.shape.low;
+        let base = self.start << 3;
+        let upper = base + self.shape.upper();
+        let (mut at, mut word) = (upper, load(self.bytes, upper));
+        for i in 0..self.shape.len {
+            while word == 0 {
+                at += 64 - (at & 7);
+                word = load(self.bytes, at);
+            }
+            let high_half = (at + word.trailing_zeros() as usize - upper - i) as u64;
+            word &= word - 1;
+            f((high_half << low | field(self.bytes, base + i * low as usize, low)) as u32);
+        }
+    }
+
+    /// Whether the list holds `id`: a binary search over [`List::get`].
+    fn contains(&self, id: u32) -> bool {
+        let (mut lo, mut hi) = (0, self.shape.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.get(mid).cmp(&id) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Equal => return true,
+                std::cmp::Ordering::Greater => hi = mid,
+            }
+        }
+        false
+    }
+}
+
+/// Writes the ascending list `ids` (all below `n`) into `out`, which holds
+/// exactly `Shape::bytes(n, ids.len())` zero bytes. `words` is scratch.
+fn encode(ids: &[u32], n: usize, out: &mut [u8], words: &mut Vec<u64>) {
+    debug_assert_eq!(out.len(), Shape::bytes(n, ids.len()));
+    if ids.is_empty() {
+        return;
+    }
+    fn put(words: &mut [u64], bit: usize, value: u64, width: u32) {
+        let (i, shift) = (bit >> 6, bit & 63);
+        if width > 0 {
+            words[i] |= value << shift;
+            if shift + width as usize > 64 {
+                words[i + 1] |= value >> (64 - shift);
+            }
+        }
+    }
+    let shape = Shape::new(n, ids.len());
+    let (low, high) = (shape.low, shape.high);
+    words.clear();
+    words.resize(out.len().div_ceil(8), 0);
+    for (i, &id) in ids.iter().enumerate() {
+        debug_assert!((id as usize) < n && (i == 0 || ids[i - 1] < id));
+        let id = u64::from(id);
+        put(words, i * low as usize, id & ((1 << low) - 1), low);
+        if i & 63 == 0 {
+            put(
+                words,
+                shape.samples() + (i >> 6) * high as usize,
+                id >> low,
+                high,
+            );
+        }
+        let bit = shape.upper() + (id >> low) as usize + i;
+        words[bit >> 6] |= 1 << (bit & 63);
+    }
+    for (chunk, word) in out.chunks_mut(8).zip(words.iter()) {
+        chunk.copy_from_slice(&word.to_le_bytes()[..chunk.len()]);
+    }
 }
 
 /// Builder for [`HubCachedGraph`]: choose the cache size by hub count, by
@@ -234,9 +392,8 @@ fn budget_entries(bytes: usize, width: u32) -> u64 {
 ///     .hub_count(500)
 ///     .cache_budget_bytes(64 << 10)
 ///     .build(inner);
-/// // Packed adjacency within the budget, plus 4 bytes of offset per hub
-/// // (and one) and 12 bytes of membership bitmap and rank per 64 vertices.
-/// assert!(cached.cache_bytes() <= (64 << 10) + 4 * (500 + 1) + 12 * 5_000usize.div_ceil(64));
+/// // The budget is a ceiling on everything the cache holds.
+/// assert!(cached.cache_bytes() <= 64 << 10);
 /// # Ok::<(), rumor_graphs::GraphError>(())
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
@@ -258,13 +415,14 @@ impl HubCacheBuilder {
         self
     }
 
-    /// Caps the cached **adjacency** at `bytes`: entries are packed at
-    /// `max(1, ⌈log₂ n⌉)` bits into 8-byte words plus one padding word, so
-    /// the budget buys `⌊64·(⌊bytes/8⌋ − 1) / w⌋` entries. Accounted
-    /// conservatively in pre-erasure stub counts — the realized cache
-    /// (simple degrees) never exceeds the budget. The offsets (4 bytes per
-    /// hub) and the membership bitmap and rank (12 bytes per 64 vertices)
-    /// are not charged against it.
+    /// Caps everything [`HubCachedGraph::cache_bytes`] reports at `bytes`.
+    /// A non-empty cache pays `12·⌈n/64⌉` bytes of membership bitmap and
+    /// rank, 4 bytes of offset per hub and one more, and 7 bytes of read
+    /// padding; each hub's list costs its Elias–Fano size, about
+    /// `⌊log₂(n/d)⌋ + 2.5` bits per entry rounded up to a byte. Lists are
+    /// priced at pre-erasure stub counts, which bound the simple degrees,
+    /// so the realized cache never exceeds the budget; one too small for
+    /// the bitmap and a first hub leaves the cache empty, at 0 bytes.
     pub fn cache_budget_bytes(mut self, bytes: usize) -> Self {
         self.budget_bytes = Some(bytes);
         self
@@ -281,9 +439,17 @@ impl HubCacheBuilder {
         } else {
             None
         };
-        let width = id_width(n);
-        let entry_budget = self.budget_bytes.map(|b| budget_entries(b, width));
-        let hub_ids = select_hubs(&inner, self.hub_count.or(default_k), entry_budget);
+        let hub_ids = select_hubs(&inner, self.hub_count.or(default_k), self.budget_bytes);
+        if hub_ids.is_empty() {
+            return HubCachedGraph {
+                inner,
+                hub_bits: Vec::new(),
+                hub_rank: Vec::new(),
+                hub_offsets: Vec::new(),
+                lists: Vec::new(),
+                entries: 0,
+            };
+        }
 
         let mut hub_bits = vec![0u64; n.div_ceil(64)];
         for &u in &hub_ids {
@@ -300,36 +466,46 @@ impl HubCacheBuilder {
             .collect();
         let mut hub_offsets = Vec::with_capacity(hub_ids.len() + 1);
         hub_offsets.push(0u32);
-        let mut total = 0u32;
+        let (mut end, mut entries) = (0usize, 0usize);
         for &u in &hub_ids {
-            total += inner.degree(u as usize) as u32; // Σ deg ≤ 2m ≤ u32::MAX
-            hub_offsets.push(total);
+            let d = inner.degree(u as usize);
+            entries += d;
+            end += Shape::bytes(n, d);
+            hub_offsets.push(
+                u32::try_from(end).expect("selection keeps the lists within u32 byte offsets"),
+            );
         }
         let workers = configured_threads()
             .min(hub_ids.len())
-            .min((total as usize).div_ceil(PAR_FILL_FLOOR))
+            .min(entries.div_ceil(PAR_FILL_FLOOR))
             .max(1);
-        let hub_adj = fill_cache(&inner, &hub_ids, &hub_offsets, width, workers);
+        let lists = fill_cache(&inner, &hub_ids, &hub_offsets, workers);
         HubCachedGraph {
             inner,
             hub_bits,
             hub_rank,
             hub_offsets,
-            hub_adj,
+            lists,
+            entries,
         }
     }
 }
 
+/// What a non-empty cache over `n` vertices pays besides its hubs' lists
+/// and offsets: membership bitmap and rank, the leading offset and the read
+/// padding.
+fn fixed_bytes(n: usize) -> u64 {
+    MEMBERSHIP_BYTES * n.div_ceil(64) as u64 + OFFSET_BYTES + READ_PAD as u64
+}
+
 /// Picks the hub set: the top-k vertices by stub count, ties broken toward
 /// lower ids, `k` capped by `k_limit` and by the longest prefix of that
-/// order whose stub counts fit `entry_budget`. Returns the ascending hub
-/// ids. One histogram of stub counts, walked from the largest count down,
-/// finds both the budget prefix and the weakest hub's count.
-fn select_hubs(
-    inner: &GeneratedGraph,
-    k_limit: Option<usize>,
-    entry_budget: Option<u64>,
-) -> Vec<u32> {
+/// order whose cost — [`fixed_bytes`], plus per hub its offset and its list
+/// priced at the stub count — fits `budget`, and whose lists fit `u32`
+/// byte offsets. Returns the ascending hub ids. One histogram of stub
+/// counts, walked from the largest count down, finds both the budget prefix
+/// and the weakest hub's count.
+fn select_hubs(inner: &GeneratedGraph, k_limit: Option<usize>, budget: Option<usize>) -> Vec<u32> {
     let n = inner.num_vertices();
     let mut hist: Vec<usize> = Vec::new();
     for u in 0..n {
@@ -339,28 +515,26 @@ fn select_hubs(
         }
         hist[c] += 1;
     }
-    let k_budget = match entry_budget {
-        None => n,
-        Some(budget) => {
-            // Whole count levels while they fit; the first level that does
-            // not fit contributes as many vertices as still fit, and ends
-            // the prefix.
-            let (mut k, mut spent) = (0usize, 0u64);
-            for (c, &count) in hist.iter().enumerate().rev() {
-                let fits = match c {
-                    0 => count,
-                    _ => ((budget - spent) / c as u64).min(count as u64) as usize,
-                };
-                k += fits;
-                spent += fits as u64 * c as u64;
-                if fits < count {
-                    break;
-                }
+    // Whole count levels while they fit; the first level that does not fit
+    // contributes as many vertices as still fit, and ends the prefix.
+    let mut k_fit = 0usize;
+    let left = budget.map_or(Some(u64::MAX), |b| (b as u64).checked_sub(fixed_bytes(n)));
+    if let Some(mut left) = left {
+        let mut lists_left = u64::from(u32::MAX);
+        for (c, &count) in hist.iter().enumerate().rev() {
+            let list = Shape::bytes(n, c) as u64;
+            let fits = (left / (list + OFFSET_BYTES))
+                .min(lists_left / list.max(1))
+                .min(count as u64);
+            k_fit += fits as usize;
+            left -= fits * (list + OFFSET_BYTES);
+            lists_left -= fits * list;
+            if fits < count as u64 {
+                break;
             }
-            k
         }
-    };
-    let k = k_limit.unwrap_or(n).min(k_budget).min(n);
+    }
+    let k = k_limit.unwrap_or(n).min(k_fit).min(n);
     if k == 0 {
         return Vec::new();
     }
@@ -389,69 +563,66 @@ fn select_hubs(
     hub_ids
 }
 
-/// Materializes every hub's exact sorted neighbor list into one packed
+/// Materializes every hub's exact sorted neighbor list into one byte
 /// array, splitting the hub range across `workers` scoped threads at
-/// entry-balanced boundaries. The words are filled in place: adjacent
-/// workers share only the word that straddles their boundary, through
-/// [`PackedWriter`]'s `fetch_or`, so the bits — and the result — do not
-/// depend on the worker count.
+/// byte-balanced boundaries (the first hub at or past each equal share of
+/// the bytes, so one giant hub cannot serialize the pass behind it).
 fn fill_cache(
     inner: &GeneratedGraph,
     hub_ids: &[u32],
     hub_offsets: &[u32],
-    width: u32,
     workers: usize,
-) -> PackedIds {
+) -> Vec<u8> {
     let hubs = hub_ids.len();
-    let total = hub_offsets[hubs] as usize;
-    let words: Vec<AtomicU64> = (0..PackedIds::word_count(total, width))
-        .map(|_| AtomicU64::new(0))
-        .collect();
-    // Worker w takes hubs [bounds[w], bounds[w + 1]): boundaries land at
-    // the first hub at or past each equal share of the total entry count,
-    // so one giant hub cannot serialize the pass behind it.
+    let total = u64::from(hub_offsets[hubs]);
     let mut bounds = vec![0usize];
     for w in 1..workers {
-        let target = (total as u64 * w as u64 / workers as u64) as u32;
+        let target = (total * w as u64 / workers as u64) as u32;
         let idx = hub_offsets.partition_point(|&o| o < target);
         bounds.push(idx.min(hubs).max(bounds[w - 1]));
     }
     bounds.push(hubs);
-    std::thread::scope(|scope| {
-        for range in bounds.windows(2).map(|b| b[0]..b[1]) {
-            let out = PackedWriter::new(&words, width, hub_offsets[range.start] as usize);
-            scope.spawn(move || fill_range(inner, hub_ids, range, out));
-        }
-    });
-    PackedIds {
-        width,
-        // Same size and alignment: the collect reuses the allocation.
-        words: words.into_iter().map(AtomicU64::into_inner).collect(),
-    }
+    fill_lists(inner.num_vertices(), hub_offsets, &bounds, |h, ids| {
+        let u = hub_ids[h] as usize;
+        ids.resize(ids.len().max(inner.stub_degree(u)), 0);
+        let len = inner.neighbors_into_buf(u, ids);
+        debug_assert_eq!(len, inner.degree(u), "cache/degree disagreement at {u}");
+        len
+    })
 }
 
-/// One worker's share of the cache fill: hubs `range`, appended through
-/// `out` (positioned at the first entry of `range.start`).
-fn fill_range(
-    inner: &GeneratedGraph,
-    hub_ids: &[u32],
-    range: std::ops::Range<usize>,
-    mut out: PackedWriter<'_>,
-) {
-    let mut scratch: Vec<u32> = Vec::new();
-    for h in range {
-        let u = hub_ids[h] as usize;
-        let stubs = inner.stub_degree(u);
-        if scratch.len() < stubs {
-            scratch.resize(stubs, 0);
+/// Encodes lists `0..offsets.len() − 1` into their byte ranges
+/// `offsets[h]..offsets[h + 1]`, one scoped worker per range of
+/// `bounds`. `list(h, ids)` writes list `h` to the front of `ids` and
+/// returns its length. Lists are byte-aligned, so workers write disjoint
+/// slices and the bytes do not depend on where `bounds` cut.
+fn fill_lists(
+    n: usize,
+    offsets: &[u32],
+    bounds: &[usize],
+    list: impl Fn(usize, &mut Vec<u32>) -> usize + Sync,
+) -> Vec<u8> {
+    let total = *offsets.last().expect("offsets never empty") as usize;
+    let mut bytes = vec![0u8; total + READ_PAD];
+    std::thread::scope(|scope| {
+        let mut rest = &mut bytes[..total];
+        for range in bounds.windows(2).map(|b| b[0]..b[1]) {
+            let first = offsets[range.start];
+            let len = (offsets[range.end] - first) as usize;
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            let list = &list;
+            scope.spawn(move || {
+                let (mut ids, mut words) = (Vec::new(), Vec::new());
+                for h in range {
+                    let len = list(h, &mut ids);
+                    let span = (offsets[h] - first) as usize..(offsets[h + 1] - first) as usize;
+                    encode(&ids[..len], n, &mut chunk[span], &mut words);
+                }
+            });
         }
-        let len = inner.neighbors_into_buf(u, &mut scratch);
-        debug_assert_eq!(len, inner.degree(u), "cache/degree disagreement at {u}");
-        for &v in &scratch[..len] {
-            out.push(v);
-        }
-    }
-    out.finish();
+    });
+    bytes
 }
 
 impl HubCachedGraph {
@@ -462,8 +633,9 @@ impl HubCachedGraph {
         HubCacheBuilder::new().build(inner)
     }
 
-    /// Caches exactly the top `k` vertices by stub count (clamped to `n`).
-    /// `k = 0` is the pure hashed backend; `k = n` materializes every list.
+    /// Caches exactly the top `k` vertices by stub count (clamped to `n`,
+    /// and to the 4 GiB list limit in the module docs). `k = 0` is the
+    /// pure hashed backend; `k = n` materializes every list.
     pub fn with_hub_count(inner: GeneratedGraph, k: usize) -> Self {
         HubCacheBuilder::new().hub_count(k).build(inner)
     }
@@ -480,7 +652,7 @@ impl HubCachedGraph {
 
     /// How many vertices are cached.
     pub fn hub_count(&self) -> usize {
-        self.hub_offsets.len() - 1
+        self.hub_offsets.len().saturating_sub(1)
     }
 
     /// Whether `u`'s neighbor list is answered from the cache.
@@ -489,10 +661,12 @@ impl HubCachedGraph {
     }
 
     /// Bytes held by the cache itself (membership bitmap and rank, offsets,
-    /// packed adjacency), on top of the inner backend's footprint.
+    /// lists and read padding), on top of the inner backend's footprint; 0
+    /// when no vertex is cached.
     pub fn cache_bytes(&self) -> usize {
-        (self.hub_bits.capacity() + self.hub_adj.words.capacity()) * std::mem::size_of::<u64>()
+        self.hub_bits.capacity() * std::mem::size_of::<u64>()
             + (self.hub_rank.capacity() + self.hub_offsets.capacity()) * std::mem::size_of::<u32>()
+            + self.lists.capacity()
     }
 
     /// The fraction of stationary probability mass the cache absorbs —
@@ -503,7 +677,7 @@ impl HubCachedGraph {
         if total == 0 {
             return 0.0;
         }
-        f64::from(*self.hub_offsets.last().expect("offsets never empty")) / total as f64
+        self.entries as f64 / total as f64
     }
 
     /// The cache slot of `u`, or `None` for tail vertices (and ids past
@@ -518,10 +692,14 @@ impl HubCachedGraph {
         Some(self.hub_rank[u >> 6] as usize + (word & (bit - 1)).count_ones() as usize)
     }
 
-    /// The packed entry range of hub slot `h`.
+    /// The list of hub slot `h`, whose vertex has degree `d ≥ 1`.
     #[inline]
-    fn hub_span(&self, h: usize) -> std::ops::Range<usize> {
-        self.hub_offsets[h] as usize..self.hub_offsets[h + 1] as usize
+    fn list(&self, h: usize, d: usize) -> List<'_> {
+        List {
+            bytes: &self.lists,
+            start: self.hub_offsets[h] as usize,
+            shape: Shape::new(self.inner.num_vertices(), d),
+        }
     }
 
     /// The `i`-th neighbor of `u` in ascending order — identical to the
@@ -532,11 +710,16 @@ impl HubCachedGraph {
     ///
     /// Panics if `u` or `i` is out of range.
     pub fn nth_neighbor(&self, u: VertexId, i: usize) -> VertexId {
+        self.neighbor_at(u, self.degree(u), i)
+    }
+
+    /// [`HubCachedGraph::nth_neighbor`] for a caller that holds `d = deg(u)`.
+    #[inline]
+    fn neighbor_at(&self, u: VertexId, d: usize, i: usize) -> VertexId {
         match self.hub_slot(u) {
             Some(h) => {
-                let span = self.hub_span(h);
-                assert!(i < span.len(), "neighbor index {i} out of range at {u}");
-                self.hub_adj.get(span.start + i) as VertexId
+                assert!(i < d, "neighbor index {i} out of range at {u}");
+                self.list(h, d).get(i) as VertexId
             }
             None => self.inner.nth_neighbor(u, i),
         }
@@ -552,18 +735,8 @@ impl HubCachedGraph {
         }
         for (a, b) in [(u, v), (v, u)] {
             if let Some(h) = self.hub_slot(a) {
-                // Binary search of the packed sorted list.
-                let span = self.hub_span(h);
-                let (mut lo, mut hi) = (span.start, span.end);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    match (self.hub_adj.get(mid) as VertexId).cmp(&b) {
-                        std::cmp::Ordering::Less => lo = mid + 1,
-                        std::cmp::Ordering::Equal => return true,
-                        std::cmp::Ordering::Greater => hi = mid,
-                    }
-                }
-                return false;
+                let d = self.degree(a);
+                return d > 0 && self.list(h, d).contains(b as u32);
             }
         }
         self.inner.contains_edge(u, v)
@@ -589,8 +762,9 @@ impl Topology for HubCachedGraph {
     fn for_each_neighbor(&self, u: VertexId, mut f: impl FnMut(VertexId)) {
         match self.hub_slot(u) {
             Some(h) => {
-                for e in self.hub_span(h) {
-                    f(self.hub_adj.get(e) as VertexId);
+                let d = self.degree(u);
+                if d > 0 {
+                    self.list(h, d).for_each(|v| f(v as VertexId));
                 }
             }
             None => self.inner.for_each_neighbor(u, f),
@@ -604,7 +778,7 @@ impl Topology for HubCachedGraph {
             return None;
         }
         let i = sample_index(index_word(d), rng);
-        Some(self.nth_neighbor(u, i as usize))
+        Some(self.neighbor_at(u, d, i as usize))
     }
 
     #[inline]
@@ -612,7 +786,7 @@ impl Topology for HubCachedGraph {
         let d = self.degree(u);
         assert!(d != 0, "random_neighbor_nonisolated on isolated vertex {u}");
         let i = sample_index(index_word(d), rng);
-        self.nth_neighbor(u, i as usize)
+        self.neighbor_at(u, d, i as usize)
     }
 
     #[inline]
@@ -628,13 +802,12 @@ impl Topology for HubCachedGraph {
         if d == 1 {
             // Forced outcome; the unused draw is never computed — matching
             // the inner backend's stream consumption exactly.
-            return Some(self.nth_neighbor(u, 0));
+            return Some(self.neighbor_at(u, d, 0));
         }
         let mut rng = make_rng();
         let i = sample_index(index_word(d), &mut rng);
-        Some(self.nth_neighbor(u, i as usize))
+        Some(self.neighbor_at(u, d, i as usize))
     }
-
     #[inline]
     fn sample_stationary<R: Rng + ?Sized>(&self, rng: &mut R) -> VertexId {
         self.inner.sample_stationary(rng)
@@ -673,31 +846,174 @@ mod tests {
         GeneratedGraph::chung_lu(n, 2.5, 6.0, seed).unwrap()
     }
 
-    /// Packs `values` through writers that start at each of `splits` (plus
-    /// entry 0), as parallel fill workers would.
-    fn pack(values: &[u32], width: u32, splits: &[usize]) -> PackedIds {
-        let words: Vec<AtomicU64> = (0..PackedIds::word_count(values.len(), width))
-            .map(|_| AtomicU64::new(0))
-            .collect();
-        let mut starts = vec![0];
-        starts.extend_from_slice(splits);
-        starts.push(values.len());
-        for pair in starts.windows(2) {
-            let mut out = PackedWriter::new(&words, width, pair[0]);
-            for &v in &values[pair[0]..pair[1]] {
-                out.push(v);
-            }
-            out.finish();
+    /// Encodes `lists` back to back with one worker per range of `bounds`,
+    /// returning the bytes and the offsets.
+    fn fill(n: usize, lists: &[Vec<u32>], bounds: &[usize]) -> (Vec<u8>, Vec<u32>) {
+        let mut offsets = vec![0u32];
+        for ids in lists {
+            offsets.push(offsets.last().unwrap() + Shape::bytes(n, ids.len()) as u32);
         }
-        PackedIds {
-            width,
-            words: words.into_iter().map(AtomicU64::into_inner).collect(),
+        let bytes = fill_lists(n, &offsets, bounds, |h, ids| {
+            ids.clear();
+            ids.extend_from_slice(&lists[h]);
+            ids.len()
+        });
+        (bytes, offsets)
+    }
+
+    /// `len` distinct ascending ids below `n`: both ends of the range, a
+    /// run of consecutive ids, and the rest at random.
+    fn sample_ids(n: usize, len: usize, rng: &mut StdRng) -> Vec<u32> {
+        let mut ids = std::collections::BTreeSet::new();
+        if len == 0 {
+            return Vec::new();
+        }
+        if len == 1 {
+            ids.insert(if rng.next_u64() & 1 == 0 { 0 } else { n - 1 });
+        } else {
+            ids.extend([0, n - 1]);
+        }
+        let run = len.saturating_sub(2) / 4;
+        let from = rng.gen_range(0..n - run + 1);
+        ids.extend(from..from + run);
+        while ids.len() < len {
+            ids.insert(rng.gen_range(0..n));
+        }
+        ids.into_iter().map(|id| id as u32).collect()
+    }
+
+    /// Random access, sequential decode and membership all read back `ids`.
+    fn assert_round_trip(n: usize, ids: &[u32]) {
+        let (bytes, offsets) = fill(n, &[ids.to_vec()], &[0, 1]);
+        assert_eq!(bytes.len(), Shape::bytes(n, ids.len()) + READ_PAD);
+        assert!(
+            bytes[offsets[1] as usize..].iter().all(|&b| b == 0),
+            "padding stays zero"
+        );
+        let list = List {
+            bytes: &bytes,
+            start: 0,
+            shape: Shape::new(n, ids.len()),
+        };
+        let low = list.shape.low;
+        for (i, &id) in ids.iter().enumerate() {
+            assert_eq!(
+                list.get(i),
+                id,
+                "n {n}, len {}, low {low}, entry {i}",
+                ids.len()
+            );
+        }
+        let mut seen = Vec::new();
+        list.for_each(|id| seen.push(id));
+        assert_eq!(
+            seen,
+            ids,
+            "n {n}, len {}, low {low}: sequential decode",
+            ids.len()
+        );
+        for &id in ids.iter().take(200) {
+            assert!(list.contains(id));
+            if id > 0 {
+                assert_eq!(list.contains(id - 1), ids.binary_search(&(id - 1)).is_ok());
+            }
         }
     }
 
-    /// Bytes of the packed adjacency, padding word included.
-    fn packed_bytes(entries: usize, width: u32) -> usize {
-        PackedIds::word_count(entries, width) * 8
+    #[test]
+    fn elias_fano_lists_round_trip_at_every_lower_width() {
+        let mut rng = StdRng::seed_from_u64(17);
+        // Lengths around the 64-entry sample stride.
+        for len in [1usize, 2, 63, 64, 65, 128, 129, 4097] {
+            for low in 0..=31u32 {
+                // Ids are u32, so n = len · 2^low must stay within 2^32.
+                let n = len << low;
+                if n > 1 << 32 {
+                    continue;
+                }
+                assert_eq!(Shape::new(n, len).low, low, "n {n}, len {len}");
+                assert_round_trip(n, &sample_ids(n, len, &mut rng));
+            }
+            // d = n − 1: every id but one, at l = 0.
+            if len >= 2 {
+                let n = len + 1;
+                assert_eq!(Shape::new(n, len).low, 0);
+                let skip = rng.gen_range(0..n) as u32;
+                let ids: Vec<u32> = (0..n as u32).filter(|&id| id != skip).collect();
+                assert_round_trip(n, &ids);
+            }
+        }
+    }
+
+    #[test]
+    fn elias_fano_fills_split_at_every_boundary_agree() {
+        let n = 5_000;
+        let mut rng = StdRng::seed_from_u64(3);
+        let lists: Vec<Vec<u32>> = [1usize, 65, 0, 129, 64, 3, 4097, 2]
+            .iter()
+            .map(|&len| sample_ids(n, len, &mut rng))
+            .collect();
+        let hubs = lists.len();
+        let (reference, offsets) = fill(n, &lists, &[0, hubs]);
+        for split in 0..=hubs {
+            assert_eq!(
+                fill(n, &lists, &[0, split, hubs]).0,
+                reference,
+                "split {split}"
+            );
+        }
+        let every: Vec<usize> = (0..=hubs).collect();
+        assert_eq!(fill(n, &lists, &every).0, reference, "every boundary");
+        for (h, ids) in lists.iter().enumerate() {
+            let list = List {
+                bytes: &reference,
+                start: offsets[h] as usize,
+                shape: Shape::new(n, ids.len().max(1)),
+            };
+            assert!(
+                ids.iter().enumerate().all(|(i, &id)| list.get(i) == id),
+                "list {h}"
+            );
+        }
+    }
+
+    #[test]
+    fn list_shapes_follow_the_width_rule_and_never_shrink() {
+        for n in [1usize, 2, 3, 7, 64, 100, 1_000, 4_096, 65_537, 200_000] {
+            let mut last = 0;
+            // Past n: stub counts can exceed the simple-degree range.
+            for len in 0..=(3 * n).min(700_000) {
+                if len > 0 {
+                    // The division-free width is ⌊log₂(n/len)⌋, floored at 0.
+                    let shape = Shape::new(n, len);
+                    assert_eq!(shape.low, (n / len).max(1).ilog2(), "n {n}, len {len}");
+                    assert_eq!(shape.high, id_width(n).saturating_sub(shape.low));
+                }
+                let bytes = Shape::bytes(n, len);
+                assert!(
+                    bytes >= last,
+                    "n {n}: {len} ids take {bytes} < {last} bytes"
+                );
+                last = bytes;
+            }
+        }
+        // About ⌊log₂(n/d)⌋ + 2.5 bits per entry, against ⌈log₂ n⌉ fixed.
+        assert!(Shape::bytes(200_000, 1_000) * 8 <= 1_000 * (7 + 3) + 16 * 11 + 7);
+    }
+
+    #[test]
+    fn select_finds_every_one() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut words = vec![0, 1, 1 << 63, u64::MAX, 0x8000_0000_0000_0001, 0xFF00];
+        words.extend((0..300).map(|_| rng.next_u64() & rng.next_u64()));
+        words.extend((0..300).map(|_| rng.next_u64() | rng.next_u64()));
+        for word in words {
+            let ones: Vec<u32> = (0..64).filter(|&b| word >> b & 1 == 1).collect();
+            for rank in 0..64u32 {
+                let want = ones.get(rank as usize).copied().ok_or(ones.len() as u32);
+                assert_eq!(select(word, rank), want, "word {word:#x}, rank {rank}");
+            }
+        }
     }
 
     /// The selection this module used before the stub-count histogram:
@@ -706,20 +1022,20 @@ mod tests {
     fn select_hubs_by_sort(
         inner: &GeneratedGraph,
         k_limit: Option<usize>,
-        entry_budget: Option<u64>,
+        budget: Option<usize>,
     ) -> Vec<u32> {
         let n = inner.num_vertices();
         let mut sorted: Vec<u32> = (0..n).map(|u| inner.stub_degree(u) as u32).collect();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let k_budget = match entry_budget {
+        let k_budget = match budget {
             None => n,
             Some(budget) => {
-                let mut acc = 0u64;
+                let mut acc = fixed_bytes(n);
                 sorted
                     .iter()
                     .take_while(|&&c| {
-                        acc += u64::from(c);
-                        acc <= budget
+                        acc += Shape::bytes(n, c as usize) as u64 + OFFSET_BYTES;
+                        acc <= budget as u64
                     })
                     .count()
             }
@@ -741,44 +1057,6 @@ mod tests {
                 take
             })
             .collect()
-    }
-
-    #[test]
-    fn packed_entries_round_trip_at_every_width() {
-        for width in 1..=32u32 {
-            let max = u32::MAX >> (32 - width);
-            // Lengths cover one entry, a single word, exact word fills
-            // (64 entries end on a word boundary, so the last read touches
-            // the padding word) and entries straddling words.
-            for len in [1usize, 3, 63, 64, 65, 200] {
-                let values: Vec<u32> = (0..len)
-                    .map(|e| match e % 4 {
-                        0 => max,
-                        1 => 0,
-                        2 => (e as u32).wrapping_mul(0x9E37_79B9) & max,
-                        _ => max ^ (max >> 1),
-                    })
-                    .collect();
-                let packed = pack(&values, width, &[]);
-                assert_eq!(packed.words.len(), PackedIds::word_count(len, width));
-                assert_eq!(*packed.words.last().unwrap(), 0, "padding word stays zero");
-                for (e, &v) in values.iter().enumerate() {
-                    assert_eq!(packed.get(e), v, "width {width}, len {len}, entry {e}");
-                }
-                // Writers splitting the stream anywhere share boundary
-                // words and still produce the same bits.
-                for split in 1..len {
-                    assert_eq!(
-                        pack(&values, width, &[split]).words,
-                        packed.words,
-                        "width {width}, len {len}, split {split}"
-                    );
-                }
-            }
-            let all_ones = vec![max; 97];
-            let packed = pack(&all_ones, width, &[5, 40, 41]);
-            assert!((0..97).all(|e| packed.get(e) == max), "all ones at {width}");
-        }
     }
 
     #[test]
@@ -804,15 +1082,20 @@ mod tests {
         ];
         for inner in &graphs {
             let n = inner.num_vertices();
-            let total = inner.total_degree() as u64;
+            let total = inner.total_degree();
+            let fixed = fixed_bytes(n) as usize;
             let budgets = [
                 None,
                 Some(0),
                 Some(1),
                 Some(37),
+                Some(fixed - 1),
+                Some(fixed),
+                Some(fixed + 1),
+                Some(fixed + 37),
                 Some(total / 7),
                 Some(total),
-                Some(u64::MAX / 2),
+                Some(usize::MAX / 2),
             ];
             let limits = [None, Some(0), Some(1), Some(n / 10), Some(n), Some(n + 5)];
             for budget in budgets {
@@ -923,22 +1206,40 @@ mod tests {
         assert!(!cached.is_hub(120) && !cached.is_hub(usize::MAX));
     }
 
+    /// What the builder charges for the top `k` hubs: nothing for an empty
+    /// cache, else the fixed part plus each list priced at its stub count
+    /// and its offset.
+    fn cost(n: usize, stubs: &[usize], k: usize) -> usize {
+        if k == 0 {
+            return 0;
+        }
+        let lists: usize = stubs[..k].iter().map(|&c| Shape::bytes(n, c) + 4).sum();
+        fixed_bytes(n) as usize + lists
+    }
+
+    /// Lists plus read padding, at the hubs' simple degrees.
+    fn list_bytes(cached: &HubCachedGraph) -> usize {
+        let n = cached.num_vertices();
+        let lists: usize = (0..n)
+            .filter(|&u| cached.is_hub(u))
+            .map(|u| Shape::bytes(n, cached.degree(u)))
+            .sum();
+        lists + READ_PAD
+    }
+
     #[test]
     fn budget_builder_respects_the_byte_ceiling() {
         let inner = chung_lu(1000, 2);
-        let budget = 2 << 10; // 2 KiB of packed 10-bit entries = 1,632 entries
+        let budget = 2 << 10;
         let cached = HubCacheBuilder::new()
             .cache_budget_bytes(budget)
             .build(inner.clone());
         assert!(cached.hub_count() > 0, "2 KiB must afford some hubs");
-        let adj_bytes = cached.hub_adj.words.len() * std::mem::size_of::<u64>();
-        assert_eq!(
-            adj_bytes,
-            packed_bytes(cached.hub_offsets[cached.hub_count()] as usize, 10)
-        );
+        assert_eq!(cached.lists.len(), list_bytes(&cached));
         assert!(
-            adj_bytes <= budget,
-            "cached adjacency {adj_bytes} bytes exceeds the {budget} budget"
+            cached.cache_bytes() <= budget,
+            "cache {} bytes exceeds the {budget} budget",
+            cached.cache_bytes()
         );
         // Adding a count limit takes the smaller cache.
         let both = HubCacheBuilder::new()
@@ -952,19 +1253,13 @@ mod tests {
     fn budget_takes_the_largest_fitting_prefix_at_width_boundaries() {
         for n in [2usize, 64, 256, 257, 1024, 1025] {
             let inner = GeneratedGraph::gnp(n, (8.0 / n as f64).min(1.0), n as u64).unwrap();
-            let width = id_width(n);
             // Stub counts in selection order: descending, ties by id.
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by_key(|&u| std::cmp::Reverse(inner.stub_degree(u)));
-            let prefix_stubs = |k: usize| {
-                order[..k]
-                    .iter()
-                    .map(|&u| inner.stub_degree(u))
-                    .sum::<usize>()
-            };
-            let mut budgets = vec![0, 7, 8, 15, 16];
+            let mut stubs: Vec<usize> = (0..n).map(|u| inner.stub_degree(u)).collect();
+            stubs.sort_by_key(|&c| std::cmp::Reverse(c));
+            let fixed = fixed_bytes(n) as usize;
+            let mut budgets = vec![0, 7, 8, 15, 16, fixed - 1, fixed, fixed + 1];
             for k in [1, n / 3, n] {
-                let exact = packed_bytes(prefix_stubs(k), width);
+                let exact = cost(n, &stubs, k);
                 budgets.extend([exact.saturating_sub(1), exact, exact + 1]);
             }
             for budget in budgets {
@@ -972,18 +1267,18 @@ mod tests {
                     .cache_budget_bytes(budget)
                     .build(inner.clone());
                 let k = cached.hub_count();
-                let bytes = cached.hub_adj.words.len() * 8;
+                let bytes = cached.cache_bytes();
                 assert!(
                     bytes <= budget,
                     "n {n}: {bytes} bytes over the {budget} budget"
                 );
                 assert!(
-                    packed_bytes(prefix_stubs(k), width) <= budget,
+                    cost(n, &stubs, k) <= budget,
                     "n {n}: top-{k} stubs overflow the {budget} budget"
                 );
                 if k < n {
                     assert!(
-                        packed_bytes(prefix_stubs(k + 1), width) > budget,
+                        cost(n, &stubs, k + 1) > budget,
                         "n {n}: top-{} also fits the {budget} budget",
                         k + 1
                     );
@@ -994,6 +1289,35 @@ mod tests {
                     let mut b = Vec::new();
                     inner.for_each_neighbor(u, |v| b.push(v));
                     assert_eq!(a, b, "n {n}, budget {budget}, vertex {u}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cache_bytes_never_exceed_the_budget() {
+        for inner in [
+            chung_lu(3_000, 12),
+            GeneratedGraph::chung_lu(1_000, 2.1, 20.0, 6).unwrap(),
+            GeneratedGraph::gnp(300, 0.0, 1).unwrap(),
+        ] {
+            let n = inner.num_vertices();
+            let fixed = fixed_bytes(n) as usize;
+            let full = HubCachedGraph::with_hub_count(inner.clone(), n).cache_bytes();
+            let mut budgets = vec![0, 1, fixed - 1, fixed, fixed + 1, fixed + 4, fixed + 40];
+            budgets.extend((1..=40).map(|i| full * i / 32));
+            for budget in budgets {
+                let cached = HubCacheBuilder::new()
+                    .cache_budget_bytes(budget)
+                    .build(inner.clone());
+                let bytes = cached.cache_bytes();
+                assert!(
+                    bytes <= budget,
+                    "n {n}: {bytes} bytes over the {budget} budget"
+                );
+                if budget < fixed + 4 {
+                    // Too small for the bitmap and one offset: nothing at all.
+                    assert_eq!((cached.hub_count(), bytes), (0, 0), "budget {budget}");
                 }
             }
         }
@@ -1036,13 +1360,13 @@ mod tests {
         let hub_ids = select_hubs(&inner, Some(200), None);
         let mut hub_offsets = vec![0u32];
         for &u in &hub_ids {
-            hub_offsets.push(hub_offsets.last().unwrap() + inner.degree(u as usize) as u32);
+            let bytes = Shape::bytes(800, inner.degree(u as usize)) as u32;
+            hub_offsets.push(hub_offsets.last().unwrap() + bytes);
         }
-        let width = id_width(800);
-        let reference = fill_cache(&inner, &hub_ids, &hub_offsets, width, 1);
+        let reference = fill_cache(&inner, &hub_ids, &hub_offsets, 1);
         for workers in [2, 3, 5, 8, 200, 500] {
-            let words = fill_cache(&inner, &hub_ids, &hub_offsets, width, workers).words;
-            assert_eq!(words, reference.words, "{workers} workers");
+            let words = fill_cache(&inner, &hub_ids, &hub_offsets, workers);
+            assert_eq!(words, reference, "{workers} workers");
         }
     }
 

@@ -16,7 +16,7 @@
 //!   materialized build), the seed-keyed [`GeneratedGraph`] deriving
 //!   random families — G(n, p) and Chung–Lu power-law — on demand from a
 //!   counter-based Philox hash in `O(n)` memory, and the hub-cached hybrid
-//!   [`HubCachedGraph`] layering exact bit-packed adjacency for the top-k
+//!   [`HubCachedGraph`] layering exact Elias–Fano adjacency for the top-k
 //!   highest-degree vertices over the hashed path (the heavy tail
 //!   stationary agent walks revisit constantly). [`AnyTopology`] selects a
 //!   backend at runtime; all backends offer degree-proportional

@@ -20,8 +20,8 @@
 //!   CSR builds would not.
 //! * [`HubCachedGraph`](crate::HubCachedGraph) — the hub-cached hybrid: a
 //!   layer over the generated backend that materializes exact adjacency,
-//!   bit-packed at `⌈log₂ n⌉` bits per entry, for the top-k vertices by
-//!   degree, absorbing the hub-heavy query mix of stationary agent walks
+//!   Elias–Fano coded at about `⌊log₂(n/d)⌋ + 2.5` bits per entry, for the
+//!   top-k vertices by degree, absorbing the hub-heavy query mix of stationary agent walks
 //!   while tail queries stay on the hashed path.
 //!
 //! **Determinism contract:** for equal degrees all backends consume the

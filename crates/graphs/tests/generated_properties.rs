@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use rumor_graphs::{GeneratedGraph, HubCachedGraph, Topology};
+use rumor_graphs::{GeneratedGraph, HubCacheBuilder, HubCachedGraph, Topology};
 
 proptest! {
     /// Edge membership is symmetric: the pairing is an involution on stubs,
@@ -135,6 +135,71 @@ proptest! {
             prop_assert_eq!(a.degree(u), b.degree(u));
         }
         prop_assert_eq!(a.num_edges(), b.num_edges());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Budgeted hub caches on graphs whose hubs hold lists far past one
+    /// 64-entry select sample: every list, draw stream (and where it ends)
+    /// and membership answer equals the inner backend's, and the cache
+    /// stays within its budget.
+    #[test]
+    fn budgeted_hub_caches_read_back_the_inner_graph(
+        n in 2_000usize..5_000,
+        seed in 0u64..1_000,
+        budget_permille in 0usize..1_200,
+        draw_seed in 0u64..1_000,
+    ) {
+        let inner = GeneratedGraph::chung_lu(n, 2.2, 16.0, seed).unwrap();
+        // The largest lists span several select samples.
+        let max_degree = inner.max_degree().unwrap();
+        prop_assert!(max_degree > 2 * 64, "max degree {}", max_degree);
+        // Up to 1.2 × the CSR-equivalent bytes: from an empty cache to one
+        // holding every list.
+        let budget = inner.csr_equivalent_bytes() * budget_permille / 1_000;
+        let cached = HubCacheBuilder::new()
+            .cache_budget_bytes(budget)
+            .build(inner.clone());
+        prop_assert!(
+            cached.cache_bytes() <= budget,
+            "{} cache bytes over the {} budget",
+            cached.cache_bytes(),
+            budget
+        );
+        let mut rng = StdRng::seed_from_u64(draw_seed);
+        for u in 0..n {
+            let mut a = Vec::new();
+            cached.for_each_neighbor(u, |v| a.push(v));
+            let mut b = Vec::new();
+            inner.for_each_neighbor(u, |v| b.push(v));
+            prop_assert_eq!(&a, &b, "list at {}", u);
+            let mut r0 = StdRng::seed_from_u64(draw_seed ^ u as u64);
+            let mut r1 = r0.clone();
+            for _ in 0..8 {
+                prop_assert_eq!(
+                    cached.random_neighbor(u, &mut r0),
+                    inner.random_neighbor(u, &mut r1)
+                );
+            }
+            prop_assert_eq!(r0.next_u64(), r1.next_u64(), "stream position at {}", u);
+            // Membership: a listed neighbor, its successor id and a random id.
+            let probes = [
+                a.get(rng.next_u64() as usize % a.len().max(1)).copied(),
+                a.last().map(|&v| v + 1),
+                Some(rng.next_u64() as usize % n),
+            ];
+            for v in probes.into_iter().flatten() {
+                prop_assert_eq!(
+                    cached.contains_edge(u, v),
+                    inner.contains_edge(u, v),
+                    "edge ({}, {})",
+                    u,
+                    v
+                );
+            }
+        }
     }
 }
 
