@@ -210,7 +210,7 @@ impl<P: FastStep + Checkpointable> Capture for Seq<'_, P, SmallRng> {
     }
 }
 
-fn record_of<P: Protocol + ?Sized>(protocol: &P) -> RoundRecord {
+pub(crate) fn record_of<P: Protocol + ?Sized>(protocol: &P) -> RoundRecord {
     RoundRecord {
         round: protocol.round(),
         informed_vertices: protocol.informed_vertex_count(),
@@ -219,7 +219,10 @@ fn record_of<P: Protocol + ?Sized>(protocol: &P) -> RoundRecord {
     }
 }
 
-fn outcome_of<P: Protocol + ?Sized>(protocol: &P, history: Vec<RoundRecord>) -> BroadcastOutcome {
+pub(crate) fn outcome_of<P: Protocol + ?Sized>(
+    protocol: &P,
+    history: Vec<RoundRecord>,
+) -> BroadcastOutcome {
     let rounds = protocol.round();
     let edge_traffic = protocol.edge_traffic_stats(rounds.max(1));
     BroadcastOutcome {

@@ -56,7 +56,7 @@ use crate::protocols::{
 use crate::snapshot::{
     CheckpointCadence, Checkpointable, ResumableRun, SimSnapshot, SnapshotError,
 };
-use rumor_walks::AgentCount;
+use rumor_walks::{AgentCount, Placement};
 
 /// Runs `protocol` until it completes or `max_rounds` rounds have elapsed, and
 /// collects the outcome.
@@ -412,6 +412,10 @@ fn run<'g, G: Topology>(
                 found: snapshot.spec_digest,
             }));
         }
+        let n = graph.num_vertices();
+        if let Err(e) = snapshot.check_fits(n, agent_count(spec, n)) {
+            return Ok(Err(e));
+        }
         history.clone_from(&snapshot.history);
     }
     if let Engine::Sharded { threads } = spec.engine {
@@ -441,6 +445,18 @@ fn run<'g, G: Topology>(
         Slot::MeetExchange(p) => drive(&mut Seq::new(p, &mut rng), cap, record, history, sink),
         Slot::Combined(p) => drive(&mut Seq::new(p, &mut rng), cap, record, history, sink),
     }))
+}
+
+/// The number of walking agents a run of `spec` on `n` vertices has, or
+/// `None` for the vertex protocols.
+fn agent_count(spec: &SimulationSpec, n: usize) -> Option<usize> {
+    spec.kind
+        .uses_agents()
+        .then(|| match &spec.agents.placement {
+            Placement::OneUniquePerVertex => n,
+            Placement::Explicit(starts) => starts.len(),
+            _ => spec.agents.count.resolve(n),
+        })
 }
 
 /// Unwraps a validated run, failing fast with the spec error's message.

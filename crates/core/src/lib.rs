@@ -39,8 +39,14 @@
 //!
 //! * [`Protocol`] — the trait shared by all protocols; [`ProtocolKind`] +
 //!   [`build_protocol`] construct them dynamically.
-//! * [`Push`], [`Pull`], [`PushPull`], [`VisitExchange`], [`MeetExchange`],
-//!   [`PushPullVisitExchange`] — the implementations.
+//! * [`Gossip`] — `push`, `pull` and `push-pull` as one protocol over a
+//!   sealed [`GossipRule`] ([`PushRule`], [`PullRule`], [`PushPullRule`]);
+//!   [`Push`], [`Pull`] and [`PushPull`] are its aliases, and
+//!   [`AsyncPush`] and [`AsyncPushPull`] alias the asynchronous
+//!   [`AsyncGossip`] over the same rules.
+//! * [`VisitExchange`], [`MeetExchange`], [`PushPullVisitExchange`] (whose
+//!   vertex phase is a [`PushPull`]), [`ChurnVisitExchange`] — the agent
+//!   protocols.
 //! * [`simulate_on`], [`SimulationSpec`], [`run_to_completion`] — the
 //!   engine. Every entry point (plain, pooled, checkpointed, resumed,
 //!   sharded or sequential) advances rounds through one private driver.
@@ -53,12 +59,13 @@
 //!
 //! The hot path is frontier-based and monomorphized:
 //!
-//! * Informed sets are a bitset + dense-list hybrid, and per-protocol
-//!   boundary trackers maintain neighbor counters so each round draws only
-//!   for vertices whose draw can change the state (informed pushers with an
-//!   uninformed neighbor, uninformed pullers with an informed neighbor, the
-//!   informed edge boundary for push-pull). Skipped vertices' messages are
-//!   counted arithmetically; skipping a draw whose every outcome leaves the
+//! * Informed sets are a bitset + dense-list hybrid, and one boundary
+//!   tracker, shared by every user of a [`GossipRule`], keeps an
+//!   uninformed-neighbor count per vertex so each round draws only for
+//!   callers whose draw can change the state (informed pushers with an
+//!   uninformed neighbor, uninformed pullers with an informed neighbor;
+//!   push-pull has both). Skipped callers' messages are counted
+//!   arithmetically; skipping a draw whose every outcome leaves the
 //!   state unchanged does not alter the trajectory's law. Per-round draw
 //!   cost is O(|boundary|), counter upkeep O(|E|) over a run, and
 //!   `newly_informed` buffers are reused across rounds. With
@@ -137,8 +144,9 @@ pub use options::{AgentConfig, ProtocolOptions};
 pub use parallel::resolve_threads;
 pub use protocol::{build_protocol, Protocol, ProtocolKind};
 pub use protocols::{
-    AsyncPush, AsyncPushPull, ChurnVisitExchange, InvalidChurnError, MeetExchange, Pull, Push,
-    PushPull, PushPullVisitExchange, VisitExchange,
+    AsyncGossip, AsyncPush, AsyncPushPull, ChurnVisitExchange, Gossip, GossipRule,
+    InvalidChurnError, MeetExchange, Pull, PullRule, Push, PushPull, PushPullRule,
+    PushPullVisitExchange, PushRule, VisitExchange,
 };
 pub use snapshot::{CheckpointCadence, ResumableRun, SimSnapshot, SnapshotError};
 

@@ -13,9 +13,11 @@
 //!
 //! What is sharded per round:
 //!
-//! * **Vertex protocols** (`push`, `pull`, `push-pull`): the frontier bitset
-//!   is partitioned into contiguous vertex ranges balanced by active-bit
-//!   popcount; each worker realizes the draws of its range and compacts the
+//! * **Vertex protocols** (`push`, `pull`, `push-pull`): the engine runs the
+//!   sequential protocols' [`Gossip`] state under the same compile-time
+//!   rule, so only the draws differ. Its frontier bitset is partitioned
+//!   into contiguous vertex ranges balanced by active-bit popcount; each
+//!   worker realizes the draws of its range and compacts the
 //!   state-changing results into a per-shard buffer. The buffers are merged
 //!   on the coordinating thread in ascending shard order (the merge is the
 //!   same `insert` + boundary-counter update loop the sequential engine
@@ -42,12 +44,14 @@ use rand::SeedableRng;
 use rumor_graphs::{Topology, VertexId};
 use rumor_walks::{AgentId, MultiWalk, UninformedFrontier};
 
-use crate::driver::{drive, Capture, Checkpoint, Rounds};
+use crate::driver::{drive, outcome_of, record_of, Capture, Checkpoint, Rounds};
 use crate::engine::SimulationSpec;
 use crate::metrics::{BroadcastOutcome, RoundRecord};
-use crate::protocol::ProtocolKind;
-use crate::protocols::common::{InformedSet, PullFrontier, PushFrontier, PushPullFrontier};
-use crate::snapshot::{ResumableRun, SimSnapshot};
+use crate::options::ProtocolOptions;
+use crate::protocol::{FastStep, Protocol, ProtocolKind};
+use crate::protocols::common::InformedSet;
+use crate::protocols::gossip::{call, Gossip, GossipRule, PullRule, PushPullRule, PushRule};
+use crate::snapshot::{Checkpointable, ResumableRun, SimSnapshot};
 
 /// Minimum number of realized draws per shard before a vertex round spawns
 /// workers (a draw is tens of nanoseconds; a scoped spawn is microseconds).
@@ -114,24 +118,14 @@ pub(crate) fn drive_sharded<G: Topology>(
 ) -> ResumableRun {
     debug_assert!(threads > 0);
     debug_assert!(supports(spec));
-    let (cap, record) = (spec.max_rounds, spec.options.record_history);
-    match spec.kind {
-        ProtocolKind::Push | ProtocolKind::Pull | ProtocolKind::PushPull => {
-            let mut engine = VertexEngine::new(graph, source, spec.kind, threads, spec.seed);
-            if let Some(snapshot) = resume {
-                engine.restore(snapshot);
-            }
-            drive(&mut engine, cap, record, history, checkpoint)
-        }
-        ProtocolKind::VisitExchange | ProtocolKind::MeetExchange => {
-            let mut engine = AgentEngine::new(graph, source, spec, threads);
-            if let Some(snapshot) = resume {
-                engine.restore(snapshot);
-            }
-            drive(&mut engine, cap, record, history, checkpoint)
-        }
+    let run = match spec.kind {
+        ProtocolKind::Push => VertexEngine::<G, PushRule>::drive,
+        ProtocolKind::Pull => VertexEngine::<G, PullRule>::drive,
+        ProtocolKind::PushPull => VertexEngine::<G, PushPullRule>::drive,
+        ProtocolKind::VisitExchange | ProtocolKind::MeetExchange => AgentEngine::<G>::drive,
         _ => unreachable!("unsupported kind routed to the sharded engine"),
-    }
+    };
+    run(graph, source, spec, threads, resume, history, checkpoint)
 }
 
 /// Splits `0..len` into at most `shards` contiguous, 64-aligned ranges.
@@ -235,134 +229,48 @@ fn sharded_zero_scan<F: Fn(usize) -> bool + Sync>(
     shards
 }
 
-/// One frontier per vertex protocol, behind a small dispatch enum (the rule
-/// branch is perfectly predicted — it never changes within a run).
-enum VertexFrontier {
-    Push(PushFrontier),
-    Pull(PullFrontier),
-    PushPull(PushPullFrontier),
-}
-
-impl VertexFrontier {
-    fn new<G: Topology>(kind: ProtocolKind, graph: &G) -> Self {
-        match kind {
-            ProtocolKind::Push => VertexFrontier::Push(PushFrontier::new(graph)),
-            ProtocolKind::Pull => VertexFrontier::Pull(PullFrontier::new(graph)),
-            ProtocolKind::PushPull => VertexFrontier::PushPull(PushPullFrontier::new(graph)),
-            _ => unreachable!("vertex engine asked for an agent protocol"),
-        }
-    }
-
-    /// Active-set words (vertices whose draw can change the state).
-    fn active_words(&self) -> &[u64] {
-        match self {
-            VertexFrontier::Push(f) => f.active.words(),
-            VertexFrontier::Pull(f) => f.active.words(),
-            VertexFrontier::PushPull(f) => f.active.words(),
-        }
-    }
-
-    /// Messages exchanged per round (counted arithmetically, exactly like
-    /// the sequential fast mode).
-    fn messages_per_round(&self) -> u64 {
-        match self {
-            VertexFrontier::Push(f) => f.senders,
-            VertexFrontier::Pull(f) => f.pollers,
-            VertexFrontier::PushPull(f) => f.senders,
-        }
-    }
-
-    fn on_informed<G: Topology>(&mut self, graph: &G, v: VertexId, informed: &InformedSet) {
-        match self {
-            VertexFrontier::Push(f) => f.on_informed(graph, v, informed),
-            VertexFrontier::Pull(f) => f.on_informed(graph, v, informed),
-            VertexFrontier::PushPull(f) => f.on_informed(graph, v, informed),
-        }
-    }
-
-    /// Whether the frontier can never change the state again (see
-    /// [`crate::protocol::FastStep::is_stalled`]).
-    fn is_quiescent(&self) -> bool {
-        match self {
-            VertexFrontier::Push(f) => f.is_quiescent(),
-            VertexFrontier::Pull(f) => f.is_quiescent(),
-            VertexFrontier::PushPull(f) => f.is_quiescent(),
-        }
-    }
-}
-
-/// The sharded engine for the vertex protocols.
-struct VertexEngine<'g, G: Topology> {
-    graph: &'g G,
-    kind: ProtocolKind,
-    informed: InformedSet,
-    frontier: VertexFrontier,
+/// The sharded engine for the vertex protocols: a [`Gossip`] state (informed
+/// set, boundary tracker, counters) whose rounds draw from counter-based
+/// streams instead of one sequential generator.
+struct VertexEngine<'g, G: Topology, R: GossipRule> {
+    gossip: Gossip<'g, G, R>,
     key: StreamKey,
     threads: usize,
     /// Per-shard compaction buffers (reused across rounds).
     shard_newly: Vec<Vec<u32>>,
-    round: u64,
-    messages_total: u64,
-    messages_last: u64,
 }
 
-impl<'g, G: Topology> VertexEngine<'g, G> {
-    fn new(graph: &'g G, source: VertexId, kind: ProtocolKind, threads: usize, seed: u64) -> Self {
-        assert!(source < graph.num_vertices(), "source out of range");
-        let mut informed = InformedSet::new(graph.num_vertices());
-        let mut frontier = VertexFrontier::new(kind, graph);
-        informed.insert(source);
-        frontier.on_informed(graph, source, &informed);
-        VertexEngine {
-            graph,
-            kind,
-            informed,
-            frontier,
-            key: StreamKey::from_seed(seed),
+impl<'g, G: Topology, R: GossipRule> VertexEngine<'g, G, R> {
+    /// Runs the vertex protocol of rule `R` (see [`drive_sharded`]).
+    fn drive(
+        graph: &'g G,
+        source: VertexId,
+        spec: &SimulationSpec,
+        threads: usize,
+        resume: Option<&SimSnapshot>,
+        history: Vec<RoundRecord>,
+        checkpoint: Option<Checkpoint<'_>>,
+    ) -> ResumableRun {
+        let mut engine = VertexEngine {
+            gossip: Gossip::<G, R>::new(graph, source, ProtocolOptions::none()),
+            key: StreamKey::from_seed(spec.seed),
             threads,
             shard_newly: Vec::new(),
-            round: 0,
-            messages_total: 0,
-            messages_last: 0,
+        };
+        if let Some(snapshot) = resume {
+            // Replays the informed set in its stored insertion order, so the
+            // boundary tracker is bit-identical by construction.
+            engine.gossip.restore(snapshot);
         }
-    }
-
-    /// Applies one realized draw: vertex `u` called neighbor `v`; the
-    /// state-changing result (if any) is compacted into `out`.
-    #[inline(always)]
-    fn apply_draw(
-        kind: ProtocolKind,
-        informed: &InformedSet,
-        u: usize,
-        v: usize,
-        out: &mut Vec<u32>,
-    ) {
-        match kind {
-            ProtocolKind::Push => {
-                if !informed.contains(v) {
-                    out.push(v as u32);
-                }
-            }
-            ProtocolKind::Pull => {
-                if informed.contains(v) {
-                    out.push(u as u32);
-                }
-            }
-            _ => {
-                let u_informed = informed.contains(u);
-                if u_informed != informed.contains(v) {
-                    out.push(if u_informed { v as u32 } else { u as u32 });
-                }
-            }
-        }
+        let (cap, record) = (spec.max_rounds, spec.options.record_history);
+        drive(&mut engine, cap, record, history, checkpoint)
     }
 
     /// Realizes the draws of the active vertices in `words[lo..hi]`,
-    /// compacting state-changing results into `out`: the newly informed
-    /// vertex for push, the successful poller for pull, either for
-    /// push-pull. Every draw comes from the vertex's own counter-based
-    /// stream, so the output depends only on the range content, not on who
-    /// scans it.
+    /// compacting state-changing results into `out`: the vertex each call
+    /// informs (see `gossip::call`). Every draw comes from the vertex's own
+    /// counter-based stream, so the output depends only on the range
+    /// content, not on who scans it.
     ///
     /// Two-phase structure: active vertex ids are gathered into a small
     /// stack batch by a minimal scan loop, and the batch is drained by a
@@ -373,7 +281,6 @@ impl<'g, G: Topology> VertexEngine<'g, G> {
     /// scan counters to the stack and quadruples that fixed cost.
     fn draw_range(
         graph: &G,
-        kind: ProtocolKind,
         informed: &InformedSet,
         round_key: &RoundKey,
         words: &[u64],
@@ -393,12 +300,12 @@ impl<'g, G: Topology> VertexEngine<'g, G> {
                 count += 1;
                 bits &= bits - 1;
                 if count == pending.len() {
-                    Self::draw_batch(graph, kind, informed, round_key, &pending, out);
+                    Self::draw_batch(graph, informed, round_key, &pending, out);
                     count = 0;
                 }
             }
         }
-        Self::draw_batch(graph, kind, informed, round_key, &pending[..count], out);
+        Self::draw_batch(graph, informed, round_key, &pending[..count], out);
     }
 
     /// Drains one gathered batch of active vertices (see
@@ -415,7 +322,6 @@ impl<'g, G: Topology> VertexEngine<'g, G> {
     #[inline(never)]
     fn draw_batch(
         graph: &G,
-        kind: ProtocolKind,
         informed: &InformedSet,
         round_key: &RoundKey,
         pending: &[u32],
@@ -428,41 +334,19 @@ impl<'g, G: Topology> VertexEngine<'g, G> {
             let v = graph
                 .random_neighbor_with(u, || round_key.stream(u as u64))
                 .expect("active vertex has a neighbor");
-            Self::apply_draw(kind, informed, u, v, out);
+            call::<R>(informed, u, v, out);
         }
-    }
-
-    /// Rebuilds the exact mid-run state from `snapshot` by replaying the
-    /// informed set in its stored insertion order — the same `insert` +
-    /// `on_informed` call sequence the original run made, so the frontier
-    /// (including its message counters) is bit-identical by construction.
-    fn restore(&mut self, snapshot: &SimSnapshot) {
-        self.informed.reset(self.graph.num_vertices());
-        self.frontier = VertexFrontier::new(self.kind, self.graph);
-        for &v in &snapshot.informed_vertices {
-            let v = v as usize;
-            if self.informed.insert(v) {
-                self.frontier.on_informed(self.graph, v, &self.informed);
-            }
-        }
-        self.round = snapshot.round;
-        self.messages_total = snapshot.messages_total;
-        self.messages_last = snapshot.messages_last;
     }
 }
 
-impl<G: Topology> Rounds for VertexEngine<'_, G> {
+impl<G: Topology, R: GossipRule> Rounds for VertexEngine<'_, G, R> {
     /// One synchronous round: sharded draws, then the sequential merge that
     /// the sequential engine also runs (insert + boundary update).
     fn step(&mut self) {
-        self.round += 1;
-        self.messages_last = self.frontier.messages_per_round();
-        self.messages_total += self.messages_last;
-        let round_key = self.key.round_key(self.round);
-        let words = self.frontier.active_words();
-        let graph = self.graph;
-        let kind = self.kind;
-        let informed = &self.informed;
+        let round_key = self.key.round_key(self.gossip.begin_round());
+        let graph = self.gossip.graph();
+        let informed = self.gossip.informed();
+        let words = self.gossip.active().words();
 
         // At one thread there is nothing to balance: skip the popcount pass
         // (it would double the per-round bitset traffic) and draw inline.
@@ -487,7 +371,6 @@ impl<G: Topology> Rounds for VertexEngine<'_, G> {
         if shards == 1 {
             Self::draw_range(
                 graph,
-                kind,
                 informed,
                 &round_key,
                 words,
@@ -514,7 +397,7 @@ impl<G: Topology> Rounds for VertexEngine<'_, G> {
             std::thread::scope(|scope| {
                 for (range, buf) in ranges.into_iter().zip(self.shard_newly.iter_mut()) {
                     scope.spawn(move || {
-                        Self::draw_range(graph, kind, informed, &round_key, words, range, buf)
+                        Self::draw_range(graph, informed, &round_key, words, range, buf)
                     });
                 }
             });
@@ -522,76 +405,45 @@ impl<G: Topology> Rounds for VertexEngine<'_, G> {
 
         // Round barrier: merge shards in ascending range order. This is the
         // identical loop the sequential engine runs over its single buffer;
-        // `insert` dedups cross-shard repeats (two shards pushing to the
+        // `inform` dedups cross-shard repeats (two shards pushing to the
         // same vertex).
-        for i in 0..shards {
-            let buf = std::mem::take(&mut self.shard_newly[i]);
-            for &x in &buf {
-                let v = x as usize;
-                if self.informed.insert(v) {
-                    self.frontier.on_informed(self.graph, v, &self.informed);
-                }
+        for buf in &self.shard_newly[..shards] {
+            for &v in buf {
+                self.gossip.inform(v as usize);
             }
-            self.shard_newly[i] = buf;
         }
     }
 
     fn round(&self) -> u64 {
-        self.round
+        self.gossip.round()
     }
 
     fn is_complete(&self) -> bool {
-        self.informed.is_full()
+        self.gossip.is_complete()
     }
 
     /// The sharded twin of [`crate::protocol::FastStep::is_stalled`]: on a
     /// disconnected graph the reachable component saturates with the
     /// frontier quiescent, and every further round would realize zero draws.
     fn is_stalled(&self) -> bool {
-        !self.informed.is_full() && self.frontier.is_quiescent()
+        self.gossip.is_stalled()
     }
 
     fn record(&self) -> RoundRecord {
-        RoundRecord {
-            round: self.round,
-            informed_vertices: self.informed.count(),
-            informed_agents: 0,
-            messages: self.messages_last,
-        }
+        record_of(&self.gossip)
     }
 
     fn outcome(&self, history: Vec<RoundRecord>) -> BroadcastOutcome {
-        BroadcastOutcome {
-            protocol: self.kind.name().to_string(),
-            rounds: self.round,
-            completed: self.informed.is_full(),
-            informed_vertices: self.informed.count(),
-            informed_agents: 0,
-            total_messages: self.messages_total,
-            history,
-            edge_traffic: None,
-        }
+        outcome_of(&self.gossip, history)
     }
 }
 
-impl<G: Topology> Capture for VertexEngine<'_, G> {
+impl<G: Topology, R: GossipRule> Capture for VertexEngine<'_, G, R> {
     /// Captures the engine's cross-round state. No generator state is
     /// stored: the counter-based streams re-derive every draw from
     /// `(seed, round, vertex)`, so the round counter *is* the RNG position.
     fn capture(&self, spec_digest: u64, history: &[RoundRecord]) -> SimSnapshot {
-        SimSnapshot {
-            spec_digest,
-            round: self.round,
-            messages_total: self.messages_total,
-            messages_last: self.messages_last,
-            rng: None,
-            informed_vertices: self.informed.informed().to_vec(),
-            informed_agents: Vec::new(),
-            positions: None,
-            walk_round: 0,
-            source_active: false,
-            history: history.to_vec(),
-        }
+        self.gossip.capture(spec_digest, None, history)
     }
 }
 
@@ -617,6 +469,24 @@ struct AgentEngine<'g, G: Topology> {
 }
 
 impl<'g, G: Topology> AgentEngine<'g, G> {
+    /// Runs `visit-exchange` or `meet-exchange` (see [`drive_sharded`]).
+    fn drive(
+        graph: &'g G,
+        source: VertexId,
+        spec: &SimulationSpec,
+        threads: usize,
+        resume: Option<&SimSnapshot>,
+        history: Vec<RoundRecord>,
+        checkpoint: Option<Checkpoint<'_>>,
+    ) -> ResumableRun {
+        let mut engine = AgentEngine::new(graph, source, spec, threads);
+        if let Some(snapshot) = resume {
+            engine.restore(snapshot);
+        }
+        let (cap, record) = (spec.max_rounds, spec.options.record_history);
+        drive(&mut engine, cap, record, history, checkpoint)
+    }
+
     fn new(graph: &'g G, source: VertexId, spec: &SimulationSpec, threads: usize) -> Self {
         assert!(source < graph.num_vertices(), "source out of range");
         // Construction matches the sequential engine draw-for-draw: agent

@@ -12,68 +12,81 @@
 //! vertices (with replacement). [`Protocol::round`] therefore counts elapsed
 //! time units, directly comparable to synchronous rounds.
 
+use std::marker::PhantomData;
+
 use rand::{Rng, RngCore};
 
 use rumor_graphs::{Graph, VertexId};
 
-use crate::metrics::EdgeTraffic;
+use crate::metrics::{EdgeTraffic, EdgeTrafficStats};
 use crate::options::ProtocolOptions;
 use crate::protocol::{FastStep, Protocol};
 use crate::protocols::common::InformedSet;
+use crate::protocols::gossip::{calls, GossipRule, PushPullRule, PushRule};
 
-/// Which exchange rule an activated vertex applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AsyncRule {
-    Push,
-    PushPull,
-}
-
-/// Shared implementation of the two asynchronous protocols.
+/// Asynchronous rumor spreading under the exchange rule `R`: whenever a
+/// vertex's Poisson clock rings it calls a random neighbor if the rule lets
+/// it, and the call informs the uninformed end when the other end is
+/// informed. Use it through its aliases [`AsyncPush`] and [`AsyncPushPull`].
 #[derive(Debug, Clone)]
-struct AsyncRumor<'g> {
+pub struct AsyncGossip<'g, R: GossipRule> {
     graph: &'g Graph,
     source: VertexId,
     informed: InformedSet,
-    rule: AsyncRule,
     round: u64,
     messages_total: u64,
     messages_last: u64,
     edge_traffic: Option<EdgeTraffic>,
+    rule: PhantomData<R>,
 }
 
-impl<'g> AsyncRumor<'g> {
-    fn new(graph: &'g Graph, source: VertexId, rule: AsyncRule, options: ProtocolOptions) -> Self {
+/// Asynchronous `push`: every vertex pushes to a random neighbor whenever
+/// its unit-rate Poisson clock rings; [`Protocol::round`] counts elapsed
+/// time units (n activations each). Sauerwald \[41\] shows this matches
+/// synchronous `push` on regular graphs.
+pub type AsyncPush<'g> = AsyncGossip<'g, PushRule>;
+
+/// Asynchronous `push-pull`: every vertex exchanges with a random neighbor
+/// whenever its Poisson clock rings; studied by Acan et al. and
+/// Giakkoupis–Nazari–Woelfel \[27\] (cited in Section 2 of the paper).
+pub type AsyncPushPull<'g> = AsyncGossip<'g, PushPullRule>;
+
+impl<'g, R: GossipRule> AsyncGossip<'g, R> {
+    /// Creates the protocol with the rumor at `source`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `source` is out of range.
+    pub fn new(graph: &'g Graph, source: VertexId, options: ProtocolOptions) -> Self {
         assert!(source < graph.num_vertices(), "source out of range");
         let mut informed = InformedSet::new(graph.num_vertices());
         informed.insert(source);
-        AsyncRumor {
+        AsyncGossip {
             graph,
             source,
             informed,
-            rule,
             round: 0,
             messages_total: 0,
             messages_last: 0,
-            edge_traffic: if options.record_edge_traffic {
-                Some(EdgeTraffic::new())
-            } else {
-                None
-            },
+            edge_traffic: options.record_edge_traffic.then(EdgeTraffic::new),
+            rule: PhantomData,
         }
     }
 
-    /// One time unit = `n` uniformly random vertex activations. Unlike the
-    /// synchronous protocols there is no "informed before this round" buffer:
-    /// activations are sequential, so information can chain within a time
-    /// unit, exactly as in the continuous-time model.
-    fn step_with<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+    /// Executes one time unit (`n` uniformly random vertex activations),
+    /// monomorphized over the RNG (the hot path used by the engine;
+    /// [`Protocol::step`] forwards here). Unlike the synchronous protocols
+    /// there is no "informed before this round" buffer: activations are
+    /// sequential, so information can chain within a time unit, exactly as
+    /// in the continuous-time model.
+    pub fn step_with<X: Rng + ?Sized>(&mut self, rng: &mut X) {
         self.round += 1;
         self.messages_last = 0;
         let n = self.graph.num_vertices();
         for _ in 0..n {
             let u = rng.gen_range(0..n);
-            let is_push_only = self.rule == AsyncRule::Push;
-            if is_push_only && !self.informed.contains(u) {
+            let u_informed = self.informed.contains(u);
+            if !calls::<R>(u_informed) {
                 continue;
             }
             if let Some(v) = self.graph.random_neighbor(u, rng) {
@@ -81,17 +94,10 @@ impl<'g> AsyncRumor<'g> {
                 if let Some(traffic) = &mut self.edge_traffic {
                     traffic.record(u, v);
                 }
-                match self.rule {
-                    AsyncRule::Push => {
-                        self.informed.insert(v);
-                    }
-                    AsyncRule::PushPull => {
-                        if self.informed.contains(u) {
-                            self.informed.insert(v);
-                        } else if self.informed.contains(v) {
-                            self.informed.insert(u);
-                        }
-                    }
+                if u_informed {
+                    self.informed.insert(v);
+                } else if self.informed.contains(v) {
+                    self.informed.insert(u);
                 }
             }
         }
@@ -99,110 +105,64 @@ impl<'g> AsyncRumor<'g> {
     }
 }
 
-macro_rules! async_protocol {
-    ($(#[$doc:meta])* $name:ident, $rule:expr, $proto_name:literal) => {
-        $(#[$doc])*
-        #[derive(Debug, Clone)]
-        pub struct $name<'g> {
-            inner: AsyncRumor<'g>,
-        }
-
-        impl<'g> $name<'g> {
-            /// Creates the protocol with the rumor at `source`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `source` is out of range.
-            pub fn new(graph: &'g Graph, source: VertexId, options: ProtocolOptions) -> Self {
-                $name { inner: AsyncRumor::new(graph, source, $rule, options) }
-            }
-        }
-
-        impl<'g> $name<'g> {
-            /// Executes one time unit (`n` activations), monomorphized over
-            /// the RNG (the hot path used by the engine; [`Protocol::step`]
-            /// forwards here).
-            pub fn step_with<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-                self.inner.step_with(rng);
-            }
-        }
-
-        impl FastStep for $name<'_> {
-            #[inline]
-            fn fast_step<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-                self.inner.step_with(rng);
-            }
-        }
-
-        impl Protocol for $name<'_> {
-            fn name(&self) -> &'static str {
-                $proto_name
-            }
-
-            fn source(&self) -> VertexId {
-                self.inner.source
-            }
-
-            fn round(&self) -> u64 {
-                self.inner.round
-            }
-
-            fn step(&mut self, rng: &mut dyn RngCore) {
-                self.inner.step_with(rng);
-            }
-
-            fn is_complete(&self) -> bool {
-                self.inner.informed.is_full()
-            }
-
-            fn is_vertex_informed(&self, v: VertexId) -> bool {
-                self.inner.informed.contains(v)
-            }
-
-            fn informed_vertex_count(&self) -> usize {
-                self.inner.informed.count()
-            }
-
-            fn messages_sent(&self) -> u64 {
-                self.inner.messages_total
-            }
-
-            fn messages_last_round(&self) -> u64 {
-                self.inner.messages_last
-            }
-
-            fn edge_traffic(&self) -> Option<&EdgeTraffic> {
-                self.inner.edge_traffic.as_ref()
-            }
-
-            fn edge_traffic_stats(&self, rounds: u64) -> Option<crate::EdgeTrafficStats> {
-                self.inner
-                    .edge_traffic
-                    .as_ref()
-                    .map(|t| t.stats(self.inner.graph, rounds))
-            }
-        }
-    };
+impl<R: GossipRule> FastStep for AsyncGossip<'_, R> {
+    #[inline]
+    fn fast_step<X: Rng + ?Sized>(&mut self, rng: &mut X) {
+        self.step_with(rng);
+    }
 }
 
-async_protocol!(
-    /// Asynchronous `push`: every vertex pushes to a random neighbor whenever
-    /// its unit-rate Poisson clock rings; [`Protocol::round`] counts elapsed
-    /// time units (n activations each). Sauerwald \[41\] shows this matches
-    /// synchronous `push` on regular graphs.
-    AsyncPush,
-    AsyncRule::Push,
-    "async-push"
-);
+impl<R: GossipRule> Protocol for AsyncGossip<'_, R> {
+    fn name(&self) -> &'static str {
+        match (R::INFORMED_CALL, R::UNINFORMED_CALL) {
+            (true, true) => "async-push-pull",
+            (true, false) => "async-push",
+            _ => "async-pull",
+        }
+    }
 
-async_protocol!(
-    /// Asynchronous `push-pull`: every vertex exchanges with a random neighbor
-    /// whenever its Poisson clock rings; studied by Acan et al. and
-    /// Giakkoupis–Nazari–Woelfel \[27\] (cited in Section 2 of the paper).
-    AsyncPushPull,
-    AsyncRule::PushPull,
-    "async-push-pull"
-);
+    fn source(&self) -> VertexId {
+        self.source
+    }
+
+    fn round(&self) -> u64 {
+        self.round
+    }
+
+    fn step(&mut self, rng: &mut dyn RngCore) {
+        self.step_with(rng);
+    }
+
+    fn is_complete(&self) -> bool {
+        self.informed.is_full()
+    }
+
+    fn is_vertex_informed(&self, v: VertexId) -> bool {
+        self.informed.contains(v)
+    }
+
+    fn informed_vertex_count(&self) -> usize {
+        self.informed.count()
+    }
+
+    fn messages_sent(&self) -> u64 {
+        self.messages_total
+    }
+
+    fn messages_last_round(&self) -> u64 {
+        self.messages_last
+    }
+
+    fn edge_traffic(&self) -> Option<&EdgeTraffic> {
+        self.edge_traffic.as_ref()
+    }
+
+    fn edge_traffic_stats(&self, rounds: u64) -> Option<EdgeTrafficStats> {
+        self.edge_traffic
+            .as_ref()
+            .map(|t| t.stats(self.graph, rounds))
+    }
+}
 
 #[cfg(test)]
 mod tests {

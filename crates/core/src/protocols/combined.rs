@@ -8,10 +8,11 @@ use rand::{Rng, RngCore};
 use rumor_graphs::{Graph, Topology, VertexId};
 use rumor_walks::{AgentId, MultiWalk, UninformedFrontier};
 
-use crate::metrics::{EdgeTraffic, EdgeTrafficStats};
+use crate::metrics::{EdgeTraffic, EdgeTrafficStats, RoundRecord};
 use crate::options::{AgentConfig, ProtocolOptions};
 use crate::protocol::{FastStep, Protocol};
-use crate::protocols::common::{InformedSet, PushPullFrontier};
+use crate::protocols::gossip::PushPull;
+use crate::snapshot::{Checkpointable, SimSnapshot};
 
 /// `push-pull` and `visit-exchange` running simultaneously over one shared
 /// set of informed vertices.
@@ -45,21 +46,16 @@ use crate::protocols::common::{InformedSet, PushPullFrontier};
 /// ```
 #[derive(Debug, Clone)]
 pub struct PushPullVisitExchange<'g, G: Topology = Graph> {
-    graph: &'g G,
-    source: VertexId,
+    /// The push-pull phase. It owns the shared informed vertex set (agents
+    /// inform vertices through `PushPull::inform`, which moves its
+    /// boundary too), the round counter, and the message and edge-traffic
+    /// accounts.
+    vertices: PushPull<'g, G>,
     walks: MultiWalk,
-    informed_vertices: InformedSet,
-    /// Boundary tracker for the push-pull phase (also updated when agents
-    /// inform vertices in phase B, which moves the boundary).
-    frontier: PushPullFrontier,
     /// Uninformed-agent frontier for the visit-exchange phase.
     agents: UninformedFrontier,
-    /// Reusable per-round buffer (vertices in phase A, agents in phase B).
+    /// Reusable per-round buffer (vertices, then agents, of phase B).
     newly_informed: Vec<u32>,
-    round: u64,
-    messages_total: u64,
-    messages_last: u64,
-    edge_traffic: Option<EdgeTraffic>,
 }
 
 impl<'g, G: Topology> PushPullVisitExchange<'g, G> {
@@ -79,36 +75,26 @@ impl<'g, G: Topology> PushPullVisitExchange<'g, G> {
         assert!(source < graph.num_vertices(), "source out of range");
         let count = agents.count.resolve(graph.num_vertices());
         let walks = MultiWalk::new(graph, count, &agents.placement, agents.walk, rng);
-        let mut informed_vertices = InformedSet::new(graph.num_vertices());
-        let mut frontier = PushPullFrontier::new(graph);
-        informed_vertices.insert(source);
-        frontier.on_informed(graph, source, &informed_vertices);
         let mut agent_frontier = UninformedFrontier::new(walks.num_agents());
         for &agent in walks.agents_at(source) {
             agent_frontier.mark_informed(agent as AgentId);
         }
         PushPullVisitExchange {
-            graph,
-            source,
+            vertices: PushPull::new(graph, source, options),
             walks,
-            informed_vertices,
-            frontier,
             agents: agent_frontier,
             newly_informed: Vec::new(),
-            round: 0,
-            messages_total: 0,
-            messages_last: 0,
-            edge_traffic: if options.record_edge_traffic {
-                Some(EdgeTraffic::new())
-            } else {
-                None
-            },
         }
     }
 
     /// Read-only access to the agent walks.
     pub fn walks(&self) -> &MultiWalk {
         &self.walks
+    }
+
+    /// Whether agent `g` is informed.
+    pub fn is_agent_informed(&self, g: AgentId) -> bool {
+        self.agents.is_informed(g)
     }
 
     /// Re-initializes the protocol in place for a fresh trial — identical
@@ -126,118 +112,65 @@ impl<'g, G: Topology> PushPullVisitExchange<'g, G> {
         agents: &AgentConfig,
         rng: &mut R,
     ) {
-        assert!(source < self.graph.num_vertices(), "source out of range");
-        self.source = source;
-        let count = agents.count.resolve(self.graph.num_vertices());
-        self.walks.reset(self.graph, count, &agents.placement, rng);
-        self.informed_vertices.reset(self.graph.num_vertices());
-        self.frontier.reset(self.graph);
-        self.informed_vertices.insert(source);
-        self.frontier
-            .on_informed(self.graph, source, &self.informed_vertices);
+        let graph = self.vertices.graph();
+        assert!(source < graph.num_vertices(), "source out of range");
+        let count = agents.count.resolve(graph.num_vertices());
+        self.walks.reset(graph, count, &agents.placement, rng);
+        self.vertices.reset(source);
         self.agents.reset(self.walks.num_agents());
         for &agent in self.walks.agents_at(source) {
             self.agents.mark_informed(agent as AgentId);
         }
         self.newly_informed.clear();
-        self.round = 0;
-        self.messages_total = 0;
-        self.messages_last = 0;
-        self.edge_traffic = None;
     }
 
     /// Executes one synchronous round, monomorphized over the RNG (the hot
     /// path used by the engine; [`Protocol::step`] forwards here).
     pub fn step_with<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        self.round += 1;
-        let mut messages = 0u64;
-        let graph = self.graph;
-
-        // Phase A: push-pull among vertices, evaluated against the informed
-        // set at the start of the round. Only boundary vertices draw (see
-        // [`PushPullFrontier`]); with edge traffic enabled every vertex's
-        // draw is realized.
-        {
-            let informed = &self.informed_vertices;
-            let newly = &mut self.newly_informed;
-            newly.clear();
-            if let Some(traffic) = self.edge_traffic.as_mut() {
-                for u in graph.vertices() {
-                    if let Some(v) = graph.random_neighbor(u, rng) {
-                        traffic.record(u, v);
-                        let u_informed = informed.contains(u);
-                        if u_informed != informed.contains(v) {
-                            newly.push(if u_informed { v as u32 } else { u as u32 });
-                        }
-                    }
-                }
-            } else {
-                for u in self.frontier.active.ones() {
-                    let v = graph.random_neighbor_nonisolated(u, rng);
-                    let u_informed = informed.contains(u);
-                    if u_informed != informed.contains(v) {
-                        newly.push(if u_informed { v as u32 } else { u as u32 });
-                    }
-                }
-            }
-        }
-        messages += self.frontier.senders;
-        for i in 0..self.newly_informed.len() {
-            let v = self.newly_informed[i] as usize;
-            if self.informed_vertices.insert(v) {
-                self.frontier.on_informed(graph, v, &self.informed_vertices);
-            }
-        }
+        let graph = self.vertices.graph();
+        // Phase A: one push-pull round among vertices, evaluated against the
+        // informed set at the start of the round.
+        self.vertices.step_with(rng);
 
         // Phase B: visit-exchange. Agents walk one step (movement, message
         // accounting and per-vertex informed-agent counts fused); uninformed
         // vertices visited by a previously-informed agent become informed;
         // uninformed agents standing on an informed vertex (including
         // vertices informed this round) learn.
-        let track = self.edge_traffic.is_some();
-        messages += self.walks.step_exchange(graph, rng, &self.agents, track);
-        if let Some(traffic) = self.edge_traffic.as_mut() {
+        let track = self.vertices.edge_traffic().is_some();
+        let moves = self.walks.step_exchange(graph, rng, &self.agents, track);
+        self.vertices.charge(moves);
+        if let Some(traffic) = self.vertices.edge_traffic_mut() {
             super::common::record_agent_traffic(&self.walks, traffic);
         }
         // Density-adaptive scan, as in `VisitExchange::step_with` phase 1.
         let walks = &self.walks;
-        {
-            let newly = &mut self.newly_informed;
-            newly.clear();
-            if self.agents.informed_count() < graph.num_vertices() / 8 {
-                self.agents.for_each_informed(|agent| {
-                    newly.push(walks.position(agent) as u32);
-                });
-            } else {
-                for v in self.informed_vertices.zeros() {
-                    if walks.informed_here(v) {
-                        newly.push(v as u32);
-                    }
-                }
-            }
-        }
-        for i in 0..self.newly_informed.len() {
-            let v = self.newly_informed[i] as usize;
-            if self.informed_vertices.insert(v) {
-                self.frontier.on_informed(graph, v, &self.informed_vertices);
-            }
-        }
         let newly = &mut self.newly_informed;
         newly.clear();
-        {
-            let informed_vertices = &self.informed_vertices;
-            self.agents.for_each_uninformed(|agent| {
-                if informed_vertices.contains(walks.position(agent)) {
-                    newly.push(agent as u32);
-                }
+        if self.agents.informed_count() < graph.num_vertices() / 8 {
+            self.agents.for_each_informed(|agent| {
+                newly.push(walks.position(agent) as u32);
             });
+        } else {
+            for v in self.vertices.informed().zeros() {
+                if walks.informed_here(v) {
+                    newly.push(v as u32);
+                }
+            }
         }
-        for i in 0..self.newly_informed.len() {
-            self.agents.mark_informed(self.newly_informed[i] as usize);
+        for &v in newly.iter() {
+            self.vertices.inform(v as usize);
         }
-
-        self.messages_last = messages;
-        self.messages_total += messages;
+        newly.clear();
+        let informed_vertices = self.vertices.informed();
+        self.agents.for_each_uninformed(|agent| {
+            if informed_vertices.contains(walks.position(agent)) {
+                newly.push(agent as u32);
+            }
+        });
+        for &agent in newly.iter() {
+            self.agents.mark_informed(agent as usize);
+        }
     }
 }
 
@@ -248,61 +181,38 @@ impl<G: Topology> FastStep for PushPullVisitExchange<'_, G> {
     }
 }
 
-impl<G: Topology> crate::snapshot::Checkpointable for PushPullVisitExchange<'_, G> {
+impl<G: Topology> Checkpointable for PushPullVisitExchange<'_, G> {
     fn capture(
         &self,
         spec_digest: u64,
         rng: Option<[u64; 4]>,
-        history: &[crate::metrics::RoundRecord],
-    ) -> crate::snapshot::SimSnapshot {
-        let mut informed_agents = Vec::with_capacity(self.agents.informed_count());
+        history: &[RoundRecord],
+    ) -> SimSnapshot {
+        let mut snapshot = self.vertices.capture(spec_digest, rng, history);
         self.agents
-            .for_each_informed(|agent| informed_agents.push(agent as u32));
-        crate::snapshot::SimSnapshot {
-            spec_digest,
-            round: self.round,
-            messages_total: self.messages_total,
-            messages_last: self.messages_last,
-            rng,
-            informed_vertices: self.informed_vertices.informed().to_vec(),
-            informed_agents,
-            positions: Some(self.walks.positions().to_vec()),
-            walk_round: self.walks.round(),
-            source_active: false,
-            history: history.to_vec(),
-        }
+            .for_each_informed(|agent| snapshot.informed_agents.push(agent as u32));
+        snapshot.positions = Some(self.walks.positions().to_vec());
+        snapshot.walk_round = self.walks.round();
+        snapshot
     }
 
-    fn restore(&mut self, snapshot: &crate::snapshot::SimSnapshot) {
+    fn restore(&mut self, snapshot: &SimSnapshot) {
         let positions = snapshot
             .positions
             .clone()
             .expect("agent-protocol snapshot carries walk positions");
         self.walks = MultiWalk::restore(
-            self.graph,
+            self.vertices.graph(),
             positions,
             snapshot.walk_round,
             self.walks.config(),
         );
-        self.informed_vertices.reset(self.graph.num_vertices());
-        self.frontier.reset(self.graph);
-        // Replay in recorded insertion order (see `Push::restore`).
-        for &v in &snapshot.informed_vertices {
-            let v = v as usize;
-            if self.informed_vertices.insert(v) {
-                self.frontier
-                    .on_informed(self.graph, v, &self.informed_vertices);
-            }
-        }
+        self.vertices.restore(snapshot);
         self.agents.reset(self.walks.num_agents());
         for &agent in &snapshot.informed_agents {
             self.agents.mark_informed(agent as usize);
         }
         self.newly_informed.clear();
-        self.round = snapshot.round;
-        self.messages_total = snapshot.messages_total;
-        self.messages_last = snapshot.messages_last;
-        self.edge_traffic = None;
     }
 }
 
@@ -312,11 +222,11 @@ impl<G: Topology> Protocol for PushPullVisitExchange<'_, G> {
     }
 
     fn source(&self) -> VertexId {
-        self.source
+        self.vertices.source()
     }
 
     fn round(&self) -> u64 {
-        self.round
+        self.vertices.round()
     }
 
     fn step(&mut self, rng: &mut dyn RngCore) {
@@ -324,15 +234,15 @@ impl<G: Topology> Protocol for PushPullVisitExchange<'_, G> {
     }
 
     fn is_complete(&self) -> bool {
-        self.informed_vertices.is_full()
+        self.vertices.is_complete()
     }
 
     fn is_vertex_informed(&self, v: VertexId) -> bool {
-        self.informed_vertices.contains(v)
+        self.vertices.is_vertex_informed(v)
     }
 
     fn informed_vertex_count(&self) -> usize {
-        self.informed_vertices.count()
+        self.vertices.informed_vertex_count()
     }
 
     fn informed_agent_count(&self) -> usize {
@@ -344,21 +254,19 @@ impl<G: Topology> Protocol for PushPullVisitExchange<'_, G> {
     }
 
     fn messages_sent(&self) -> u64 {
-        self.messages_total
+        self.vertices.messages_sent()
     }
 
     fn messages_last_round(&self) -> u64 {
-        self.messages_last
+        self.vertices.messages_last_round()
     }
 
     fn edge_traffic(&self) -> Option<&EdgeTraffic> {
-        self.edge_traffic.as_ref()
+        self.vertices.edge_traffic()
     }
 
     fn edge_traffic_stats(&self, rounds: u64) -> Option<EdgeTrafficStats> {
-        self.edge_traffic
-            .as_ref()
-            .map(|t| t.stats(self.graph, rounds))
+        self.vertices.edge_traffic_stats(rounds)
     }
 }
 

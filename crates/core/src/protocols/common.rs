@@ -246,8 +246,9 @@ impl Iterator for Zeros<'_> {
 const ITEMS_PER_SUMMARY_WORD: usize = 64 * 64;
 
 /// A plain fixed-size bitset with O(1) set/clear and ascending iteration,
-/// used for the *active* (boundary) sets below. Unlike [`InformedSet`] it is
-/// not monotone — bits are cleared when a vertex saturates.
+/// used for the gossip boundary tracker's active set
+/// (`gossip::Frontier`). Unlike [`InformedSet`] it is not monotone — bits
+/// are cleared when a vertex saturates.
 ///
 /// **Cost model.** A second level of *summary* words indexes the non-empty
 /// words: bit `k` of the summary is set ⇔ word `k` is non-zero, one summary
@@ -315,7 +316,7 @@ impl Bits {
         &self.words
     }
 
-    /// `true` if no bit is set — for the frontiers below this means no
+    /// `true` if no bit is set — for the boundary tracker this means no
     /// future draw can change the informed set (stall detection on
     /// disconnected graphs). Reads only the summary.
     #[inline]
@@ -355,259 +356,6 @@ impl Iterator for BitsOnes<'_> {
         let bit = self.current.trailing_zeros() as usize;
         self.current &= self.current - 1;
         Some((self.word_idx << 6) | bit)
-    }
-}
-
-/// Boundary tracker for `push`: the set of informed vertices that still have
-/// at least one uninformed neighbor.
-///
-/// A push from an informed vertex whose neighbors are *all* informed cannot
-/// change the state, whatever the draw — so the engine counts its message
-/// arithmetically and skips the sample. Skipping a draw whose every outcome
-/// leaves the state unchanged does not alter the law of the informed-set
-/// trajectory; it only advances the RNG stream differently. The per-vertex
-/// uninformed-neighbor counters cost O(deg(v)) when v becomes informed —
-/// O(|E|) over a whole run — and turn the per-round draw count from
-/// O(|informed|) into O(|boundary|).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PushFrontier {
-    /// Per-vertex count of *uninformed* neighbors.
-    uninformed_nb: Vec<u32>,
-    /// Informed vertices with `uninformed_nb > 0` (and degree > 0).
-    pub(crate) active: Bits,
-    /// Number of informed vertices with degree > 0 (= messages per round).
-    pub(crate) senders: u64,
-}
-
-impl PushFrontier {
-    pub(crate) fn new<G: Topology>(graph: &G) -> Self {
-        let n = graph.num_vertices();
-        PushFrontier {
-            uninformed_nb: graph.vertices().map(|u| graph.degree(u) as u32).collect(),
-            active: Bits::new(n),
-            senders: 0,
-        }
-    }
-
-    /// Re-initializes to the no-vertex-informed state in place (workspace
-    /// reset path; same state as [`PushFrontier::new`]).
-    pub(crate) fn reset<G: Topology>(&mut self, graph: &G) {
-        let n = graph.num_vertices();
-        self.uninformed_nb.clear();
-        self.uninformed_nb
-            .extend(graph.vertices().map(|u| graph.degree(u) as u32));
-        self.active.reset(n);
-        self.senders = 0;
-    }
-
-    /// The `O(Σ deg(members))` alternative to [`PushFrontier::reset`]: undoes
-    /// a run's counter decrements and active bits by walking exactly the
-    /// vertices it informed. `members` must be the informed set the counters
-    /// were maintained for, on the same graph.
-    pub(crate) fn unwind<G: Topology>(&mut self, graph: &G, members: &[u32]) {
-        for &v in members {
-            let v = v as usize;
-            self.active.clear(v);
-            graph.for_each_neighbor(v, |w| self.uninformed_nb[w] += 1);
-        }
-        self.senders = 0;
-    }
-
-    /// Must be called exactly once per vertex, immediately after it is
-    /// inserted into `informed`. Within a round, call it per vertex in the
-    /// merge loop (interleaved inserts are handled: saturation of a vertex
-    /// informed later in the same batch is re-checked when its own call
-    /// runs).
-    pub(crate) fn on_informed<G: Topology>(
-        &mut self,
-        graph: &G,
-        v: VertexId,
-        informed: &InformedSet,
-    ) {
-        graph.for_each_neighbor(v, |w| {
-            let c = &mut self.uninformed_nb[w];
-            *c -= 1;
-            if *c == 0 && informed.contains(w) {
-                self.active.clear(w);
-            }
-        });
-        if graph.degree(v) > 0 {
-            self.senders += 1;
-            if self.uninformed_nb[v] > 0 {
-                self.active.set(v);
-            }
-        }
-    }
-
-    /// `true` when no informed vertex has an uninformed neighbor: every
-    /// future push is a no-op, so an incomplete run is frozen forever.
-    #[inline]
-    pub(crate) fn is_quiescent(&self) -> bool {
-        self.active.none_set()
-    }
-}
-
-/// Boundary tracker for `pull`: the set of uninformed vertices that have at
-/// least one informed neighbor (only their pulls can succeed).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PullFrontier {
-    /// Per-vertex count of *informed* neighbors.
-    informed_nb: Vec<u32>,
-    /// Uninformed vertices with `informed_nb > 0`.
-    pub(crate) active: Bits,
-    /// Number of uninformed vertices with degree > 0 (= messages per round).
-    pub(crate) pollers: u64,
-    /// `pollers` of the empty informed set (cached so the workspace unwind
-    /// restores it without an O(n) degree recount).
-    full_pollers: u64,
-}
-
-impl PullFrontier {
-    pub(crate) fn new<G: Topology>(graph: &G) -> Self {
-        let n = graph.num_vertices();
-        let full_pollers = graph.vertices().filter(|&u| graph.degree(u) > 0).count() as u64;
-        PullFrontier {
-            informed_nb: vec![0; n],
-            active: Bits::new(n),
-            pollers: full_pollers,
-            full_pollers,
-        }
-    }
-
-    /// Re-initializes to the no-vertex-informed state in place (workspace
-    /// reset path; same state as [`PullFrontier::new`]).
-    pub(crate) fn reset<G: Topology>(&mut self, graph: &G) {
-        let n = graph.num_vertices();
-        self.informed_nb.clear();
-        self.informed_nb.resize(n, 0);
-        self.active.reset(n);
-        self.full_pollers = graph.vertices().filter(|&u| graph.degree(u) > 0).count() as u64;
-        self.pollers = self.full_pollers;
-    }
-
-    /// The `O(Σ deg(members))` alternative to [`PullFrontier::reset`] (see
-    /// [`PushFrontier::unwind`]): every active bit sits on an informed
-    /// vertex or one of its neighbors, so walking the members clears them
-    /// all and restores the counters.
-    pub(crate) fn unwind<G: Topology>(&mut self, graph: &G, members: &[u32]) {
-        for &v in members {
-            let v = v as usize;
-            self.active.clear(v);
-            graph.for_each_neighbor(v, |w| {
-                self.informed_nb[w] -= 1;
-                self.active.clear(w);
-            });
-        }
-        self.pollers = self.full_pollers;
-    }
-
-    /// Must be called exactly once per vertex, immediately after it is
-    /// inserted into `informed`.
-    pub(crate) fn on_informed<G: Topology>(
-        &mut self,
-        graph: &G,
-        v: VertexId,
-        informed: &InformedSet,
-    ) {
-        if graph.degree(v) > 0 {
-            self.pollers -= 1;
-        }
-        self.active.clear(v);
-        graph.for_each_neighbor(v, |w| {
-            self.informed_nb[w] += 1;
-            if !informed.contains(w) {
-                self.active.set(w);
-            }
-        });
-    }
-
-    /// `true` when no uninformed vertex has an informed neighbor: every
-    /// future pull misses, so an incomplete run is frozen forever.
-    #[inline]
-    pub(crate) fn is_quiescent(&self) -> bool {
-        self.active.none_set()
-    }
-}
-
-/// Boundary tracker for `push-pull`: the set of vertices whose exchange can
-/// change the state — informed vertices with an uninformed neighbor, and
-/// uninformed vertices with an informed neighbor (the edge boundary of the
-/// informed set).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct PushPullFrontier {
-    /// Per-vertex count of *informed* neighbors.
-    informed_nb: Vec<u32>,
-    /// Vertices on the informed/uninformed edge boundary.
-    pub(crate) active: Bits,
-    /// Number of vertices with degree > 0 (= messages per round, constant).
-    pub(crate) senders: u64,
-}
-
-impl PushPullFrontier {
-    pub(crate) fn new<G: Topology>(graph: &G) -> Self {
-        let n = graph.num_vertices();
-        PushPullFrontier {
-            informed_nb: vec![0; n],
-            active: Bits::new(n),
-            senders: graph.vertices().filter(|&u| graph.degree(u) > 0).count() as u64,
-        }
-    }
-
-    /// Re-initializes to the no-vertex-informed state in place (workspace
-    /// reset path; same state as [`PushPullFrontier::new`]).
-    pub(crate) fn reset<G: Topology>(&mut self, graph: &G) {
-        let n = graph.num_vertices();
-        self.informed_nb.clear();
-        self.informed_nb.resize(n, 0);
-        self.active.reset(n);
-        self.senders = graph.vertices().filter(|&u| graph.degree(u) > 0).count() as u64;
-    }
-
-    /// The `O(Σ deg(members))` alternative to [`PushPullFrontier::reset`]
-    /// (see [`PushFrontier::unwind`]); `senders` is a graph constant the run
-    /// never touched, so only counters and active bits unwind.
-    pub(crate) fn unwind<G: Topology>(&mut self, graph: &G, members: &[u32]) {
-        for &v in members {
-            let v = v as usize;
-            self.active.clear(v);
-            graph.for_each_neighbor(v, |w| {
-                self.informed_nb[w] -= 1;
-                self.active.clear(w);
-            });
-        }
-    }
-
-    /// Must be called exactly once per vertex, immediately after it is
-    /// inserted into `informed`.
-    pub(crate) fn on_informed<G: Topology>(
-        &mut self,
-        graph: &G,
-        v: VertexId,
-        informed: &InformedSet,
-    ) {
-        // v moves from the pull side to the push side of the boundary.
-        if (self.informed_nb[v] as usize) < graph.degree(v) {
-            self.active.set(v);
-        } else {
-            self.active.clear(v);
-        }
-        graph.for_each_neighbor(v, |w| {
-            self.informed_nb[w] += 1;
-            if informed.contains(w) {
-                if self.informed_nb[w] as usize == graph.degree(w) {
-                    self.active.clear(w);
-                }
-            } else {
-                self.active.set(w);
-            }
-        });
-    }
-
-    /// `true` when the informed/uninformed edge boundary is empty: no
-    /// exchange can change the state, so an incomplete run is frozen forever.
-    #[inline]
-    pub(crate) fn is_quiescent(&self) -> bool {
-        self.active.none_set()
     }
 }
 
@@ -772,55 +520,6 @@ mod tests {
         b.clear(71);
         assert_eq!(b.summary[0], 1 << 1);
         assert!(!b.none_set());
-    }
-
-    #[test]
-    fn push_frontier_tracks_saturation_on_a_triangle() {
-        let g = rumor_graphs::Graph::from_edges(3, &[(0, 1), (1, 2), (2, 0)]).unwrap();
-        let mut informed = InformedSet::new(3);
-        let mut f = PushFrontier::new(&g);
-        informed.insert(0);
-        f.on_informed(&g, 0, &informed);
-        assert_eq!(f.active.ones().collect::<Vec<_>>(), vec![0]);
-        assert_eq!(f.senders, 1);
-        informed.insert(1);
-        f.on_informed(&g, 1, &informed);
-        assert_eq!(f.active.ones().collect::<Vec<_>>(), vec![0, 1]);
-        informed.insert(2);
-        f.on_informed(&g, 2, &informed);
-        // Everyone informed: no vertex can inform anyone, but all still send.
-        assert_eq!(f.active.ones().count(), 0);
-        assert_eq!(f.senders, 3);
-    }
-
-    #[test]
-    fn pull_frontier_activates_neighbors_of_the_informed() {
-        let g = rumor_graphs::Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let mut informed = InformedSet::new(4);
-        let mut f = PullFrontier::new(&g);
-        assert_eq!(f.pollers, 4);
-        informed.insert(1);
-        f.on_informed(&g, 1, &informed);
-        // Only 0 and 2 border the informed set; 3's pull cannot succeed.
-        assert_eq!(f.active.ones().collect::<Vec<_>>(), vec![0, 2]);
-        assert_eq!(f.pollers, 3);
-    }
-
-    #[test]
-    fn push_pull_frontier_is_the_edge_boundary() {
-        let g = rumor_graphs::Graph::from_edges(4, &[(0, 1), (1, 2), (2, 3)]).unwrap();
-        let mut informed = InformedSet::new(4);
-        let mut f = PushPullFrontier::new(&g);
-        assert_eq!(f.senders, 4);
-        informed.insert(0);
-        f.on_informed(&g, 0, &informed);
-        // Boundary: 0 (informed, uninformed neighbor) and 1 (uninformed,
-        // informed neighbor). 2 and 3 are inactive.
-        assert_eq!(f.active.ones().collect::<Vec<_>>(), vec![0, 1]);
-        informed.insert(1);
-        f.on_informed(&g, 1, &informed);
-        // Now 0 is saturated, the boundary moved to the 1–2 edge.
-        assert_eq!(f.active.ones().collect::<Vec<_>>(), vec![1, 2]);
     }
 
     #[test]

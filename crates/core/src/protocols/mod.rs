@@ -5,17 +5,13 @@ pub(crate) mod common;
 mod asynchronous;
 mod combined;
 mod dynamic_agents;
+pub(crate) mod gossip;
 mod meet_exchange;
-mod pull;
-mod push;
-mod push_pull;
 mod visit_exchange;
 
-pub use asynchronous::{AsyncPush, AsyncPushPull};
+pub use asynchronous::{AsyncGossip, AsyncPush, AsyncPushPull};
 pub use combined::PushPullVisitExchange;
 pub use dynamic_agents::{ChurnVisitExchange, InvalidChurnError};
+pub use gossip::{Gossip, GossipRule, Pull, PullRule, Push, PushPull, PushPullRule, PushRule};
 pub use meet_exchange::MeetExchange;
-pub use pull::Pull;
-pub use push::Push;
-pub use push_pull::PushPull;
 pub use visit_exchange::VisitExchange;

@@ -123,6 +123,21 @@ pub enum SnapshotError {
     /// (e.g. a sharded snapshot, which stores no generator state, offered to
     /// the sequential engine).
     EngineMismatch,
+    /// The snapshot's state does not fit the run it is resumed into. The
+    /// spec digest leaves out the graph (snapshots store no topology), so
+    /// this is how a resume on a different graph shows: an informed vertex
+    /// or agent position at least the vertex count, an informed agent at
+    /// least the agent count, or a walk with a different number of agents.
+    DoesNotFit {
+        /// What does not fit: `"informed vertex"`, `"agent position"`,
+        /// `"informed agent"` or `"agent count"`.
+        what: &'static str,
+        /// The offending value.
+        found: u64,
+        /// The run's bound: ids must stay below it, the agent count must
+        /// equal it.
+        bound: u64,
+    },
     /// An I/O error while reading or writing a snapshot file.
     Io(std::io::Error),
 }
@@ -143,6 +158,10 @@ impl fmt::Display for SnapshotError {
             SnapshotError::EngineMismatch => {
                 write!(f, "snapshot does not carry the state the engine needs")
             }
+            SnapshotError::DoesNotFit { what, found, bound } => write!(
+                f,
+                "snapshot {what} {found} does not fit the run (bound {bound})"
+            ),
             SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
         }
     }
@@ -293,6 +312,44 @@ pub struct SimSnapshot {
 }
 
 impl SimSnapshot {
+    /// Checks that every id in the snapshot fits a run on `vertices`
+    /// vertices with `agents` walking agents (`None` for the vertex
+    /// protocols, whose snapshots carry no walk), so that restoring it
+    /// cannot index out of range.
+    pub(crate) fn check_fits(
+        &self,
+        vertices: usize,
+        agents: Option<usize>,
+    ) -> Result<(), SnapshotError> {
+        let misfit = |what, found: u32, bound: usize| SnapshotError::DoesNotFit {
+            what,
+            found: u64::from(found),
+            bound: bound as u64,
+        };
+        let first_above =
+            |ids: &[u32], bound: usize| ids.iter().copied().find(|&i| i as usize >= bound);
+        if let Some(v) = first_above(&self.informed_vertices, vertices) {
+            return Err(misfit("informed vertex", v, vertices));
+        }
+        let Some(count) = agents else {
+            return Ok(());
+        };
+        let positions = self
+            .positions
+            .as_deref()
+            .ok_or(SnapshotError::EngineMismatch)?;
+        if positions.len() != count {
+            return Err(misfit("agent count", positions.len() as u32, count));
+        }
+        if let Some(p) = first_above(positions, vertices) {
+            return Err(misfit("agent position", p, vertices));
+        }
+        if let Some(a) = first_above(&self.informed_agents, count) {
+            return Err(misfit("informed agent", a, count));
+        }
+        Ok(())
+    }
+
     /// Rounds executed when the snapshot was taken.
     pub fn round(&self) -> u64 {
         self.round
@@ -651,6 +708,30 @@ mod tests {
                 },
             ],
         }
+    }
+
+    #[test]
+    fn check_fits_rejects_each_id_that_does_not_fit() {
+        let misfit = |snap: &SimSnapshot, vertices, agents| match snap.check_fits(vertices, agents)
+        {
+            Err(SnapshotError::DoesNotFit { what, found, bound }) => (what, found, bound),
+            other => panic!("expected a misfit, got {other:?}"),
+        };
+        let mut snap = sample_snapshot();
+        assert!(snap.check_fits(65, Some(8)).is_ok());
+        // Vertex protocols carry no walk: agent fields are not consulted.
+        assert!(snap.check_fits(65, None).is_ok());
+        assert_eq!(misfit(&snap, 64, Some(8)), ("informed vertex", 64, 64));
+        assert_eq!(misfit(&snap, 65, Some(7)), ("agent count", 8, 7));
+        snap.informed_vertices = vec![5, 0, 2];
+        assert_eq!(misfit(&snap, 63, Some(8)), ("agent position", 63, 63));
+        snap.informed_agents.push(8);
+        assert_eq!(misfit(&snap, 65, Some(8)), ("informed agent", 8, 8));
+        snap.positions = None;
+        assert!(matches!(
+            snap.check_fits(65, Some(8)),
+            Err(SnapshotError::EngineMismatch)
+        ));
     }
 
     #[test]

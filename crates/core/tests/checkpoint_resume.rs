@@ -19,8 +19,9 @@
 //!   land on the reference outcome),
 //! * history-recording runs (the resumed outcome must carry the full
 //!   per-round curve, splicing the pre-suspend prefix),
-//! * rejection paths: cross-engine resumes, wrong-spec resumes, corrupted
-//!   and truncated snapshot files,
+//! * rejection paths: cross-engine resumes, wrong-spec resumes, resumes on
+//!   a graph the snapshot does not fit, corrupted and truncated snapshot
+//!   files,
 //! * encode/decode round-trips for live mid-run snapshots (proptest).
 
 use rumor_core::{
@@ -386,6 +387,34 @@ fn cross_engine_and_wrong_spec_resumes_are_rejected() {
     // So are seed and protocol kind.
     reject(&seq_spec.clone().with_seed(6), seq_snap);
     reject(&spec_for(ProtocolKind::Pull, 5, &graph), seq_snap);
+
+    // Snapshots store no topology, so the digest cannot tell graphs apart:
+    // a snapshot whose ids do not fit the graph it is resumed on is
+    // rejected before either engine restores it.
+    let big = ImplicitGraph::complete(200).unwrap();
+    let small = ImplicitGraph::complete(100).unwrap();
+    for spec in [
+        spec_for(ProtocolKind::Push, 5, &big),
+        spec_for(ProtocolKind::Push, 5, &big).with_sharded(2),
+        spec_for(ProtocolKind::VisitExchange, 5, &big),
+    ] {
+        let (_, snaps) = run_collecting(&big, 0, &spec, 1);
+        let snap = snaps.last().expect("checkpoint on the larger graph");
+        let err = resume_in(
+            &small,
+            0,
+            &spec,
+            snap,
+            &mut SimWorkspace::new(),
+            CheckpointCadence::every_rounds(u64::MAX),
+            &mut |_: &SimSnapshot| true,
+        )
+        .expect_err("a snapshot from a larger graph must be rejected");
+        assert!(
+            matches!(err, SnapshotError::DoesNotFit { .. }),
+            "unexpected rejection: {err}"
+        );
+    }
 
     // But the round cap is deliberately *not*: a capped run may be resumed
     // with a higher cap, and the sharded worker count may change freely.

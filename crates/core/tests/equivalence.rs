@@ -33,6 +33,11 @@
 //! `gen_range(0..deg)` neighbor draws, full `0..|A|` exchange scans. Agents
 //! draw in ascending agent order on both sides, which keeps the RNG streams
 //! aligned; occupancy and frontier bookkeeping draw nothing.
+//!
+//! The combined protocol is pinned against the composition of the two:
+//! the push-pull reference for its vertex phase, then the naive agent
+//! substrate over the same informed set. The asynchronous protocols are
+//! pinned against a plain activation loop.
 
 use rand::rngs::{SmallRng, StdRng};
 use rand::{Rng, SeedableRng};
@@ -340,6 +345,86 @@ fn message_counts_are_mode_independent() {
     let mut r = PushPull::new(&g, 0, ProtocolOptions::none());
     r.step(&mut rng);
     assert_eq!(r.messages_last_round(), 24);
+}
+
+/// The asynchronous protocols against a plain loop over the Poisson-clock
+/// model's discrete equivalent: per time unit, `n` uniformly random
+/// activations, and a neighbor draw only for callers the rule lets act
+/// (informed ones for push, every vertex for push-pull). Activations apply
+/// immediately, so information chains within a unit.
+#[test]
+fn async_protocols_match_a_plain_activation_loop() {
+    use rumor_core::{AsyncPush, AsyncPushPull};
+
+    fn naive_unit<R: Rng>(
+        graph: &Graph,
+        informed: &mut [bool],
+        push_pull: bool,
+        rng: &mut R,
+    ) -> u64 {
+        let n = graph.num_vertices();
+        let mut messages = 0;
+        for _ in 0..n {
+            let u = rng.gen_range(0..n);
+            if !push_pull && !informed[u] {
+                continue;
+            }
+            if let Some(v) = graph.random_neighbor(u, rng) {
+                messages += 1;
+                if informed[u] {
+                    informed[v] = true;
+                } else if informed[v] {
+                    informed[u] = true;
+                }
+            }
+        }
+        messages
+    }
+
+    fn check<P: Protocol>(graph: &Graph, source: usize, push_pull: bool, seed: u64, mut p: P) {
+        let mut rng_fast = SmallRng::seed_from_u64(seed);
+        let mut rng_naive = SmallRng::seed_from_u64(seed);
+        let mut informed = vec![false; graph.num_vertices()];
+        informed[source] = true;
+        while !p.is_complete() && p.round() < 200_000 {
+            p.step(&mut rng_fast);
+            let messages = naive_unit(graph, &mut informed, push_pull, &mut rng_naive);
+            let unit = p.round();
+            assert_eq!(
+                p.messages_last_round(),
+                messages,
+                "messages diverged in unit {unit}"
+            );
+            for v in graph.vertices() {
+                assert_eq!(
+                    p.is_vertex_informed(v),
+                    informed[v],
+                    "vertex {v} diverged in unit {unit}"
+                );
+            }
+        }
+        assert!(p.is_complete(), "{} hit the unit cap", p.name());
+    }
+
+    for (name, graph, source) in families() {
+        for seed in [0u64, 1, 7, 42] {
+            check(
+                &graph,
+                source,
+                false,
+                seed,
+                AsyncPush::new(&graph, source, ProtocolOptions::none()),
+            );
+            check(
+                &graph,
+                source,
+                true,
+                seed,
+                AsyncPushPull::new(&graph, source, traffic()),
+            );
+        }
+        println!("async push and push-pull equivalent on {name}");
+    }
 }
 
 mod agent_substrate {
@@ -738,6 +823,111 @@ mod agent_substrate {
                 }
             }
             println!("meet-exchange equivalent on {name}");
+        }
+    }
+
+    /// Naive `push-pull` + `visit-exchange`: one round of the push-pull
+    /// reference (`NaiveRumor`), then one round of the naive agent
+    /// substrate over the same informed vertex set.
+    struct NaiveCombined {
+        rumor: NaiveRumor,
+        agents: NaiveAgents,
+        informed_agents: Vec<bool>,
+        messages_last: u64,
+    }
+
+    impl NaiveCombined {
+        fn new<R: Rng>(
+            graph: &Graph,
+            source: usize,
+            cfg: &AgentConfig,
+            mode: Mode,
+            rng: &mut R,
+        ) -> Self {
+            let agents = NaiveAgents::place(graph, cfg, rng);
+            let informed_agents = agents.positions.iter().map(|&p| p == source).collect();
+            NaiveCombined {
+                rumor: NaiveRumor::new(graph.num_vertices(), source, Rule::PushPull, mode),
+                agents,
+                informed_agents,
+                messages_last: 0,
+            }
+        }
+
+        fn step<R: Rng>(&mut self, graph: &Graph, rng: &mut R) {
+            // Every vertex with a neighbor calls once per round.
+            let callers = graph.vertices().filter(|&u| graph.degree(u) > 0).count() as u64;
+            self.rumor.step(graph, rng);
+            self.messages_last = callers + self.agents.step(graph, rng);
+            let snapshot = self.informed_agents.clone();
+            for (agent, &informed) in snapshot.iter().enumerate() {
+                if informed {
+                    self.rumor.insert(self.agents.positions[agent]);
+                }
+            }
+            for agent in 0..self.agents.positions.len() {
+                if self.rumor.informed[self.agents.positions[agent]] {
+                    self.informed_agents[agent] = true;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn push_pull_visit_exchange_matches_the_composed_references() {
+        use rumor_core::PushPullVisitExchange;
+        for (name, graph, source) in agent_families() {
+            for cfg in agent_configs() {
+                for (mode, options) in [
+                    (Mode::SkipDeadDraws, ProtocolOptions::none()),
+                    (Mode::AlwaysDraw, traffic()),
+                ] {
+                    for seed in SEEDS {
+                        let mut rng_fast = SmallRng::seed_from_u64(seed);
+                        let mut rng_naive = SmallRng::seed_from_u64(seed);
+                        let mut fast = PushPullVisitExchange::new(
+                            &graph,
+                            source,
+                            &cfg,
+                            options,
+                            &mut rng_fast,
+                        );
+                        let mut naive =
+                            NaiveCombined::new(&graph, source, &cfg, mode, &mut rng_naive);
+                        let mut rounds = 0u64;
+                        while !fast.is_complete() && rounds < 200_000 {
+                            fast.step(&mut rng_fast);
+                            naive.step(&graph, &mut rng_naive);
+                            rounds += 1;
+                            assert_eq!(
+                                fast.messages_last_round(),
+                                naive.messages_last,
+                                "messages diverged on {name} round {rounds} (seed {seed})"
+                            );
+                            for v in graph.vertices() {
+                                assert_eq!(
+                                    fast.is_vertex_informed(v),
+                                    naive.rumor.informed[v],
+                                    "vertex {v} diverged on {name} round {rounds} (seed {seed})"
+                                );
+                            }
+                            for g in 0..fast.num_agents() {
+                                assert_eq!(
+                                    fast.is_agent_informed(g),
+                                    naive.informed_agents[g],
+                                    "agent {g} diverged on {name} round {rounds} (seed {seed})"
+                                );
+                            }
+                        }
+                        assert!(fast.is_complete(), "{name} hit the round cap (seed {seed})");
+                        assert!(
+                            naive.rumor.is_complete(),
+                            "naive incomplete on {name} (seed {seed})"
+                        );
+                    }
+                }
+            }
+            println!("push-pull+visit-exchange equivalent on {name}");
         }
     }
 
