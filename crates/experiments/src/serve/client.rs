@@ -22,14 +22,15 @@
 //! stretches) and declares the connection dead when heartbeats go
 //! unanswered for three intervals.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use crate::runner::TrialTaxonomy;
 use crate::serve::protocol::{
-    fnv1a64, parse_json, resume_request_line, upload_begin_line, upload_chunk_line,
-    upload_commit_line, Json, ServerStatus, SubmitRequest, MAX_LINE_BYTES,
+    fnv1a64, parse_json, read_bounded_line, resume_request_line, upload_begin_line,
+    upload_chunk_line, upload_commit_line, Json, LineEvent, ServerStatus, SubmitRequest,
+    MAX_LINE_BYTES,
 };
 use crate::serve::store::manifest_for;
 
@@ -344,24 +345,6 @@ impl ServeClient {
         }
     }
 
-    /// Fetches server counters: `(executed, shed, cache_hits,
-    /// duplicate_hits, pending_trials, pending_jobs)`.
-    pub fn stats(&self) -> Result<(u64, u64, u64, u64, u64, u64), ClientError> {
-        let value = self.roundtrip("{\"verb\":\"stats\"}")?;
-        if value.get("type").and_then(Json::as_str) != Some("stats") {
-            return Err(ClientError::Protocol("expected stats".to_string()));
-        }
-        let count = |key: &str| value.get(key).and_then(Json::as_u64).unwrap_or(0);
-        Ok((
-            count("executed"),
-            count("shed"),
-            count("cache_hits"),
-            count("duplicate_hits"),
-            count("pending_trials"),
-            count("pending_jobs"),
-        ))
-    }
-
     /// Fetches the extended `status` report: scheduler load plus
     /// session-layer counters.
     pub fn status(&self) -> Result<ServerStatus, ClientError> {
@@ -652,8 +635,8 @@ impl ServeClient {
                 return ConnOutcome::Done;
             }
 
-            match next_line(&mut reader, &mut buf) {
-                NetEvent::Line(raw) => {
+            match read_bounded_line(&mut reader, &mut buf, MAX_LINE_BYTES) {
+                LineEvent::Line(raw) => {
                     last_rx = Instant::now();
                     heartbeat_outstanding = false;
                     if let Some(at) = failure_at.take() {
@@ -661,7 +644,7 @@ impl ServeClient {
                     }
                     dispatch_line(&raw, slots, retry, stats);
                 }
-                NetEvent::Tick => {
+                LineEvent::Tick => {
                     let now = Instant::now();
                     if now >= heartbeat_due {
                         if writeln!(writer, "{{\"verb\":\"heartbeat\"}}").is_err() {
@@ -683,19 +666,19 @@ impl ServeClient {
                         );
                     }
                 }
-                NetEvent::Eof => {
+                LineEvent::Eof => {
                     return lost(
                         failure_at,
                         ClientError::Io("connection closed mid-session".to_string()),
                     )
                 }
-                NetEvent::TooLong => {
+                LineEvent::TooLong => {
                     return lost(
                         failure_at,
                         ClientError::Protocol("oversized response line".to_string()),
                     )
                 }
-                NetEvent::Failed(message) => return lost(failure_at, ClientError::Io(message)),
+                LineEvent::Failed(message) => return lost(failure_at, ClientError::Io(message)),
             }
         }
     }
@@ -839,8 +822,8 @@ fn upload_roundtrip(
     let hex = format!("{digest:016x}");
     let deadline = Instant::now() + UPLOAD_RESPONSE_TIMEOUT;
     loop {
-        match next_line(reader, buf) {
-            NetEvent::Line(raw) => {
+        match read_bounded_line(reader, buf, MAX_LINE_BYTES) {
+            LineEvent::Line(raw) => {
                 let Ok(value) = parse_json(&raw) else {
                     continue;
                 };
@@ -852,14 +835,14 @@ fn upload_roundtrip(
                     return Ok(value);
                 }
             }
-            NetEvent::Tick => {
+            LineEvent::Tick => {
                 if Instant::now() >= deadline {
                     return Err("upload answer timed out".to_string());
                 }
             }
-            NetEvent::Eof => return Err("connection closed mid-upload".to_string()),
-            NetEvent::TooLong => return Err("oversized response line".to_string()),
-            NetEvent::Failed(message) => return Err(message),
+            LineEvent::Eof => return Err("connection closed mid-upload".to_string()),
+            LineEvent::TooLong => return Err("oversized response line".to_string()),
+            LineEvent::Failed(message) => return Err(message),
         }
     }
 }
@@ -1049,49 +1032,6 @@ fn retry_or_fail(
         wait = wait.max(Duration::from_millis(ms));
     }
     slot.retry_at = Some(Instant::now() + wait);
-}
-
-/// One step of the client's bounded reader (mirror of the server's: partial
-/// lines accumulate across timeout ticks, and no line may grow past
-/// [`MAX_LINE_BYTES`]).
-enum NetEvent {
-    Line(String),
-    Eof,
-    TooLong,
-    Tick,
-    Failed(String),
-}
-
-fn next_line(reader: &mut BufReader<TcpStream>, buf: &mut Vec<u8>) -> NetEvent {
-    loop {
-        let remaining = (MAX_LINE_BYTES + 1).saturating_sub(buf.len());
-        if remaining == 0 {
-            return NetEvent::TooLong;
-        }
-        match (&mut *reader).take(remaining as u64).read_until(b'\n', buf) {
-            Ok(0) => return NetEvent::Eof,
-            Ok(_) => {
-                if buf.last() == Some(&b'\n') {
-                    if buf.len() > MAX_LINE_BYTES {
-                        return NetEvent::TooLong;
-                    }
-                    let line = String::from_utf8_lossy(buf).trim_end().to_string();
-                    buf.clear();
-                    return NetEvent::Line(line);
-                }
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return NetEvent::Tick
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return NetEvent::Failed(e.to_string()),
-        }
-    }
 }
 
 #[cfg(test)]

@@ -23,10 +23,12 @@
 //!   written through atomic renames, so a restarted server loses **zero
 //!   completed trials**.
 //! * **Multiplexed sessions** — a connection carries any number of
-//!   concurrent jobs; every job-scoped line is `(job, seq)`-tagged, and a
-//!   `resume {job, last_seq}` verb re-attaches a client to an in-flight or
-//!   cached job replaying exactly the missing suffix, byte-identical to an
-//!   uninterrupted stream ([`protocol`], [`Server`]).
+//!   concurrent jobs on two threads (reader and writer): workers push each
+//!   job's `(job, seq)`-tagged lines straight into the outbox of every
+//!   session subscribed to it, and a `resume {job, last_seq}` verb
+//!   re-attaches a client to an in-flight or cached job replaying exactly
+//!   the missing suffix, byte-identical to an uninterrupted stream
+//!   ([`protocol`], [`Server`]).
 //! * **Liveness** — `heartbeat` keepalives plus a server-side idle read
 //!   timeout reclaim the threads behind half-open connections; the reader
 //!   is byte-bounded ([`protocol::MAX_LINE_BYTES`]), so hostile framing

@@ -48,6 +48,7 @@
 //! a hostile client cannot grow server buffers without limit).
 
 use std::collections::BTreeMap;
+use std::io::{BufRead, Read};
 
 use rumor_core::{ProtocolKind, SimulationSpec};
 use rumor_graphs::{AnyTopology, GeneratedGraph, HubCachedGraph, ImplicitGraph};
@@ -62,6 +63,65 @@ use crate::runner::TrialOutcome;
 /// `--max-line-bytes`); upload chunk sizes derive from the configured bound
 /// through [`chunk_payload_bytes`].
 pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// One step of the bounded line reader.
+pub(crate) enum LineEvent {
+    /// A complete line (newline and trailing whitespace stripped).
+    Line(String),
+    /// The peer closed the connection.
+    Eof,
+    /// The line exceeded the byte bound — protocol violation.
+    TooLong,
+    /// The read timeout elapsed with no complete line; the caller checks
+    /// its deadlines, then reads again.
+    Tick,
+    /// A non-retryable I/O error, with its message.
+    Failed(String),
+}
+
+/// Reads the next line of either end of a connection without ever growing
+/// `buf` past `max_line_bytes`: each read is capped at the remaining
+/// budget, partial lines accumulate across timeout ticks, and a line that
+/// fills the budget without a newline is a [`LineEvent::TooLong`]
+/// violation.
+pub(crate) fn read_bounded_line(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+    max_line_bytes: usize,
+) -> LineEvent {
+    loop {
+        let remaining = (max_line_bytes + 1).saturating_sub(buf.len());
+        if remaining == 0 {
+            return LineEvent::TooLong;
+        }
+        match (&mut *reader).take(remaining as u64).read_until(b'\n', buf) {
+            Ok(0) => return LineEvent::Eof,
+            Ok(_) => {
+                if buf.last() == Some(&b'\n') {
+                    if buf.len() > max_line_bytes {
+                        return LineEvent::TooLong;
+                    }
+                    let line = String::from_utf8_lossy(buf).trim_end().to_string();
+                    buf.clear();
+                    return LineEvent::Line(line);
+                }
+                // No newline yet: either the take-cap was exhausted (the
+                // next iteration reports TooLong) or the peer paused
+                // mid-line; keep accumulating.
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ) =>
+            {
+                return LineEvent::Tick
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return LineEvent::Failed(e.to_string()),
+        }
+    }
+}
 
 // ---------------------------------------------------------------------------
 // JSON values
@@ -688,8 +748,6 @@ pub enum Request {
     /// Begin a graceful drain: stop admission, finish or checkpoint
     /// in-flight work, then exit.
     Drain,
-    /// Server counters (executed/shed/cache hits/queue depth).
-    Stats,
     /// Extended observability: queue depth, active jobs, open sessions,
     /// cache/shed/resume/heartbeat counters.
     Status,
@@ -712,7 +770,6 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     match verb {
         "ping" => Ok(Request::Ping),
         "drain" => Ok(Request::Drain),
-        "stats" => Ok(Request::Stats),
         "status" => Ok(Request::Status),
         "heartbeat" => Ok(Request::Heartbeat),
         "upload_begin" => {
@@ -973,7 +1030,7 @@ pub fn overloaded_line(job: Option<u64>, retry_after_ms: u64) -> String {
 }
 
 /// The drain notification line: untagged as the answer to a `drain` verb,
-/// job-tagged when it terminates one job's feed inside a session.
+/// job-tagged when it ends one job's stream inside a session.
 pub fn draining_line(job: Option<u64>) -> String {
     match job {
         Some(job) => format!("{{\"type\":\"draining\",\"job\":\"{job:016x}\"}}"),

@@ -30,7 +30,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -41,10 +41,12 @@ use rumor_core::{
 use rumor_graphs::{AnyTopology, Topology, VertexId};
 
 use crate::runner::{Manifest, TrialOutcome, TrialTaxonomy};
-use crate::serve::protocol::{trial_line, SubmitRequest, MAX_LINE_BYTES};
+use crate::serve::protocol::{
+    done_line, draining_line, trial_line, with_session, SubmitRequest, MAX_LINE_BYTES,
+};
 use crate::serve::shed::{admit, AdmissionLimits, Verdict};
 use crate::serve::store::{ContentStore, UploadError};
-use crate::serve::sync::{lock_recover, wait_recover, wait_timeout_recover};
+use crate::serve::sync::{lock_recover, wait_recover, Outbox};
 
 /// Configuration of a serve instance (scheduler + server).
 #[derive(Debug, Clone)]
@@ -140,7 +142,8 @@ impl Default for ServeConfig {
     }
 }
 
-/// A point-in-time snapshot of the scheduler's counters (the `stats` verb).
+/// A point-in-time snapshot of the scheduler's counters (the scheduler half of
+/// the `status` verb).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServeStats {
     /// Trials actually executed (excludes manifest/cache reuse).
@@ -167,6 +170,86 @@ pub(crate) struct CachedJob {
     pub(crate) taxonomy: TrialTaxonomy,
 }
 
+impl CachedJob {
+    /// Streams the whole cached result into `subscriber`: the trial lines
+    /// past its cursor, then a `done` line marked `cached`.
+    pub(crate) fn subscribe(&self, mut subscriber: Subscriber) {
+        let total = self.trial_lines.len();
+        let done = stream_done_line(self.digest, total, &self.taxonomy, total, true);
+        subscriber.catch_up(self.digest, &self.trial_lines, Some(&done));
+    }
+}
+
+/// One session's stream of one job: the outbox it lands in, the index of
+/// the next trial line it owes (trial `i` carries `seq == i + 1`), and —
+/// for a `resume` — the counter its trial lines are charged to.
+#[derive(Debug)]
+pub(crate) struct Subscriber {
+    outbox: Arc<Outbox>,
+    next: usize,
+    replayed: Option<Arc<AtomicU64>>,
+}
+
+impl Subscriber {
+    /// A stream into `outbox` that has already seen every line up to
+    /// `last_seq` (`0` for a fresh stream). A cursor past the lines emitted
+    /// so far skips the lines below it as they arrive.
+    pub(crate) fn new(
+        outbox: Arc<Outbox>,
+        last_seq: u64,
+        replayed: Option<Arc<AtomicU64>>,
+    ) -> Subscriber {
+        Subscriber {
+            outbox,
+            next: last_seq as usize,
+            replayed,
+        }
+    }
+
+    /// The one emission path of every job stream — live, duplicate,
+    /// resumed, or cached: pushes `lines[next..]` framed with
+    /// `(job, seq)`, then `end` if the stream is over. Framing is a pure
+    /// function of `(job, seq)`, so every path sends the same bytes.
+    /// Returns `false` once the outbox is closed; the caller drops the
+    /// subscriber.
+    fn catch_up(&mut self, digest: u64, lines: &[String], end: Option<&str>) -> bool {
+        for (index, line) in lines.iter().enumerate().skip(self.next) {
+            if !self
+                .outbox
+                .push(with_session(line, digest, index as u64 + 1))
+            {
+                return false;
+            }
+            self.next = index + 1;
+            if let Some(replayed) = &self.replayed {
+                replayed.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        end.is_none_or(|line| self.outbox.push(line.to_string()))
+    }
+}
+
+/// The `done` line ending a stream of `trials` trial lines.
+fn stream_done_line(
+    digest: u64,
+    trials: usize,
+    taxonomy: &TrialTaxonomy,
+    reused: usize,
+    cached: bool,
+) -> String {
+    done_line(
+        digest,
+        trials as u64 + 1,
+        taxonomy.completed,
+        taxonomy.round_capped,
+        taxonomy.timed_out,
+        taxonomy.panicked,
+        taxonomy.not_run,
+        reused,
+        cached,
+    )
+}
+
 /// The scheduler's answer to one submission.
 pub(crate) enum Submission {
     /// Answered from the result cache — O(1), no execution.
@@ -191,7 +274,7 @@ pub(crate) enum Submission {
 
 /// The scheduler's answer to a `resume` lookup by digest.
 pub(crate) enum Lookup {
-    /// The job is in flight: re-attach to its live feed.
+    /// The job is in flight: subscribe to its live stream.
     Running(Arc<Job>),
     /// The job finished deterministically: replay from the result cache.
     Cached(Arc<CachedJob>),
@@ -217,7 +300,6 @@ pub(crate) struct Job {
     prefilled: Vec<bool>,
     next_trial: AtomicUsize,
     state: Mutex<JobState>,
-    progress: Condvar,
 }
 
 #[derive(Debug)]
@@ -226,21 +308,23 @@ struct JobState {
     recorded: usize,
     next_emit: usize,
     lines: Vec<String>,
+    /// Open session streams; each has been pushed every emitted line.
+    subscribers: Vec<Subscriber>,
     finished: bool,
     drained: bool,
     manifest: Option<Manifest>,
 }
 
 impl Job {
-    /// Records one trial outcome: manifest write, in-order line emission,
-    /// subscriber wakeup. Returns `true` when this was the job's last
-    /// outcome; the caller then owes a [`retire`] under the scheduler lock,
-    /// which is what marks the job finished.
+    /// Records one trial outcome: manifest write, then in-order line
+    /// emission into every subscribed outbox. Returns `true` when this was
+    /// the job's last outcome; the caller then owes a [`retire`] under the
+    /// scheduler lock, which is what marks the job finished.
     fn record(&self, trial: usize, outcome: TrialOutcome) -> bool {
         // Poison-tolerant throughout `Job` and `Scheduler`: a worker or
         // session thread that panics while holding a lock must cost only
-        // its own trial/session, never wedge the feed Condvar for every
-        // other subscriber (see `serve::sync`).
+        // its own trial/session, never wedge the job for every other
+        // subscriber (see `serve::sync`).
         let mut state = lock_recover(&self.state);
         if state.outcomes[trial].is_some() || state.finished {
             return false; // drain raced a duplicate record; keep the first
@@ -250,51 +334,54 @@ impl Job {
         }
         state.outcomes[trial] = Some(outcome);
         state.recorded += 1;
-        advance_emit(&mut state);
-        self.progress.notify_all();
+        advance_emit(&mut state, self.digest);
         state.recorded == self.trials
     }
 
-    /// Bounded wait for session forwarder threads: blocks until the feed
-    /// has lines past `from` or the job reaches a terminal state, but
-    /// returns after `timeout` even with no progress, so a forwarder whose
-    /// connection died can observe the session's closed flag and exit
-    /// instead of leaking. `from` past the current feed is tolerated (an
-    /// over-claiming `resume` waits instead of panicking).
-    pub(crate) fn wait_lines_timeout(
-        &self,
-        from: usize,
-        timeout: Duration,
-    ) -> (Vec<String>, bool, bool) {
-        let deadline = Instant::now() + timeout;
+    /// Attaches a session stream. Runs under the job lock, so no line is
+    /// lost or duplicated between catch-up and registration: the stream
+    /// gets the lines past its cursor, then the terminal line if the job
+    /// has already ended, and otherwise every later line as it is emitted.
+    pub(crate) fn subscribe(&self, mut subscriber: Subscriber) {
         let mut state = lock_recover(&self.state);
-        while state.lines.len() <= from && !state.finished && !state.drained {
-            let Some(remaining) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            let (next, timed_out) = wait_timeout_recover(&self.progress, state, remaining);
-            state = next;
-            if timed_out {
-                break;
-            }
+        let end = self.end_line(&state);
+        if subscriber.catch_up(self.digest, &state.lines, end.as_deref()) && end.is_none() {
+            state.subscribers.push(subscriber);
         }
-        let lines = if state.lines.len() > from {
-            state.lines[from..].to_vec()
-        } else {
-            Vec::new()
-        };
-        (lines, state.finished, state.drained)
     }
 
-    /// The finished job's taxonomy (all-NotRun for unfinished jobs).
-    pub(crate) fn taxonomy(&self) -> TrialTaxonomy {
-        let state = lock_recover(&self.state);
+    /// The line ending a live stream — job-tagged `draining` or `done` —
+    /// once the job has ended.
+    fn end_line(&self, state: &JobState) -> Option<String> {
+        if state.drained {
+            return Some(draining_line(Some(self.digest)));
+        }
+        if !state.finished {
+            return None;
+        }
         let outcomes: Vec<TrialOutcome> = state
             .outcomes
             .iter()
             .map(|o| o.clone().unwrap_or(TrialOutcome::NotRun))
             .collect();
-        TrialTaxonomy::of(&outcomes)
+        let taxonomy = TrialTaxonomy::of(&outcomes);
+        Some(stream_done_line(
+            self.digest,
+            self.trials,
+            &taxonomy,
+            self.reused,
+            false,
+        ))
+    }
+
+    /// Ends every subscribed stream with the terminal line. Subscribers
+    /// already hold every emitted line, so only the end is pushed.
+    fn end_streams(&self, state: &mut JobState) {
+        if let Some(end) = self.end_line(state) {
+            for subscriber in state.subscribers.drain(..) {
+                subscriber.outbox.push(end.clone());
+            }
+        }
     }
 
     fn cacheable(state: &JobState) -> bool {
@@ -308,8 +395,9 @@ impl Job {
 }
 
 /// Emits trial lines for every contiguous recorded outcome past the cursor
-/// — the in-order guarantee behind byte-identical streams.
-fn advance_emit(state: &mut JobState) {
+/// — the in-order guarantee behind byte-identical streams — and pushes them
+/// to every subscriber, dropping those whose outbox has closed.
+fn advance_emit(state: &mut JobState, digest: u64) {
     while state.next_emit < state.outcomes.len() {
         match &state.outcomes[state.next_emit] {
             Some(outcome) => {
@@ -320,6 +408,10 @@ fn advance_emit(state: &mut JobState) {
             None => break,
         }
     }
+    let JobState {
+        subscribers, lines, ..
+    } = state;
+    subscribers.retain_mut(|subscriber| subscriber.catch_up(digest, lines, None));
 }
 
 struct SchedState {
@@ -569,11 +661,12 @@ impl Scheduler {
             recorded: reused,
             next_emit: 0,
             lines: Vec::new(),
+            subscribers: Vec::new(),
             finished: false,
             drained: false,
             manifest,
         };
-        advance_emit(&mut job_state);
+        advance_emit(&mut job_state, digest);
         let finished_at_admission = reused == trials;
         if finished_at_admission {
             job_state.finished = true;
@@ -592,7 +685,6 @@ impl Scheduler {
             prefilled,
             next_trial: AtomicUsize::new(0),
             state: Mutex::new(job_state),
-            progress: Condvar::new(),
         });
         if finished_at_admission {
             // Everything came back from the manifest: publish to the cache
@@ -623,7 +715,7 @@ impl Scheduler {
     }
 
     /// Looks a job up by digest for a `resume`: in-flight jobs re-attach to
-    /// the live feed, finished deterministic jobs replay from the result
+    /// the live stream, finished deterministic jobs replay from the result
     /// cache. `Unknown` covers everything else (never submitted, evicted by
     /// a restart, or finished non-deterministically) — the client's
     /// fallback is an idempotent resubmission, which replays recorded
@@ -649,8 +741,9 @@ impl Scheduler {
     }
 
     /// Completes a drain: waits up to `grace` for in-flight trials, joins
-    /// the workers, and terminates every unfinished job's feed so no
-    /// subscriber hangs. Completed trials are already on disk.
+    /// the workers, and ends every unfinished job's streams with a
+    /// job-tagged `draining` line so no subscriber hangs. Completed trials
+    /// are already on disk.
     pub(crate) fn finish_drain(&self) {
         let grace = self.shared.config.grace;
         let deadline = Instant::now() + grace;
@@ -671,8 +764,8 @@ impl Scheduler {
             let mut job_state = lock_recover(&job.state);
             if !job_state.finished {
                 job_state.drained = true;
+                job.end_streams(&mut job_state);
             }
-            job.progress.notify_all();
             drop(job_state);
             release_upload_pin(&self.shared, &job);
         }
@@ -690,15 +783,16 @@ impl Drop for Scheduler {
 
 /// Retires a job whose every trial is recorded: removes it from `running`,
 /// publishes it to the result cache, and only then marks it finished and
-/// wakes its subscribers — so a client that saw the finished feed and
+/// pushes `done` to its subscribers — so a client that has seen `done` and
 /// resubmits always hits the cache. Runs under the scheduler lock (lock
-/// order scheduler → job); the manifest writes already happened in
-/// [`Job::record`], outside it.
+/// order scheduler → job → outbox); the manifest writes already happened
+/// in [`Job::record`], outside it.
 fn retire(state: &mut SchedState, job: &Job) {
     state.running.remove(&job.digest);
     cache_if_deterministic(state, job);
-    lock_recover(&job.state).finished = true;
-    job.progress.notify_all();
+    let mut job_state = lock_recover(&job.state);
+    job_state.finished = true;
+    job.end_streams(&mut job_state);
 }
 
 /// Publishes a finished job to the result cache if every trial is
@@ -956,15 +1050,18 @@ mod tests {
         }
     }
 
-    fn collect(job: &Arc<Job>) -> (Vec<String>, bool) {
+    /// Reads one subscribed stream to its end: the framed trial lines and
+    /// the terminal (`done` or `draining`) line.
+    fn collect(subscribe: impl FnOnce(Subscriber)) -> (Vec<String>, String) {
+        let outbox = Arc::new(Outbox::default());
+        subscribe(Subscriber::new(Arc::clone(&outbox), 0, None));
         let mut lines = Vec::new();
         loop {
-            let (new, finished, drained) =
-                job.wait_lines_timeout(lines.len(), Duration::from_secs(1));
-            lines.extend(new);
-            if finished || drained {
-                return (lines, drained);
+            let line = outbox.pop().expect("nothing closes the outbox");
+            if !line.starts_with("{\"type\":\"trial\"") {
+                return (lines, line);
             }
+            lines.push(line);
         }
     }
 
@@ -976,24 +1073,24 @@ mod tests {
             panic!("expected attachment");
         };
         assert!(!duplicate);
-        let (lines, drained) = collect(&job);
-        assert!(!drained);
+        let (lines, end) = collect(|subscriber| job.subscribe(subscriber));
+        assert!(end.starts_with("{\"type\":\"done\""), "end: {end}");
         assert_eq!(lines.len(), 4);
         assert!(lines[0].contains("\"index\":0"));
-        assert_eq!(job.taxonomy().completed, 4);
+        assert!(end.contains("\"completed\":4,"), "end: {end}");
         assert_eq!(scheduler.stats().trials_executed, 4);
         // Resubmission is a cache hit with byte-identical lines.
         let Submission::Cached(cached) = scheduler.submit(request) else {
             panic!("expected cache hit");
         };
-        assert_eq!(cached.trial_lines, lines);
+        assert_eq!(collect(|subscriber| cached.subscribe(subscriber)).0, lines);
         assert_eq!(scheduler.stats().trials_executed, 4);
         assert_eq!(scheduler.stats().cache_hits, 1);
     }
 
     #[test]
     fn a_finished_feed_is_always_a_cache_hit_on_resubmission() {
-        // Regression: the job used to be marked finished (waking `collect`)
+        // Regression: the job used to be marked finished (ending `collect`)
         // before the worker published it to the cache, so a resubmission
         // racing that window attached as a duplicate instead.
         let scheduler = Scheduler::start(smoke_config()).expect("scheduler");
@@ -1003,12 +1100,12 @@ mod tests {
             let Submission::Attached { job, .. } = scheduler.submit(request.clone()) else {
                 panic!("seed {seed}: expected attachment");
             };
-            let (lines, drained) = collect(&job);
-            assert!(!drained);
+            let (lines, end) = collect(|subscriber| job.subscribe(subscriber));
+            assert!(end.starts_with("{\"type\":\"done\""), "end: {end}");
             let Submission::Cached(cached) = scheduler.submit(request) else {
                 panic!("seed {seed}: expected cache hit");
             };
-            assert_eq!(cached.trial_lines, lines);
+            assert_eq!(collect(|subscriber| cached.subscribe(subscriber)).0, lines);
         }
         assert_eq!(scheduler.stats().cache_hits, 500);
         assert_eq!(scheduler.stats().duplicate_hits, 0);

@@ -1,16 +1,18 @@
-//! The blocking TCP front of `rumor-serve`: one accept-poll loop, one
+//! The blocking TCP front of `rumor-serve`: one blocking accept loop, one
 //! session per connection, no async runtime (vendored-deps constraint —
 //! std only).
 //!
 //! ## Sessions
 //!
-//! A connection is a multiplexed **session**: a reader thread parses any
-//! number of request lines, a writer thread drains a shared outbox, and
-//! every accepted job gets a forwarder thread that frames the job's stored
-//! lines with `"job"`/`"seq"` tags (see [`crate::serve::protocol`]) and
-//! pushes them into the outbox. Many jobs therefore stream concurrently
-//! over one connection, and a `resume` re-attaches to a live or cached job
-//! replaying exactly the suffix past the client's `last_seq`.
+//! A connection is a multiplexed **session** of exactly two threads: a
+//! reader that parses any number of request lines, and a writer that drains
+//! the session's outbox to the socket. Every accepted job streams without a
+//! thread of its own: the session subscribes its outbox to the job, and the
+//! worker that emits a trial line frames it with `"job"`/`"seq"` tags (see
+//! [`crate::serve::protocol`]) and pushes it straight into every subscribed
+//! outbox. Many jobs therefore stream concurrently over one connection,
+//! and a `resume` re-attaches to a live or cached job replaying exactly
+//! the suffix past the client's `last_seq`.
 //!
 //! ## Liveness
 //!
@@ -22,35 +24,29 @@
 //! sends nothing — not even a heartbeat — for the configured idle timeout
 //! is reclaimed, so half-open TCP peers cannot leak session threads.
 //!
-//! The accept loop polls a non-blocking listener so a `drain` request can
-//! stop admission and let the process exit without signal handling (the
-//! crate forbids `unsafe`, so `SIGTERM` cannot be trapped in-process;
+//! The accept loop blocks in `accept`. A drain — the `drain` verb or
+//! [`ServerHandle::drain`] — stops admission and then opens one loopback
+//! connection to wake it; a connection accepted while draining is dropped
+//! and the loop exits, so the process can stop without signal handling
+//! (the crate forbids `unsafe`, so `SIGTERM` cannot be trapped in-process;
 //! kill-safety comes from the scheduler's atomic manifests and checkpoints
 //! instead — see the module docs of [`crate::serve`]).
 
-use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::io::{BufReader, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::serve::protocol::{
-    accepted_line, done_line, draining_line, error_line, heartbeat_line, overloaded_line,
-    parse_request, protocol_error_line, resumed_line, status_line, unknown_job_line,
+    accepted_line, draining_line, error_line, heartbeat_line, overloaded_line, parse_request,
+    protocol_error_line, read_bounded_line, resumed_line, status_line, unknown_job_line,
     unknown_topology_line, upload_ack_line, upload_done_line, upload_error_line,
-    upload_status_line, with_session, Request, ServerStatus,
+    upload_status_line, LineEvent, Request, ServerStatus,
 };
-use crate::serve::scheduler::{
-    CachedJob, Job, Lookup, Scheduler, ServeConfig, ServeStats, Submission,
-};
+use crate::serve::scheduler::{Lookup, Scheduler, ServeConfig, ServeStats, Submission, Subscriber};
 use crate::serve::store::UploadState;
-use crate::serve::sync::{lock_recover, wait_recover};
-
-/// How long a forwarder waits on a silent feed before re-checking the
-/// session's closed flag — bounds forwarder-thread lifetime after a
-/// connection dies.
-const FORWARD_POLL: Duration = Duration::from_millis(100);
+use crate::serve::sync::Outbox;
 
 /// Session-layer counters (the non-scheduler half of the `status` verb).
 #[derive(Debug, Default)]
@@ -58,7 +54,8 @@ struct SessionCounters {
     opened: AtomicU64,
     open: AtomicU64,
     resumes: AtomicU64,
-    replayed_lines: AtomicU64,
+    /// Charged by the jobs that stream into resumed sessions.
+    replayed_lines: Arc<AtomicU64>,
     heartbeats: AtomicU64,
     protocol_errors: AtomicU64,
     idle_reaped: AtomicU64,
@@ -68,9 +65,7 @@ struct SessionCounters {
 #[derive(Debug)]
 pub struct Server {
     listener: TcpListener,
-    addr: SocketAddr,
-    scheduler: Arc<Scheduler>,
-    counters: Arc<SessionCounters>,
+    handle: ServerHandle,
     connections: Arc<AtomicUsize>,
     idle_timeout: Duration,
     max_line_bytes: usize,
@@ -99,12 +94,45 @@ impl ServerHandle {
     /// Current scheduler load plus session-layer counters (the `status`
     /// verb, without the round-trip).
     pub fn status(&self) -> ServerStatus {
-        current_status(&self.scheduler, &self.counters)
+        let stats = self.scheduler.stats();
+        let store = self.scheduler.store().counters();
+        let counters = &self.counters;
+        ServerStatus {
+            queue_depth: stats.pending_trials,
+            active_jobs: stats.pending_jobs,
+            executed: stats.trials_executed,
+            shed: stats.shed,
+            cache_hits: stats.cache_hits,
+            duplicate_hits: stats.duplicate_hits,
+            open_sessions: counters.open.load(Ordering::Relaxed),
+            sessions_opened: counters.opened.load(Ordering::Relaxed),
+            resumes: counters.resumes.load(Ordering::Relaxed),
+            replayed_lines: counters.replayed_lines.load(Ordering::Relaxed),
+            heartbeats: counters.heartbeats.load(Ordering::Relaxed),
+            protocol_errors: counters.protocol_errors.load(Ordering::Relaxed),
+            idle_reaped: counters.idle_reaped.load(Ordering::Relaxed),
+            graphs_stored: store.graphs_stored,
+            store_bytes: store.store_bytes,
+            evictions: store.evictions,
+            partial_uploads: store.partial_uploads,
+            failed_validations: store.failed_validations,
+        }
     }
 
-    /// Requests a graceful drain, as if a `drain` verb had arrived.
+    /// Requests a graceful drain, as if a `drain` verb had arrived: stops
+    /// admission, then wakes the blocking accept loop with one loopback
+    /// connection (connect errors are ignored — a listener that is gone
+    /// needs no waking).
     pub fn drain(&self) {
         self.scheduler.begin_drain();
+        let mut addr = self.addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        let _ = TcpStream::connect(addr);
     }
 }
 
@@ -113,15 +141,16 @@ impl Server {
     /// worker pool.
     pub fn bind(addr: &str, config: ServeConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let idle_timeout = config.idle_timeout;
         let max_line_bytes = config.max_line_bytes;
         Ok(Server {
             listener,
-            addr,
-            scheduler: Arc::new(Scheduler::start(config)?),
-            counters: Arc::new(SessionCounters::default()),
+            handle: ServerHandle {
+                scheduler: Arc::new(Scheduler::start(config)?),
+                counters: Arc::new(SessionCounters::default()),
+                addr,
+            },
             connections: Arc::new(AtomicUsize::new(0)),
             idle_timeout,
             max_line_bytes,
@@ -130,16 +159,12 @@ impl Server {
 
     /// The bound address (after an ephemeral-port bind).
     pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+        self.handle.addr
     }
 
     /// A control handle that outlives `run`.
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
-            scheduler: Arc::clone(&self.scheduler),
-            counters: Arc::clone(&self.counters),
-            addr: self.addr,
-        }
+        self.handle.clone()
     }
 
     /// Serves until drained: accepts connections, spawning one session per
@@ -148,38 +173,24 @@ impl Server {
     /// have unwound (bounded by the configured grace).
     pub fn run(self) -> std::io::Result<()> {
         loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    let scheduler = Arc::clone(&self.scheduler);
-                    let counters = Arc::clone(&self.counters);
-                    let connections = Arc::clone(&self.connections);
-                    let idle_timeout = self.idle_timeout;
-                    let max_line_bytes = self.max_line_bytes;
-                    connections.fetch_add(1, Ordering::SeqCst);
-                    std::thread::spawn(move || {
-                        let _ = handle_connection(
-                            stream,
-                            &scheduler,
-                            &counters,
-                            idle_timeout,
-                            max_line_bytes,
-                        );
-                        connections.fetch_sub(1, Ordering::SeqCst);
-                    });
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    if self.scheduler.draining() {
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => return Err(e),
+            let (stream, _) = self.listener.accept()?;
+            if self.handle.scheduler.draining() {
+                break; // the drain's wake-up connection, or a late client
             }
+            let handle = self.handle.clone();
+            let connections = Arc::clone(&self.connections);
+            let idle_timeout = self.idle_timeout;
+            let max_line_bytes = self.max_line_bytes;
+            connections.fetch_add(1, Ordering::SeqCst);
+            std::thread::spawn(move || {
+                let _ = handle_connection(stream, &handle, idle_timeout, max_line_bytes);
+                connections.fetch_sub(1, Ordering::SeqCst);
+            });
         }
         // Drain: workers finish or checkpoint their current trial, every
-        // unfinished feed is terminated, then sessions unwind (each open
-        // job's forwarder sends a job-tagged `draining` line first).
-        self.scheduler.finish_drain();
+        // unfinished job ends its streams with a job-tagged `draining`
+        // line, then sessions unwind.
+        self.handle.scheduler.finish_drain();
         let deadline = Instant::now() + Duration::from_secs(10);
         while self.connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(5));
@@ -192,141 +203,17 @@ impl Server {
 // Session plumbing
 // ---------------------------------------------------------------------------
 
-struct OutboxState {
-    lines: VecDeque<String>,
-    closed: bool,
-}
-
-/// One connection's shared state: the response outbox (reader + forwarders
-/// push, the writer thread drains) and the teardown flags.
-struct Session {
-    outbox: Mutex<OutboxState>,
-    ready: Condvar,
-    /// The reader has exited; forwarders must stop pushing and return.
-    closed: AtomicBool,
-    /// The writer hit an I/O error (dead peer); pushes become no-ops.
-    writer_dead: AtomicBool,
-}
-
-impl Session {
-    fn new() -> Session {
-        Session {
-            outbox: Mutex::new(OutboxState {
-                lines: VecDeque::new(),
-                closed: false,
-            }),
-            ready: Condvar::new(),
-            closed: AtomicBool::new(false),
-            writer_dead: AtomicBool::new(false),
-        }
-    }
-
-    /// Queues one response line; `false` once the session is tearing down
-    /// (callers treat that as "stop producing"). Poison-tolerant: a
-    /// forwarder that panicked while holding the outbox must not take the
-    /// rest of the session — let alone the server — down with it.
-    fn push(&self, line: String) -> bool {
-        if self.writer_dead.load(Ordering::Relaxed) {
-            return false;
-        }
-        let mut outbox = lock_recover(&self.outbox);
-        if outbox.closed {
-            return false;
-        }
-        outbox.lines.push_back(line);
-        self.ready.notify_one();
-        true
-    }
-
-    /// Seals the outbox: the writer drains what is queued, then exits.
-    fn close_outbox(&self) {
-        let mut outbox = lock_recover(&self.outbox);
-        outbox.closed = true;
-        self.ready.notify_all();
-    }
-
-    /// Blocks for the next line; `None` once the outbox is sealed and empty.
-    fn pop_blocking(&self) -> Option<String> {
-        let mut outbox = lock_recover(&self.outbox);
-        loop {
-            if let Some(line) = outbox.lines.pop_front() {
-                return Some(line);
-            }
-            if outbox.closed {
-                return None;
-            }
-            outbox = wait_recover(&self.ready, outbox);
-        }
-    }
-}
-
-fn writer_loop(session: &Session, stream: TcpStream) {
+fn writer_loop(outbox: &Outbox, stream: TcpStream) {
     let mut writer = std::io::BufWriter::new(stream);
-    while let Some(line) = session.pop_blocking() {
+    while let Some(line) = outbox.pop() {
         if writeln!(writer, "{line}")
             .and_then(|()| writer.flush())
             .is_err()
         {
-            session.writer_dead.store(true, Ordering::Relaxed);
+            // A dead peer: close the outbox so every pusher — the reader
+            // and the jobs streaming here — stops producing.
+            outbox.close();
             return;
-        }
-    }
-}
-
-/// One step of the bounded reader.
-enum ReadEvent {
-    /// A complete request line (newline stripped).
-    Line(String),
-    /// The peer closed the connection.
-    Eof,
-    /// The line exceeded the configured byte bound — protocol violation.
-    TooLong,
-    /// The read timeout elapsed with no complete line; the caller checks
-    /// the idle deadline and teardown flags, then polls again.
-    Tick,
-    /// A non-retryable I/O error.
-    Failed,
-}
-
-/// Reads the next request line without ever growing `buf` past the bound:
-/// each read is capped at the remaining budget, partial lines accumulate
-/// across timeout ticks, and a line that fills the budget without a newline
-/// is a [`ReadEvent::TooLong`] violation.
-fn next_event(
-    reader: &mut BufReader<TcpStream>,
-    buf: &mut Vec<u8>,
-    max_line_bytes: usize,
-) -> ReadEvent {
-    loop {
-        let remaining = (max_line_bytes + 1).saturating_sub(buf.len());
-        if remaining == 0 {
-            return ReadEvent::TooLong;
-        }
-        match (&mut *reader).take(remaining as u64).read_until(b'\n', buf) {
-            Ok(0) => return ReadEvent::Eof,
-            Ok(_) => {
-                if buf.last() == Some(&b'\n') {
-                    if buf.len() > max_line_bytes {
-                        return ReadEvent::TooLong;
-                    }
-                    let line = String::from_utf8_lossy(buf).trim_end().to_string();
-                    buf.clear();
-                    return ReadEvent::Line(line);
-                }
-                // No newline yet: either the take-cap was exhausted (the
-                // next iteration reports TooLong) or the peer paused
-                // mid-line; keep accumulating.
-            }
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                return ReadEvent::Tick
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return ReadEvent::Failed,
         }
     }
 }
@@ -339,8 +226,7 @@ fn poll_interval(idle_timeout: Duration) -> Duration {
 
 fn handle_connection(
     stream: TcpStream,
-    scheduler: &Arc<Scheduler>,
-    counters: &Arc<SessionCounters>,
+    handle: &ServerHandle,
     idle_timeout: Duration,
     max_line_bytes: usize,
 ) -> std::io::Result<()> {
@@ -349,43 +235,41 @@ fn handle_connection(
         .set_read_timeout(Some(poll_interval(idle_timeout)))
         .ok();
     // A write stalled this long means a dead or wedged peer; the writer
-    // marks itself dead and the session unwinds instead of blocking forever.
+    // closes the outbox and the session unwinds instead of blocking forever.
     stream.set_write_timeout(Some(Duration::from_secs(10))).ok();
+    let counters = &handle.counters;
     counters.opened.fetch_add(1, Ordering::Relaxed);
     counters.open.fetch_add(1, Ordering::Relaxed);
 
-    let session = Arc::new(Session::new());
+    let outbox = Arc::new(Outbox::default());
     let writer = {
-        let session = Arc::clone(&session);
+        let outbox = Arc::clone(&outbox);
         let stream = stream.try_clone()?;
-        std::thread::spawn(move || writer_loop(&session, stream))
+        std::thread::spawn(move || writer_loop(&outbox, stream))
     };
     let mut reader = BufReader::new(stream);
     let mut buf: Vec<u8> = Vec::new();
-    let mut forwarders: Vec<std::thread::JoinHandle<()>> = Vec::new();
     let mut idle_deadline = Instant::now() + idle_timeout;
 
-    loop {
-        if session.writer_dead.load(Ordering::Relaxed) {
-            break;
-        }
-        match next_event(&mut reader, &mut buf, max_line_bytes) {
-            ReadEvent::Tick => {
+    // A closed outbox here means the writer died.
+    while !outbox.is_closed() {
+        match read_bounded_line(&mut reader, &mut buf, max_line_bytes) {
+            LineEvent::Tick => {
                 if Instant::now() >= idle_deadline {
                     counters.idle_reaped.fetch_add(1, Ordering::Relaxed);
-                    session.push(protocol_error_line("idle timeout: no request or heartbeat"));
+                    outbox.push(protocol_error_line("idle timeout: no request or heartbeat"));
                     break;
                 }
             }
-            ReadEvent::Eof | ReadEvent::Failed => break,
-            ReadEvent::TooLong => {
+            LineEvent::Eof | LineEvent::Failed(_) => break,
+            LineEvent::TooLong => {
                 counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                session.push(protocol_error_line(&format!(
+                outbox.push(protocol_error_line(&format!(
                     "line exceeds {max_line_bytes} bytes"
                 )));
                 break;
             }
-            ReadEvent::Line(line) => {
+            LineEvent::Line(line) => {
                 idle_deadline = Instant::now() + idle_timeout;
                 if line.is_empty() {
                     continue;
@@ -395,12 +279,11 @@ fn handle_connection(
                         // An unparseable line cannot be correlated to a job;
                         // answer and close, like the pre-session server.
                         counters.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                        session.push(error_line(None, &message));
+                        outbox.push(error_line(None, &message));
                         break;
                     }
                     Ok(request) => {
-                        if !handle_request(request, scheduler, counters, &session, &mut forwarders)
-                        {
+                        if !handle_request(request, handle, &outbox) {
                             break;
                         }
                     }
@@ -409,13 +292,9 @@ fn handle_connection(
         }
     }
 
-    // Teardown in dependency order: stop the forwarders, then seal the
-    // outbox so the writer flushes whatever is queued and exits.
-    session.closed.store(true, Ordering::Relaxed);
-    for forwarder in forwarders {
-        let _ = forwarder.join();
-    }
-    session.close_outbox();
+    // Seal the outbox: the jobs streaming here drop their subscriptions on
+    // their next push, and the writer flushes whatever is queued and exits.
+    outbox.close();
     let _ = writer.join();
     counters.open.fetch_sub(1, Ordering::Relaxed);
     Ok(())
@@ -423,64 +302,50 @@ fn handle_connection(
 
 /// Dispatches one parsed request inside a session. Returns `false` when the
 /// session should close (the `drain` verb: answer, then disconnect).
-fn handle_request(
-    request: Request,
-    scheduler: &Arc<Scheduler>,
-    counters: &Arc<SessionCounters>,
-    session: &Arc<Session>,
-    forwarders: &mut Vec<std::thread::JoinHandle<()>>,
-) -> bool {
+fn handle_request(request: Request, handle: &ServerHandle, outbox: &Arc<Outbox>) -> bool {
+    let scheduler = &handle.scheduler;
+    let subscriber = |last_seq: u64, replayed: Option<Arc<AtomicU64>>| {
+        Subscriber::new(Arc::clone(outbox), last_seq, replayed)
+    };
     match request {
         Request::Ping => {
-            session.push("{\"type\":\"pong\"}".to_string());
+            outbox.push("{\"type\":\"pong\"}".to_string());
         }
         Request::Heartbeat => {
-            counters.heartbeats.fetch_add(1, Ordering::Relaxed);
-            session.push(heartbeat_line());
+            handle.counters.heartbeats.fetch_add(1, Ordering::Relaxed);
+            outbox.push(heartbeat_line());
         }
         Request::Drain => {
-            scheduler.begin_drain();
-            session.push(draining_line(None));
+            handle.drain();
+            outbox.push(draining_line(None));
             return false;
         }
-        Request::Stats => {
-            let stats = scheduler.stats();
-            session.push(format!(
-                "{{\"type\":\"stats\",\"executed\":{},\"shed\":{},\"cache_hits\":{},\"duplicate_hits\":{},\"pending_trials\":{},\"pending_jobs\":{}}}",
-                stats.trials_executed,
-                stats.shed,
-                stats.cache_hits,
-                stats.duplicate_hits,
-                stats.pending_trials,
-                stats.pending_jobs,
-            ));
-        }
         Request::Status => {
-            session.push(status_line(&current_status(scheduler, counters)));
+            outbox.push(status_line(&handle.status()));
         }
         Request::Submit(request) => {
             let digest = request.digest();
             let trials = request.trials;
             match scheduler.submit(request) {
                 Submission::Rejected(message) => {
-                    session.push(error_line(Some(digest), &message));
+                    outbox.push(error_line(Some(digest), &message));
                 }
                 Submission::Draining => {
-                    session.push(draining_line(Some(digest)));
+                    outbox.push(draining_line(Some(digest)));
                 }
                 Submission::Overloaded { retry_after_ms } => {
-                    session.push(overloaded_line(Some(digest), retry_after_ms));
+                    outbox.push(overloaded_line(Some(digest), retry_after_ms));
                 }
                 Submission::Cached(cached) => {
-                    session.push(accepted_line(digest, trials, true, false));
-                    replay_cached(session, counters, &cached, 0, trials, false);
+                    outbox.push(accepted_line(digest, trials, true, false));
+                    cached.subscribe(subscriber(0, None));
                 }
                 Submission::Attached { job, duplicate } => {
-                    session.push(accepted_line(digest, trials, false, duplicate));
-                    forwarders.push(spawn_forwarder(job, session, counters, 0, false));
+                    outbox.push(accepted_line(digest, trials, false, duplicate));
+                    job.subscribe(subscriber(0, None));
                 }
                 Submission::UnknownTopology { topology } => {
-                    session.push(unknown_topology_line(digest, topology));
+                    outbox.push(unknown_topology_line(digest, topology));
                 }
             }
         }
@@ -488,18 +353,18 @@ fn handle_request(
             let digest = manifest.digest;
             match scheduler.store().begin(manifest) {
                 Ok(UploadState::Committed { bytes }) => {
-                    session.push(upload_done_line(digest, bytes));
+                    outbox.push(upload_done_line(digest, bytes));
                 }
                 Ok(UploadState::Partial { acked, .. }) => {
-                    session.push(upload_ack_line(digest, acked));
+                    outbox.push(upload_ack_line(digest, acked));
                 }
                 // `begin` never answers Unknown (it creates the partial);
                 // ack from zero for exhaustiveness.
                 Ok(UploadState::Unknown) => {
-                    session.push(upload_ack_line(digest, 0));
+                    outbox.push(upload_ack_line(digest, 0));
                 }
                 Err(e) => {
-                    session.push(upload_error_line(digest, &e.to_string()));
+                    outbox.push(upload_error_line(digest, &e.to_string()));
                 }
             }
         }
@@ -510,18 +375,18 @@ fn handle_request(
             crc,
         } => match scheduler.store().chunk(digest, index, &payload, crc) {
             Ok(acked) => {
-                session.push(upload_ack_line(digest, acked));
+                outbox.push(upload_ack_line(digest, acked));
             }
             Err(e) => {
-                session.push(upload_error_line(digest, &e.to_string()));
+                outbox.push(upload_error_line(digest, &e.to_string()));
             }
         },
         Request::UploadCommit { digest } => match scheduler.store().commit(digest) {
             Ok(bytes) => {
-                session.push(upload_done_line(digest, bytes));
+                outbox.push(upload_done_line(digest, bytes));
             }
             Err(e) => {
-                session.push(upload_error_line(digest, &e.to_string()));
+                outbox.push(upload_error_line(digest, &e.to_string()));
             }
         },
         Request::UploadStatus { digest } => {
@@ -532,178 +397,25 @@ fn handle_request(
                 UploadState::Partial { acked, chunks } => ("partial", acked, chunks),
                 UploadState::Unknown => ("unknown", 0, 0),
             };
-            session.push(upload_status_line(digest, state, acked, chunks));
+            outbox.push(upload_status_line(digest, state, acked, chunks));
         }
         Request::Resume { job, last_seq } => {
-            counters.resumes.fetch_add(1, Ordering::Relaxed);
+            handle.counters.resumes.fetch_add(1, Ordering::Relaxed);
+            let replayed = Some(Arc::clone(&handle.counters.replayed_lines));
             match scheduler.lookup(job) {
                 Lookup::Running(running) => {
-                    session.push(resumed_line(job, running.trials, last_seq));
-                    let start = (last_seq as usize).min(running.trials);
-                    forwarders.push(spawn_forwarder(running, session, counters, start, true));
+                    outbox.push(resumed_line(job, running.trials, last_seq));
+                    running.subscribe(subscriber(last_seq, replayed));
                 }
                 Lookup::Cached(cached) => {
-                    let trials = cached.trial_lines.len();
-                    session.push(resumed_line(job, trials, last_seq));
-                    replay_cached(session, counters, &cached, last_seq as usize, trials, true);
+                    outbox.push(resumed_line(job, cached.trial_lines.len(), last_seq));
+                    cached.subscribe(subscriber(last_seq, replayed));
                 }
                 Lookup::Unknown => {
-                    session.push(unknown_job_line(job));
+                    outbox.push(unknown_job_line(job));
                 }
             }
         }
     }
     true
-}
-
-/// Replays a cached job's suffix past `from` (a line index) and the `done`
-/// line, all framed — byte-identical to the live stream.
-fn replay_cached(
-    session: &Arc<Session>,
-    counters: &Arc<SessionCounters>,
-    cached: &CachedJob,
-    from: usize,
-    reused: usize,
-    resumed: bool,
-) {
-    let total = cached.trial_lines.len();
-    let from = from.min(total);
-    for (index, line) in cached.trial_lines.iter().enumerate().skip(from) {
-        if !session.push(with_session(line, cached.digest, index as u64 + 1)) {
-            return;
-        }
-    }
-    if resumed {
-        counters
-            .replayed_lines
-            .fetch_add((total - from) as u64, Ordering::Relaxed);
-    }
-    let tax = &cached.taxonomy;
-    session.push(done_line(
-        cached.digest,
-        total as u64 + 1,
-        tax.completed,
-        tax.round_capped,
-        tax.timed_out,
-        tax.panicked,
-        tax.not_run,
-        reused,
-        true,
-    ));
-}
-
-/// Spawns the per-job forwarder: tails the job's feed from line index
-/// `start`, frames each line with `(job, seq)`, and finishes with the
-/// `done` (or job-tagged `draining`) line. Exits within [`FORWARD_POLL`] of
-/// the session closing, so a dead connection reclaims its threads.
-fn spawn_forwarder(
-    job: Arc<Job>,
-    session: &Arc<Session>,
-    counters: &Arc<SessionCounters>,
-    start: usize,
-    resumed: bool,
-) -> std::thread::JoinHandle<()> {
-    let session = Arc::clone(session);
-    let counters = Arc::clone(counters);
-    std::thread::spawn(move || {
-        let mut sent = start;
-        loop {
-            if session.closed.load(Ordering::Relaxed) {
-                return;
-            }
-            let (lines, finished, drained) = job.wait_lines_timeout(sent, FORWARD_POLL);
-            if resumed && !lines.is_empty() {
-                counters
-                    .replayed_lines
-                    .fetch_add(lines.len() as u64, Ordering::Relaxed);
-            }
-            for line in &lines {
-                sent += 1;
-                if !session.push(with_session(line, job.digest, sent as u64)) {
-                    return;
-                }
-            }
-            if drained {
-                session.push(draining_line(Some(job.digest)));
-                return;
-            }
-            if finished && sent >= job.trials {
-                let tax = job.taxonomy();
-                session.push(done_line(
-                    job.digest,
-                    job.trials as u64 + 1,
-                    tax.completed,
-                    tax.round_capped,
-                    tax.timed_out,
-                    tax.panicked,
-                    tax.not_run,
-                    job.reused,
-                    false,
-                ));
-                return;
-            }
-        }
-    })
-}
-
-fn current_status(scheduler: &Scheduler, counters: &SessionCounters) -> ServerStatus {
-    let stats = scheduler.stats();
-    let store = scheduler.store().counters();
-    ServerStatus {
-        queue_depth: stats.pending_trials,
-        active_jobs: stats.pending_jobs,
-        executed: stats.trials_executed,
-        shed: stats.shed,
-        cache_hits: stats.cache_hits,
-        duplicate_hits: stats.duplicate_hits,
-        open_sessions: counters.open.load(Ordering::Relaxed),
-        sessions_opened: counters.opened.load(Ordering::Relaxed),
-        resumes: counters.resumes.load(Ordering::Relaxed),
-        replayed_lines: counters.replayed_lines.load(Ordering::Relaxed),
-        heartbeats: counters.heartbeats.load(Ordering::Relaxed),
-        protocol_errors: counters.protocol_errors.load(Ordering::Relaxed),
-        idle_reaped: counters.idle_reaped.load(Ordering::Relaxed),
-        graphs_stored: store.graphs_stored,
-        store_bytes: store.store_bytes,
-        evictions: store.evictions,
-        partial_uploads: store.partial_uploads,
-        failed_validations: store.failed_validations,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The wedge class the poison-tolerant outbox closes: a session thread
-    /// that panics while holding the outbox lock used to poison it, after
-    /// which every `push` panicked in turn and the writer died inside
-    /// `Condvar::wait` — lines queued forever, session threads leaked. Now
-    /// the remaining threads recover the guard and drain normally.
-    #[test]
-    fn outbox_survives_a_poisoning_session_thread() {
-        let session = Arc::new(Session::new());
-        session.push("before".to_string());
-
-        let poisoner = Arc::clone(&session);
-        std::thread::spawn(move || {
-            let _guard = poisoner.outbox.lock().unwrap();
-            panic!("forwarder dies mid-push");
-        })
-        .join()
-        .unwrap_err();
-        assert!(session.outbox.is_poisoned(), "setup must actually poison");
-
-        // Pushes keep landing, the blocked pop drains them, and sealing
-        // still unblocks the writer loop.
-        assert!(session.push("after".to_string()));
-        assert_eq!(session.pop_blocking().as_deref(), Some("before"));
-        assert_eq!(session.pop_blocking().as_deref(), Some("after"));
-        let drainer = Arc::clone(&session);
-        let writer = std::thread::spawn(move || drainer.pop_blocking());
-        std::thread::sleep(Duration::from_millis(20));
-        session.close_outbox();
-        assert_eq!(writer.join().unwrap(), None);
-        assert!(!session.push("sealed".to_string()));
-    }
 }

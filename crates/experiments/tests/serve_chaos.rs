@@ -7,11 +7,13 @@
 //! through sustained faults and requires the result streams to be
 //! **byte-identical** to an un-proxied run against a separate server —
 //! zero lost lines, zero duplicated lines. The rest pin the session layer's
-//! edges: exact resume replay, half-open reaping within the idle timeout,
-//! bounded-line violations, and multiplexing many jobs over one connection.
+//! edges: exact resume replay (from the cache and from a running job),
+//! the bytes that end each kind of stream, drain mid-stream, half-open
+//! reaping within the idle timeout, bounded-line violations, and
+//! multiplexing many jobs over one connection.
 
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::time::{Duration, Instant};
 
 use rumor_experiments::serve::protocol::{parse_json, resume_request_line, Json};
@@ -46,6 +48,41 @@ fn read_line(reader: &mut BufReader<TcpStream>) -> Option<String> {
         Ok(0) => None,
         Ok(_) => Some(line.trim_end().to_string()),
         Err(_) => None,
+    }
+}
+
+/// Opens a raw session and sends one request line. Reads time out, so a
+/// stream that never ends fails the test instead of hanging it.
+fn send(addr: SocketAddr, line: &str) -> BufReader<TcpStream> {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    writeln!(&stream, "{line}").expect("write");
+    BufReader::new(stream)
+}
+
+/// A wire line's `type` field.
+fn kind(line: &str) -> String {
+    let value = parse_json(line).expect("json line");
+    value
+        .get("type")
+        .and_then(Json::as_str)
+        .expect("typed line")
+        .to_string()
+}
+
+/// Reads one job stream up to and including its terminal line (`done` or
+/// job-tagged `draining`).
+fn read_stream(reader: &mut BufReader<TcpStream>) -> Vec<String> {
+    let mut lines = Vec::new();
+    loop {
+        let line = read_line(reader).expect("the stream must end with a terminal line");
+        let end = matches!(kind(&line).as_str(), "done" | "draining");
+        lines.push(line);
+        if end {
+            return lines;
+        }
     }
 }
 
@@ -293,5 +330,116 @@ fn oversized_lines_get_a_typed_protocol_error() {
         std::thread::sleep(Duration::from_millis(10));
     }
     assert_eq!(handle.status().protocol_errors, 1);
+    stop(&handle, join);
+}
+
+/// A drain while a job streams ends that job's stream with its job-tagged
+/// `draining` line: the session gets every trial line emitted before the
+/// drain, then the terminal line — no hang.
+#[test]
+fn drain_ends_a_streaming_job_with_its_tagged_draining_line() {
+    let config = ServeConfig {
+        throttle_ms: 50, // 40 trials on one worker: the drain lands mid-job
+        ..ServeConfig::new().with_workers(1)
+    };
+    let (handle, join) = start(config);
+    let request = job("drain", 31, 40);
+    let mut reader = send(handle.addr(), &request.to_line());
+    let accepted = read_line(&mut reader).expect("accepted line");
+    assert_eq!(kind(&accepted), "accepted");
+    let first = read_line(&mut reader).expect("first trial line");
+    assert_eq!(kind(&first), "trial");
+
+    handle.drain();
+    let rest = read_stream(&mut reader);
+    let (end, trials) = rest.split_last().expect("terminal line");
+    assert_eq!(
+        end,
+        &format!(
+            "{{\"type\":\"draining\",\"job\":\"{:016x}\"}}",
+            request.digest()
+        )
+    );
+    assert!(trials.iter().all(|line| kind(line) == "trial"));
+    assert!(trials.len() < 39, "the drain must cut the job short");
+    drop(reader);
+    join.join().expect("server thread");
+}
+
+/// A `resume` whose `last_seq` is ahead of the lines a *running* job has
+/// emitted waits for them: it gets exactly the trial lines with
+/// `seq > last_seq`, then `done`, byte-identical to that suffix of the
+/// job's live stream.
+#[test]
+fn over_claiming_resume_on_a_running_job_gets_exactly_the_suffix() {
+    let config = ServeConfig {
+        throttle_ms: 100, // 12 trials on one worker: seq 6 lands ~0.5 s later
+        ..ServeConfig::new().with_workers(1)
+    };
+    let (handle, join) = start(config);
+    let request = job("overclaim", 77, 12);
+    let digest = request.digest();
+
+    let mut live = send(handle.addr(), &request.to_line());
+    let accepted = read_line(&mut live).expect("accepted line");
+    assert_eq!(kind(&accepted), "accepted");
+    let first = read_line(&mut live).expect("first trial line");
+    assert_eq!(kind(&first), "trial");
+
+    let last_seq = 6u64;
+    let mut resumed = send(handle.addr(), &resume_request_line(digest, last_seq));
+    let header = read_line(&mut resumed).expect("resumed header");
+    assert_eq!(kind(&header), "resumed");
+    assert_eq!(
+        parse_json(&header)
+            .expect("json")
+            .get("seq")
+            .and_then(Json::as_u64),
+        Some(last_seq)
+    );
+    let suffix = read_stream(&mut resumed);
+
+    let mut full = vec![first];
+    full.extend(read_stream(&mut live));
+    assert_eq!(full.len(), 13, "12 trials + done");
+    assert_eq!(suffix, full[last_seq as usize..].to_vec());
+    drop((live, resumed));
+    stop(&handle, join);
+}
+
+/// Every path ends with the `done` bytes of its kind: a live stream with
+/// `cached:false` and the job's manifest reuse, a cache hit and a resume
+/// from the cache with `cached:true` and every trial reused. The trial
+/// lines before them are the same bytes on all three.
+#[test]
+fn live_and_cached_streams_end_with_their_own_done_bytes() {
+    let (handle, join) = start(ServeConfig::new());
+    let request = job("done", 555, 5);
+    let hex = format!("{:016x}", request.digest());
+    let done = |reused: usize, cached: bool| {
+        format!(
+            "{{\"type\":\"done\",\"job\":\"{hex}\",\"seq\":6,\"completed\":5,\"round_capped\":0,\"timed_out\":0,\"panicked\":0,\"not_run\":0,\"reused\":{reused},\"cached\":{cached}}}"
+        )
+    };
+
+    // One session per request, closed before the next: header, then stream.
+    let exchange = |line: &str| {
+        let mut reader = send(handle.addr(), line);
+        let header = read_line(&mut reader).expect("header line");
+        (header, read_stream(&mut reader))
+    };
+    let (accepted, live) = exchange(&request.to_line());
+    assert!(accepted.contains("\"cached\":false"), "got {accepted}");
+    let (accepted, hit) = exchange(&request.to_line());
+    assert!(accepted.contains("\"cached\":true"), "got {accepted}");
+    let (header, resumed) = exchange(&resume_request_line(request.digest(), 0));
+    assert_eq!(kind(&header), "resumed");
+
+    assert_eq!(live.len(), 6, "5 trials + done");
+    assert_eq!(live[5], done(0, false));
+    assert_eq!(hit[5], done(5, true));
+    assert_eq!(resumed[5], done(5, true));
+    assert_eq!(live[..5], hit[..5]);
+    assert_eq!(live[..5], resumed[..5]);
     stop(&handle, join);
 }

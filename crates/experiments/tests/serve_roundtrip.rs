@@ -58,11 +58,11 @@ fn submits_a_sweep_and_streams_typed_results() {
     assert_eq!(replay.trial_lines, result.trial_lines);
     assert_eq!(handle.stats().trials_executed, 6, "cache hit must be free");
 
-    // Liveness + stats + drain round-trip through the wire.
+    // Liveness + status + drain round-trip through the wire.
     client.ping().expect("ping");
-    let (executed, _, cache_hits, _, _, _) = client.stats().expect("stats");
-    assert_eq!(executed, 6);
-    assert_eq!(cache_hits, 1);
+    let status = client.status().expect("status");
+    assert_eq!(status.executed, 6);
+    assert_eq!(status.cache_hits, 1);
     client.drain().expect("drain");
     join.join().unwrap();
 }
@@ -260,9 +260,9 @@ fn draining_server_rejects_new_submissions_typed() {
 
 #[test]
 fn killed_session_mid_forward_leaves_the_server_serving() {
-    // The regression this pins: a session dying mid-forward (connection
-    // dropped while its forwarder is streaming trial lines) must cost only
-    // that session. The server keeps admitting and serving new sessions,
+    // The regression this pins: a session dying mid-stream (connection
+    // dropped while its job is pushing trial lines into the session's
+    // outbox) must cost only that session. The server keeps admitting and serving new sessions,
     // and the dead session's threads are reclaimed — nothing wedges on the
     // outbox Condvar.
     use std::io::{BufRead, BufReader, Write};
@@ -285,8 +285,8 @@ fn killed_session_mid_forward_leaves_the_server_serving() {
         reader.read_line(&mut line).expect("first trial line");
         assert!(line.contains("\"type\":\"trial\""), "unexpected: {line}");
         // Drop the socket with 19 trials still to stream: the reader sees
-        // EOF, the writer hits a dead peer, the forwarder must notice and
-        // exit instead of pushing into a wedged outbox forever.
+        // EOF and closes the outbox, and the job must drop the dead
+        // subscription instead of pushing into a wedged outbox forever.
     }
 
     // A fresh session on the same server must be served normally while the
@@ -296,8 +296,8 @@ fn killed_session_mid_forward_leaves_the_server_serving() {
     let result = client.submit(&fresh).expect("fresh session served");
     assert_eq!(result.taxonomy.completed, 4);
 
-    // The dead session's threads unwind (bounded by the forwarder poll),
-    // leaving no leaked open session.
+    // The dead session's threads unwind (bounded by the reader's read
+    // timeout), leaving no leaked open session.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let status = handle.status();
