@@ -41,7 +41,7 @@ use rand::rngs::SmallRng;
 use rand::stream::{RoundKey, StreamKey};
 use rand::SeedableRng;
 
-use rumor_graphs::{Topology, VertexId};
+use rumor_graphs::{DrawBlock, Topology, VertexId};
 use rumor_walks::{AgentId, MultiWalk, UninformedFrontier};
 
 use crate::driver::{drive, outcome_of, record_of, Capture, Checkpoint, Rounds};
@@ -238,7 +238,12 @@ struct VertexEngine<'g, G: Topology, R: GossipRule> {
     threads: usize,
     /// Per-shard compaction buffers (reused across rounds).
     shard_newly: Vec<Vec<u32>>,
+    /// Per-shard draw blocks for [`Topology::resolve_block`].
+    shard_blocks: Vec<DrawBlock>,
 }
+
+/// Active vertices gathered per [`VertexEngine::draw_batch`] call.
+const DRAW_BATCH: usize = 128;
 
 impl<'g, G: Topology, R: GossipRule> VertexEngine<'g, G, R> {
     /// Runs the vertex protocol of rule `R` (see [`drive_sharded`]).
@@ -256,6 +261,7 @@ impl<'g, G: Topology, R: GossipRule> VertexEngine<'g, G, R> {
             key: StreamKey::from_seed(spec.seed),
             threads,
             shard_newly: Vec::new(),
+            shard_blocks: Vec::new(),
         };
         if let Some(snapshot) = resume {
             // Replays the informed set in its stored insertion order, so the
@@ -286,8 +292,9 @@ impl<'g, G: Topology, R: GossipRule> VertexEngine<'g, G, R> {
         words: &[u64],
         (lo, hi): (usize, usize),
         out: &mut Vec<u32>,
+        draws: &mut DrawBlock,
     ) {
-        let mut pending = [0u32; 128];
+        let mut pending = [0u32; DRAW_BATCH];
         let mut count = 0usize;
         for (off, &word) in words[lo..hi].iter().enumerate() {
             let mut bits = word;
@@ -300,17 +307,20 @@ impl<'g, G: Topology, R: GossipRule> VertexEngine<'g, G, R> {
                 count += 1;
                 bits &= bits - 1;
                 if count == pending.len() {
-                    Self::draw_batch(graph, informed, round_key, &pending, out);
+                    Self::draw_batch(graph, informed, round_key, &pending, out, draws);
                     count = 0;
                 }
             }
         }
-        Self::draw_batch(graph, informed, round_key, &pending[..count], out);
+        Self::draw_batch(graph, informed, round_key, &pending[..count], out, draws);
     }
 
     /// Drains one gathered batch of active vertices (see
     /// [`VertexEngine::draw_range`] for why this must not inline into the
-    /// scan loop).
+    /// scan loop): every vertex draws its call target's index, the batch
+    /// resolves with one [`Topology::resolve_block`] call (so a backend
+    /// that derives neighbors overlaps the batch's derivations), and the
+    /// calls then run in vertex order.
     ///
     /// Degree-1 vertices (star leaves — the hottest class on the paper's
     /// instances) consume no randomness at all: their call target is
@@ -326,15 +336,22 @@ impl<'g, G: Topology, R: GossipRule> VertexEngine<'g, G, R> {
         round_key: &RoundKey,
         pending: &[u32],
         out: &mut Vec<u32>,
+        draws: &mut DrawBlock,
     ) {
+        draws.clear();
         for &id in pending {
             let u = id as usize;
             // Active vertices always have a neighbor (boundary invariant),
             // so the isolation arm is unreachable.
-            let v = graph
-                .random_neighbor_with(u, || round_key.stream(u as u64))
-                .expect("active vertex has a neighbor");
-            call::<R>(informed, u, v, out);
+            draws.push(
+                graph
+                    .draw_deferred_with(u, || round_key.stream(u as u64))
+                    .expect("active vertex has a neighbor"),
+            );
+        }
+        graph.resolve_block(draws);
+        for (&u, &v) in pending.iter().zip(draws.resolved()) {
+            call::<R>(informed, u as usize, v as usize, out);
         }
     }
 }
@@ -364,6 +381,7 @@ impl<G: Topology, R: GossipRule> Rounds for VertexEngine<'_, G, R> {
         };
         if self.shard_newly.len() < shards {
             self.shard_newly.resize_with(shards, Vec::new);
+            self.shard_blocks.resize_with(shards, DrawBlock::default);
         }
         for buf in &mut self.shard_newly[..shards] {
             buf.clear();
@@ -376,6 +394,7 @@ impl<G: Topology, R: GossipRule> Rounds for VertexEngine<'_, G, R> {
                 words,
                 (0, words.len()),
                 &mut self.shard_newly[0],
+                &mut self.shard_blocks[0],
             );
         } else {
             // Contiguous word ranges with roughly equal active popcounts
@@ -395,9 +414,10 @@ impl<G: Topology, R: GossipRule> Rounds for VertexEngine<'_, G, R> {
             }
             ranges.push((lo, words.len()));
             std::thread::scope(|scope| {
-                for (range, buf) in ranges.into_iter().zip(self.shard_newly.iter_mut()) {
+                let shards = self.shard_newly.iter_mut().zip(&mut self.shard_blocks);
+                for (range, (buf, draws)) in ranges.into_iter().zip(shards) {
                     scope.spawn(move || {
-                        Self::draw_range(graph, informed, &round_key, words, range, buf)
+                        Self::draw_range(graph, informed, &round_key, words, range, buf, draws)
                     });
                 }
             });

@@ -69,6 +69,31 @@ fn spec_for(kind: ProtocolKind, seed: u64, graph: &GeneratedGraph) -> Simulation
         .adapted_to(graph)
 }
 
+/// The sharded grids' instances: the differential grid plus one graph large
+/// enough that push-pull rounds draw for more than 128 active vertices,
+/// i.e. more than one resolve block per shard.
+fn sharded_instances() -> Vec<GeneratedGraph> {
+    let mut graphs = instances();
+    graphs.push(GeneratedGraph::gnp(400, 0.03, 2).unwrap());
+    graphs
+}
+
+/// The specs a sharded cell runs: the adapted spec and, for the agent
+/// protocols, the same spec on lazy walks (the per-agent stream scheme).
+fn sharded_specs(kind: ProtocolKind, seed: u64, graph: &GeneratedGraph) -> Vec<SimulationSpec> {
+    let base = spec_for(kind, seed, graph);
+    let agents = matches!(
+        kind,
+        ProtocolKind::VisitExchange | ProtocolKind::MeetExchange
+    );
+    let mut specs = vec![base.clone()];
+    if agents && !base.agents.walk.is_lazy() {
+        let lazy = base.agents.clone().lazy();
+        specs.push(base.with_agents(lazy));
+    }
+    specs
+}
+
 #[test]
 fn sequential_engine_is_bit_identical_across_backends() {
     let mut connected_instances = 0usize;
@@ -121,11 +146,13 @@ fn combined_protocol_is_bit_identical_across_backends() {
 
 #[test]
 fn sharded_engine_is_bit_identical_across_backends_at_every_thread_count() {
-    for generated in instances() {
+    for generated in sharded_instances() {
         let csr = generated.materialize().unwrap();
         for kind in SHARDED_PROTOCOLS {
-            for seed in [0u64, 5] {
-                let base = spec_for(kind, seed, &generated);
+            for base in [0u64, 5]
+                .into_iter()
+                .flat_map(|seed| sharded_specs(kind, seed, &generated))
+            {
                 // The one-thread sharded run is the reference; every other
                 // thread count — and the CSR backend at each — must match.
                 let reference = simulate_on(&generated, 0, &base.clone().with_sharded(1));
@@ -247,11 +274,13 @@ fn hub_cached_sequential_runs_are_bit_identical_across_all_backends() {
 
 #[test]
 fn hub_cached_sharded_runs_are_bit_identical_at_every_thread_count() {
-    for generated in instances() {
+    for generated in sharded_instances() {
         let hub = HubCachedGraph::over(generated.clone());
         for kind in SHARDED_PROTOCOLS {
-            for seed in [0u64, 5] {
-                let base = spec_for(kind, seed, &generated);
+            for base in [0u64, 5]
+                .into_iter()
+                .flat_map(|seed| sharded_specs(kind, seed, &generated))
+            {
                 let reference = simulate_on(&generated, 0, &base.clone().with_sharded(1));
                 for threads in [1usize, 2, 3, 8] {
                     let spec = base.clone().with_sharded(threads);

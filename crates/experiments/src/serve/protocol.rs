@@ -300,18 +300,17 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so boundaries
-                // are valid).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|e| e.to_string())?;
-                // Non-empty by the `Some(_)` guard, but this parser runs on
-                // session reader threads against hostile input — answer
-                // typed rather than carry a panic surface.
-                let ch = rest
-                    .chars()
-                    .next()
-                    .ok_or_else(|| "truncated string".to_string())?;
-                out.push(ch);
-                *pos += ch.len_utf8();
+                // Consume the whole run up to the next quote or escape and
+                // validate it once: both are ASCII, so the run ends on a
+                // scalar boundary of the `&str` input, and each byte is
+                // looked at a bounded number of times however long the line.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |k| *pos + k);
+                let run = std::str::from_utf8(&bytes[*pos..end]).map_err(|e| e.to_string())?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }
@@ -1355,6 +1354,34 @@ mod tests {
         // u64 seeds survive exactly.
         let big = parse_json(&format!("{{\"seed\":{}}}", u64::MAX)).unwrap();
         assert_eq!(big.get("seed").and_then(Json::as_u64), Some(u64::MAX));
+    }
+
+    #[test]
+    fn string_parsing_is_linear_in_line_length() {
+        // Multi-byte scalars and escapes between long plain runs: the runs
+        // must come back whole and the escapes decoded.
+        let unit = "0123456789abcdef".repeat(15) + "é→𝄞\\n\\\"";
+        let decoded = "0123456789abcdef".repeat(15) + "é→𝄞\n\"";
+        let best_of_5 = |copies: usize| {
+            let line = format!("{{\"s\":\"{}\"}}", unit.repeat(copies));
+            let want = decoded.repeat(copies);
+            (0..5)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    let v = parse_json(&line).unwrap();
+                    let elapsed = t.elapsed();
+                    assert_eq!(v.get("s").and_then(Json::as_str), Some(want.as_str()));
+                    elapsed
+                })
+                .min()
+                .unwrap()
+        };
+        let short = best_of_5(32);
+        let long = best_of_5(8 * 32);
+        assert!(
+            long < 16 * short,
+            "an 8x longer line took {long:?} against {short:?}"
+        );
     }
 
     #[test]

@@ -429,6 +429,9 @@ struct Shared {
     state: Mutex<SchedState>,
     work_ready: Condvar,
     draining: AtomicBool,
+    /// Set once [`Scheduler::finish_drain`] has ended every unfinished
+    /// job's streams: sessions may close after that and lose no line.
+    drained: AtomicBool,
     executed: AtomicUsize,
     shed: AtomicUsize,
     cache_hits: AtomicUsize,
@@ -477,6 +480,7 @@ impl Scheduler {
             }),
             work_ready: Condvar::new(),
             draining: AtomicBool::new(false),
+            drained: AtomicBool::new(false),
             executed: AtomicUsize::new(0),
             shed: AtomicUsize::new(0),
             cache_hits: AtomicUsize::new(0),
@@ -517,6 +521,12 @@ impl Scheduler {
     /// Whether a drain has been requested.
     pub(crate) fn draining(&self) -> bool {
         self.shared.draining.load(Ordering::Relaxed)
+    }
+
+    /// Whether a drain has finished: every unfinished job's `draining`
+    /// line is already in its subscribers' outboxes.
+    pub(crate) fn drained(&self) -> bool {
+        self.shared.drained.load(Ordering::SeqCst)
     }
 
     /// Admits, deduplicates, or sheds one submission.
@@ -771,6 +781,8 @@ impl Scheduler {
         }
         state.queues.clear();
         state.pending_trials = 0;
+        drop(state);
+        self.shared.drained.store(true, Ordering::SeqCst);
     }
 }
 

@@ -27,7 +27,9 @@
 //! The accept loop blocks in `accept`. A drain — the `drain` verb or
 //! [`ServerHandle::drain`] — stops admission and then opens one loopback
 //! connection to wake it; a connection accepted while draining is dropped
-//! and the loop exits, so the process can stop without signal handling
+//! and the loop exits. Once the scheduler has finished the drain, every
+//! session reader closes at its next read timeout, quiet or not, so the
+//! process can stop without signal handling
 //! (the crate forbids `unsafe`, so `SIGTERM` cannot be trapped in-process;
 //! kill-safety comes from the scheduler's atomic manifests and checkpoints
 //! instead — see the module docs of [`crate::serve`]).
@@ -189,7 +191,9 @@ impl Server {
         }
         // Drain: workers finish or checkpoint their current trial, every
         // unfinished job ends its streams with a job-tagged `draining`
-        // line, then sessions unwind.
+        // line, then sessions unwind: each reader sees the finished drain
+        // at its next read timeout, so an idle client delays the exit by
+        // at most one poll interval.
         self.handle.scheduler.finish_drain();
         let deadline = Instant::now() + Duration::from_secs(10);
         while self.connections.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
@@ -255,6 +259,11 @@ fn handle_connection(
     while !outbox.is_closed() {
         match read_bounded_line(&mut reader, &mut buf, max_line_bytes) {
             LineEvent::Tick => {
+                // A finished drain has queued every line this session is
+                // owed; a quiet client must not hold the shutdown open.
+                if handle.scheduler.drained() {
+                    break;
+                }
                 if Instant::now() >= idle_deadline {
                     counters.idle_reaped.fetch_add(1, Ordering::Relaxed);
                     outbox.push(protocol_error_line("idle timeout: no request or heartbeat"));

@@ -259,6 +259,30 @@ fn unknown_job_resume_answers_typed() {
     stop(&handle, join);
 }
 
+/// A drain does not wait on a session that stays open and quiet: its reader
+/// closes once the drain has finished, so the server returns within a
+/// second, and the idle client sees its connection end.
+#[test]
+fn drain_returns_promptly_with_an_idle_session_open() {
+    let (handle, join) = start(ServeConfig::new());
+    let idle = TcpStream::connect(handle.addr()).expect("connect");
+    idle.set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    // A ping round-trip proves the session is up before the drain.
+    writeln!(&idle, "{{\"verb\":\"ping\"}}").expect("write");
+    let mut reader = BufReader::new(idle);
+    assert_eq!(kind(&read_line(&mut reader).expect("pong")), "pong");
+
+    let started = Instant::now();
+    stop(&handle, join);
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(1),
+        "drain took {elapsed:?} with an idle session open"
+    );
+    assert_eq!(read_line(&mut reader), None, "the session must be closed");
+}
+
 /// A connection that goes silent (no request, no heartbeat) is reclaimed
 /// within the configured idle timeout: typed `protocol_error`, close, and
 /// the `idle_reaped` counter ticks. Heartbeats defer the reaper.

@@ -65,13 +65,20 @@
 //! (`BENCH_random.json` records the measured ratio — 22× at `d̄ = 40`).
 //! The price is per-query work: a neighbor query re-derives the vertex's
 //! stub partners — `O(deg)` cycle-walked Feistel passes of four round-table
-//! reads each, plus an owner lookup per partner — and sorts them, so a draw
-//! costs microseconds instead of nanoseconds. Prefer the CSR backend when
-//! the graph fits in memory and is reused across many trials; prefer
-//! `GeneratedGraph` for scenario sweeps at scales where the CSR does not
-//! fit.
+//! reads each, plus an owner lookup per partner — and sorts them. That work
+//! is short but made of dependent table reads and searches, so one block
+//! kernel resolves the stubs of many queries together, stage by stage, and
+//! their reads overlap: the sharded engines hand it a block of draws at a
+//! time ([`Topology::resolve_block`]), the construction degree pass 64
+//! vertices at a time, and a single query is a block of one. A tail-vertex
+//! draw then costs a few hundred nanoseconds instead of the few
+//! nanoseconds of a CSR read (README's *Random topologies* section has the
+//! measured figures). Prefer the CSR backend when the graph fits in memory
+//! and is reused across many trials; prefer `GeneratedGraph` for scenario
+//! sweeps at scales where the CSR does not fit.
 
 use std::fmt;
+use std::hint::select_unpredictable;
 use std::sync::OnceLock;
 
 use rand::stream::{philox2x64_6, StreamKey, StreamRng};
@@ -80,7 +87,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{GraphError, Result};
 use crate::graph::{index_word, sample_index, Graph, VertexId};
-use crate::topology::Topology;
+use crate::topology::{Deferred, DeferredNeighbor, DrawBlock, Topology};
 
 /// Key-derivation constant for the per-seed Philox keys (arbitrary odd
 /// tag; fixed forever — changing it would silently change every generated
@@ -98,6 +105,8 @@ const FEISTEL_ROUNDS: u64 = 4;
 /// Neighbor lists up to this many stubs are assembled on the stack; larger
 /// (hub) vertices fall back to a heap buffer.
 const STACK_NEIGHBORS: usize = 96;
+/// Vertices per block of the construction degree pass.
+const DEGREE_BLOCK: usize = 64;
 /// Log₂ of the stub-block size of the coarse owner index: one `u32` per
 /// 1024 stubs (0.4% of the offsets table) confines each stub→owner lookup
 /// to a couple of cache lines instead of a full binary search over the
@@ -269,7 +278,7 @@ impl Pairing {
 
     /// The shuffled position of stub `s` (cycle-walked bijection on
     /// `[0, stubs)`).
-    #[inline]
+    #[cfg(test)]
     fn position(&self, s: u64) -> u64 {
         debug_assert!(s < self.stubs);
         let mut y = self.encrypt(s);
@@ -280,7 +289,7 @@ impl Pairing {
     }
 
     /// The stub at shuffled position `t` (inverse of [`Pairing::position`]).
-    #[inline]
+    #[cfg(test)]
     fn stub_at(&self, t: u64) -> u64 {
         debug_assert!(t < self.stubs);
         let mut y = self.decrypt(t);
@@ -294,7 +303,7 @@ impl Pairing {
     /// unmatched stub of an odd total. An involution:
     /// `partner(partner(s)) == Some(s)` whenever defined — which is what
     /// makes edge membership symmetric.
-    #[inline]
+    #[cfg(test)]
     fn partner(&self, s: u64) -> Option<u64> {
         let pos = self.position(s);
         let mate = pos ^ 1;
@@ -393,62 +402,233 @@ fn owner_of(offsets: &[u32], pos: u64) -> usize {
     offsets.partition_point(|&o| u64::from(o) <= pos) - 1
 }
 
-/// Borrowed view of the stub tables: the offsets plus the coarse owner
-/// index that brackets every lookup (see [`COARSE_BITS`]).
+/// Working memory of the block kernel (the batched stub pairing behind
+/// [`GeneratedGraph`] and the misses of
+/// [`HubCachedGraph`](crate::HubCachedGraph)), owned by the caller. It grows
+/// to the largest block it serves and is reused after that, so a warm
+/// caller allocates nothing per block.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct BlockScratch {
+    /// The block's queried vertices.
+    vertices: Vec<u32>,
+    /// For a block of draws: each query's neighbor index and the output
+    /// slot its answer goes to.
+    index: Vec<u32>,
+    slots: Vec<u32>,
+    /// One entry per gathered stub: its id, then its shuffled position, its
+    /// mate's position, the partner stub and the partner's owner; finally
+    /// the queries' neighbor lists, packed to the front.
+    values: Vec<u32>,
+    /// The cycle-walk lanes still outside `[0, S)`.
+    pending: Vec<u32>,
+    /// `bounds[k]..bounds[k + 1]`: query `k`'s stubs, then its list.
+    bounds: Vec<u32>,
+}
+
+impl BlockScratch {
+    /// Drops the queued queries.
+    pub(crate) fn clear_queries(&mut self) {
+        self.vertices.clear();
+        self.index.clear();
+        self.slots.clear();
+    }
+
+    /// Queues a draw: `out[slot]` becomes the `index`-th neighbor of
+    /// `vertex`.
+    pub(crate) fn push_query(&mut self, vertex: u32, index: u32, slot: usize) {
+        self.vertices.push(vertex);
+        self.index.push(index);
+        self.slots.push(slot as u32);
+    }
+
+    /// Query `k`'s sorted simple neighbor list, after [`Kernel::lists_in`].
+    fn list(&self, k: usize) -> &[u32] {
+        &self.values[self.bounds[k] as usize..self.bounds[k + 1] as usize]
+    }
+}
+
+/// Stub lanes whose owner searches step together: enough independent loads
+/// in flight to overlap their cache misses, few enough to stay in
+/// registers.
+const OWNER_LANES: usize = 8;
+
+/// Borrowed view of everything a neighbor query reads: the stub offsets,
+/// the coarse owner index that brackets every owner lookup (see
+/// [`COARSE_BITS`]) and the pairing.
 #[derive(Clone, Copy)]
-struct StubTable<'a> {
+struct Kernel<'a> {
     offsets: &'a [u32],
     coarse: &'a [u32],
+    pairing: &'a Pairing,
 }
 
-impl StubTable<'_> {
-    /// The vertex owning stub `t` — the same value a full
-    /// [`owner_of`] search returns, but confined by the coarse index to the
-    /// couple of cache lines between two block anchors.
-    #[inline]
-    fn owner(&self, t: u64) -> usize {
-        let b = (t >> COARSE_BITS) as usize;
-        let lo = self.coarse[b] as usize;
-        let hi = self
-            .coarse
-            .get(b + 1)
-            .map_or(self.offsets.len() - 1, |&v| v as usize);
-        // The answer lies in [lo, hi]; entries up to index lo are <= t and
-        // entries past index hi + 1 are > t, so counting within the
-        // bracket reproduces the global partition point.
-        let slice = &self.offsets[lo + 1..(hi + 2).min(self.offsets.len())];
-        lo + slice.partition_point(|&o| u64::from(o) <= t)
+impl Kernel<'_> {
+    /// The stub total of `vertices`.
+    fn stubs_of(&self, vertices: &[u32]) -> usize {
+        vertices
+            .iter()
+            .map(|&u| (self.offsets[u as usize + 1] - self.offsets[u as usize]) as usize)
+            .sum()
     }
-}
 
-/// Collects the sorted, deduplicated simple neighbors of `u` into `buf`
-/// (which must hold at least `u`'s stub count) and returns how many there
-/// are. Shared by the construction degree pass and every query, so the two
-/// can never disagree.
-fn neighbors_into(stubs: &StubTable<'_>, pairing: &Pairing, u: usize, buf: &mut [u32]) -> usize {
-    let lo = u64::from(stubs.offsets[u]);
-    let hi = u64::from(stubs.offsets[u + 1]);
-    let mut len = 0usize;
-    for s in lo..hi {
-        if let Some(t) = pairing.partner(s) {
-            let v = stubs.owner(t);
-            if v != u {
-                buf[len] = v as u32;
-                len += 1;
+    /// The block kernel: writes the sorted, deduplicated simple neighbor
+    /// list of every vertex in `vertices` into `values`, list `k` at
+    /// `bounds[k]..bounds[k + 1]`. `values` and `pending` must hold the
+    /// block's stub total, `bounds` one entry more than `vertices`. Shared
+    /// by the construction degree pass, the hub-cache fill and every query,
+    /// so none of them can disagree.
+    ///
+    /// The stubs of all queries are resolved together, one stage at a time,
+    /// so the many independent round-table reads and owner searches of a
+    /// stage overlap instead of waiting on each other: gather the stub
+    /// ranges; one Feistel pass over every stub, cycle-walking only those
+    /// still outside `[0, S)`; the same for the mates' decrypt walk; owner
+    /// searches in lock-step groups; then a sort and dedup per vertex.
+    fn lists(&self, vertices: &[u32], values: &mut [u32], pending: &mut [u32], bounds: &mut [u32]) {
+        let mut total = 0usize;
+        for (k, &u) in vertices.iter().enumerate() {
+            let (lo, hi) = (self.offsets[u as usize], self.offsets[u as usize + 1]);
+            bounds[k] = total as u32;
+            let stubs = (hi - lo) as usize;
+            for (slot, s) in values[total..total + stubs].iter_mut().zip(lo..hi) {
+                *slot = s;
             }
+            total += stubs;
+        }
+        bounds[vertices.len()] = total as u32;
+        let (values, pending) = (&mut values[..total], &mut pending[..total]);
+
+        let pairing = self.pairing;
+        let stubs = pairing.stubs;
+        walk(values, pending, stubs, |x| pairing.encrypt(x));
+        for v in values.iter_mut() {
+            // Partners sit at positions 2k and 2k + 1. The unmatched last
+            // position of an odd total decrypts back to its own stub
+            // instead: a self-loop, dropped with the others below.
+            let mate = *v ^ 1;
+            *v = if u64::from(mate) < stubs { mate } else { *v };
+        }
+        walk(values, pending, stubs, |x| pairing.decrypt(x));
+        for group in values.chunks_mut(OWNER_LANES) {
+            self.owners(group);
+        }
+
+        let mut out = 0usize;
+        for (k, &u) in vertices.iter().enumerate() {
+            let (start, end) = (bounds[k] as usize, bounds[k + 1] as usize);
+            let first = out;
+            for j in start..end {
+                let v = values[j];
+                values[out] = v;
+                out += usize::from(v != u);
+            }
+            values[first..out].sort_unstable();
+            // Parallel stub pairs collapse: keep the first of each run.
+            if out > first {
+                let mut kept = first + 1;
+                for j in first + 1..out {
+                    if values[j] != values[kept - 1] {
+                        values[kept] = values[j];
+                        kept += 1;
+                    }
+                }
+                out = kept;
+            }
+            bounds[k] = first as u32;
+        }
+        bounds[vertices.len()] = out as u32;
+    }
+
+    /// [`Kernel::lists`] of the vertices queued in `scratch`, over its
+    /// buffers, grown to fit first.
+    fn lists_in(&self, scratch: &mut BlockScratch) {
+        let BlockScratch {
+            vertices,
+            values,
+            pending,
+            bounds,
+            ..
+        } = scratch;
+        let stubs = self.stubs_of(vertices);
+        if values.len() < stubs {
+            values.resize(stubs, 0);
+            pending.resize(stubs, 0);
+        }
+        if bounds.len() <= vertices.len() {
+            bounds.resize(vertices.len() + 1, 0);
+        }
+        self.lists(vertices, values, pending, bounds);
+    }
+
+    /// Replaces every stub `t` of `group` (at most [`OWNER_LANES`]) by its
+    /// owner — the same value a full [`owner_of`] search returns. Each
+    /// search is confined by the coarse index to the bracket between two
+    /// block anchors, where the answer lies in `[lo, hi]`: entries up to
+    /// index `lo` are `<= t` and entries past `hi + 1` are `> t`, so
+    /// counting within the bracket reproduces the global partition point.
+    /// The counts are halving searches whose steps select without a branch,
+    /// all lanes stepping together, so their loads are in flight at once.
+    #[inline(always)]
+    fn owners(&self, group: &mut [u32]) {
+        let last = self.offsets.len() - 1;
+        let mut t = [0u32; OWNER_LANES];
+        t[..group.len()].copy_from_slice(group);
+        let mut base = [0usize; OWNER_LANES];
+        let mut size = [0usize; OWNER_LANES];
+        let mut widest = 0usize;
+        for g in 0..OWNER_LANES {
+            let b = (t[g] >> COARSE_BITS) as usize;
+            let lo = self.coarse[b] as usize;
+            let hi = self.coarse.get(b + 1).map_or(last, |&v| v as usize);
+            // The bracket is offsets[lo + 1..=min(hi + 1, last)], never
+            // empty: an anchor is always below `last`. (Unused lanes search
+            // for stub 0, harmlessly.)
+            base[g] = lo + 1;
+            size[g] = (hi + 2).min(last + 1) - base[g];
+            widest = widest.max(size[g]);
+        }
+        while widest > 1 {
+            for g in 0..OWNER_LANES {
+                let half = size[g] / 2;
+                let mid = base[g] + half;
+                base[g] = select_unpredictable(self.offsets[mid] <= t[g], mid, base[g]);
+                size[g] -= half;
+            }
+            widest -= widest / 2;
+        }
+        // `base` is now the bracket's last entry <= t, or its first entry
+        // when none is; the owner is one before the first entry > t.
+        for (g, owner) in group.iter_mut().enumerate() {
+            *owner = (base[g] + usize::from(self.offsets[base[g]] <= t[g]) - 1) as u32;
         }
     }
-    let filled = &mut buf[..len];
-    filled.sort_unstable();
-    // In-place dedup of the sorted run (parallel stub pairs collapse).
-    let mut out = 0usize;
-    for i in 0..len {
-        if i == 0 || buf[i] != buf[out - 1] {
-            buf[out] = buf[i];
-            out += 1;
-        }
+}
+
+/// One Feistel pass (`pass`) over every value, then cycle walking: further
+/// passes over only the values still `>= stubs`, whose indices a pending
+/// list tracks, compacted without branches, until every value lies in
+/// `[0, stubs)`. `pending` must be as long as `values`.
+#[inline(always)]
+fn walk(values: &mut [u32], pending: &mut [u32], stubs: u64, pass: impl Fn(u64) -> u64) {
+    let mut live = 0usize;
+    for (j, v) in values.iter_mut().enumerate() {
+        // The walked domain is at most 2^32, so every value fits a u32.
+        let y = pass(u64::from(*v));
+        *v = y as u32;
+        pending[live] = j as u32;
+        live += usize::from(y >= stubs);
     }
-    out
+    while live > 0 {
+        let mut still = 0usize;
+        for k in 0..live {
+            let j = pending[k] as usize;
+            let y = pass(u64::from(values[j]));
+            values[j] = y as u32;
+            pending[still] = j as u32;
+            still += usize::from(y >= stubs);
+        }
+        live = still;
+    }
 }
 
 /// The worker count the parallel construction passes use: `RUMOR_THREADS`
@@ -697,24 +877,25 @@ impl GeneratedGraph {
             stub_coarse.push(anchor as u32);
         }
 
-        // Pass 2 (parallel): simple degrees through the shared
-        // enumerate-sort-dedup path, so stored degrees and query-time
-        // neighbor lists can never disagree. Same in-place prefix trick.
+        // Pass 2 (parallel): simple degrees through the block kernel every
+        // query takes, so stored degrees and query-time neighbor lists can
+        // never disagree. Same in-place prefix trick.
         let mut slot_offsets = vec![0u32; n + 1];
-        let stubs_ref = StubTable {
+        let kernel = Kernel {
             offsets: &stub_offsets,
             coarse: &stub_coarse,
+            pairing: &pairing,
         };
-        let pairing_ref = &pairing;
         par_fill(&mut slot_offsets[1..], |base, out| {
-            let mut buf: Vec<u32> = Vec::new();
-            for (i, slot) in out.iter_mut().enumerate() {
-                let u = base + i;
-                let stubs = (stubs_ref.offsets[u + 1] - stubs_ref.offsets[u]) as usize;
-                if buf.len() < stubs {
-                    buf.resize(stubs, 0);
+            let mut scratch = BlockScratch::default();
+            for (b, slots) in out.chunks_mut(DEGREE_BLOCK).enumerate() {
+                let first = (base + b * DEGREE_BLOCK) as u32;
+                scratch.vertices.clear();
+                scratch.vertices.extend(first..first + slots.len() as u32);
+                kernel.lists_in(&mut scratch);
+                for (k, slot) in slots.iter_mut().enumerate() {
+                    *slot = scratch.list(k).len() as u32;
                 }
-                *slot = neighbors_into(&stubs_ref, pairing_ref, u, &mut buf) as u32;
             }
         });
         let mut slots: u64 = 0;
@@ -785,18 +966,34 @@ impl GeneratedGraph {
         (self.stub_offsets[u + 1] - self.stub_offsets[u]) as usize
     }
 
-    /// Collects `u`'s sorted, deduplicated simple neighbors into `buf`
-    /// (which must hold at least [`GeneratedGraph::stub_degree`]`(u)`
-    /// entries) and returns how many there are — always exactly
-    /// `self.degree(u)`. The hub-cache construction pass uses this to
-    /// materialize exact adjacency through the same enumeration path every
-    /// query takes, so the cache can never disagree with the hashed path.
-    pub(crate) fn neighbors_into_buf(&self, u: VertexId, buf: &mut [u32]) -> usize {
-        let table = StubTable {
+    /// The block kernel's view of this graph.
+    fn kernel(&self) -> Kernel<'_> {
+        Kernel {
             offsets: &self.stub_offsets,
             coarse: &self.stub_coarse,
-        };
-        neighbors_into(&table, &self.pairing, u, buf)
+            pairing: &self.pairing,
+        }
+    }
+
+    /// `u`'s sorted simple neighbor list, from the block kernel on a block
+    /// of one over caller-owned scratch. The hub-cache fill materializes
+    /// exact adjacency this way, through the kernel every query takes, so
+    /// the cache can never disagree with the hashed path.
+    pub(crate) fn neighbors_in<'s>(&self, u: VertexId, scratch: &'s mut BlockScratch) -> &'s [u32] {
+        scratch.clear_queries();
+        scratch.vertices.push(u as u32);
+        self.kernel().lists_in(scratch);
+        scratch.list(0)
+    }
+
+    /// Resolves the draw queries queued in `scratch` (see
+    /// [`BlockScratch::push_query`]) as one block: `out[slot]` becomes the
+    /// `index`-th sorted neighbor of `vertex` for each.
+    pub(crate) fn resolve_queries(&self, scratch: &mut BlockScratch, out: &mut [u32]) {
+        self.kernel().lists_in(scratch);
+        for (q, (&slot, &i)) in scratch.slots.iter().zip(&scratch.index).enumerate() {
+            out[slot as usize] = scratch.list(q)[i as usize];
+        }
     }
 
     /// Maximum simple degree over all vertices (`None` only for `n == 0`,
@@ -820,25 +1017,23 @@ impl GeneratedGraph {
         self.with_neighbors(probe, |ns| ns.binary_search(&(other as u32)).is_ok())
     }
 
-    /// Runs `f` on `u`'s sorted simple neighbor list (assembled on the
-    /// stack for ordinary vertices, on the heap for hubs beyond
-    /// [`STACK_NEIGHBORS`] stubs).
+    /// Runs `f` on `u`'s sorted simple neighbor list: the block kernel on a
+    /// block of one, its scratch on the stack for ordinary vertices and on
+    /// the heap for hubs beyond [`STACK_NEIGHBORS`] stubs.
     fn with_neighbors<T>(&self, u: VertexId, f: impl FnOnce(&[u32]) -> T) -> T {
-        let table = StubTable {
-            offsets: &self.stub_offsets,
-            coarse: &self.stub_coarse,
-        };
         let stubs = self.stub_degree(u);
+        let vertices = [u as u32];
+        let mut bounds = [0u32; 2];
+        let run = |values: &mut [u32], pending: &mut [u32]| {
+            self.kernel().lists(&vertices, values, pending, &mut bounds);
+            let list = &values[bounds[0] as usize..bounds[1] as usize];
+            debug_assert_eq!(list.len(), self.degree(u));
+            f(list)
+        };
         if stubs <= STACK_NEIGHBORS {
-            let mut buf = [0u32; STACK_NEIGHBORS];
-            let len = neighbors_into(&table, &self.pairing, u, &mut buf);
-            debug_assert_eq!(len, self.degree(u));
-            f(&buf[..len])
+            run(&mut [0u32; STACK_NEIGHBORS], &mut [0u32; STACK_NEIGHBORS])
         } else {
-            let mut buf = vec![0u32; stubs];
-            let len = neighbors_into(&table, &self.pairing, u, &mut buf);
-            debug_assert_eq!(len, self.degree(u));
-            f(&buf[..len])
+            run(&mut vec![0u32; stubs], &mut vec![0u32; stubs])
         }
     }
 
@@ -982,6 +1177,61 @@ impl Topology for GeneratedGraph {
         let mut rng = make_rng();
         let i = sample_index(index_word(d), &mut rng);
         Some(self.nth_neighbor(u, i as usize))
+    }
+
+    /// Draws the index exactly like [`Topology::random_neighbor`] and
+    /// leaves deriving the neighbor to [`Topology::resolve_block`].
+    #[inline]
+    fn draw_deferred<R: Rng + ?Sized>(&self, u: VertexId, rng: &mut R) -> DeferredNeighbor {
+        match self.degree(u) {
+            0 => DeferredNeighbor::vertex(u),
+            d => DeferredNeighbor::draw(u, sample_index(index_word(d), rng)),
+        }
+    }
+
+    #[inline]
+    fn draw_deferred_with<R: Rng, F: FnOnce() -> R>(
+        &self,
+        u: VertexId,
+        make_rng: F,
+    ) -> Option<DeferredNeighbor> {
+        match self.degree(u) {
+            0 => None,
+            1 => Some(DeferredNeighbor::draw(u, 0)),
+            d => Some(DeferredNeighbor::draw(
+                u,
+                sample_index(index_word(d), &mut make_rng()),
+            )),
+        }
+    }
+
+    fn resolve_deferred(&self, token: DeferredNeighbor) -> VertexId {
+        match token.0 {
+            Deferred::Vertex(v) => v,
+            Deferred::Draw { vertex, index } => self.nth_neighbor(vertex as usize, index as usize),
+            Deferred::Slot(_) => panic!("an adjacency slot from another backend"),
+        }
+    }
+
+    /// The block kernel: every index draw of the block is one query.
+    fn resolve_block(&self, block: &mut DrawBlock) {
+        let DrawBlock {
+            drawn,
+            resolved,
+            scratch,
+        } = block;
+        resolved.clear();
+        scratch.clear_queries();
+        for (k, &token) in drawn.iter().enumerate() {
+            resolved.push(match token.0 {
+                Deferred::Draw { vertex, index } => {
+                    scratch.push_query(vertex, index, k);
+                    0
+                }
+                _ => self.resolve_deferred(token) as u32,
+            });
+        }
+        self.resolve_queries(scratch, resolved);
     }
 
     fn sample_stationary<R: Rng + ?Sized>(&self, rng: &mut R) -> VertexId {
@@ -1190,26 +1440,137 @@ mod tests {
         // Hub-heavy Chung–Lu instances give offset tables with multi-block
         // rows *and* runs of empty rows — the two shapes the coarse
         // bracket must handle. Every stub's owner must match the plain
-        // partition-point search.
+        // partition-point search, in groups of every width.
         for g in [
             GeneratedGraph::chung_lu(3000, 2.2, 6.0, 1).unwrap(),
             GeneratedGraph::gnp(500, 0.01, 2).unwrap(),
             GeneratedGraph::gnp(40, 0.9, 3).unwrap(),
         ] {
-            let table = StubTable {
-                offsets: &g.stub_offsets,
-                coarse: &g.stub_coarse,
-            };
-            let total = u64::from(*g.stub_offsets.last().unwrap());
-            for t in 0..total {
-                assert_eq!(
-                    table.owner(t),
-                    owner_of(&g.stub_offsets, t),
-                    "owner of stub {t} ({})",
-                    g.family_name()
-                );
+            let kernel = g.kernel();
+            let total = *g.stub_offsets.last().unwrap();
+            let stubs: Vec<u32> = (0..total).collect();
+            for width in 1..=OWNER_LANES {
+                for group in stubs.chunks(width) {
+                    let mut owners = group.to_vec();
+                    kernel.owners(&mut owners);
+                    for (&t, &owner) in group.iter().zip(&owners) {
+                        assert_eq!(
+                            owner as usize,
+                            owner_of(&g.stub_offsets, u64::from(t)),
+                            "owner of stub {t} ({}, width {width})",
+                            g.family_name()
+                        );
+                    }
+                }
             }
         }
+    }
+
+    /// The per-stub loop the block kernel replaced, kept as its reference:
+    /// each stub's partner by a cycle-walked encrypt and decrypt, its
+    /// owner by a full search, then a sort and dedup.
+    fn reference_neighbors(g: &GeneratedGraph, u: usize) -> Vec<u32> {
+        let mut ns = Vec::new();
+        for s in u64::from(g.stub_offsets[u])..u64::from(g.stub_offsets[u + 1]) {
+            if let Some(t) = g.pairing.partner(s) {
+                let v = owner_of(&g.stub_offsets, t);
+                if v != u {
+                    ns.push(v as u32);
+                }
+            }
+        }
+        ns.sort_unstable();
+        ns.dedup();
+        ns
+    }
+
+    /// Runs the block kernel on `vertices` and checks every list against
+    /// the reference, and every draw of a block of the same vertices.
+    fn assert_block_matches_reference(g: &GeneratedGraph, vertices: &[u32]) {
+        let mut scratch = BlockScratch::default();
+        scratch.vertices.extend_from_slice(vertices);
+        g.kernel().lists_in(&mut scratch);
+        for (k, &u) in vertices.iter().enumerate() {
+            let u = u as usize;
+            assert_eq!(scratch.list(k), reference_neighbors(g, u), "vertex {u}");
+        }
+        // Draws: index k % degree of each non-isolated vertex, mixed with
+        // resolved tokens, which must pass through unchanged.
+        let drawn: Vec<DeferredNeighbor> = vertices
+            .iter()
+            .enumerate()
+            .map(|(k, &u)| match g.degree(u as usize) {
+                0 => DeferredNeighbor::vertex(u as usize),
+                d => DeferredNeighbor::draw(u as usize, (k % d) as u64),
+            })
+            .collect();
+        let mut block = DrawBlock::default();
+        for &token in &drawn {
+            block.push(token);
+        }
+        g.resolve_block(&mut block);
+        assert_eq!(block.resolved().len(), vertices.len());
+        for (k, (&u, &v)) in vertices.iter().zip(block.resolved()).enumerate() {
+            let reference = reference_neighbors(g, u as usize);
+            let want = if reference.is_empty() {
+                u
+            } else {
+                reference[k % reference.len()]
+            };
+            assert_eq!(v, want, "draw {k} at vertex {u}");
+        }
+    }
+
+    #[test]
+    fn block_kernel_matches_the_per_stub_reference() {
+        // Odd and even stub totals (an odd total leaves one stub unmatched),
+        // isolated vertices, hubs past STACK_NEIGHBORS stubs, and the
+        // self-loops and parallel pairs that erasure removes.
+        let graphs = [
+            GeneratedGraph::gnp(300, 0.03, 5).unwrap(),
+            GeneratedGraph::gnp(301, 0.02, 6).unwrap(),
+            GeneratedGraph::chung_lu(2000, 2.1, 12.0, 7).unwrap(),
+            GeneratedGraph::chung_lu(1999, 2.5, 4.0, 8).unwrap(),
+            GeneratedGraph::gnp(12, 0.9, 9).unwrap(),
+            GeneratedGraph::gnp(80, 0.0, 1).unwrap(),
+        ];
+        let mut parities = [false; 2];
+        let (mut isolated, mut big, mut loops, mut parallel) = (false, false, false, false);
+        for g in &graphs {
+            let n = g.num_vertices();
+            let total = *g.stub_offsets.last().unwrap();
+            parities[(total % 2) as usize] = true;
+            for u in 0..n {
+                let stubs = g.stub_degree(u);
+                isolated |= g.degree(u) == 0;
+                big |= stubs > STACK_NEIGHBORS;
+                let partners: Vec<usize> = (g.stub_offsets[u]..g.stub_offsets[u + 1])
+                    .filter_map(|s| g.pairing.partner(u64::from(s)))
+                    .map(|t| owner_of(&g.stub_offsets, t))
+                    .collect();
+                loops |= partners.contains(&u);
+                parallel |= partners.iter().filter(|&&v| v != u).count() > g.degree(u);
+                // Single queries: every public path is a block of one.
+                let mut listed = Vec::new();
+                g.for_each_neighbor(u, |v| listed.push(v as u32));
+                assert_eq!(listed, reference_neighbors(g, u), "vertex {u}");
+            }
+            let all: Vec<u32> = (0..n as u32).collect();
+            for size in [0usize, 1, 63, 64, 65, 127, 128, 129] {
+                for block in all.chunks(size.max(1)).take(3) {
+                    assert_block_matches_reference(g, &block[..size.min(block.len())]);
+                }
+            }
+            // Blocks that repeat a vertex, the heaviest one included.
+            let hub = (0..n).max_by_key(|&u| g.stub_degree(u)).unwrap() as u32;
+            let repeats: Vec<u32> = (0..130)
+                .map(|k| [hub, k % n as u32, 0][k as usize % 3])
+                .collect();
+            assert_block_matches_reference(g, &repeats);
+            assert_block_matches_reference(g, &all);
+        }
+        assert!(parities[0] && parities[1], "odd and even stub totals");
+        assert!(isolated && big && loops && parallel, "every erasure case");
     }
 
     #[test]

@@ -777,6 +777,7 @@ impl crate::Topology for Graph {
             Deferred::Vertex(v) => v,
             // Checked: a token from another graph must not read out of range.
             Deferred::Slot(slot) => self.adjacency[slot] as VertexId,
+            Deferred::Draw { .. } => panic!("an index draw from another backend"),
         }
     }
 

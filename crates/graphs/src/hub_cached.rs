@@ -20,7 +20,7 @@
 //! same worker discipline as the generated backend's construction passes —
 //! then materializes each hub's exact sorted neighbor list through the
 //! *identical* enumeration path every hashed query takes
-//! (`GeneratedGraph`'s shared enumerate-sort-dedup routine) and stores it
+//! (`GeneratedGraph`'s block kernel) and stores it
 //! as an **Elias–Fano list**. For `d` ids below `n`, each id keeps its low
 //! `l = ⌊log₂(n/d)⌋` bits in a fixed-width array, and its high bits go in
 //! unary: entry `i` sets bit `(id >> l) + i` of an upper bit array. A select
@@ -64,15 +64,19 @@
 //! Queries on cached vertices cost an `O(1)` bitmap probe and popcount plus
 //! two field reads and a select instead of `O(deg)` pairing evaluations;
 //! tail vertices take the same bitmap probe and continue on the hashed
-//! path unchanged. The win is workload-dependent: agent walks
+//! path unchanged. A block of draws ([`Topology::resolve_block`]) reads its
+//! hits on the spot and resolves all of its misses in one call of the inner
+//! backend's block kernel, so their derivations overlap. The win is
+//! workload-dependent: agent walks
 //! (visit/meet-exchange) spend most draws on hubs and speed up by the
 //! cached fraction of stationary mass ([`HubCachedGraph::hub_hit_fraction`]);
 //! vertex protocols (push/pull) query every vertex equally often and gain
 //! little. On perfbench's `chunglu-hub` graph (n = 2·10⁵, β = 2.5, budget
 //! a quarter of the CSR-equivalent bytes) the budget buys 60,922 hubs at
 //! hit fraction 0.68, where fixed-width lists bought 42,327 at 0.59 while
-//! overrunning the budget; a hit costs about 55 ns there against about
-//! 25 ns for a fixed-width read, and a miss about 0.5 µs (README).
+//! overrunning the budget. A miss there, a tail vertex of about six stubs,
+//! costs a few hundred nanoseconds when resolved in a block of misses and
+//! a hit a few tens (README has the measured figures).
 //! `BENCH_random.json` records the measured speedups.
 //!
 //! Lists are addressed by `u32` byte offsets, so the lists of one cache
@@ -82,9 +86,9 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::generated::{configured_threads, GeneratedGraph};
+use crate::generated::{configured_threads, BlockScratch, GeneratedGraph};
 use crate::graph::{index_word, sample_index, VertexId};
-use crate::topology::Topology;
+use crate::topology::{Deferred, DeferredNeighbor, DrawBlock, Topology};
 
 /// Fallback hub count when the builder gets neither a count nor a budget:
 /// one cached vertex per this many graph vertices. On Chung–Lu exponents in
@@ -582,25 +586,28 @@ fn fill_cache(
         bounds.push(idx.min(hubs).max(bounds[w - 1]));
     }
     bounds.push(hubs);
-    fill_lists(inner.num_vertices(), hub_offsets, &bounds, |h, ids| {
-        let u = hub_ids[h] as usize;
-        ids.resize(ids.len().max(inner.stub_degree(u)), 0);
-        let len = inner.neighbors_into_buf(u, ids);
-        debug_assert_eq!(len, inner.degree(u), "cache/degree disagreement at {u}");
-        len
-    })
+    fill_lists(
+        inner.num_vertices(),
+        hub_offsets,
+        &bounds,
+        |h, ids, scratch| {
+            ids.clear();
+            ids.extend_from_slice(inner.neighbors_in(hub_ids[h] as usize, scratch));
+        },
+    )
 }
 
 /// Encodes lists `0..offsets.len() − 1` into their byte ranges
 /// `offsets[h]..offsets[h + 1]`, one scoped worker per range of
-/// `bounds`. `list(h, ids)` writes list `h` to the front of `ids` and
-/// returns its length. Lists are byte-aligned, so workers write disjoint
-/// slices and the bytes do not depend on where `bounds` cut.
+/// `bounds`. `list(h, ids, scratch)` replaces the contents of `ids` with
+/// list `h`, using the worker's block-kernel scratch as it needs. Lists
+/// are byte-aligned, so workers write disjoint slices and the bytes do not
+/// depend on where `bounds` cut.
 fn fill_lists(
     n: usize,
     offsets: &[u32],
     bounds: &[usize],
-    list: impl Fn(usize, &mut Vec<u32>) -> usize + Sync,
+    list: impl Fn(usize, &mut Vec<u32>, &mut BlockScratch) + Sync,
 ) -> Vec<u8> {
     let total = *offsets.last().expect("offsets never empty") as usize;
     let mut bytes = vec![0u8; total + READ_PAD];
@@ -614,10 +621,11 @@ fn fill_lists(
             let list = &list;
             scope.spawn(move || {
                 let (mut ids, mut words) = (Vec::new(), Vec::new());
+                let mut scratch = BlockScratch::default();
                 for h in range {
-                    let len = list(h, &mut ids);
+                    list(h, &mut ids, &mut scratch);
                     let span = (offsets[h] - first) as usize..(offsets[h + 1] - first) as usize;
-                    encode(&ids[..len], n, &mut chunk[span], &mut words);
+                    encode(&ids, n, &mut chunk[span], &mut words);
                 }
             });
         }
@@ -808,6 +816,57 @@ impl Topology for HubCachedGraph {
         let i = sample_index(index_word(d), &mut rng);
         Some(self.neighbor_at(u, d, i as usize))
     }
+
+    /// Draws exactly like the inner backend and, like it, leaves reading
+    /// the neighbor to [`Topology::resolve_block`].
+    #[inline]
+    fn draw_deferred<R: Rng + ?Sized>(&self, u: VertexId, rng: &mut R) -> DeferredNeighbor {
+        self.inner.draw_deferred(u, rng)
+    }
+
+    #[inline]
+    fn draw_deferred_with<R: Rng, F: FnOnce() -> R>(
+        &self,
+        u: VertexId,
+        make_rng: F,
+    ) -> Option<DeferredNeighbor> {
+        self.inner.draw_deferred_with(u, make_rng)
+    }
+
+    fn resolve_deferred(&self, token: DeferredNeighbor) -> VertexId {
+        match token.0 {
+            Deferred::Draw { vertex, index } => self.nth_neighbor(vertex as usize, index as usize),
+            _ => self.inner.resolve_deferred(token),
+        }
+    }
+
+    /// Hits read their lists on the spot; the block's misses go to the
+    /// inner backend's block kernel together.
+    fn resolve_block(&self, block: &mut DrawBlock) {
+        let DrawBlock {
+            drawn,
+            resolved,
+            scratch,
+        } = block;
+        resolved.clear();
+        scratch.clear_queries();
+        for (k, &token) in drawn.iter().enumerate() {
+            resolved.push(match token.0 {
+                Deferred::Draw { vertex, index } => match self.hub_slot(vertex as usize) {
+                    Some(h) => self
+                        .list(h, self.degree(vertex as usize))
+                        .get(index as usize),
+                    None => {
+                        scratch.push_query(vertex, index, k);
+                        0
+                    }
+                },
+                _ => self.inner.resolve_deferred(token) as u32,
+            });
+        }
+        self.inner.resolve_queries(scratch, resolved);
+    }
+
     #[inline]
     fn sample_stationary<R: Rng + ?Sized>(&self, rng: &mut R) -> VertexId {
         self.inner.sample_stationary(rng)
@@ -853,10 +912,9 @@ mod tests {
         for ids in lists {
             offsets.push(offsets.last().unwrap() + Shape::bytes(n, ids.len()) as u32);
         }
-        let bytes = fill_lists(n, &offsets, bounds, |h, ids| {
+        let bytes = fill_lists(n, &offsets, bounds, |h, ids, _| {
             ids.clear();
             ids.extend_from_slice(&lists[h]);
-            ids.len()
         });
         (bytes, offsets)
     }
@@ -1186,6 +1244,66 @@ mod tests {
                 inner.sample_stationary(&mut b)
             );
         }
+    }
+
+    #[test]
+    fn blocks_mixing_hits_and_misses_resolve_like_single_queries() {
+        let inner = chung_lu(2_000, 21);
+        let cached = HubCachedGraph::with_hub_count(inner.clone(), 150);
+        let mut rng = StdRng::seed_from_u64(4);
+        let (mut cached_block, mut inner_block) = (DrawBlock::default(), DrawBlock::default());
+        let (mut hits, mut misses) = (0, 0);
+        for size in [0usize, 1, 63, 64, 65, 127, 128, 129] {
+            for _ in 0..20 {
+                // Stationary vertices (mostly hubs) and uniform ones (mostly
+                // tail), with resolved tokens between them.
+                cached_block.clear();
+                inner_block.clear();
+                let mut drawn = Vec::new();
+                for k in 0..size {
+                    let u = if k % 2 == 0 {
+                        cached.sample_stationary(&mut rng)
+                    } else {
+                        rng.gen_range(0..2_000)
+                    };
+                    let token = if k % 7 == 3 {
+                        DeferredNeighbor::vertex(u)
+                    } else {
+                        cached.draw_deferred(u, &mut rng)
+                    };
+                    drawn.push(token);
+                    cached_block.push(token);
+                    inner_block.push(token);
+                }
+                cached.resolve_block(&mut cached_block);
+                inner.resolve_block(&mut inner_block);
+                assert_eq!(cached_block.resolved().len(), size);
+                for (k, (&token, &v)) in drawn.iter().zip(cached_block.resolved()).enumerate() {
+                    let want = match token.0 {
+                        Deferred::Draw { vertex, index } => {
+                            if cached.is_hub(vertex as usize) {
+                                hits += 1;
+                            } else {
+                                misses += 1;
+                            }
+                            inner.nth_neighbor(vertex as usize, index as usize)
+                        }
+                        _ => token.resolved().unwrap(),
+                    };
+                    assert_eq!(v as usize, want, "block of {size}, entry {k}");
+                    assert_eq!(cached.resolve_deferred(token), want);
+                }
+                assert_eq!(
+                    cached_block.resolved(),
+                    inner_block.resolved(),
+                    "block of {size}"
+                );
+            }
+        }
+        assert!(
+            hits > 1_000 && misses > 1_000,
+            "{hits} hits, {misses} misses"
+        );
     }
 
     #[test]

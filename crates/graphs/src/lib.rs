@@ -75,7 +75,7 @@ pub use generated::GeneratedGraph;
 pub use graph::{Edges, Graph, VertexId};
 pub use hub_cached::{HubCacheBuilder, HubCachedGraph};
 pub use implicit::ImplicitGraph;
-pub use topology::{AnyTopology, DeferredNeighbor, Topology};
+pub use topology::{AnyTopology, DeferredNeighbor, DrawBlock, Topology};
 
 #[cfg(test)]
 mod proptests {

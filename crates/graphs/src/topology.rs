@@ -49,6 +49,16 @@
 //! overrides all four: interval-tagged lists still resolve at draw time,
 //! while CSR-tagged ones prefetch the selected adjacency slot and return it.
 //!
+//! **Block resolution.** The sharded engines draw a whole block of
+//! entities first — [`Topology::draw_deferred`] for walkers,
+//! [`Topology::draw_deferred_with`] for the vertex protocols — and then
+//! resolve the block with one [`Topology::resolve_block`] call. The default
+//! resolves each token in turn, so the CSR and implicit backends do what
+//! they did per draw. The generated backend instead returns the drawn
+//! index and derives all of the block's neighbors in one batched kernel,
+//! and the hub-cached backend answers its hits from the cache and passes
+//! the block's misses to that kernel together.
+//!
 //! The trait is deliberately **not** object safe (sampling methods are
 //! generic over the RNG so they inline); engines monomorphize over it,
 //! matching once per run on [`AnyTopology`] and never again — the same
@@ -58,7 +68,7 @@ use std::ops::Range;
 
 use rand::Rng;
 
-use crate::generated::GeneratedGraph;
+use crate::generated::{BlockScratch, GeneratedGraph};
 use crate::graph::{Graph, VertexId};
 use crate::hub_cached::HubCachedGraph;
 use crate::implicit::ImplicitGraph;
@@ -172,6 +182,48 @@ pub trait Topology: sealed::Sealed + Sync {
             .expect("a backend without adjacency slots made every draw resolved")
     }
 
+    /// Like [`Topology::random_neighbor_with`], but defers reading the
+    /// neighbor like [`Topology::draw_deferred`]: the generator is produced
+    /// lazily and never when `deg(u) == 1`, and the returned token is read
+    /// by [`Topology::resolve_deferred`] or [`Topology::resolve_block`].
+    /// `None` if `u` is isolated. Only for counter-based per-entity streams.
+    ///
+    /// The default resolves on the spot; the generated and hub-cached
+    /// backends return the drawn index, so that a block of draws resolves
+    /// together.
+    #[inline(always)]
+    fn draw_deferred_with<R: Rng, F: FnOnce() -> R>(
+        &self,
+        u: VertexId,
+        make_rng: F,
+    ) -> Option<DeferredNeighbor> {
+        self.random_neighbor_with(u, make_rng)
+            .map(DeferredNeighbor::vertex)
+    }
+
+    /// Resolves a block of deferred draws: afterwards
+    /// `block.resolved()[k]` is the vertex the `k`-th pushed token stands
+    /// for, exactly as [`Topology::resolve_deferred`] would return it.
+    ///
+    /// The default resolves each token in turn. The generated backend
+    /// overrides it with its block kernel, which re-derives the stub
+    /// partners of all the block's vertices together, so their independent
+    /// table reads and searches overlap; the hub-cached backend answers
+    /// hits from its lists and hands all of the block's misses to that
+    /// kernel as one block.
+    #[inline]
+    fn resolve_block(&self, block: &mut DrawBlock) {
+        let DrawBlock {
+            drawn, resolved, ..
+        } = block;
+        resolved.clear();
+        resolved.extend(
+            drawn
+                .iter()
+                .map(|&token| self.resolve_deferred(token) as u32),
+        );
+    }
+
     /// Hints that `u`'s sampling metadata is about to be read by a draw.
     /// Consumes no randomness and changes no result; the default does
     /// nothing.
@@ -210,7 +262,8 @@ pub trait Topology: sealed::Sealed + Sync {
 
 /// A neighbor drawn by [`Topology::draw_deferred`] and not yet read: either
 /// the vertex itself or, on the CSR backend, the adjacency slot that holds
-/// it.
+/// it, or, on the generated and hub-cached backends, the vertex and the
+/// drawn index into its sorted neighbor list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeferredNeighbor(pub(crate) Deferred);
 
@@ -221,6 +274,11 @@ pub(crate) enum Deferred {
     Vertex(VertexId),
     /// An adjacency slot of the backend that made the token.
     Slot(usize),
+    /// The `index`-th sorted neighbor of `vertex`.
+    Draw {
+        vertex: u32,
+        index: u32,
+    },
 }
 
 impl DeferredNeighbor {
@@ -231,13 +289,57 @@ impl DeferredNeighbor {
         DeferredNeighbor(Deferred::Vertex(v))
     }
 
+    /// The `index`-th sorted neighbor of `vertex`, not yet derived.
+    #[inline(always)]
+    pub(crate) fn draw(vertex: VertexId, index: u64) -> Self {
+        DeferredNeighbor(Deferred::Draw {
+            vertex: vertex as u32,
+            index: index as u32,
+        })
+    }
+
     /// The vertex, if the draw is already resolved (no read pending).
     #[inline(always)]
     pub fn resolved(self) -> Option<VertexId> {
         match self.0 {
             Deferred::Vertex(v) => Some(v),
-            Deferred::Slot(_) => None,
+            Deferred::Slot(_) | Deferred::Draw { .. } => None,
         }
+    }
+}
+
+/// A block of deferred draws ([`Topology::draw_deferred`],
+/// [`Topology::draw_deferred_with`]) with the caller-owned memory that
+/// resolves them ([`Topology::resolve_block`]). A caller keeps one and
+/// reuses it block after block — the sharded engines keep one per shard —
+/// so once its buffers have grown to the largest block, resolving
+/// allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct DrawBlock {
+    pub(crate) drawn: Vec<DeferredNeighbor>,
+    pub(crate) resolved: Vec<u32>,
+    /// The generated backend's kernel scratch; other backends leave it be.
+    pub(crate) scratch: BlockScratch,
+}
+
+impl DrawBlock {
+    /// Empties the block for the next draws.
+    #[inline]
+    pub fn clear(&mut self) {
+        self.drawn.clear();
+    }
+
+    /// Appends a draw to the block.
+    #[inline]
+    pub fn push(&mut self, token: DeferredNeighbor) {
+        self.drawn.push(token);
+    }
+
+    /// The vertices of the block's draws, in push order, after
+    /// [`Topology::resolve_block`].
+    #[inline]
+    pub fn resolved(&self) -> &[u32] {
+        &self.resolved
     }
 }
 

@@ -64,7 +64,7 @@
 use rand::stream::StreamKey;
 use rand::Rng;
 
-use rumor_graphs::{DeferredNeighbor, Topology, VertexId};
+use rumor_graphs::{DeferredNeighbor, DrawBlock, Topology, VertexId};
 
 use crate::config::WalkConfig;
 use crate::frontier::UninformedFrontier;
@@ -124,6 +124,9 @@ pub struct MultiWalk {
     /// [`MultiWalk::par_step_exchange`] (empty until the first sharded step;
     /// reused across rounds so no sharded step allocates after warm-up).
     shard_marks: Vec<Vec<u64>>,
+    /// Per-shard draw blocks for [`Topology::resolve_block`], kept like
+    /// `shard_marks`.
+    shard_blocks: Vec<DrawBlock>,
     config: WalkConfig,
     round: u64,
 }
@@ -178,6 +181,7 @@ impl MultiWalk {
             touched: Vec::new(),
             informed_here: vec![0; n.div_ceil(64)],
             shard_marks: Vec::new(),
+            shard_blocks: Vec::new(),
             occupancy_fresh: true,
             previous_fresh: true,
             config,
@@ -540,6 +544,10 @@ impl MultiWalk {
         let per_thread = num_agents.div_ceil(threads);
         let shard_span = per_thread.div_ceil(64).max(1) * 64;
         let num_shards = num_agents.div_ceil(shard_span);
+        if self.shard_blocks.len() < num_shards.max(1) {
+            self.shard_blocks
+                .resize_with(num_shards.max(1), DrawBlock::default);
+        }
 
         let moves = if num_shards <= 1 {
             // Inline path: no spawn, marks written straight into the main
@@ -554,6 +562,7 @@ impl MultiWalk {
                 0,
                 &mut self.positions,
                 &mut self.informed_here,
+                &mut self.shard_blocks[0],
             )
         } else {
             let words = self.informed_here.len();
@@ -569,10 +578,11 @@ impl MultiWalk {
             let mut total = 0u64;
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(num_shards);
-                for ((shard, chunk), marks) in positions
+                for (((shard, chunk), marks), draws) in positions
                     .chunks_mut(shard_span)
                     .enumerate()
                     .zip(shard_marks.iter_mut())
+                    .zip(self.shard_blocks.iter_mut())
                 {
                     handles.push(scope.spawn(move || {
                         Self::move_agent_range(
@@ -583,6 +593,7 @@ impl MultiWalk {
                             shard * shard_span,
                             chunk,
                             marks,
+                            draws,
                         )
                     }));
                 }
@@ -626,10 +637,12 @@ impl MultiWalk {
     ///   own per-entity stream — here both words of the agent's first block
     ///   are consumed, so there is nothing for a pair to share.
     ///
-    /// Pair blocks are batch-computed eight agents (four pairs) at a time:
-    /// one block is a serial multiply chain, but distinct pairs' chains
-    /// share no state, so emitting four back to back keeps the multiplier
-    /// ports busy instead of stalling on one chain's latency.
+    /// Each 64-agent block draws every agent's neighbor index first
+    /// ([`Topology::draw_deferred`]), then resolves the whole block with
+    /// one [`Topology::resolve_block`] call, so a backend that derives
+    /// neighbors (the generated and hub-cached ones) overlaps the block's
+    /// derivations instead of waiting on each in turn.
+    #[allow(clippy::too_many_arguments)]
     fn move_agent_range<G: Topology>(
         graph: &G,
         round_key: &rand::stream::RoundKey,
@@ -638,50 +651,45 @@ impl MultiWalk {
         base: usize,
         chunk: &mut [u32],
         marks: &mut [u64],
+        draws: &mut DrawBlock,
     ) -> u64 {
         debug_assert_eq!(base % 64, 0, "shards must be 64-aligned");
         let mut moves = 0u64;
         for (block_idx, block) in chunk.chunks_mut(64).enumerate() {
             let block_base = base + block_idx * 64;
             let word = informed_words[block_base >> 6];
+            draws.clear();
+            Self::draw_block(graph, round_key, laziness, block_base, block, draws);
+            graph.resolve_block(draws);
+            let next = draws.resolved();
             // The same homogeneous-block specialization as the sequential
             // engine: all-uninformed blocks (most blocks early in a
             // broadcast) skip the mark stores entirely, all-informed blocks
             // (most blocks late) mark unconditionally, and only mixed
             // blocks pay the branchless per-bit OR.
             moves += if word == 0 {
-                Self::move_block::<G, 0>(graph, round_key, laziness, 0, block_base, block, marks)
+                Self::store_block::<0>(0, block, next, marks)
             } else if word == u64::MAX {
-                Self::move_block::<G, 1>(graph, round_key, laziness, 0, block_base, block, marks)
+                Self::store_block::<1>(0, block, next, marks)
             } else {
-                Self::move_block::<G, 2>(graph, round_key, laziness, word, block_base, block, marks)
+                Self::store_block::<2>(word, block, next, marks)
             };
         }
         moves
     }
 
-    /// Moves one 64-agent block of a sharded movement pass. `MARKS`: 0 = no
-    /// agent in the block is informed (no mark stores), 1 = all are
-    /// (unconditional marks), 2 = mixed (branchless mark from `word`).
+    /// Draws the next position of every agent of one 64-agent block into
+    /// `draws`, in agent order (see [`MultiWalk::move_agent_range`] for the
+    /// two schemes).
     #[inline(always)]
-    fn move_block<G: Topology, const MARKS: u8>(
+    fn draw_block<G: Topology>(
         graph: &G,
         round_key: &rand::stream::RoundKey,
         laziness: f64,
-        word: u64,
         block_base: usize,
-        block: &mut [u32],
-        marks: &mut [u64],
-    ) -> u64 {
-        #[inline(always)]
-        fn mark<const MARKS: u8>(marks: &mut [u64], next: usize, informed_bit: u64) {
-            match MARKS {
-                0 => {}
-                1 => marks[next >> 6] |= 1u64 << (next & 63),
-                _ => marks[next >> 6] |= informed_bit << (next & 63),
-            }
-        }
-        let mut moves = 0u64;
+        block: &[u32],
+        draws: &mut DrawBlock,
+    ) {
         if laziness == 0.0 {
             // Pair-lane scheme: agents 2p and 2p+1 draw lanes 0 and 1 of
             // pair stream p, so one block function serves two agents. The
@@ -691,44 +699,53 @@ impl MultiWalk {
             // draw-skip was tried here and reverted: the data-dependent
             // degree branch mispredicts on mixed agent populations and cost
             // more than the skipped blocks saved.)
-            for (pair_idx, pair_slice) in block.chunks_mut(2).enumerate() {
-                let pair = (block_base / 2 + pair_idx) as u64;
-                let first = round_key.first_block(pair);
-                let bits = word >> (pair_idx * 2);
-                {
-                    let mut rng = round_key.lane_stream(pair, 0, first);
-                    let at = pair_slice[0] as usize;
-                    let next = graph.random_neighbor(at, &mut rng).unwrap_or(at);
-                    moves += u64::from(next != at);
-                    pair_slice[0] = next as u32;
-                    mark::<MARKS>(marks, next, bits & 1);
-                }
-                if let Some(q) = pair_slice.get_mut(1) {
-                    let mut rng = round_key.lane_stream(pair, 1, first);
-                    let at = *q as usize;
-                    let next = graph.random_neighbor(at, &mut rng).unwrap_or(at);
-                    moves += u64::from(next != at);
-                    *q = next as u32;
-                    mark::<MARKS>(marks, next, (bits >> 1) & 1);
+            for (pair_idx, pair) in block.chunks(2).enumerate() {
+                let stream = (block_base / 2 + pair_idx) as u64;
+                let first = round_key.first_block(stream);
+                let mut rng = round_key.lane_stream(stream, 0, first);
+                draws.push(graph.draw_deferred(pair[0] as usize, &mut rng));
+                if let Some(&at) = pair.get(1) {
+                    let mut rng = round_key.lane_stream(stream, 1, first);
+                    draws.push(graph.draw_deferred(at as usize, &mut rng));
                 }
             }
         } else {
             // Per-entity scheme: the agent's first block covers the
-            // laziness + neighbor draws, so pairs have nothing to share.
-            let mut bits = word;
-            for (j, q) in block.iter_mut().enumerate() {
+            // laziness + neighbor draws, so pairs have nothing to share. A
+            // lazy stay resolves to the agent's own vertex.
+            for (j, &at) in block.iter().enumerate() {
                 let agent = (block_base + j) as u64;
                 let mut rng = round_key.stream_primed(agent, round_key.first_block(agent));
-                let at = *q as usize;
-                let next = if rng.gen_bool(laziness) {
-                    at
+                let at = at as usize;
+                draws.push(if rng.gen_bool(laziness) {
+                    DeferredNeighbor::vertex(at)
                 } else {
-                    graph.random_neighbor(at, &mut rng).unwrap_or(at)
-                };
-                moves += u64::from(next != at);
-                *q = next as u32;
-                mark::<MARKS>(marks, next, bits & 1);
-                bits >>= 1;
+                    graph.draw_deferred(at, &mut rng)
+                });
+            }
+        }
+    }
+
+    /// Stores one block's resolved positions, counting moves and marking
+    /// informed arrivals. `MARKS`: 0 = no agent in the block is informed
+    /// (no mark stores), 1 = all are (unconditional marks), 2 = mixed
+    /// (branchless mark from `word`).
+    #[inline(always)]
+    fn store_block<const MARKS: u8>(
+        word: u64,
+        block: &mut [u32],
+        next: &[u32],
+        marks: &mut [u64],
+    ) -> u64 {
+        let mut moves = 0u64;
+        for (j, (q, &v)) in block.iter_mut().zip(next).enumerate() {
+            moves += u64::from(v != *q);
+            *q = v;
+            let v = v as usize;
+            match MARKS {
+                0 => {}
+                1 => marks[v >> 6] |= 1u64 << (v & 63),
+                _ => marks[v >> 6] |= ((word >> j) & 1) << (v & 63),
             }
         }
         moves
