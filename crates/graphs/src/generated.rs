@@ -427,7 +427,7 @@ pub(crate) struct BlockScratch {
 
 impl BlockScratch {
     /// Drops the queued queries.
-    pub(crate) fn clear_queries(&mut self) {
+    fn clear_queries(&mut self) {
         self.vertices.clear();
         self.index.clear();
         self.slots.clear();
@@ -435,7 +435,7 @@ impl BlockScratch {
 
     /// Queues a draw: `out[slot]` becomes the `index`-th neighbor of
     /// `vertex`.
-    pub(crate) fn push_query(&mut self, vertex: u32, index: u32, slot: usize) {
+    fn push_query(&mut self, vertex: u32, index: u32, slot: usize) {
         self.vertices.push(vertex);
         self.index.push(index);
         self.slots.push(slot as u32);
@@ -986,13 +986,33 @@ impl GeneratedGraph {
         scratch.list(0)
     }
 
-    /// Resolves the draw queries queued in `scratch` (see
-    /// [`BlockScratch::push_query`]) as one block: `out[slot]` becomes the
-    /// `index`-th sorted neighbor of `vertex` for each.
-    pub(crate) fn resolve_queries(&self, scratch: &mut BlockScratch, out: &mut [u32]) {
+    /// Resolves `block`: each index draw that `cached` does not answer
+    /// becomes one query of a single block-kernel run. The hub-cached
+    /// backend passes its cache lookup as `cached`; this backend, none.
+    pub(crate) fn resolve_block_with(
+        &self,
+        block: &mut DrawBlock,
+        cached: impl Fn(u32, u32) -> Option<u32>,
+    ) {
+        let DrawBlock {
+            drawn,
+            resolved,
+            scratch,
+        } = block;
+        resolved.clear();
+        scratch.clear_queries();
+        for (k, &token) in drawn.iter().enumerate() {
+            resolved.push(match token.0 {
+                Deferred::Draw { vertex, index } => cached(vertex, index).unwrap_or_else(|| {
+                    scratch.push_query(vertex, index, k);
+                    0
+                }),
+                _ => self.resolve_deferred(token) as u32,
+            });
+        }
         self.kernel().lists_in(scratch);
         for (q, (&slot, &i)) in scratch.slots.iter().zip(&scratch.index).enumerate() {
-            out[slot as usize] = scratch.list(q)[i as usize];
+            resolved[slot as usize] = scratch.list(q)[i as usize];
         }
     }
 
@@ -1215,23 +1235,7 @@ impl Topology for GeneratedGraph {
 
     /// The block kernel: every index draw of the block is one query.
     fn resolve_block(&self, block: &mut DrawBlock) {
-        let DrawBlock {
-            drawn,
-            resolved,
-            scratch,
-        } = block;
-        resolved.clear();
-        scratch.clear_queries();
-        for (k, &token) in drawn.iter().enumerate() {
-            resolved.push(match token.0 {
-                Deferred::Draw { vertex, index } => {
-                    scratch.push_query(vertex, index, k);
-                    0
-                }
-                _ => self.resolve_deferred(token) as u32,
-            });
-        }
-        self.resolve_queries(scratch, resolved);
+        self.resolve_block_with(block, |_, _| None);
     }
 
     fn sample_stationary<R: Rng + ?Sized>(&self, rng: &mut R) -> VertexId {

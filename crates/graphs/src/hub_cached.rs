@@ -843,28 +843,13 @@ impl Topology for HubCachedGraph {
     /// Hits read their lists on the spot; the block's misses go to the
     /// inner backend's block kernel together.
     fn resolve_block(&self, block: &mut DrawBlock) {
-        let DrawBlock {
-            drawn,
-            resolved,
-            scratch,
-        } = block;
-        resolved.clear();
-        scratch.clear_queries();
-        for (k, &token) in drawn.iter().enumerate() {
-            resolved.push(match token.0 {
-                Deferred::Draw { vertex, index } => match self.hub_slot(vertex as usize) {
-                    Some(h) => self
-                        .list(h, self.degree(vertex as usize))
-                        .get(index as usize),
-                    None => {
-                        scratch.push_query(vertex, index, k);
-                        0
-                    }
-                },
-                _ => self.inner.resolve_deferred(token) as u32,
-            });
-        }
-        self.inner.resolve_queries(scratch, resolved);
+        self.inner.resolve_block_with(block, |vertex, index| {
+            let h = self.hub_slot(vertex as usize)?;
+            Some(
+                self.list(h, self.degree(vertex as usize))
+                    .get(index as usize),
+            )
+        });
     }
 
     #[inline]

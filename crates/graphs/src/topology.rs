@@ -314,6 +314,27 @@ impl DeferredNeighbor {
 /// reuses it block after block — the sharded engines keep one per shard —
 /// so once its buffers have grown to the largest block, resolving
 /// allocates nothing.
+///
+/// # Examples
+///
+/// ```
+/// use rand::SeedableRng;
+/// use rumor_graphs::{DrawBlock, GeneratedGraph, Topology};
+///
+/// let g = GeneratedGraph::gnp(1_000, 0.01, 7)?;
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// let mut block = DrawBlock::default();
+/// for u in 0..64 {
+///     block.push(g.draw_deferred(u, &mut rng));
+/// }
+/// g.resolve_block(&mut block);
+/// // The same draws one at a time (an isolated vertex stays put).
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+/// for (u, &v) in block.resolved().iter().enumerate() {
+///     assert_eq!(g.random_neighbor(u, &mut rng).unwrap_or(u), v as usize);
+/// }
+/// # Ok::<(), rumor_graphs::GraphError>(())
+/// ```
 #[derive(Debug, Clone, Default)]
 pub struct DrawBlock {
     pub(crate) drawn: Vec<DeferredNeighbor>,
