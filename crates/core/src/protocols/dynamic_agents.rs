@@ -355,7 +355,9 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use rumor_graphs::generators::{complete, double_star, random_regular};
+    use rumor_graphs::generators::{
+        complete, cycle, double_star, random_regular, star, HeavyBinaryTree,
+    };
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
@@ -391,20 +393,87 @@ mod tests {
 
     #[test]
     fn zero_churn_behaves_like_visit_exchange() {
-        let g = complete(48).unwrap();
-        let mut r = rng(1);
-        let mut p = ChurnVisitExchange::without_churn(
-            &g,
-            0,
-            &AgentConfig::default(),
-            ProtocolOptions::none(),
-            &mut r,
-        );
-        let t = run(&mut p, 10_000, &mut r);
-        assert!(p.is_complete());
-        assert_eq!(p.total_deaths(), 0);
-        assert!(t < 200);
-        assert_eq!(p.informed_agent_count(), p.num_agents());
+        // Without churn the hook draws nothing, so from the same seed the run
+        // is visit-exchange's, round for round and bit for bit.
+        let families = [
+            ("complete", complete(48).unwrap(), 0),
+            ("star", star(40).unwrap(), 3),
+            ("double-star", double_star(20).unwrap(), 2),
+            ("cycle", cycle(30).unwrap(), 5),
+            (
+                "heavy-tree",
+                HeavyBinaryTree::new(4).unwrap().into_graph(),
+                0,
+            ),
+        ];
+        let configs = [
+            AgentConfig::default(),
+            AgentConfig::with_alpha(2.0).lazy(),
+            AgentConfig::one_per_vertex(),
+        ];
+        for (name, g, source) in &families {
+            for cfg in &configs {
+                for seed in [0u64, 1, 7, 42] {
+                    let (mut r, mut r_plain) = (rng(seed), rng(seed));
+                    let mut p = ChurnVisitExchange::without_churn(
+                        g,
+                        *source,
+                        cfg,
+                        ProtocolOptions::none(),
+                        &mut r,
+                    );
+                    let mut plain = crate::VisitExchange::new(
+                        g,
+                        *source,
+                        cfg,
+                        ProtocolOptions::none(),
+                        &mut r_plain,
+                    );
+                    let context = |round| format!("{name}, {cfg:?}, seed {seed}, round {round}");
+                    loop {
+                        let round = p.round();
+                        assert_eq!(round, plain.round(), "{}", context(round));
+                        assert_eq!(p.is_complete(), plain.is_complete(), "{}", context(round));
+                        assert_eq!(
+                            p.informed_vertex_count(),
+                            plain.informed_vertex_count(),
+                            "{}",
+                            context(round)
+                        );
+                        assert_eq!(
+                            p.informed_agent_count(),
+                            plain.informed_agent_count(),
+                            "{}",
+                            context(round)
+                        );
+                        assert_eq!(p.messages_last_round(), plain.messages_last_round());
+                        assert_eq!(
+                            p.messages_sent(),
+                            plain.messages_sent(),
+                            "{}",
+                            context(round)
+                        );
+                        for v in g.vertices() {
+                            assert_eq!(p.is_vertex_informed(v), plain.is_vertex_informed(v));
+                        }
+                        for a in 0..p.num_agents() {
+                            assert_eq!(p.is_agent_informed(a), plain.is_agent_informed(a));
+                        }
+                        if p.is_complete() || round >= 200_000 {
+                            break;
+                        }
+                        p.step(&mut r);
+                        plain.step(&mut r_plain);
+                    }
+                    assert!(p.is_complete(), "{}", context(p.round()));
+                    assert_eq!(p.total_deaths(), 0);
+                    assert_eq!(p.informed_agent_count(), p.num_agents());
+                    if *name == "complete" {
+                        assert!(p.round() < 200, "{}", context(p.round()));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

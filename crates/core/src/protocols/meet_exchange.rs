@@ -489,39 +489,52 @@ mod tests {
     }
 
     #[test]
-    fn same_round_meetings_do_not_chain() {
-        // An agent informed in the current round must not inform others until
-        // the next round. Construct a path 0-1-2-3 with the source at 0, one
-        // agent on 1 and one on 3. When the agent at 1 visits 0 it becomes
-        // informed, but an agent meeting it that same round at 0 only learns
-        // next round. This is a behavioural regression test of the
-        // "informed in a previous round" wording.
-        let g = rumor_graphs::generators::path(4).unwrap();
-        let mut r = rng(8);
-        let cfg = AgentConfig {
-            count: rumor_walks::AgentCount::Exact(2),
-            placement: Placement::Explicit(vec![1, 1]),
-            walk: rumor_walks::WalkConfig::simple(),
-        };
-        let mut mx = MeetExchange::new(&g, 0, &cfg, ProtocolOptions::none(), &mut r);
-        assert!(mx.is_source_active());
-        // Step until both agents happen to sit on the source vertex in the
-        // same round (they started together, so they stay within distance 2).
-        let mut both_at_source_round = None;
-        for _ in 0..10_000 {
-            mx.step(&mut r);
-            if mx.walks().position(0) == 0 && mx.walks().position(1) == 0 {
-                both_at_source_round = Some(mx.round());
-                break;
+    fn source_informs_only_its_first_visitors_on_k2() {
+        // K2 with simple walks: every agent switches sides every round.
+        // Agents at [1, 1] both reach the source in round 1 and pick the
+        // rumor up together, so the run completes then. Agents at [0, 1]
+        // swap sides forever: the first is informed at round 0 (which
+        // deactivates the source), the second reaches the source only after
+        // that and never shares a vertex with the first, so it stays
+        // uninformed.
+        use crate::{simulate_on, ProtocolKind, SimulationSpec};
+        let g = rumor_graphs::generators::path(2).unwrap();
+        let cases = [(vec![1, 1], 1, true, 2), (vec![0, 1], 100, false, 1)];
+        for (starts, rounds, completed, informed) in cases {
+            let cfg = AgentConfig {
+                count: rumor_walks::AgentCount::Exact(2),
+                placement: Placement::Explicit(starts.clone()),
+                walk: rumor_walks::WalkConfig::simple(),
+            };
+            let mut mx = MeetExchange::new(&g, 0, &cfg, ProtocolOptions::none(), &mut rng(8));
+            run(&mut mx, 100, &mut rng(8));
+            assert_eq!(mx.round(), rounds, "sequential, agents at {starts:?}");
+            assert_eq!(
+                mx.is_complete(),
+                completed,
+                "sequential, agents at {starts:?}"
+            );
+            assert_eq!(
+                mx.informed_agent_count(),
+                informed,
+                "sequential, agents at {starts:?}"
+            );
+            assert!(!mx.is_source_active());
+            let spec = SimulationSpec::new(ProtocolKind::MeetExchange)
+                .with_agents(cfg)
+                .with_max_rounds(100);
+            for spec in [
+                spec.clone(),
+                spec.clone().with_sharded(1),
+                spec.with_sharded(3),
+            ] {
+                let outcome = simulate_on(&g, 0, &spec);
+                let context = format!("{:?}, agents at {starts:?}", spec.engine);
+                assert_eq!(outcome.rounds, rounds, "{context}");
+                assert_eq!(outcome.completed, completed, "{context}");
+                assert_eq!(outcome.informed_agents, informed, "{context}");
+                assert_eq!(outcome.informed_vertices, 0, "{context}");
             }
-            if mx.is_complete() {
-                break;
-            }
-        }
-        if let Some(_round) = both_at_source_round {
-            // Both picked the rumor up directly from the source (simultaneous
-            // visits all get informed) — this is the paper's rule, not chaining.
-            assert!(mx.informed_agent_count() >= 1);
         }
     }
 

@@ -936,9 +936,11 @@ mod agent_substrate {
         // The engine batches rebirth teleports into one occupancy rebuild;
         // the naive reference teleports immediately per agent. Identical
         // trajectories prove the batching preserves the draw order.
-        for (name, graph, source) in agent_families().into_iter().take(4) {
-            for seed in [0u64, 9, 77] {
-                let cfg = AgentConfig::default().lazy();
+        for (name, graph, source) in agent_families() {
+            for (cfg, seed) in agent_configs()
+                .into_iter()
+                .flat_map(|cfg| [0u64, 9, 77].map(|seed| (cfg.clone(), seed)))
+            {
                 let churn = 0.1;
                 let mut rng_fast = SmallRng::seed_from_u64(seed);
                 let mut rng_naive = SmallRng::seed_from_u64(seed);
@@ -972,7 +974,10 @@ mod agent_substrate {
                         );
                     }
                 }
-                assert!(fast.is_complete(), "{name} hit the round cap (seed {seed})");
+                assert!(
+                    fast.is_complete(),
+                    "{name} hit the round cap ({cfg:?}, seed {seed})"
+                );
             }
             println!("churn-visit-exchange equivalent on {name}");
         }

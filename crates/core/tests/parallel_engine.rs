@@ -293,3 +293,100 @@ fn sharded_and_sequential_share_initial_placement() {
     assert_eq!(sharded.rounds, 0);
     assert_eq!(seq.informed_agents, sharded.informed_agents);
 }
+
+/// FNV-1a over a run's recorded history: every field of every round, as
+/// little-endian `u64`s.
+fn history_digest(history: &[rumor_core::RoundRecord]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for rec in history {
+        for field in [
+            rec.round,
+            rec.informed_vertices as u64,
+            rec.informed_agents as u64,
+            rec.messages,
+        ] {
+            for byte in field.to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    }
+    hash
+}
+
+/// Fixed-value pins of the sharded agent engine: rounds, total messages,
+/// final informed vertex and agent counts, and a digest of the per-round
+/// history, for visit- and meet-exchange on four families at two seeds.
+/// The star and double star are large enough (about 2·10⁴ vertices and
+/// agents) that the exchange scans split into several shards at three
+/// workers. Every case runs at the auto thread count (steered by
+/// `RUMOR_THREADS` in CI) and at one and three explicit workers; the
+/// counter-based contract makes all three equal to the pinned values.
+#[test]
+fn sharded_agent_engine_matches_pinned_values() {
+    /// (rounds, messages, informed vertices, informed agents, history digest)
+    type Pinned = (u64, u64, usize, usize, u64);
+    #[rustfmt::skip]
+    let pinned: &[(ProtocolKind, &str, u64, Pinned)] = &[
+        (ProtocolKind::VisitExchange, "star", 0, (20, 400020, 20001, 20001, 1588735466103148770)),
+        (ProtocolKind::VisitExchange, "star", 11, (26, 520026, 20001, 20001, 9113340215181600121)),
+        (ProtocolKind::VisitExchange, "double-star", 0, (21, 420042, 20002, 20002, 8748399945121708943)),
+        (ProtocolKind::VisitExchange, "double-star", 11, (30, 600060, 20002, 20002, 5637620781576339580)),
+        (ProtocolKind::VisitExchange, "cycle", 0, (25, 750, 30, 30, 16838543581067707044)),
+        (ProtocolKind::VisitExchange, "cycle", 11, (33, 990, 30, 30, 177371986699415516)),
+        (ProtocolKind::VisitExchange, "cycle-of-stars-of-cliques", 0, (18, 1512, 84, 84, 16193372681330625237)),
+        (ProtocolKind::VisitExchange, "cycle-of-stars-of-cliques", 11, (18, 1512, 84, 84, 14278798485329042403)),
+        (ProtocolKind::MeetExchange, "star", 0, (13, 130157, 0, 20001, 15919519590993108469)),
+        (ProtocolKind::MeetExchange, "star", 11, (17, 169767, 0, 20001, 11626989186997120819)),
+        (ProtocolKind::MeetExchange, "double-star", 0, (17, 170124, 0, 20002, 18156113698115022512)),
+        (ProtocolKind::MeetExchange, "double-star", 11, (23, 229701, 0, 20002, 6184785713702615057)),
+        (ProtocolKind::MeetExchange, "cycle", 0, (44, 645, 0, 30, 10858880816174150365)),
+        (ProtocolKind::MeetExchange, "cycle", 11, (56, 825, 0, 30, 4167097950040472405)),
+        (ProtocolKind::MeetExchange, "cycle-of-stars-of-cliques", 0, (35, 2940, 0, 84, 11548277760869413713)),
+        (ProtocolKind::MeetExchange, "cycle-of-stars-of-cliques", 11, (39, 3276, 0, 84, 17043774305628576719)),
+    ];
+    let graphs = [
+        ("star", star(20_000).unwrap(), 3),
+        ("double-star", double_star(10_000).unwrap(), 2),
+        ("cycle", cycle(30).unwrap(), 5),
+        (
+            "cycle-of-stars-of-cliques",
+            CycleOfStarsOfCliques::with_at_least(60)
+                .unwrap()
+                .into_graph(),
+            0,
+        ),
+    ];
+    let mut checked = 0;
+    for kind in [ProtocolKind::VisitExchange, ProtocolKind::MeetExchange] {
+        for (name, graph, source) in &graphs {
+            for seed in [0u64, 11] {
+                let spec = SimulationSpec::new(kind)
+                    .with_seed(seed)
+                    .with_max_rounds(300_000)
+                    .with_options(ProtocolOptions::with_history())
+                    .adapted_to(graph);
+                for threads in [0usize, 1, 3] {
+                    let out = simulate_on(graph, *source, &spec.clone().with_sharded(threads));
+                    let got = (
+                        out.rounds,
+                        out.total_messages,
+                        out.informed_vertices,
+                        out.informed_agents,
+                        history_digest(&out.history),
+                    );
+                    let expected = pinned
+                        .iter()
+                        .find(|(k, n, s, _)| *k == kind && n == name && *s == seed)
+                        .map(|case| case.3);
+                    assert_eq!(
+                        Some(got),
+                        expected,
+                        "{kind} on {name} (seed {seed}) at {threads} threads"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(checked, 2 * 4 * 2 * 3);
+}
