@@ -44,9 +44,12 @@
 //!   [`Push`], [`Pull`] and [`PushPull`] are its aliases, and
 //!   [`AsyncPush`] and [`AsyncPushPull`] alias the asynchronous
 //!   [`AsyncGossip`] over the same rules.
-//! * [`VisitExchange`], [`MeetExchange`], [`PushPullVisitExchange`] (whose
-//!   vertex phase is a [`PushPull`]), [`ChurnVisitExchange`] — the agent
-//!   protocols.
+//! * [`Exchange`] — `visit-exchange` and `meet-exchange` as one protocol
+//!   over a sealed [`ExchangeRule`] ([`VisitRule`], [`MeetRule`]);
+//!   [`VisitExchange`] and [`MeetExchange`] are its aliases, and
+//!   [`VisitExchange::with_churn`] adds agent churn as a per-round respawn
+//!   hook. [`PushPullVisitExchange`] runs a [`PushPull`] vertex phase and
+//!   the same visit-exchange scans.
 //! * [`simulate_on`], [`SimulationSpec`], [`run_to_completion`] — the
 //!   engine. Every entry point (plain, pooled, checkpointed, resumed,
 //!   sharded or sequential) advances rounds through one private driver.
@@ -144,9 +147,9 @@ pub use options::{AgentConfig, ProtocolOptions};
 pub use parallel::resolve_threads;
 pub use protocol::{build_protocol, Protocol, ProtocolKind};
 pub use protocols::{
-    AsyncGossip, AsyncPush, AsyncPushPull, ChurnVisitExchange, Gossip, GossipRule,
-    InvalidChurnError, MeetExchange, Pull, PullRule, Push, PushPull, PushPullRule,
-    PushPullVisitExchange, PushRule, VisitExchange,
+    AsyncGossip, AsyncPush, AsyncPushPull, Exchange, ExchangeRule, Gossip, GossipRule,
+    InvalidChurnError, MeetExchange, MeetRule, Pull, PullRule, Push, PushPull, PushPullRule,
+    PushPullVisitExchange, PushRule, VisitExchange, VisitRule,
 };
 pub use snapshot::{CheckpointCadence, ResumableRun, SimSnapshot, SnapshotError};
 

@@ -22,12 +22,13 @@
 //!   on the coordinating thread in ascending shard order (the merge is the
 //!   same `insert` + boundary-counter update loop the sequential engine
 //!   runs, and its outcome is a set union — independent of the partition).
-//! * **Agent protocols** (`visit-exchange`, `meet-exchange`): movement is
+//! * **Agent protocols** (`visit-exchange`, `meet-exchange`): the engine
+//!   runs the sequential protocols' [`Exchange`] state under the same
+//!   compile-time rule, and with it the same exchange scans. Movement is
 //!   [`MultiWalk::par_step_exchange`] (64-aligned agent blocks, per-shard
-//!   informed-here bitsets merged with atomic-free OR passes); the exchange
-//!   phases scan the uninformed side in sharded ranges, compact hits into
-//!   per-shard buffers, and apply the frontier removals at the round
-//!   barrier.
+//!   informed-here bitsets merged with atomic-free OR passes); each scan
+//!   covers the uninformed side in sharded ranges, compacts hits into
+//!   per-shard buffers, and the hits are applied at the round barrier.
 //!
 //! Small instances never pay for threads: each sharded pass falls back to an
 //! inline single-shard loop when the work per shard would be tiny (the
@@ -48,9 +49,10 @@ use crate::driver::{drive, outcome_of, record_of, Capture, Checkpoint, Rounds};
 use crate::engine::SimulationSpec;
 use crate::metrics::{BroadcastOutcome, RoundRecord};
 use crate::options::ProtocolOptions;
-use crate::protocol::{FastStep, Protocol, ProtocolKind};
+use crate::protocol::{FastStep, ProtocolKind};
 use crate::protocols::common::InformedSet;
-use crate::protocols::gossip::{call, Gossip, GossipRule, PullRule, PushPullRule, PushRule};
+use crate::protocols::exchange::{Exchange, ExchangeRule, MeetExchange, Scan, VisitExchange};
+use crate::protocols::gossip::{call, Gossip, GossipRule, Pull, Push, PushPull};
 use crate::snapshot::{Checkpointable, ResumableRun, SimSnapshot};
 
 /// Minimum number of realized draws per shard before a vertex round spawns
@@ -118,14 +120,129 @@ pub(crate) fn drive_sharded<G: Topology>(
 ) -> ResumableRun {
     debug_assert!(threads > 0);
     debug_assert!(supports(spec));
-    let run = match spec.kind {
-        ProtocolKind::Push => VertexEngine::<G, PushRule>::drive,
-        ProtocolKind::Pull => VertexEngine::<G, PullRule>::drive,
-        ProtocolKind::PushPull => VertexEngine::<G, PushPullRule>::drive,
-        ProtocolKind::VisitExchange | ProtocolKind::MeetExchange => AgentEngine::<G>::drive,
+    let run = (spec, threads, resume, history, checkpoint);
+    let (agents, none) = (&spec.agents, ProtocolOptions::none());
+    // Agent placement consumes the same seeded SmallRng as the sequential
+    // engine's construction, so both engines start every trial from the
+    // identical agent configuration; only the per-round draws differ.
+    let rng = &mut SmallRng::seed_from_u64(spec.seed);
+    match spec.kind {
+        ProtocolKind::Push => Sharded::run(Push::new(graph, source, none), run),
+        ProtocolKind::Pull => Sharded::run(Pull::new(graph, source, none), run),
+        ProtocolKind::PushPull => Sharded::run(PushPull::new(graph, source, none), run),
+        ProtocolKind::VisitExchange => {
+            Sharded::run(VisitExchange::new(graph, source, agents, none, rng), run)
+        }
+        ProtocolKind::MeetExchange => {
+            Sharded::run(MeetExchange::new(graph, source, agents, none, rng), run)
+        }
         _ => unreachable!("unsupported kind routed to the sharded engine"),
-    };
-    run(graph, source, spec, threads, resume, history, checkpoint)
+    }
+}
+
+/// Protocol state the sharded engine advances: one round realized from the
+/// counter-based streams of `key`, with `shards` as its scratch.
+trait ShardedStep: FastStep + Checkpointable {
+    /// Executes one synchronous round.
+    fn sharded_step(&mut self, shards: &mut Shards, key: &StreamKey);
+}
+
+/// The sharded engine's per-run scratch, reused across rounds.
+struct Shards {
+    threads: usize,
+    /// Per-shard compaction buffers.
+    newly: Vec<Vec<u32>>,
+    /// Per-shard draw blocks for [`Topology::resolve_block`].
+    blocks: Vec<DrawBlock>,
+    /// Shards the last exchange scan filled.
+    filled: usize,
+}
+
+/// A sharded run: the sequential protocol's state `P` (informed sets,
+/// trackers, counters) under the same compile-time rule, advanced by
+/// [`ShardedStep`] instead of one sequential generator. Everything but the
+/// round itself delegates to `P`.
+struct Sharded<P> {
+    state: P,
+    key: StreamKey,
+    shards: Shards,
+}
+
+/// What a sharded run starts from: its spec and worker count, the snapshot
+/// it resumes, the history recorded before that, and its checkpoint sink.
+type RunArgs<'a, 'c> = (
+    &'a SimulationSpec,
+    usize,
+    Option<&'a SimSnapshot>,
+    Vec<RoundRecord>,
+    Option<Checkpoint<'c>>,
+);
+
+impl<P: ShardedStep> Sharded<P> {
+    /// Runs `state` (restored from `resume` when given) to the end of the
+    /// run (see [`drive_sharded`]).
+    fn run(
+        state: P,
+        (spec, threads, resume, history, checkpoint): RunArgs<'_, '_>,
+    ) -> ResumableRun {
+        let mut run = Sharded {
+            state,
+            key: StreamKey::from_seed(spec.seed),
+            shards: Shards {
+                threads,
+                newly: Vec::new(),
+                blocks: Vec::new(),
+                filled: 0,
+            },
+        };
+        if let Some(snapshot) = resume {
+            // Replays the informed sets in their stored insertion order, so
+            // every derived structure is bit-identical by construction.
+            run.state.restore(snapshot);
+        }
+        let (cap, record) = (spec.max_rounds, spec.options.record_history);
+        drive(&mut run, cap, record, history, checkpoint)
+    }
+}
+
+impl<P: ShardedStep> Rounds for Sharded<P> {
+    fn step(&mut self) {
+        self.state.sharded_step(&mut self.shards, &self.key);
+    }
+
+    fn round(&self) -> u64 {
+        self.state.round()
+    }
+
+    fn is_complete(&self) -> bool {
+        self.state.is_complete()
+    }
+
+    /// The sharded twin of [`FastStep::is_stalled`]: on a disconnected
+    /// graph a vertex protocol's reachable component saturates with the
+    /// frontier quiescent, and every further round would realize zero
+    /// draws. (Agent protocols keep the default and rely on the round cap.)
+    fn is_stalled(&self) -> bool {
+        self.state.is_stalled()
+    }
+
+    fn record(&self) -> RoundRecord {
+        record_of(&self.state)
+    }
+
+    fn outcome(&self, history: Vec<RoundRecord>) -> BroadcastOutcome {
+        outcome_of(&self.state, history)
+    }
+}
+
+impl<P: ShardedStep> Capture for Sharded<P> {
+    /// Captures the run's cross-round state. No generator state is stored:
+    /// the counter-based streams re-derive every draw from `(seed, round,
+    /// entity)`, so the round counter *is* the RNG position (agent
+    /// positions plus the walk round determine every future move).
+    fn capture(&self, spec_digest: u64, history: &[RoundRecord]) -> SimSnapshot {
+        self.state.capture(spec_digest, None, history)
+    }
 }
 
 /// Splits `0..len` into at most `shards` contiguous, 64-aligned ranges.
@@ -229,184 +346,146 @@ fn sharded_zero_scan<F: Fn(usize) -> bool + Sync>(
     shards
 }
 
-/// The sharded engine for the vertex protocols: a [`Gossip`] state (informed
-/// set, boundary tracker, counters) whose rounds draw from counter-based
-/// streams instead of one sequential generator.
-struct VertexEngine<'g, G: Topology, R: GossipRule> {
-    gossip: Gossip<'g, G, R>,
-    key: StreamKey,
-    threads: usize,
-    /// Per-shard compaction buffers (reused across rounds).
-    shard_newly: Vec<Vec<u32>>,
-    /// Per-shard draw blocks for [`Topology::resolve_block`].
-    shard_blocks: Vec<DrawBlock>,
-}
-
-/// Active vertices gathered per [`VertexEngine::draw_batch`] call.
+/// Active vertices gathered per [`draw_batch`] call.
 const DRAW_BATCH: usize = 128;
 
-impl<'g, G: Topology, R: GossipRule> VertexEngine<'g, G, R> {
-    /// Runs the vertex protocol of rule `R` (see [`drive_sharded`]).
-    fn drive(
-        graph: &'g G,
-        source: VertexId,
-        spec: &SimulationSpec,
-        threads: usize,
-        resume: Option<&SimSnapshot>,
-        history: Vec<RoundRecord>,
-        checkpoint: Option<Checkpoint<'_>>,
-    ) -> ResumableRun {
-        let mut engine = VertexEngine {
-            gossip: Gossip::<G, R>::new(graph, source, ProtocolOptions::none()),
-            key: StreamKey::from_seed(spec.seed),
-            threads,
-            shard_newly: Vec::new(),
-            shard_blocks: Vec::new(),
-        };
-        if let Some(snapshot) = resume {
-            // Replays the informed set in its stored insertion order, so the
-            // boundary tracker is bit-identical by construction.
-            engine.gossip.restore(snapshot);
+/// Realizes the draws of the active vertices in `words[lo..hi]`,
+/// compacting state-changing results into `out`: the vertex each call
+/// informs (see `gossip::call`). Every draw comes from the vertex's own
+/// counter-based stream, so the output depends only on the range
+/// content, not on who scans it.
+///
+/// Two-phase structure: active vertex ids are gathered into a small
+/// stack batch by a minimal scan loop, and the batch is drained by a
+/// deliberately **non-inlined** helper. Frontiers are sparse relative
+/// to the bitset on the paper's instances (a star mid-broadcast has one
+/// active vertex in ~1 500 words), so the skip-empty-words loop is the
+/// per-round fixed cost — inlining the draw body into it spills the
+/// scan counters to the stack and quadruples that fixed cost.
+fn draw_range<G: Topology, R: GossipRule>(
+    graph: &G,
+    informed: &InformedSet,
+    round_key: &RoundKey,
+    words: &[u64],
+    (lo, hi): (usize, usize),
+    out: &mut Vec<u32>,
+    draws: &mut DrawBlock,
+) {
+    let mut pending = [0u32; DRAW_BATCH];
+    let mut count = 0usize;
+    for (off, &word) in words[lo..hi].iter().enumerate() {
+        let mut bits = word;
+        if bits == 0 {
+            continue;
         }
-        let (cap, record) = (spec.max_rounds, spec.options.record_history);
-        drive(&mut engine, cap, record, history, checkpoint)
-    }
-
-    /// Realizes the draws of the active vertices in `words[lo..hi]`,
-    /// compacting state-changing results into `out`: the vertex each call
-    /// informs (see `gossip::call`). Every draw comes from the vertex's own
-    /// counter-based stream, so the output depends only on the range
-    /// content, not on who scans it.
-    ///
-    /// Two-phase structure: active vertex ids are gathered into a small
-    /// stack batch by a minimal scan loop, and the batch is drained by a
-    /// deliberately **non-inlined** helper. Frontiers are sparse relative
-    /// to the bitset on the paper's instances (a star mid-broadcast has one
-    /// active vertex in ~1 500 words), so the skip-empty-words loop is the
-    /// per-round fixed cost — inlining the draw body into it spills the
-    /// scan counters to the stack and quadruples that fixed cost.
-    fn draw_range(
-        graph: &G,
-        informed: &InformedSet,
-        round_key: &RoundKey,
-        words: &[u64],
-        (lo, hi): (usize, usize),
-        out: &mut Vec<u32>,
-        draws: &mut DrawBlock,
-    ) {
-        let mut pending = [0u32; DRAW_BATCH];
-        let mut count = 0usize;
-        for (off, &word) in words[lo..hi].iter().enumerate() {
-            let mut bits = word;
-            if bits == 0 {
-                continue;
-            }
-            let base = ((lo + off) << 6) as u32;
-            while bits != 0 {
-                pending[count] = base + bits.trailing_zeros();
-                count += 1;
-                bits &= bits - 1;
-                if count == pending.len() {
-                    Self::draw_batch(graph, informed, round_key, &pending, out, draws);
-                    count = 0;
-                }
+        let base = ((lo + off) << 6) as u32;
+        while bits != 0 {
+            pending[count] = base + bits.trailing_zeros();
+            count += 1;
+            bits &= bits - 1;
+            if count == pending.len() {
+                draw_batch::<G, R>(graph, informed, round_key, &pending, out, draws);
+                count = 0;
             }
         }
-        Self::draw_batch(graph, informed, round_key, &pending[..count], out, draws);
     }
+    draw_batch::<G, R>(graph, informed, round_key, &pending[..count], out, draws);
+}
 
-    /// Drains one gathered batch of active vertices (see
-    /// [`VertexEngine::draw_range`] for why this must not inline into the
-    /// scan loop): every vertex draws its call target's index, the batch
-    /// resolves with one [`Topology::resolve_block`] call (so a backend
-    /// that derives neighbors overlaps the batch's derivations), and the
-    /// calls then run in vertex order.
-    ///
-    /// Degree-1 vertices (star leaves — the hottest class on the paper's
-    /// instances) consume no randomness at all: their call target is
-    /// forced, and under the counter-based contract an entity's unused
-    /// stream draws are simply never computed
-    /// (`Graph::random_neighbor_with`). (A pair-lane block-sharing scheme
-    /// was tried here and reverted: the pair-detection branch mispredicts
-    /// on fragmented frontiers and cost more than the shared blocks saved.)
-    #[inline(never)]
-    fn draw_batch(
-        graph: &G,
-        informed: &InformedSet,
-        round_key: &RoundKey,
-        pending: &[u32],
-        out: &mut Vec<u32>,
-        draws: &mut DrawBlock,
-    ) {
-        draws.clear();
-        for &id in pending {
-            let u = id as usize;
-            // Active vertices always have a neighbor (boundary invariant),
-            // so the isolation arm is unreachable.
-            draws.push(
-                graph
-                    .draw_deferred_with(u, || round_key.stream(u as u64))
-                    .expect("active vertex has a neighbor"),
-            );
-        }
-        graph.resolve_block(draws);
-        for (&u, &v) in pending.iter().zip(draws.resolved()) {
-            call::<R>(informed, u as usize, v as usize, out);
-        }
+/// Drains one gathered batch of active vertices (see
+/// [`draw_range`] for why this must not inline into the
+/// scan loop): every vertex draws its call target's index, the batch
+/// resolves with one [`Topology::resolve_block`] call (so a backend
+/// that derives neighbors overlaps the batch's derivations), and the
+/// calls then run in vertex order.
+///
+/// Degree-1 vertices (star leaves — the hottest class on the paper's
+/// instances) consume no randomness at all: their call target is
+/// forced, and under the counter-based contract an entity's unused
+/// stream draws are simply never computed
+/// (`Graph::random_neighbor_with`). (A pair-lane block-sharing scheme
+/// was tried here and reverted: the pair-detection branch mispredicts
+/// on fragmented frontiers and cost more than the shared blocks saved.)
+#[inline(never)]
+fn draw_batch<G: Topology, R: GossipRule>(
+    graph: &G,
+    informed: &InformedSet,
+    round_key: &RoundKey,
+    pending: &[u32],
+    out: &mut Vec<u32>,
+    draws: &mut DrawBlock,
+) {
+    draws.clear();
+    for &id in pending {
+        let u = id as usize;
+        // Active vertices always have a neighbor (boundary invariant),
+        // so the isolation arm is unreachable.
+        draws.push(
+            graph
+                .draw_deferred_with(u, || round_key.stream(u as u64))
+                .expect("active vertex has a neighbor"),
+        );
+    }
+    graph.resolve_block(draws);
+    for (&u, &v) in pending.iter().zip(draws.resolved()) {
+        call::<R>(informed, u as usize, v as usize, out);
     }
 }
 
-impl<G: Topology, R: GossipRule> Rounds for VertexEngine<'_, G, R> {
+/// The sharded round of the vertex protocols: the [`Gossip`] boundary is
+/// partitioned into popcount-balanced vertex ranges whose draws come from
+/// per-vertex streams.
+impl<G: Topology, R: GossipRule> ShardedStep for Gossip<'_, G, R> {
     /// One synchronous round: sharded draws, then the sequential merge that
     /// the sequential engine also runs (insert + boundary update).
-    fn step(&mut self) {
-        let round_key = self.key.round_key(self.gossip.begin_round());
-        let graph = self.gossip.graph();
-        let informed = self.gossip.informed();
-        let words = self.gossip.active().words();
+    fn sharded_step(&mut self, shards: &mut Shards, key: &StreamKey) {
+        let round_key = key.round_key(self.begin_round());
+        let graph = self.graph();
+        let informed = self.informed();
+        let words = self.active().words();
 
         // At one thread there is nothing to balance: skip the popcount pass
         // (it would double the per-round bitset traffic) and draw inline.
         // The pass is only paid when sharding is possible, where it also
         // yields the popcount-balanced cut points.
-        let (shards, active) = if self.threads == 1 {
+        let (count, active) = if shards.threads == 1 {
             (1, 0u64)
         } else {
             let active: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
-            let shards = self
+            let count = shards
                 .threads
                 .min((active / MIN_DRAWS_PER_SHARD + 1) as usize)
                 .clamp(1, words.len().max(1));
-            (shards, active)
+            (count, active)
         };
-        if self.shard_newly.len() < shards {
-            self.shard_newly.resize_with(shards, Vec::new);
-            self.shard_blocks.resize_with(shards, DrawBlock::default);
+        if shards.newly.len() < count {
+            shards.newly.resize_with(count, Vec::new);
+            shards.blocks.resize_with(count, DrawBlock::default);
         }
-        for buf in &mut self.shard_newly[..shards] {
+        for buf in &mut shards.newly[..count] {
             buf.clear();
         }
-        if shards == 1 {
-            Self::draw_range(
+        if count == 1 {
+            draw_range::<G, R>(
                 graph,
                 informed,
                 &round_key,
                 words,
                 (0, words.len()),
-                &mut self.shard_newly[0],
-                &mut self.shard_blocks[0],
+                &mut shards.newly[0],
+                &mut shards.blocks[0],
             );
         } else {
             // Contiguous word ranges with roughly equal active popcounts
             // (the frontier can be concentrated; even word splits would idle
             // most workers on e.g. a star's leaf range).
-            let target = active.div_ceil(shards as u64).max(1);
-            let mut ranges = Vec::with_capacity(shards);
+            let target = active.div_ceil(count as u64).max(1);
+            let mut ranges = Vec::with_capacity(count);
             let mut lo = 0usize;
             let mut acc = 0u64;
             for (idx, w) in words.iter().enumerate() {
                 acc += u64::from(w.count_ones());
-                if acc >= target && ranges.len() + 1 < shards {
+                if acc >= target && ranges.len() + 1 < count {
                     ranges.push((lo, idx + 1));
                     lo = idx + 1;
                     acc = 0;
@@ -414,10 +493,10 @@ impl<G: Topology, R: GossipRule> Rounds for VertexEngine<'_, G, R> {
             }
             ranges.push((lo, words.len()));
             std::thread::scope(|scope| {
-                let shards = self.shard_newly.iter_mut().zip(&mut self.shard_blocks);
-                for (range, (buf, draws)) in ranges.into_iter().zip(shards) {
+                let scratch = shards.newly.iter_mut().zip(&mut shards.blocks);
+                for (range, (buf, draws)) in ranges.into_iter().zip(scratch) {
                     scope.spawn(move || {
-                        Self::draw_range(graph, informed, &round_key, words, range, buf, draws)
+                        draw_range::<G, R>(graph, informed, &round_key, words, range, buf, draws)
                     });
                 }
             });
@@ -427,325 +506,61 @@ impl<G: Topology, R: GossipRule> Rounds for VertexEngine<'_, G, R> {
         // identical loop the sequential engine runs over its single buffer;
         // `inform` dedups cross-shard repeats (two shards pushing to the
         // same vertex).
-        for buf in &self.shard_newly[..shards] {
+        for buf in &shards.newly[..count] {
             for &v in buf {
-                self.gossip.inform(v as usize);
+                self.inform(v as usize);
             }
         }
     }
-
-    fn round(&self) -> u64 {
-        self.gossip.round()
-    }
-
-    fn is_complete(&self) -> bool {
-        self.gossip.is_complete()
-    }
-
-    /// The sharded twin of [`crate::protocol::FastStep::is_stalled`]: on a
-    /// disconnected graph the reachable component saturates with the
-    /// frontier quiescent, and every further round would realize zero draws.
-    fn is_stalled(&self) -> bool {
-        self.gossip.is_stalled()
-    }
-
-    fn record(&self) -> RoundRecord {
-        record_of(&self.gossip)
-    }
-
-    fn outcome(&self, history: Vec<RoundRecord>) -> BroadcastOutcome {
-        outcome_of(&self.gossip, history)
-    }
 }
 
-impl<G: Topology, R: GossipRule> Capture for VertexEngine<'_, G, R> {
-    /// Captures the engine's cross-round state. No generator state is
-    /// stored: the counter-based streams re-derive every draw from
-    /// `(seed, round, vertex)`, so the round counter *is* the RNG position.
-    fn capture(&self, spec_digest: u64, history: &[RoundRecord]) -> SimSnapshot {
-        self.gossip.capture(spec_digest, None, history)
-    }
-}
-
-/// The sharded engine for the agent protocols (`visit-exchange`,
-/// `meet-exchange`).
-struct AgentEngine<'g, G: Topology> {
-    graph: &'g G,
-    source: VertexId,
-    kind: ProtocolKind,
-    walks: MultiWalk,
-    agents: UninformedFrontier,
-    /// Vertex informed set (visit-exchange only; meet-exchange tracks just
-    /// the source flag, as in the sequential engine).
-    informed_vertices: InformedSet,
-    source_active: bool,
-    key: StreamKey,
-    threads: usize,
-    /// Per-shard compaction buffers for the exchange scans.
-    shard_newly: Vec<Vec<u32>>,
-    round: u64,
-    messages_total: u64,
-    messages_last: u64,
-}
-
-impl<'g, G: Topology> AgentEngine<'g, G> {
-    /// Runs `visit-exchange` or `meet-exchange` (see [`drive_sharded`]).
-    fn drive(
-        graph: &'g G,
-        source: VertexId,
-        spec: &SimulationSpec,
-        threads: usize,
-        resume: Option<&SimSnapshot>,
-        history: Vec<RoundRecord>,
-        checkpoint: Option<Checkpoint<'_>>,
-    ) -> ResumableRun {
-        let mut engine = AgentEngine::new(graph, source, spec, threads);
-        if let Some(snapshot) = resume {
-            engine.restore(snapshot);
-        }
-        let (cap, record) = (spec.max_rounds, spec.options.record_history);
-        drive(&mut engine, cap, record, history, checkpoint)
-    }
-
-    fn new(graph: &'g G, source: VertexId, spec: &SimulationSpec, threads: usize) -> Self {
-        assert!(source < graph.num_vertices(), "source out of range");
-        // Construction matches the sequential engine draw-for-draw: agent
-        // placement consumes the same seeded SmallRng, so both engines start
-        // every trial from the identical agent configuration. Only the
-        // per-round draws differ (counter-based streams vs one sequential
-        // generator).
-        let mut rng = SmallRng::seed_from_u64(spec.seed);
-        let count = spec.agents.count.resolve(graph.num_vertices());
-        let walks = MultiWalk::new(
-            graph,
-            count,
-            &spec.agents.placement,
-            spec.agents.walk,
-            &mut rng,
-        );
-        let mut agents = UninformedFrontier::new(walks.num_agents());
-        for &agent in walks.agents_at(source) {
-            agents.mark_informed(agent as AgentId);
-        }
-        let mut informed_vertices = InformedSet::new(graph.num_vertices());
-        let source_active = match spec.kind {
-            ProtocolKind::VisitExchange => {
-                informed_vertices.insert(source);
-                false
-            }
-            _ => agents.informed_count() == 0,
-        };
-        AgentEngine {
-            graph,
-            source,
-            kind: spec.kind,
-            walks,
-            agents,
-            informed_vertices,
-            source_active,
-            key: StreamKey::from_seed(spec.seed),
-            threads,
-            shard_newly: Vec::new(),
-            round: 0,
-            messages_total: 0,
-            messages_last: 0,
-        }
-    }
-
-    /// The round-barrier compaction: applies the sharded scans' uninformed-
-    /// frontier removals (shard order; the outcome is a set union, so the
-    /// partition cannot influence it).
-    fn apply_agent_marks(&mut self, shards: usize) {
-        for i in 0..shards {
-            let buf = std::mem::take(&mut self.shard_newly[i]);
-            for &a in &buf {
-                self.agents.mark_informed(a as usize);
-            }
-            self.shard_newly[i] = buf;
-        }
-    }
-
-    /// Rebuilds the exact mid-run state from `snapshot`: the walk ensemble
-    /// from its stored positions and round, the uninformed frontier by
-    /// re-marking the stored informed agents, and (visit-exchange) the
-    /// vertex informed set by replaying its stored insertion order.
-    fn restore(&mut self, snapshot: &SimSnapshot) {
-        let positions = snapshot
-            .positions
-            .clone()
-            .expect("agent-engine snapshot stores walk positions");
-        self.walks = MultiWalk::restore(
-            self.graph,
-            positions,
-            snapshot.walk_round,
-            self.walks.config(),
-        );
-        self.agents.reset(self.walks.num_agents());
-        for &agent in &snapshot.informed_agents {
-            self.agents.mark_informed(agent as AgentId);
-        }
-        self.informed_vertices.reset(self.graph.num_vertices());
-        for &v in &snapshot.informed_vertices {
-            self.informed_vertices.insert(v as usize);
-        }
-        self.source_active = snapshot.source_active;
-        self.round = snapshot.round;
-        self.messages_total = snapshot.messages_total;
-        self.messages_last = snapshot.messages_last;
-    }
-
-    fn informed_vertex_count(&self) -> usize {
-        match self.kind {
-            ProtocolKind::VisitExchange => self.informed_vertices.count(),
-            _ => usize::from(self.source_active),
-        }
-    }
-}
-
-// No `is_stalled`: agent-protocol quiescence is a reachability property of
-// the walk state, too expensive to test per round — the round cap remains
-// the terminator on pathological instances (as in the sequential engine).
-impl<G: Topology> Rounds for AgentEngine<'_, G> {
-    fn step(&mut self) {
-        self.round += 1;
-        // Sharded movement: per-agent streams, per-shard informed-here
-        // bitsets OR-merged at the barrier inside par_step_exchange.
-        let moves = self.walks.par_step_exchange(
-            self.graph,
-            &self.key,
-            self.agents.informed_words(),
-            false,
+impl Scan for Shards {
+    /// Always the uninformed-vertex scan, whatever the density: shard
+    /// buffers hold disjoint ascending vertex ranges.
+    fn vertices(&mut self, walks: &MultiWalk, _: &UninformedFrontier, vertices: &InformedSet) {
+        let n = vertices.universe();
+        self.filled = sharded_zero_scan(
+            vertices.words(),
+            n,
+            n - vertices.count(),
             self.threads,
+            |v| walks.informed_here(v),
+            &mut self.newly,
         );
-        self.messages_last = moves;
-        self.messages_total += moves;
-        let walks = &self.walks;
-        let positions = walks.positions();
-
-        if self.kind == ProtocolKind::VisitExchange {
-            // Phase 1: uninformed vertices visited by an agent informed in a
-            // previous round. Sharded scan over the vertex bitset; shard
-            // buffers hold disjoint ascending vertex ranges, so the merge is
-            // plain insertion.
-            let n = self.graph.num_vertices();
-            let uninformed_estimate = n - self.informed_vertices.count();
-            let shards = sharded_zero_scan(
-                self.informed_vertices.words(),
-                n,
-                uninformed_estimate,
-                self.threads,
-                |v| walks.informed_here(v),
-                &mut self.shard_newly,
-            );
-            for i in 0..shards {
-                let buf = std::mem::take(&mut self.shard_newly[i]);
-                for &v in &buf {
-                    self.informed_vertices.insert(v as usize);
-                }
-                self.shard_newly[i] = buf;
-            }
-            // Phase 2: uninformed agents standing on an informed vertex
-            // (informed in a previous round or in phase 1 just now).
-            let informed_vertices = &self.informed_vertices;
-            let shards = sharded_zero_scan(
-                self.agents.informed_words(),
-                self.agents.num_agents(),
-                self.agents.num_agents() - self.agents.informed_count(),
-                self.threads,
-                |a| informed_vertices.contains(positions[a] as usize),
-                &mut self.shard_newly,
-            );
-            self.apply_agent_marks(shards);
-        } else if self.source_active {
-            // Meet-exchange, pickup phase: agents standing on the source.
-            let source = self.source;
-            let shards = sharded_zero_scan(
-                self.agents.informed_words(),
-                self.agents.num_agents(),
-                self.agents.num_agents() - self.agents.informed_count(),
-                self.threads,
-                |a| positions[a] as usize == source,
-                &mut self.shard_newly,
-            );
-            if self.shard_newly[..shards].iter().any(|b| !b.is_empty()) {
-                self.source_active = false;
-            }
-            self.apply_agent_marks(shards);
-        } else {
-            // Meet-exchange: an uninformed agent learns iff an agent
-            // informed in a previous round landed on its vertex.
-            let shards = sharded_zero_scan(
-                self.agents.informed_words(),
-                self.agents.num_agents(),
-                self.agents.num_agents() - self.agents.informed_count(),
-                self.threads,
-                |a| walks.informed_here(positions[a] as usize),
-                &mut self.shard_newly,
-            );
-            self.apply_agent_marks(shards);
-        }
     }
 
-    fn round(&self) -> u64 {
-        self.round
+    fn agents(&mut self, agents: &UninformedFrontier, learns: impl Fn(AgentId) -> bool + Sync) {
+        let n = agents.num_agents();
+        self.filled = sharded_zero_scan(
+            agents.informed_words(),
+            n,
+            n - agents.informed_count(),
+            self.threads,
+            learns,
+            &mut self.newly,
+        );
     }
 
-    fn is_complete(&self) -> bool {
-        match self.kind {
-            ProtocolKind::VisitExchange => self.informed_vertices.is_full(),
-            _ => self.agents.is_complete(),
-        }
-    }
-
-    fn record(&self) -> RoundRecord {
-        RoundRecord {
-            round: self.round,
-            informed_vertices: self.informed_vertex_count(),
-            informed_agents: self.agents.informed_count(),
-            messages: self.messages_last,
-        }
-    }
-
-    fn outcome(&self, history: Vec<RoundRecord>) -> BroadcastOutcome {
-        BroadcastOutcome {
-            protocol: self.kind.name().to_string(),
-            rounds: self.round,
-            completed: self.is_complete(),
-            informed_vertices: self.informed_vertex_count(),
-            informed_agents: self.agents.informed_count(),
-            total_messages: self.messages_total,
-            history,
-            edge_traffic: None,
-        }
+    fn hits(&self) -> impl Iterator<Item = usize> + '_ {
+        self.newly[..self.filled]
+            .iter()
+            .flatten()
+            .map(|&i| i as usize)
     }
 }
 
-impl<G: Topology> Capture for AgentEngine<'_, G> {
-    /// Captures the engine's cross-round state: agent positions plus the
-    /// walk round fully determine every future movement draw (per-step
-    /// scratch is rebuilt each round), and the informed sets are stored as
-    /// dense id lists. `rng: None` — the counter-based streams re-derive
-    /// from the round counter.
-    fn capture(&self, spec_digest: u64, history: &[RoundRecord]) -> SimSnapshot {
-        let mut informed_agents = Vec::with_capacity(self.agents.informed_count());
-        self.agents
-            .for_each_informed(|agent| informed_agents.push(agent as u32));
-        SimSnapshot {
-            spec_digest,
-            round: self.round,
-            messages_total: self.messages_total,
-            messages_last: self.messages_last,
-            rng: None,
-            informed_vertices: match self.kind {
-                ProtocolKind::VisitExchange => self.informed_vertices.informed().to_vec(),
-                _ => Vec::new(),
-            },
-            informed_agents,
-            positions: Some(self.walks.positions().to_vec()),
-            walk_round: self.walks.round(),
-            source_active: self.source_active,
-            history: history.to_vec(),
-        }
+/// The sharded round of the agent protocols: the [`Exchange`] agents move on
+/// per-agent streams ([`MultiWalk::par_step_exchange`]: 64-aligned agent
+/// blocks, per-shard informed-here bitsets OR-merged at the barrier), and
+/// each exchange scan is a [`sharded_zero_scan`] over the scanned set's
+/// words, so hits come back in ascending order and are applied at the round
+/// barrier.
+impl<G: Topology, X: ExchangeRule> ShardedStep for Exchange<'_, G, X> {
+    fn sharded_step(&mut self, shards: &mut Shards, key: &StreamKey) {
+        let threads = shards.threads;
+        self.advance(shards, |graph, walks, agents| {
+            walks.par_step_exchange(graph, key, agents.informed_words(), false, threads)
+        });
     }
 }
 

@@ -11,6 +11,7 @@ use rumor_walks::{AgentId, MultiWalk, UninformedFrontier};
 use crate::metrics::{EdgeTraffic, EdgeTrafficStats, RoundRecord};
 use crate::options::{AgentConfig, ProtocolOptions};
 use crate::protocol::{FastStep, Protocol};
+use crate::protocols::exchange::visit_exchange;
 use crate::protocols::gossip::PushPull;
 use crate::snapshot::{Checkpointable, SimSnapshot};
 
@@ -133,44 +134,20 @@ impl<'g, G: Topology> PushPullVisitExchange<'g, G> {
         self.vertices.step_with(rng);
 
         // Phase B: visit-exchange. Agents walk one step (movement, message
-        // accounting and per-vertex informed-agent counts fused); uninformed
-        // vertices visited by a previously-informed agent become informed;
-        // uninformed agents standing on an informed vertex (including
-        // vertices informed this round) learn.
+        // accounting and the informed-here marks fused), then the
+        // visit-exchange scans inform vertices through `PushPull::inform`.
         let track = self.vertices.edge_traffic().is_some();
         let moves = self.walks.step_exchange(graph, rng, &self.agents, track);
         self.vertices.charge(moves);
         if let Some(traffic) = self.vertices.edge_traffic_mut() {
             super::common::record_agent_traffic(&self.walks, traffic);
         }
-        // Density-adaptive scan, as in `VisitExchange::step_with` phase 1.
-        let walks = &self.walks;
-        let newly = &mut self.newly_informed;
-        newly.clear();
-        if self.agents.informed_count() < graph.num_vertices() / 8 {
-            self.agents.for_each_informed(|agent| {
-                newly.push(walks.position(agent) as u32);
-            });
-        } else {
-            for v in self.vertices.informed().zeros() {
-                if walks.informed_here(v) {
-                    newly.push(v as u32);
-                }
-            }
-        }
-        for &v in newly.iter() {
-            self.vertices.inform(v as usize);
-        }
-        newly.clear();
-        let informed_vertices = self.vertices.informed();
-        self.agents.for_each_uninformed(|agent| {
-            if informed_vertices.contains(walks.position(agent)) {
-                newly.push(agent as u32);
-            }
-        });
-        for &agent in newly.iter() {
-            self.agents.mark_informed(agent as usize);
-        }
+        visit_exchange(
+            &mut self.newly_informed,
+            &self.walks,
+            &mut self.agents,
+            &mut self.vertices,
+        );
     }
 }
 

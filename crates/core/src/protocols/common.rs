@@ -94,7 +94,7 @@ impl InformedSet {
     }
 
     /// Universe size.
-    #[allow(dead_code)] // used in tests and kept for API symmetry
+    #[inline]
     pub(crate) fn universe(&self) -> usize {
         self.universe
     }

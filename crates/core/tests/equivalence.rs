@@ -431,7 +431,7 @@ mod agent_substrate {
     //! Bit-identity of the flat agent-walk engine with the naive substrate.
 
     use super::*;
-    use rumor_core::{AgentConfig, ChurnVisitExchange, MeetExchange, VisitExchange};
+    use rumor_core::{AgentConfig, MeetExchange, VisitExchange};
     use rumor_graphs::generators::CycleOfStarsOfCliques;
     use rumor_walks::Placement;
 
@@ -944,7 +944,7 @@ mod agent_substrate {
                 let churn = 0.1;
                 let mut rng_fast = SmallRng::seed_from_u64(seed);
                 let mut rng_naive = SmallRng::seed_from_u64(seed);
-                let mut fast = ChurnVisitExchange::new(
+                let mut fast = VisitExchange::with_churn(
                     &graph,
                     source,
                     &cfg,

@@ -4,7 +4,7 @@
 //! The paper notes that the agent protocols are probably *not* robust to
 //! losing agents on faulty nodes/links, but conjectures that a dynamic agent
 //! population (agents die, fresh agents are born at a proportional rate) would
-//! tolerate losses. [`ChurnVisitExchange`]
+//! tolerate losses. [`VisitExchange::with_churn`]
 //! implements that variant; this experiment sweeps the per-round churn
 //! probability and reports the slowdown relative to churn-free
 //! `visit-exchange` on the graphs where the agent protocols matter most
@@ -15,8 +15,7 @@ use rand::SeedableRng;
 
 use rumor_analysis::{Summary, Table};
 use rumor_core::{
-    run_to_completion, AgentConfig, ChurnVisitExchange, ProtocolKind, ProtocolOptions,
-    SimulationSpec,
+    run_to_completion, AgentConfig, ProtocolKind, ProtocolOptions, SimulationSpec, VisitExchange,
 };
 use rumor_graphs::generators::{double_star, logarithmic_degree, random_regular};
 use rumor_graphs::{Graph, VertexId};
@@ -39,7 +38,7 @@ fn mean_time(
     let times: Vec<u64> = (0..trials as u64)
         .map(|t| {
             let mut rng = StdRng::seed_from_u64(seed.wrapping_add(t));
-            let mut p = ChurnVisitExchange::new(
+            let mut p = VisitExchange::with_churn(
                 graph,
                 source,
                 agents,

@@ -2,7 +2,7 @@
 
 use crate::multiwalk::AgentId;
 
-/// A monotone informed/uninformed partition of the agents, engineered for the
+/// An informed/uninformed partition of the agents, engineered for the
 /// exchange protocols' hot loop:
 ///
 /// * **bitset** — `is_informed` is one word load; the words feed straight
@@ -12,10 +12,12 @@ use crate::multiwalk::AgentId;
 ///   phase of a round costs O(|uninformed|) rather than O(|A|) (late in a
 ///   broadcast almost every agent is informed);
 /// * **slot index** — `mark_informed` removes an agent from the dense list in
-///   O(1) by swap-remove, keeping the structure allocation-free per round.
+///   O(1) by swap-remove, and `mark_uninformed` (an agent replaced under
+///   churn) appends it back in O(1), so the structure is allocation-free
+///   per round.
 ///
-/// Completion is simply [`UninformedFrontier::is_complete`] —
-/// `uninformed.is_empty()`.
+/// The partition is monotone unless `mark_uninformed` is called. Completion
+/// is simply [`UninformedFrontier::is_complete`] — `uninformed.is_empty()`.
 ///
 /// The list order is unspecified (swap-removal shuffles it); none of the
 /// protocols draw randomness while iterating it, so the order never
@@ -112,6 +114,25 @@ impl UninformedFrontier {
         if let Some(&moved) = self.uninformed.get(idx) {
             self.slot[moved as usize] = idx as u32;
         }
+        true
+    }
+
+    /// Marks agent `g` uninformed again; returns `true` if it was informed.
+    /// O(1) (appends to the dense list).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g >= self.num_agents()`.
+    pub fn mark_uninformed(&mut self, g: AgentId) -> bool {
+        assert!(g < self.num_agents, "agent {g} out of range");
+        let word = &mut self.informed[g >> 6];
+        let mask = 1u64 << (g & 63);
+        if *word & mask == 0 {
+            return false;
+        }
+        *word &= !mask;
+        self.slot[g] = self.uninformed.len() as u32;
+        self.uninformed.push(g as u32);
         true
     }
 
@@ -247,6 +268,36 @@ mod tests {
         assert_eq!(f.uninformed().len(), 65);
         assert!(f.mark_informed(64));
         assert_eq!(f.informed_count(), 1);
+    }
+
+    #[test]
+    fn mark_uninformed_reverses_mark_informed() {
+        let mut f = UninformedFrontier::new(130);
+        for g in [0usize, 5, 64, 129] {
+            f.mark_informed(g);
+        }
+        assert!(f.mark_uninformed(64));
+        assert!(!f.mark_uninformed(64), "already uninformed");
+        assert!(!f.mark_uninformed(7), "never informed");
+        assert_eq!(f.informed_count(), 3);
+        assert!(!f.is_informed(64));
+        // The slot index stays consistent: 64 can be informed and dropped
+        // again, and every listed agent is exactly the uninformed ones.
+        assert!(f.mark_informed(64));
+        assert!(f.mark_uninformed(5));
+        let mut remaining: Vec<u32> = f.uninformed().to_vec();
+        remaining.sort_unstable();
+        let expected: Vec<u32> = (0..130u32).filter(|g| ![0, 64, 129].contains(g)).collect();
+        assert_eq!(remaining, expected);
+        let mut seen = Vec::new();
+        f.for_each_uninformed(|g| seen.push(g as u32));
+        seen.sort_unstable();
+        assert_eq!(seen, expected);
+        for g in [0usize, 64, 129] {
+            assert!(f.mark_uninformed(g));
+        }
+        assert_eq!(f.informed_count(), 0);
+        assert_eq!(f.uninformed().len(), 130);
     }
 
     #[test]

@@ -426,27 +426,6 @@ impl MultiWalk {
         self.advance_exchange(graph, rng, informed.informed_words(), track_previous)
     }
 
-    /// Like [`MultiWalk::step_exchange`], but reading informedness from raw
-    /// bitset words (bit `g` of `words` set ⇔ agent `g` informed). Used by
-    /// protocols whose informed set is not monotone (e.g. agent churn).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `words` has fewer than `num_agents().div_ceil(64)` entries.
-    pub fn step_exchange_words<G: Topology, R: Rng + ?Sized>(
-        &mut self,
-        graph: &G,
-        rng: &mut R,
-        words: &[u64],
-        track_previous: bool,
-    ) -> u64 {
-        assert!(
-            words.len() >= self.num_agents().div_ceil(64),
-            "informed bitset too short"
-        );
-        self.advance_exchange(graph, rng, words, track_previous)
-    }
-
     /// Movement + full counting-sort rebuild (the general-purpose step).
     fn advance_csr<G: Topology, R: Rng + ?Sized>(&mut self, graph: &G, rng: &mut R) -> u64 {
         self.previous.copy_from_slice(&self.positions);
