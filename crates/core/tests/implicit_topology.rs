@@ -94,6 +94,43 @@ fn combined_protocol_is_bit_identical_across_backends() {
     }
 }
 
+/// A churned visit-exchange run on `graph`: its outcome (with history) and
+/// the number of rebirths.
+fn churn_run<G: Topology>(graph: &G, seed: u64) -> (rumor_core::BroadcastOutcome, u64) {
+    use rand::SeedableRng;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+    let mut p = rumor_core::VisitExchange::with_churn(
+        graph,
+        0,
+        &rumor_core::AgentConfig::default(),
+        0.1,
+        rumor_core::ProtocolOptions::none(),
+        &mut rng,
+    )
+    .expect("valid churn");
+    let outcome = rumor_core::run_to_completion(&mut p, 500_000, &mut rng);
+    (outcome, p.total_deaths())
+}
+
+/// Churn is a hook on the backend-generic exchange core, so its rebirth
+/// draws resolve identically on the implicit backend and its CSR build.
+#[test]
+fn churn_is_bit_identical_across_backends() {
+    for implicit in families() {
+        let csr = implicit.materialize().unwrap();
+        for seed in 0..2u64 {
+            let (on_csr, on_implicit) = (churn_run(&csr, seed), churn_run(&implicit, seed));
+            assert!(on_csr.0.completed && on_csr.1 > 0);
+            assert_eq!(
+                on_csr,
+                on_implicit,
+                "churn diverged on {} seed {seed}",
+                implicit.family_name()
+            );
+        }
+    }
+}
+
 #[test]
 fn sharded_engine_is_bit_identical_across_backends_at_every_thread_count() {
     for implicit in families() {
