@@ -25,8 +25,11 @@
 //! * **Agent protocols** (`visit-exchange`, `meet-exchange`): the engine
 //!   runs the sequential protocols' [`Exchange`] state under the same
 //!   compile-time rule, and with it the same exchange scans. Movement is
-//!   [`MultiWalk::par_step_exchange`] (64-aligned agent blocks, per-shard
-//!   informed-here bitsets merged with atomic-free OR passes); each scan
+//!   [`MultiWalk::par_step_exchange`]: each 64-aligned agent shard runs the
+//!   sequential engine's movement pass, in the shape
+//!   [`Topology::defers_reads`] picks, with the round's counter streams as
+//!   its draw source, and the per-shard informed-here bitsets are merged
+//!   with atomic-free OR passes; each scan
 //!   covers the uninformed side in sharded ranges, compacts hits into
 //!   per-shard buffers, and the hits are applied at the round barrier.
 //!

@@ -1370,9 +1370,13 @@ mod tests {
                     break;
                 }
             }
-            // With 40% churn we should observe at least one round where informed
-            // agents were lost (this is probabilistic but overwhelmingly likely).
-            assert!(saw_agent_decrease || p.is_complete());
+            // With 40% churn, informed agents are lost in some round before
+            // the last vertex hears the rumor (seeded, so deterministic).
+            assert!(p.is_complete(), "the run completes within 200 rounds");
+            assert!(
+                saw_agent_decrease,
+                "no informed agent was lost before completion"
+            );
         }
 
         #[test]

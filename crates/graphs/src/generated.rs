@@ -1199,6 +1199,13 @@ impl Topology for GeneratedGraph {
         Some(self.nth_neighbor(u, i as usize))
     }
 
+    /// Deriving a neighbor is a chain of table reads and searches, which
+    /// the block kernel overlaps across a block of walkers.
+    #[inline]
+    fn defers_reads(&self) -> bool {
+        true
+    }
+
     /// Draws the index exactly like [`Topology::random_neighbor`] and
     /// leaves deriving the neighbor to [`Topology::resolve_block`].
     #[inline]

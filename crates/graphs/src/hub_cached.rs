@@ -817,6 +817,13 @@ impl Topology for HubCachedGraph {
         Some(self.neighbor_at(u, d, i as usize))
     }
 
+    /// Like the inner backend: the block's misses reach its block kernel
+    /// together.
+    #[inline]
+    fn defers_reads(&self) -> bool {
+        true
+    }
+
     /// Draws exactly like the inner backend and, like it, leaves reading
     /// the neighbor to [`Topology::resolve_block`].
     #[inline]

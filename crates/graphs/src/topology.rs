@@ -35,29 +35,31 @@
 //! equivalence tests in `rumor-core` pin this for every family, protocol,
 //! engine, and thread count.
 //!
-//! **Deferred draws.** Walkers move many agents per round, and on a large
-//! CSR graph each move is a dependent cache miss. Four hooks let a mover
-//! overlap those misses without changing a single draw:
-//! [`Topology::defers_reads`] says whether to use the others at all,
+//! **Deferred draws.** Walkers move many agents per round, and each move
+//! can wait on memory: a dependent cache miss on a large CSR graph, a chain
+//! of table reads and searches on the generated backend. Four hooks let a
+//! walker pass overlap that wait across agents without changing a single
+//! draw: [`Topology::defers_reads`] picks the pass's shape,
 //! [`Topology::prefetch_sampler`] starts loading a vertex's sampling
 //! metadata ahead of its draw, [`Topology::draw_deferred`] consumes the RNG
 //! exactly like `random_neighbor(u, rng).unwrap_or(u)` and returns a
 //! [`DeferredNeighbor`] token, and [`Topology::resolve_deferred`] turns the
-//! token into the vertex later. The defaults do not defer (the token is
-//! resolved at draw time and the prefetch does nothing), so the implicit,
-//! generated and hub-cached backends behave exactly as before. [`Graph`]
-//! overrides all four: interval-tagged lists still resolve at draw time,
-//! while CSR-tagged ones prefetch the selected adjacency slot and return it.
+//! token into the vertex later. [`Graph`] resolves interval-tagged lists at
+//! draw time, while CSR-tagged ones prefetch the selected adjacency slot
+//! and return it; the generated and hub-cached backends return the drawn
+//! index. The defaults resolve at draw time and do not prefetch.
 //!
-//! **Block resolution.** The sharded engines draw a whole block of
-//! entities first — [`Topology::draw_deferred`] for walkers,
-//! [`Topology::draw_deferred_with`] for the vertex protocols — and then
-//! resolve the block with one [`Topology::resolve_block`] call. The default
-//! resolves each token in turn, so the CSR and implicit backends do what
-//! they did per draw. The generated backend instead returns the drawn
-//! index and derives all of the block's neighbors in one batched kernel,
-//! and the hub-cached backend answers its hits from the cache and passes
-//! the block's misses to that kernel together.
+//! **Block resolution.** Where [`Topology::defers_reads`] holds — the
+//! generated and hub-cached backends, and CSR graphs whose read lists
+//! outgrow the cache — walker passes, sequential and sharded, draw a whole
+//! 64-agent block and resolve it with one [`Topology::resolve_block`]
+//! call; elsewhere they draw and store each agent on the spot. The sharded
+//! vertex protocols draw their blocks through
+//! [`Topology::draw_deferred_with`] on every backend. The default resolves
+//! each token in turn, which is all the CSR and implicit backends need.
+//! The generated backend instead derives all of the block's neighbors in
+//! one batched kernel, and the hub-cached backend answers its hits from the
+//! cache and passes the block's misses to that kernel together.
 //!
 //! The trait is deliberately **not** object safe (sampling methods are
 //! generic over the RNG so they inline); engines monomorphize over it,
@@ -147,11 +149,13 @@ pub trait Topology: sealed::Sealed + Sync {
         make_rng: F,
     ) -> Option<VertexId>;
 
-    /// Whether a walker pass should draw through
-    /// [`Topology::draw_deferred`] and [`Topology::prefetch_sampler`], i.e.
-    /// whether deferring reads can hide cache misses here. `false` (the
-    /// default) means a pass resolves every draw on the spot, with no
-    /// prefetches; the RNG stream is the same either way.
+    /// Which shape a walker pass takes. `true`: the block shape, which
+    /// draws a 64-agent block through [`Topology::draw_deferred`] (with
+    /// [`Topology::prefetch_sampler`] ahead) and resolves it with one
+    /// [`Topology::resolve_block`] call — for backends where reading a drawn
+    /// neighbor waits on memory that a block can overlap. `false` (the
+    /// default): the immediate shape, which resolves every draw on the spot
+    /// with no tokens or prefetches. The RNG stream is the same either way.
     #[inline]
     fn defers_reads(&self) -> bool {
         false
@@ -311,9 +315,9 @@ impl DeferredNeighbor {
 /// A block of deferred draws ([`Topology::draw_deferred`],
 /// [`Topology::draw_deferred_with`]) with the caller-owned memory that
 /// resolves them ([`Topology::resolve_block`]). A caller keeps one and
-/// reuses it block after block — the sharded engines keep one per shard —
-/// so once its buffers have grown to the largest block, resolving
-/// allocates nothing.
+/// reuses it block after block — walker passes and the sharded engines keep
+/// one per shard — so once its buffers have grown to the largest block,
+/// resolving allocates nothing.
 ///
 /// # Examples
 ///

@@ -34,34 +34,43 @@
 //! [`MultiWalk::refresh_occupancy`] before using them (the accessors panic
 //! on stale data rather than answer wrongly).
 //!
-//! # The pipelined movement pass
+//! # The movement pass
 //!
-//! Every sequential step runs one movement loop. On a CSR graph whose
-//! CSR-tagged lists (the ones a draw reads) outgrow the cache
-//! ([`Topology::defers_reads`]), a walk step is a chain of two misses: the
-//! agent's sampler entry, then the adjacency slot the draw selects. The loop
-//! overlaps these misses across agents. Iteration `j`
-//! prefetches the sampler entry of agent `j + P` and draws for agent `j`
-//! ([`Topology::draw_deferred`]). A draw that selected an adjacency slot is
-//! queued while the slot loads; its agent is resolved, stored and marked
-//! `D` slot draws later, so resolution lags the draw by `D` agents that read
-//! the adjacency (`D = 8`, `P = 16`, constants of the code). Draws that
-//! resolved on the spot (lazy stays, isolated vertices, interval-tagged
-//! lists, every non-CSR backend) land at once, and on smaller graphs every
-//! draw does, with no prefetches.
+//! Every step method — [`MultiWalk::step`], [`MultiWalk::step_exchange`]
+//! and each shard of [`MultiWalk::par_step_exchange`] — runs one movement
+//! pass, generic over its draw source: the shared sequential generator,
+//! read in ascending agent order, or a round's counter streams (pair lanes
+//! for simple walks, per-agent streams for lazy ones). The pass has two
+//! shapes, and [`Topology::defers_reads`] picks between them:
+//!
+//! * the **immediate shape** draws, stores and marks each agent in turn —
+//!   on CSR graphs whose read lists fit the cache and on the implicit
+//!   backend, where a neighbor read costs less than queueing it would;
+//! * the **block shape** draws every agent of a 64-agent block
+//!   ([`Topology::draw_deferred`], prefetching sampler entries `P = 16`
+//!   agents ahead), resolves the block with one
+//!   [`Topology::resolve_block`] call, then stores and marks. A large CSR
+//!   graph overlaps the block's adjacency misses this way; the generated
+//!   and hub-cached backends derive the block's neighbors in one batched
+//!   kernel.
+//!
+//! Both shapes mark in 64-agent blocks specialized on the block's informed
+//! word: all-uninformed blocks store no marks, all-informed blocks mark
+//! unconditionally, and mixed blocks mark branchlessly.
 //!
 //! **Determinism:** all randomness is drawn in the movement pass, one agent
 //! at a time in ascending agent order (a laziness draw when configured, then
 //! a neighbor draw unless the agent stays or is isolated). Resolving a
-//! queued draw reads memory, never the RNG, and the only outputs the lag
-//! reorders are the position stores and the informed-here marks (ORs), which
-//! do not depend on order. The occupancy representation consumes no
-//! randomness either, so the flat engine is draw-for-draw identical to a
-//! naive per-agent `random_neighbor` loop over a `Vec<Vec>` substrate — the
-//! equivalence tests in `rumor-core` pin this bit-for-bit, and this module's
-//! tests compare the mover with that loop at agent counts around `D`.
+//! token reads memory, never the RNG, so the shape changes no draw. The
+//! occupancy representation consumes no randomness either, so the flat
+//! engine is draw-for-draw identical to a naive per-agent `random_neighbor`
+//! loop over a `Vec<Vec>` substrate — the equivalence tests in `rumor-core`
+//! pin this bit-for-bit, and this module's tests compare both shapes with
+//! that loop at agent counts around the block edges.
 
-use rand::stream::StreamKey;
+use std::ops::Range;
+
+use rand::stream::{RoundKey, StreamKey};
 use rand::Rng;
 
 use rumor_graphs::{DeferredNeighbor, DrawBlock, Topology, VertexId};
@@ -124,9 +133,9 @@ pub struct MultiWalk {
     /// [`MultiWalk::par_step_exchange`] (empty until the first sharded step;
     /// reused across rounds so no sharded step allocates after warm-up).
     shard_marks: Vec<Vec<u64>>,
-    /// Per-shard draw blocks for [`Topology::resolve_block`], kept like
-    /// `shard_marks`.
-    shard_blocks: Vec<DrawBlock>,
+    /// Draw blocks for the movement pass's block shape, one per shard (the
+    /// sequential steps use the first), kept like `shard_marks`.
+    blocks: Vec<DrawBlock>,
     config: WalkConfig,
     round: u64,
 }
@@ -181,7 +190,7 @@ impl MultiWalk {
             touched: Vec::new(),
             informed_here: vec![0; n.div_ceil(64)],
             shard_marks: Vec::new(),
-            shard_blocks: Vec::new(),
+            blocks: Vec::new(),
             occupancy_fresh: true,
             previous_fresh: true,
             config,
@@ -337,8 +346,7 @@ impl MultiWalk {
     /// currently at vertex `v`. This is the one occupancy fact the exchange
     /// protocols consult per round, answered from a cache-resident bitset.
     /// `false` everywhere if the last step was taken through
-    /// [`MultiWalk::step`] / [`MultiWalk::step_counting`] or after a
-    /// teleport rebuild.
+    /// [`MultiWalk::step`] or after a teleport rebuild.
     #[inline]
     pub fn informed_here(&self, v: VertexId) -> bool {
         self.informed_here[v >> 6] & (1u64 << (v & 63)) != 0
@@ -377,26 +385,23 @@ impl MultiWalk {
         }
     }
 
-    /// Advances every agent by one synchronous step and increments the round
-    /// counter. Lazy agents stay put with probability `config.laziness()`.
+    /// Advances every agent by one synchronous step, increments the round
+    /// counter, and returns the number of agents that traversed an edge,
+    /// i.e. whose position changed. Lazy agents stay put with probability
+    /// `config.laziness()`.
     ///
     /// Agents on isolated vertices never move.
-    pub fn step<G: Topology, R: Rng + ?Sized>(&mut self, graph: &G, rng: &mut R) {
-        self.advance_csr(graph, rng);
+    pub fn step<G: Topology, R: Rng + ?Sized>(&mut self, graph: &G, rng: &mut R) -> u64 {
+        self.previous.copy_from_slice(&self.positions);
+        self.previous_fresh = true;
+        let moves = self.move_all(graph, Sequential(rng), &[]);
+        self.rebuild_occupancy();
+        self.round += 1;
+        moves
     }
 
-    /// Advances every agent by one synchronous step (exactly like
-    /// [`MultiWalk::step`]) and returns the number of agents that traversed an
-    /// edge, i.e. whose position changed.
-    ///
-    /// This fuses the protocols' message-accounting pass into the movement
-    /// loop, saving one full iteration over the agents per round.
-    pub fn step_counting<G: Topology, R: Rng + ?Sized>(&mut self, graph: &G, rng: &mut R) -> u64 {
-        self.advance_csr(graph, rng)
-    }
-
-    /// Advances every agent like [`MultiWalk::step_counting`] and, fused into
-    /// the same movement pass, maintains the [`MultiWalk::informed_here`]
+    /// Advances every agent like [`MultiWalk::step`] and, fused into the
+    /// same movement pass, maintains the [`MultiWalk::informed_here`]
     /// bitset from `informed`'s agent bitset (snapshotted as of the *start*
     /// of the round — exactly the "informed in a previous round" set the
     /// exchange protocols need). The counting-sort occupancy views are left
@@ -406,7 +411,7 @@ impl MultiWalk {
     /// is otherwise stale too. This is what makes the exchange round O(|A|)
     /// sequential work over a working set small enough to sit in L2.
     ///
-    /// Consumes the RNG identically to the other step methods: the informed
+    /// Consumes the RNG identically to [`MultiWalk::step`]: the informed
     /// bookkeeping draws nothing.
     ///
     /// # Panics
@@ -423,55 +428,15 @@ impl MultiWalk {
             informed.num_agents() >= self.num_agents(),
             "informed frontier tracks too few agents"
         );
-        self.advance_exchange(graph, rng, informed.informed_words(), track_previous)
-    }
-
-    /// Movement + full counting-sort rebuild (the general-purpose step).
-    fn advance_csr<G: Topology, R: Rng + ?Sized>(&mut self, graph: &G, rng: &mut R) -> u64 {
-        self.previous.copy_from_slice(&self.positions);
-        self.previous_fresh = true;
-        let laziness = self.config.laziness();
-        let moves = move_agents(graph, rng, laziness, &mut self.positions, &[], &mut []);
-        // Counted after the pass, in ascending agent order, because agents
-        // land out of order.
-        self.rebuild_occupancy();
+        self.begin_exchange(track_previous);
+        self.clear_informed_marks();
+        let moves = self.move_all(graph, Sequential(rng), informed.informed_words());
         self.round += 1;
         moves
     }
 
-    /// The exchange protocols' movement pass: [`move_agents`] fused with the
-    /// informed-here bit marks; no counting-sort rebuild, and positions
-    /// updated **in place** (the previous-position snapshot is copied only
-    /// when a caller records edge traffic), so the per-round working set is
-    /// one position array plus two small bitsets.
-    fn advance_exchange<G: Topology, R: Rng + ?Sized>(
-        &mut self,
-        graph: &G,
-        rng: &mut R,
-        informed_words: &[u64],
-        track_previous: bool,
-    ) -> u64 {
-        if track_previous {
-            self.previous.copy_from_slice(&self.positions);
-            self.previous_fresh = true;
-        } else {
-            self.previous_fresh = false;
-        }
-        self.clear_informed_marks();
-        self.occupancy_fresh = false;
-        self.round += 1;
-        move_agents(
-            graph,
-            rng,
-            self.config.laziness(),
-            &mut self.positions,
-            informed_words,
-            &mut self.informed_here,
-        )
-    }
-
     /// The sharded, thread-invariant counterpart of
-    /// [`MultiWalk::step_exchange`]: agents are split into 64-aligned blocks
+    /// [`MultiWalk::step_exchange`]: agents are split into 64-aligned shards
     /// across `threads` scoped workers, and every agent draws from its own
     /// counter-based stream (`rand::stream`, keyed by
     /// `(key, round, agent_id)`) instead of a shared sequential generator.
@@ -479,8 +444,9 @@ impl MultiWalk {
     /// Because a draw is a pure function of the agent's identity, the result
     /// is **bit-identical at every thread count** (including 1, where the
     /// whole pass runs inline with no thread spawn): sharding only decides
-    /// *who computes* a draw, never *what* it is. Each worker marks informed
-    /// arrivals into a private per-shard bitset; the shards are merged into
+    /// *who computes* a draw, never *what* it is. Each shard runs the same
+    /// movement pass as the sequential steps, marking informed arrivals
+    /// into a private per-shard bitset; the shards are merged into
     /// [`MultiWalk::informed_here`] with one atomic-free OR pass per word
     /// after the workers join (ORs commute, so merge order is immaterial).
     ///
@@ -509,40 +475,20 @@ impl MultiWalk {
             "informed bitset too short"
         );
         let round_key = key.round_key(self.round.wrapping_add(1));
-        let laziness = self.config.laziness();
-        if track_previous {
-            self.previous.copy_from_slice(&self.positions);
-            self.previous_fresh = true;
-        } else {
-            self.previous_fresh = false;
-        }
-        self.occupancy_fresh = false;
+        self.begin_exchange(track_previous);
 
         // 64-aligned shard span so each shard starts on an informed-word
         // boundary; at most `threads` shards.
         let per_thread = num_agents.div_ceil(threads);
         let shard_span = per_thread.div_ceil(64).max(1) * 64;
         let num_shards = num_agents.div_ceil(shard_span);
-        if self.shard_blocks.len() < num_shards.max(1) {
-            self.shard_blocks
-                .resize_with(num_shards.max(1), DrawBlock::default);
-        }
 
         let moves = if num_shards <= 1 {
             // Inline path: no spawn, marks written straight into the main
             // bitset. Identical output by construction — the draws do not
             // depend on who computes them.
             self.clear_informed_marks();
-            Self::move_agent_range(
-                graph,
-                &round_key,
-                laziness,
-                informed_words,
-                0,
-                &mut self.positions,
-                &mut self.informed_here,
-                &mut self.shard_blocks[0],
-            )
+            self.move_all(graph, Counter::new(&round_key), informed_words)
         } else {
             let words = self.informed_here.len();
             if self.shard_marks.len() < num_shards {
@@ -552,8 +498,12 @@ impl MultiWalk {
                 marks.clear();
                 marks.resize(words, 0);
             }
+            if self.blocks.len() < num_shards {
+                self.blocks.resize_with(num_shards, DrawBlock::default);
+            }
             let mut shard_marks = std::mem::take(&mut self.shard_marks);
             let positions = &mut self.positions;
+            let laziness = self.config.laziness();
             let mut total = 0u64;
             std::thread::scope(|scope| {
                 let mut handles = Vec::with_capacity(num_shards);
@@ -561,19 +511,18 @@ impl MultiWalk {
                     .chunks_mut(shard_span)
                     .enumerate()
                     .zip(shard_marks.iter_mut())
-                    .zip(self.shard_blocks.iter_mut())
+                    .zip(self.blocks.iter_mut())
                 {
+                    let round_key = &round_key;
                     handles.push(scope.spawn(move || {
-                        Self::move_agent_range(
+                        let pass = Pass {
                             graph,
-                            &round_key,
+                            source: Counter::new(round_key),
                             laziness,
                             informed_words,
-                            shard * shard_span,
-                            chunk,
                             marks,
-                            draws,
-                        )
+                        };
+                        pass.run(shard * shard_span, chunk, draws)
                     }));
                 }
                 for handle in handles {
@@ -597,137 +546,37 @@ impl MultiWalk {
         moves
     }
 
-    /// Movement pass over `chunk` (agents `base..base + chunk.len()`), each
-    /// agent drawing from its own pure stream; informed arrivals are marked
-    /// into `marks` branchlessly. Returns the number of agents that
-    /// traversed an edge.
-    ///
-    /// Draw scheme — fixed by the walk configuration, so it is part of the
-    /// deterministic contract (and identical at every thread count either
-    /// way):
-    ///
-    /// * **Simple walks** (one neighbor draw per agent per round): agents
-    ///   `2p` and `2p + 1` read lanes 0 and 1 of pair stream `p`
-    ///   ([`rand::stream::RoundKey::lane_streams`]), so one Philox block
-    ///   serves two agents — per-entity streams would discard half of every
-    ///   block. Rejection continuations (probability ≈ deg/2⁶⁴) compute
-    ///   per-lane follow-up blocks.
-    /// * **Lazy walks** (laziness draw + neighbor draw): each agent uses its
-    ///   own per-entity stream — here both words of the agent's first block
-    ///   are consumed, so there is nothing for a pair to share.
-    ///
-    /// Each 64-agent block draws every agent's neighbor index first
-    /// ([`Topology::draw_deferred`]), then resolves the whole block with
-    /// one [`Topology::resolve_block`] call, so a backend that derives
-    /// neighbors (the generated and hub-cached ones) overlaps the block's
-    /// derivations instead of waiting on each in turn.
-    #[allow(clippy::too_many_arguments)]
-    fn move_agent_range<G: Topology>(
+    /// Records (or invalidates) the previous-position view before an
+    /// exchange step's in-place movement pass, and marks the counting-sort
+    /// views stale.
+    fn begin_exchange(&mut self, track_previous: bool) {
+        if track_previous {
+            self.previous.copy_from_slice(&self.positions);
+        }
+        self.previous_fresh = track_previous;
+        self.occupancy_fresh = false;
+    }
+
+    /// Runs the movement pass over every agent with draws from `source`,
+    /// marking informed arrivals (per `informed_words`) into
+    /// [`MultiWalk::informed_here`].
+    fn move_all<G: Topology, S: DrawSource>(
+        &mut self,
         graph: &G,
-        round_key: &rand::stream::RoundKey,
-        laziness: f64,
+        source: S,
         informed_words: &[u64],
-        base: usize,
-        chunk: &mut [u32],
-        marks: &mut [u64],
-        draws: &mut DrawBlock,
     ) -> u64 {
-        debug_assert_eq!(base % 64, 0, "shards must be 64-aligned");
-        let mut moves = 0u64;
-        for (block_idx, block) in chunk.chunks_mut(64).enumerate() {
-            let block_base = base + block_idx * 64;
-            let word = informed_words[block_base >> 6];
-            draws.clear();
-            Self::draw_block(graph, round_key, laziness, block_base, block, draws);
-            graph.resolve_block(draws);
-            let next = draws.resolved();
-            // The same homogeneous-block specialization as the sequential
-            // engine: all-uninformed blocks (most blocks early in a
-            // broadcast) skip the mark stores entirely, all-informed blocks
-            // (most blocks late) mark unconditionally, and only mixed
-            // blocks pay the branchless per-bit OR.
-            moves += if word == 0 {
-                Self::store_block::<0>(0, block, next, marks)
-            } else if word == u64::MAX {
-                Self::store_block::<1>(0, block, next, marks)
-            } else {
-                Self::store_block::<2>(word, block, next, marks)
-            };
+        if self.blocks.is_empty() {
+            self.blocks.push(DrawBlock::default());
         }
-        moves
-    }
-
-    /// Draws the next position of every agent of one 64-agent block into
-    /// `draws`, in agent order (see [`MultiWalk::move_agent_range`] for the
-    /// two schemes).
-    #[inline(always)]
-    fn draw_block<G: Topology>(
-        graph: &G,
-        round_key: &rand::stream::RoundKey,
-        laziness: f64,
-        block_base: usize,
-        block: &[u32],
-        draws: &mut DrawBlock,
-    ) {
-        if laziness == 0.0 {
-            // Pair-lane scheme: agents 2p and 2p+1 draw lanes 0 and 1 of
-            // pair stream p, so one block function serves two agents. The
-            // lanes are unrolled with literal indices: a `for lane in 0..2`
-            // loop would index the shared block dynamically and force the
-            // stream state through the stack every iteration. (A degree-1
-            // draw-skip was tried here and reverted: the data-dependent
-            // degree branch mispredicts on mixed agent populations and cost
-            // more than the skipped blocks saved.)
-            for (pair_idx, pair) in block.chunks(2).enumerate() {
-                let stream = (block_base / 2 + pair_idx) as u64;
-                let first = round_key.first_block(stream);
-                let mut rng = round_key.lane_stream(stream, 0, first);
-                draws.push(graph.draw_deferred(pair[0] as usize, &mut rng));
-                if let Some(&at) = pair.get(1) {
-                    let mut rng = round_key.lane_stream(stream, 1, first);
-                    draws.push(graph.draw_deferred(at as usize, &mut rng));
-                }
-            }
-        } else {
-            // Per-entity scheme: the agent's first block covers the
-            // laziness + neighbor draws, so pairs have nothing to share. A
-            // lazy stay resolves to the agent's own vertex.
-            for (j, &at) in block.iter().enumerate() {
-                let agent = (block_base + j) as u64;
-                let mut rng = round_key.stream_primed(agent, round_key.first_block(agent));
-                let at = at as usize;
-                draws.push(if rng.gen_bool(laziness) {
-                    DeferredNeighbor::vertex(at)
-                } else {
-                    graph.draw_deferred(at, &mut rng)
-                });
-            }
-        }
-    }
-
-    /// Stores one block's resolved positions, counting moves and marking
-    /// informed arrivals. `MARKS`: 0 = no agent in the block is informed
-    /// (no mark stores), 1 = all are (unconditional marks), 2 = mixed
-    /// (branchless mark from `word`).
-    #[inline(always)]
-    fn store_block<const MARKS: u8>(
-        word: u64,
-        block: &mut [u32],
-        next: &[u32],
-        marks: &mut [u64],
-    ) -> u64 {
-        let mut moves = 0u64;
-        for (j, (q, &v)) in block.iter_mut().zip(next).enumerate() {
-            moves += u64::from(v != *q);
-            *q = v;
-            let v = v as usize;
-            match MARKS {
-                0 => {}
-                1 => marks[v >> 6] |= 1u64 << (v & 63),
-                _ => marks[v >> 6] |= ((word >> j) & 1) << (v & 63),
-            }
-        }
-        moves
+        let pass = Pass {
+            graph,
+            source,
+            laziness: self.config.laziness(),
+            informed_words,
+            marks: &mut self.informed_here,
+        };
+        pass.run(0, &mut self.positions, &mut self.blocks[0])
     }
 
     /// Moves a single agent to an explicit vertex (used by tweaked processes
@@ -835,156 +684,262 @@ impl MultiWalk {
     }
 }
 
-/// Adjacency reads in flight: an agent whose draw selected a CSR slot is
-/// resolved, stored and landed `RESOLVE_LAG` slot draws later.
-const RESOLVE_LAG: usize = 8;
-/// Agents between the prefetch of an agent's sampler entry and its draw.
+/// Agents between the prefetch of an agent's sampler entry and its draw in
+/// the block shape.
 const PREFETCH_AHEAD: usize = 16;
 
-/// The sequential movement pass shared by every step method: moves each
-/// agent in `positions` one (possibly lazy) step in place and returns the
-/// number of agents that traversed an edge. Fused into the pass, an agent
-/// whose bit is set in `informed_words` marks its arrival vertex in
-/// `informed_here` (pass an empty `informed_words` for no marks).
-///
-/// Software-pipelined for the CSR backend: iteration `j` prefetches the
-/// sampler entry of agent `j + PREFETCH_AHEAD` and draws for agent `j`
-/// ([`Topology::draw_deferred`]). A draw that resolved on the spot (a lazy
-/// stay, an isolated vertex, an interval-tagged list, any non-CSR backend)
-/// lands at once. A draw that selected an adjacency slot is queued while the
-/// slot loads, and lands `RESOLVE_LAG` slot draws later, so up to that many
-/// independent cache misses overlap instead of each stalling the next draw.
-///
-/// Draws still happen one agent at a time in ascending order (laziness
-/// first, then the neighbor) and resolving reads no randomness, so the RNG
-/// stream is exactly that of a plain per-agent `random_neighbor` loop.
-/// Agents land out of order, which neither the marks (ORs) nor the move
-/// count (a sum) can observe.
-#[inline(always)]
-fn move_agents<G: Topology, R: Rng + ?Sized>(
-    graph: &G,
-    rng: &mut R,
-    laziness: f64,
-    positions: &mut [u32],
-    informed_words: &[u64],
-    informed_here: &mut [u64],
-) -> u64 {
-    let args = (laziness, positions, informed_words, informed_here);
-    if graph.defers_reads() {
-        move_pass::<G, R, true>(graph, rng, args)
-    } else {
-        move_pass::<G, R, false>(graph, rng, args)
+/// Where a movement pass draws its randomness. A pass asks for one agent at
+/// a time, in ascending agent order from a 64-aligned first agent.
+trait DrawSource {
+    /// Draws the next position of `agent`, now at `at`: a laziness draw when
+    /// `laziness > 0`, then, unless the agent stays, a neighbor draw —
+    /// through [`Topology::draw_deferred`] when `DEFER`, resolved on the
+    /// spot otherwise. An isolated agent stays put.
+    fn draw<G: Topology, const DEFER: bool>(
+        &mut self,
+        graph: &G,
+        laziness: f64,
+        agent: usize,
+        at: usize,
+    ) -> DeferredNeighbor;
+}
+
+/// The sequential engine's source: one shared generator, so the ascending
+/// agent order of the pass is the order of the draws.
+struct Sequential<'a, R: ?Sized>(&'a mut R);
+
+impl<R: Rng + ?Sized> DrawSource for Sequential<'_, R> {
+    #[inline(always)]
+    fn draw<G: Topology, const DEFER: bool>(
+        &mut self,
+        graph: &G,
+        laziness: f64,
+        _agent: usize,
+        at: usize,
+    ) -> DeferredNeighbor {
+        walk_draw::<G, R, DEFER>(graph, self.0, laziness, at)
     }
 }
 
-/// [`move_agents`] for one answer of [`Topology::defers_reads`]. Not
-/// inlined, so that each of the two instances gets its own register
-/// allocation: inlined together into the step, the instance without
-/// deferral ran a few percent slower than the plain loops it replaced.
-#[inline(never)]
-fn move_pass<G: Topology, R: Rng + ?Sized, const DEFER: bool>(
-    graph: &G,
-    rng: &mut R,
-    (laziness, positions, informed_words, informed_here): (f64, &mut [u32], &[u64], &mut [u64]),
-) -> u64 {
-    let mut m = Mover {
-        graph,
-        rng,
-        laziness,
-        positions,
-        informed_words,
-        informed_here,
-        pending: [(0, DeferredNeighbor::vertex(0)); RESOLVE_LAG],
-        deferred: 0,
-        moves: 0,
-    };
-    for base in (0..m.positions.len()).step_by(64) {
-        // Specialize the two homogeneous block shapes: early in a broadcast
-        // almost every 64-agent block is all-uninformed (no mark stores),
-        // late almost every block is all-informed (unconditional marks).
-        // Mixed blocks mark branchlessly, ORing zero for uninformed agents.
-        let word = informed_words.get(base >> 6).copied().unwrap_or(0);
-        match word {
-            0 => m.block::<DEFER, 0>(base, word),
-            u64::MAX => m.block::<DEFER, 1>(base, word),
-            _ => m.block::<DEFER, 2>(base, word),
+/// The sharded engine's source: a round's counter streams, keyed by agent
+/// id, so a draw does not depend on which shard computes it. The scheme is
+/// fixed by the walk configuration, so it is part of the deterministic
+/// contract:
+///
+/// * **Simple walks** (one neighbor draw per agent per round): agents `2p`
+///   and `2p + 1` read lanes 0 and 1 of pair stream `p`
+///   ([`RoundKey::lane_streams`]), so one Philox block serves two agents —
+///   per-entity streams would discard half of every block. Rejection
+///   continuations (probability ≈ deg/2⁶⁴) compute per-lane follow-up
+///   blocks.
+/// * **Lazy walks** (laziness draw + neighbor draw): each agent uses its own
+///   per-entity stream — here both words of the agent's first block are
+///   consumed, so there is nothing for a pair to share.
+struct Counter<'a> {
+    key: &'a RoundKey,
+    /// The first block of the current pair stream, computed at its even
+    /// agent (shards start 64-aligned, so a pair is never split).
+    pair_block: [u64; 2],
+}
+
+impl<'a> Counter<'a> {
+    fn new(key: &'a RoundKey) -> Self {
+        Counter {
+            key,
+            pair_block: [0; 2],
         }
     }
-    for k in 0..m.deferred.min(RESOLVE_LAG) {
-        let (agent, drawn) = m.pending[k];
-        m.land_deferred(agent, drawn);
+}
+
+impl DrawSource for Counter<'_> {
+    #[inline(always)]
+    fn draw<G: Topology, const DEFER: bool>(
+        &mut self,
+        graph: &G,
+        laziness: f64,
+        agent: usize,
+        at: usize,
+    ) -> DeferredNeighbor {
+        if laziness == 0.0 {
+            // Literal lane indices: a computed lane would index the shared
+            // block dynamically and keep the stream state on the stack.
+            let pair = (agent / 2) as u64;
+            let mut rng = if agent.is_multiple_of(2) {
+                self.pair_block = self.key.first_block(pair);
+                self.key.lane_stream(pair, 0, self.pair_block)
+            } else {
+                self.key.lane_stream(pair, 1, self.pair_block)
+            };
+            walk_draw::<G, _, DEFER>(graph, &mut rng, 0.0, at)
+        } else {
+            let entity = agent as u64;
+            let mut rng = self.key.stream_primed(entity, self.key.first_block(entity));
+            walk_draw::<G, _, DEFER>(graph, &mut rng, laziness, at)
+        }
     }
-    m.moves
 }
 
-/// [`move_agents`]'s borrowed inputs and the state it carries across
-/// 64-agent blocks.
-struct Mover<'a, G, R: ?Sized> {
-    graph: &'a G,
-    rng: &'a mut R,
+/// [`DrawSource::draw`] from one generator.
+#[inline(always)]
+fn walk_draw<G: Topology, R: Rng + ?Sized, const DEFER: bool>(
+    graph: &G,
+    rng: &mut R,
     laziness: f64,
-    positions: &'a mut [u32],
-    informed_words: &'a [u64],
-    informed_here: &'a mut [u64],
-    /// Queued slot draws `(agent, drawn)`, a ring indexed by `deferred`.
-    pending: [(usize, DeferredNeighbor); RESOLVE_LAG],
-    /// Slot draws queued so far.
-    deferred: usize,
-    moves: u64,
+    at: usize,
+) -> DeferredNeighbor {
+    if laziness > 0.0 && rng.gen_bool(laziness) {
+        DeferredNeighbor::vertex(at)
+    } else if DEFER {
+        graph.draw_deferred(at, rng)
+    } else {
+        DeferredNeighbor::vertex(graph.random_neighbor(at, rng).unwrap_or(at))
+    }
 }
 
-impl<G: Topology, R: Rng + ?Sized> Mover<'_, G, R> {
-    /// Moves the agents of the 64-agent block starting at `base`, whose
-    /// informed word is `word`. `DEFER`: draw through the deferred hooks.
+/// The movement pass shared by every step method and every shard: moves
+/// agents one (possibly lazy) step in place with draws from `source`, and
+/// an agent whose bit is set in `informed_words` marks its arrival vertex
+/// in `marks` (an empty `informed_words` marks nothing).
+struct Pass<'a, G, S> {
+    graph: &'a G,
+    source: S,
+    laziness: f64,
+    informed_words: &'a [u64],
+    marks: &'a mut [u64],
+}
+
+impl<G: Topology, S: DrawSource> Pass<'_, G, S> {
+    /// Moves `positions`, the agents from `base` (64-aligned) on, and
+    /// returns the number that traversed an edge. [`Topology::defers_reads`]
+    /// picks the shape; `draws` holds the block shape's tokens.
+    #[inline(always)]
+    fn run(mut self, base: usize, positions: &mut [u32], draws: &mut DrawBlock) -> u64 {
+        debug_assert_eq!(base % 64, 0, "a pass starts on an informed word");
+        if self.graph.defers_reads() {
+            self.shape::<true>(base, positions, draws)
+        } else {
+            self.shape::<false>(base, positions, draws)
+        }
+    }
+
+    /// One shape of the pass, in 64-agent blocks. Not inlined, so that each
+    /// shape gets its own register allocation: inlined together into the
+    /// step, the immediate shape ran a few percent slower than on its own.
+    #[inline(never)]
+    fn shape<const DEFER: bool>(
+        &mut self,
+        base: usize,
+        positions: &mut [u32],
+        draws: &mut DrawBlock,
+    ) -> u64 {
+        let mut moves = 0;
+        for start in (0..positions.len()).step_by(64) {
+            // Specialize the two homogeneous block shapes: early in a
+            // broadcast almost every block is all-uninformed (no mark
+            // stores), late almost every block is all-informed
+            // (unconditional marks). Mixed blocks mark branchlessly, ORing
+            // zero for uninformed agents.
+            let word = self
+                .informed_words
+                .get((base + start) >> 6)
+                .copied()
+                .unwrap_or(0);
+            let args = (base, start, word);
+            moves += match word {
+                0 => self.block::<DEFER, 0>(args, positions, draws),
+                u64::MAX => self.block::<DEFER, 1>(args, positions, draws),
+                _ => self.block::<DEFER, 2>(args, positions, draws),
+            };
+        }
+        moves
+    }
+
+    /// Moves the agents `start..start + 64` of `positions` (fewer at the
+    /// end), whose informed word is `word`, in the shape `DEFER` names.
     /// `MARKS`: 0 = no agent in the block is informed, 1 = all are, 2 =
     /// mixed.
     #[inline(always)]
-    fn block<const DEFER: bool, const MARKS: u8>(&mut self, base: usize, word: u64) {
-        for j in base..self.positions.len().min(base + 64) {
-            if DEFER {
-                if let Some(&ahead) = self.positions.get(j + PREFETCH_AHEAD) {
-                    self.graph.prefetch_sampler(ahead as usize);
-                }
-            }
-            let at = self.positions[j] as usize;
-            let drawn = if self.laziness > 0.0 && self.rng.gen_bool(self.laziness) {
-                DeferredNeighbor::vertex(at)
-            } else if DEFER {
-                self.graph.draw_deferred(at, self.rng)
-            } else {
-                DeferredNeighbor::vertex(self.graph.random_neighbor(at, self.rng).unwrap_or(at))
-            };
-            if let Some(next) = drawn.resolved() {
-                self.moves += u64::from(next != at);
-                self.positions[j] = next as u32;
-                match MARKS {
-                    0 => {}
-                    1 => self.informed_here[next >> 6] |= 1u64 << (next & 63),
-                    _ => self.informed_here[next >> 6] |= ((word >> (j & 63)) & 1) << (next & 63),
-                }
-            } else {
-                let slot = self.deferred % RESOLVE_LAG;
-                let (agent, older) = std::mem::replace(&mut self.pending[slot], (j, drawn));
-                self.deferred += 1;
-                if self.deferred > RESOLVE_LAG {
-                    self.land_deferred(agent, older);
-                }
-            }
+    fn block<const DEFER: bool, const MARKS: u8>(
+        &mut self,
+        (base, start, word): (usize, usize, u64),
+        positions: &mut [u32],
+        draws: &mut DrawBlock,
+    ) -> u64 {
+        let agents = start..positions.len().min(start + 64);
+        if DEFER {
+            self.block_shape::<MARKS>(base, agents, word, positions, draws)
+        } else {
+            self.immediate_shape::<MARKS>(base, agents, word, positions)
         }
     }
 
-    /// Resolves a queued draw, stores it, and marks it from the agent's
-    /// informed bit, branchlessly: queued agents come from blocks of every
-    /// shape.
+    /// The immediate shape: draws, stores and marks each agent in turn.
     #[inline(always)]
-    fn land_deferred(&mut self, agent: usize, drawn: DeferredNeighbor) {
-        let next = self.graph.resolve_deferred(drawn);
-        if let Some(&word) = self.informed_words.get(agent >> 6) {
-            self.informed_here[next >> 6] |= ((word >> (agent & 63)) & 1) << (next & 63);
+    fn immediate_shape<const MARKS: u8>(
+        &mut self,
+        base: usize,
+        agents: Range<usize>,
+        word: u64,
+        positions: &mut [u32],
+    ) -> u64 {
+        let first = base + agents.start;
+        let mut moves = 0;
+        for (j, q) in positions[agents].iter_mut().enumerate() {
+            let drawn =
+                self.source
+                    .draw::<G, false>(self.graph, self.laziness, first + j, *q as usize);
+            let next = self.graph.resolve_deferred(drawn);
+            moves += land::<MARKS>(q, next, (word >> j) & 1, self.marks);
         }
-        let at = std::mem::replace(&mut self.positions[agent], next as u32);
-        self.moves += u64::from(next != at as usize);
+        moves
     }
+
+    /// The block shape: draws every agent's token, prefetching sampler
+    /// entries ahead, resolves them with one [`Topology::resolve_block`]
+    /// call, then stores and marks.
+    #[inline(always)]
+    fn block_shape<const MARKS: u8>(
+        &mut self,
+        base: usize,
+        agents: Range<usize>,
+        word: u64,
+        positions: &mut [u32],
+        draws: &mut DrawBlock,
+    ) -> u64 {
+        draws.clear();
+        for j in agents.clone() {
+            if let Some(&ahead) = positions.get(j + PREFETCH_AHEAD) {
+                self.graph.prefetch_sampler(ahead as usize);
+            }
+            let at = positions[j] as usize;
+            draws.push(
+                self.source
+                    .draw::<G, true>(self.graph, self.laziness, base + j, at),
+            );
+        }
+        self.graph.resolve_block(draws);
+        let block = positions[agents].iter_mut().zip(draws.resolved());
+        block
+            .enumerate()
+            .map(|(j, (q, &next))| land::<MARKS>(q, next as usize, (word >> j) & 1, self.marks))
+            .sum()
+    }
+}
+
+/// Stores an agent's next position `next` in `q` and returns 1 if the agent
+/// moved. An informed agent marks `next` in `marks`: unconditionally for
+/// `MARKS == 1`, from its informed `bit` for `MARKS == 2`, never for
+/// `MARKS == 0`.
+#[inline(always)]
+fn land<const MARKS: u8>(q: &mut u32, next: usize, bit: u64, marks: &mut [u64]) -> u64 {
+    let moved = u64::from(next != *q as usize);
+    *q = next as u32;
+    match MARKS {
+        0 => {}
+        1 => marks[next >> 6] |= 1u64 << (next & 63),
+        _ => marks[next >> 6] |= bit << (next & 63),
+    }
+    moved
 }
 
 #[cfg(test)]
@@ -1204,7 +1159,7 @@ mod tests {
         let mut frontier = UninformedFrontier::new(6);
         frontier.mark_informed(0);
         for _ in 0..40 {
-            let moves_a = a.step_counting(&g, &mut rng_a);
+            let moves_a = a.step(&g, &mut rng_a);
             let moves_b = b.step_exchange(&g, &mut rng_b, &frontier, true);
             assert_eq!(moves_a, moves_b);
             assert_eq!(a.positions(), b.positions());
@@ -1348,7 +1303,7 @@ mod tests {
     }
 
     /// A graph past the CSR backend's deferral threshold that mixes every
-    /// list shape the mover sees: a 100-clique (interval lists with a hole),
+    /// list shape the block shape sees: a 100-clique (interval lists with a hole),
     /// a 999-leaf star (interval lists), random edges (CSR lists) up to
     /// 141,000 edges in all, and ten isolated vertices at the top.
     fn mixed_deferring_graph() -> rumor_graphs::Graph {
@@ -1374,7 +1329,8 @@ mod tests {
         g
     }
 
-    /// One step of the naive per-agent loop the pipelined mover must match:
+    /// One step of the naive per-agent loop both shapes of the movement pass
+    /// must match:
     /// returns the move count and the informed-here marks.
     fn naive_step<G: Topology>(
         graph: &G,
@@ -1400,13 +1356,13 @@ mod tests {
         (moves, marks)
     }
 
-    /// Compares `step_exchange` (and `step_counting`) with [`naive_step`] over
-    /// a few rounds: positions, marks, move counts, previous positions and
-    /// the RNG state after each step.
+    /// Compares `step_exchange` (and `step`) with [`naive_step`] over a few
+    /// rounds: positions, marks, move counts, previous positions, occupancy
+    /// and the RNG state after each step.
     fn check_against_naive<G: Topology>(graph: &G, agents: usize, config: WalkConfig) {
         let n = graph.num_vertices();
-        // Spread agents over every list shape; every fifth sits on the
-        // isolated top vertex.
+        // Spread agents over every list shape; every fifth sits on the top
+        // vertex, isolated in the CSR graphs.
         let start: Vec<VertexId> = (0..agents)
             .map(|a| {
                 if a % 5 == 4 {
@@ -1426,9 +1382,9 @@ mod tests {
         }
         let context = format!("{agents} agents, laziness {}", config.laziness());
         let mut walk = MultiWalk::from_positions(graph, start.clone(), config);
-        let mut counting = MultiWalk::from_positions(graph, start.clone(), config);
+        let mut plain = MultiWalk::from_positions(graph, start.clone(), config);
         let mut naive: Vec<u32> = start.iter().map(|&v| v as u32).collect();
-        let (mut r_walk, mut r_counting, mut r_naive) = (rng(43), rng(43), rng(43));
+        let (mut r_walk, mut r_plain, mut r_naive) = (rng(43), rng(43), rng(43));
         for round in 0..3 {
             let before = naive.clone();
             let (moves, marks) = naive_step(
@@ -1453,44 +1409,51 @@ mod tests {
                     assert_eq!(walk.previous_position(agent), prev as usize, "{context}");
                 }
             }
-            assert_eq!(
-                counting.step_counting(graph, &mut r_counting),
-                moves,
-                "{context}"
-            );
-            assert_eq!(counting.positions(), &naive[..], "{context}");
+            assert_eq!(plain.step(graph, &mut r_plain), moves, "{context}");
+            assert_eq!(plain.positions(), &naive[..], "{context}");
             let mut here = vec![Vec::new(); n];
             for (agent, &v) in naive.iter().enumerate() {
                 here[v as usize].push(agent as u32);
             }
             for (v, here) in here.iter().enumerate() {
-                assert_eq!(counting.agents_at(v), &here[..], "{context}: vertex {v}");
+                assert_eq!(plain.agents_at(v), &here[..], "{context}: vertex {v}");
             }
             // The same draws were consumed: the streams continue in step.
             let next = r_naive.next_u64();
             assert_eq!(r_walk.next_u64(), next, "{context}");
-            assert_eq!(r_counting.next_u64(), next, "{context}");
+            assert_eq!(r_plain.next_u64(), next, "{context}");
         }
     }
 
+    /// Agent counts around the 64-agent block edges, plus a few more.
+    const AGENT_COUNTS: [usize; 9] = [0, 1, 63, 64, 65, 127, 128, 129, 1_000];
+
     #[test]
-    fn pipelined_mover_matches_a_naive_per_agent_loop() {
-        let big = mixed_deferring_graph();
-        let d = RESOLVE_LAG;
-        for agents in [0, 1, d - 1, d, d + 1, 64, 65, 1_000] {
+    fn block_shape_matches_a_naive_per_agent_loop() {
+        // The three backends that defer reads: a large CSR graph (slot
+        // tokens, resolved one by one), and a Chung-Lu graph generated and
+        // behind a partial hub cache (index tokens, resolved by the block
+        // kernel).
+        let csr = mixed_deferring_graph();
+        let generated = rumor_graphs::GeneratedGraph::chung_lu(5_000, 2.5, 4.0, 7).unwrap();
+        let cached = rumor_graphs::HubCachedGraph::with_hub_count(generated.clone(), 50);
+        assert!(generated.defers_reads() && cached.defers_reads());
+        for agents in AGENT_COUNTS {
             for config in [WalkConfig::simple(), WalkConfig::lazy()] {
-                check_against_naive(&big, agents, config);
+                check_against_naive(&csr, agents, config);
+                check_against_naive(&generated, agents, config);
+                check_against_naive(&cached, agents, config);
             }
         }
     }
 
     #[test]
-    fn mover_matches_the_naive_loop_without_deferral() {
+    fn immediate_shape_matches_a_naive_per_agent_loop() {
         // Small graphs resolve every draw on the spot; same contract.
         let g =
             rumor_graphs::Graph::from_edges(6, &[(0, 1), (1, 2), (0, 2), (2, 3), (4, 2)]).unwrap();
         assert!(!g.defers_reads());
-        for agents in [0, 1, 65, 200] {
+        for agents in AGENT_COUNTS {
             for config in [WalkConfig::simple(), WalkConfig::lazy()] {
                 check_against_naive(&g, agents, config);
             }
