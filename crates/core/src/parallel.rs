@@ -22,6 +22,13 @@
 //!   on the coordinating thread in ascending shard order (the merge is the
 //!   same `insert` + boundary-counter update loop the sequential engine
 //!   runs, and its outcome is a set union — independent of the partition).
+//!   Each insert walks the new member's neighbor list, which the generated
+//!   and hub-cached backends derive rather than read; there the merge runs
+//!   a window at a time, resolving the lists of the window's first
+//!   occurrences on the workers through [`Topology::neighbor_lists`] before
+//!   the same loop inserts the window's entries in order. The window is
+//!   bounded and its buffers live in the per-run scratch, so a warm run
+//!   allocates nothing per round.
 //! * **Agent protocols** (`visit-exchange`, `meet-exchange`): the engine
 //!   runs the sequential protocols' [`Exchange`] state under the same
 //!   compile-time rule, and with it the same exchange scans. Movement is
@@ -64,6 +71,13 @@ const MIN_DRAWS_PER_SHARD: u64 = 1024;
 /// Minimum number of scanned entities per shard before an exchange-phase
 /// scan spawns workers (a scan step is an O(1) bit test).
 const MIN_SCAN_PER_SHARD: usize = 8192;
+/// List entries the vertex-protocol merge resolves per window (see
+/// [`merge`]): enough for every worker to overlap hundreds of derivations,
+/// small enough that the window's lists stay in the L2 cache.
+const MERGE_WINDOW: usize = 1 << 14;
+/// Minimum number of list entries per shard before a merge window spawns
+/// workers (a derived entry costs tens of nanoseconds).
+const MIN_LISTS_PER_SHARD: usize = 2048;
 
 /// Resolves a requested worker count for the sharded engine: `0` means
 /// "auto" — the `RUMOR_THREADS` environment variable if set to a positive
@@ -155,10 +169,17 @@ struct Shards {
     threads: usize,
     /// Per-shard compaction buffers.
     newly: Vec<Vec<u32>>,
-    /// Per-shard draw blocks for [`Topology::resolve_block`].
+    /// Per-shard draw blocks for [`Topology::resolve_block`], and their
+    /// scratch for [`Topology::neighbor_lists`].
     blocks: Vec<DrawBlock>,
     /// Shards the last exchange scan filled.
     filled: usize,
+    /// The vertex-protocol merge's window: its vertices, their neighbor
+    /// lists back to back, and one bit per vertex marking the window's
+    /// members until they are inserted (see [`merge`]).
+    window: Vec<u32>,
+    lists: Vec<u32>,
+    seen: Vec<u64>,
 }
 
 /// A sharded run: the sequential protocol's state `P` (informed sets,
@@ -196,6 +217,9 @@ impl<P: ShardedStep> Sharded<P> {
                 newly: Vec::new(),
                 blocks: Vec::new(),
                 filled: 0,
+                window: Vec::new(),
+                lists: Vec::new(),
+                seen: Vec::new(),
             },
         };
         if let Some(snapshot) = resume {
@@ -505,16 +529,117 @@ impl<G: Topology, R: GossipRule> ShardedStep for Gossip<'_, G, R> {
             });
         }
 
-        // Round barrier: merge shards in ascending range order. This is the
-        // identical loop the sequential engine runs over its single buffer;
-        // `inform` dedups cross-shard repeats (two shards pushing to the
-        // same vertex).
+        merge(self, shards, count);
+    }
+}
+
+/// Round barrier of the vertex protocols: merges the first `count` shard
+/// buffers in ascending range order. This is the loop the sequential
+/// engine runs over its single buffer; `inform` dedups repeats (two
+/// callers informing the same vertex).
+///
+/// Where the backend resolves neighbor lists in bulk
+/// ([`Topology::neighbor_lists`]), the loop runs a window at a time: the
+/// next entries' first occurrences, up to [`MERGE_WINDOW`] list entries,
+/// have their lists resolved in parallel shards, and then the same loop
+/// inserts those entries in order, taking the next resolved list for each
+/// insert that succeeds (a successful insert is exactly a first
+/// occurrence). Every other backend merges entry by entry.
+fn merge<G: Topology, R: GossipRule>(
+    gossip: &mut Gossip<'_, G, R>,
+    shards: &mut Shards,
+    count: usize,
+) {
+    let graph = gossip.graph();
+    if !graph.neighbor_lists(&[], &mut [], &mut shards.blocks[0]) {
         for buf in &shards.newly[..count] {
             for &v in buf {
-                self.inform(v as usize);
+                gossip.inform(v as usize);
             }
         }
+        return;
     }
+    let Shards {
+        threads,
+        newly,
+        blocks,
+        window,
+        lists,
+        seen,
+        ..
+    } = shards;
+    seen.resize(graph.num_vertices().div_ceil(64), 0);
+    let mut entries = newly[..count].iter().flatten().map(|&v| v as usize);
+    loop {
+        // The window: the first occurrences among the next entries that
+        // are not informed yet, marked in `seen` until they are.
+        window.clear();
+        let (mut taken, mut total) = (0usize, 0usize);
+        for v in entries.clone() {
+            taken += 1;
+            let bit = 1u64 << (v & 63);
+            if seen[v >> 6] & bit == 0 && !gossip.informed().contains(v) {
+                seen[v >> 6] |= bit;
+                window.push(v as u32);
+                total += graph.degree(v);
+                if total >= MERGE_WINDOW {
+                    break;
+                }
+            }
+        }
+        if taken == 0 {
+            return;
+        }
+        lists.resize(total, 0);
+        resolve_lists(graph, window, lists, blocks, *threads);
+        let mut rest = &lists[..];
+        for v in entries.by_ref().take(taken) {
+            if gossip.inform_listed(v, &mut rest) {
+                seen[v >> 6] &= !(1u64 << (v & 63));
+            }
+        }
+        debug_assert!(rest.is_empty(), "every window vertex was inserted");
+    }
+}
+
+/// Writes the neighbor lists of `window` back to back into `lists` (their
+/// degree sum long), split into contiguous shards of about equal list
+/// entries that resolve on scoped workers, the last on this thread.
+fn resolve_lists<G: Topology>(
+    graph: &G,
+    window: &[u32],
+    lists: &mut [u32],
+    blocks: &mut Vec<DrawBlock>,
+    threads: usize,
+) {
+    let count = threads.min(lists.len() / MIN_LISTS_PER_SHARD + 1);
+    if blocks.len() < count {
+        blocks.resize_with(count, DrawBlock::default);
+    }
+    if count == 1 {
+        graph.neighbor_lists(window, lists, &mut blocks[0]);
+        return;
+    }
+    let share = lists.len().div_ceil(count);
+    std::thread::scope(|scope| {
+        let (mut vertices, mut out) = (window, lists);
+        for (i, block) in blocks[..count].iter_mut().enumerate() {
+            let last = i + 1 == count;
+            let (mut k, mut entries) = (0, 0);
+            while k < vertices.len() && (entries < share || last) {
+                entries += graph.degree(vertices[k] as usize);
+                k += 1;
+            }
+            let (these, later) = vertices.split_at(k);
+            let (span, tail) = std::mem::take(&mut out).split_at_mut(entries);
+            (vertices, out) = (later, tail);
+            if last {
+                graph.neighbor_lists(these, span, block);
+            } else {
+                scope.spawn(move || graph.neighbor_lists(these, span, block));
+            }
+        }
+    });
 }
 
 impl Scan for Shards {

@@ -198,10 +198,19 @@ impl<R: GossipRule> Frontier<R> {
     /// Must be called exactly once per vertex, immediately after it is
     /// inserted into `informed`. Within a round, call it per vertex in the
     /// merge loop: a vertex informed later in the same batch is re-checked
-    /// when its own call runs.
-    fn on_informed<G: Topology>(&mut self, graph: &G, v: VertexId, informed: &InformedSet) {
+    /// when its own call runs. `neighbors` is `v`'s neighbor list when the
+    /// caller has already resolved it ([`Topology::neighbor_lists`]);
+    /// otherwise the graph enumerates it.
+    #[inline]
+    fn on_informed<G: Topology>(
+        &mut self,
+        graph: &G,
+        v: VertexId,
+        informed: &InformedSet,
+        neighbors: Option<&[u32]>,
+    ) {
         let (counts, active) = (&mut self.uninformed_nb, &mut self.active);
-        graph.for_each_neighbor(v, |w| {
+        let visit = |w: VertexId| {
             let c = &mut counts[w];
             *c -= 1;
             if R::UNINFORMED_CALL && !informed.contains(w) {
@@ -211,7 +220,11 @@ impl<R: GossipRule> Frontier<R> {
                 // w just lost its last uninformed neighbor.
                 active.clear(w);
             }
-        });
+        };
+        match neighbors {
+            Some(list) => list.iter().map(|&w| w as VertexId).for_each(visit),
+            None => graph.for_each_neighbor(v, visit),
+        }
         if graph.degree(v) > 0 {
             self.informed_nonisolated += 1;
         }
@@ -428,8 +441,25 @@ impl<'g, G: Topology, R: GossipRule> Gossip<'g, G, R> {
     #[inline]
     pub(crate) fn inform(&mut self, v: VertexId) {
         if self.informed.insert(v) {
-            self.frontier.on_informed(self.graph, v, &self.informed);
+            self.frontier
+                .on_informed(self.graph, v, &self.informed, None);
         }
+    }
+
+    /// [`Gossip::inform`] with `v`'s neighbor list taken from `lists` when
+    /// the insert succeeds: the sharded merge resolves the lists of a
+    /// round's first occurrences ahead, in order, and a successful insert
+    /// is exactly a first occurrence. Returns whether it took a list.
+    #[inline]
+    pub(crate) fn inform_listed(&mut self, v: VertexId, lists: &mut &[u32]) -> bool {
+        if !self.informed.insert(v) {
+            return false;
+        }
+        let (list, rest) = lists.split_at(self.graph.degree(v));
+        *lists = rest;
+        self.frontier
+            .on_informed(self.graph, v, &self.informed, Some(list));
+        true
     }
 
     /// Opens a round: advances the counter and charges its messages, which
@@ -636,7 +666,7 @@ mod tests {
             if step > 0 {
                 let v = order[step - 1];
                 if informed.insert(v) {
-                    frontier.on_informed(graph, v, &informed);
+                    frontier.on_informed(graph, v, &informed, None);
                 }
                 model[v] = true;
             }

@@ -78,6 +78,32 @@ fn sharded_instances() -> Vec<GeneratedGraph> {
     graphs
 }
 
+/// The vertex protocols, whose sharded rounds merge their newly informed
+/// vertices window by window on the generated and hub-cached backends.
+const VERTEX_PROTOCOLS: [ProtocolKind; 3] = [
+    ProtocolKind::Push,
+    ProtocolKind::Pull,
+    ProtocolKind::PushPull,
+];
+
+/// The sharded grids' cells: every sharded protocol on the grid's
+/// instances, and the vertex protocols on one instance of about 20k
+/// vertices, where a push-pull round merges more list entries than one
+/// merge window holds and resolves each window on several workers. (The
+/// agent protocols run no merge, and on a graph this size their 1,200-round
+/// cap would cost minutes.)
+fn sharded_cells() -> Vec<(GeneratedGraph, &'static [ProtocolKind])> {
+    let mut cells: Vec<_> = sharded_instances()
+        .into_iter()
+        .map(|graph| (graph, &SHARDED_PROTOCOLS[..]))
+        .collect();
+    cells.push((
+        GeneratedGraph::chung_lu(20_000, 2.5, 12.0, 3).unwrap(),
+        &VERTEX_PROTOCOLS[..],
+    ));
+    cells
+}
+
 /// The specs a sharded cell runs: the adapted spec and, for the agent
 /// protocols, the same spec on lazy walks (the per-agent stream scheme).
 fn sharded_specs(kind: ProtocolKind, seed: u64, graph: &GeneratedGraph) -> Vec<SimulationSpec> {
@@ -146,9 +172,9 @@ fn combined_protocol_is_bit_identical_across_backends() {
 
 #[test]
 fn sharded_engine_is_bit_identical_across_backends_at_every_thread_count() {
-    for generated in sharded_instances() {
+    for (generated, kinds) in sharded_cells() {
         let csr = generated.materialize().unwrap();
-        for kind in SHARDED_PROTOCOLS {
+        for &kind in kinds {
             for base in [0u64, 5]
                 .into_iter()
                 .flat_map(|seed| sharded_specs(kind, seed, &generated))
@@ -274,9 +300,9 @@ fn hub_cached_sequential_runs_are_bit_identical_across_all_backends() {
 
 #[test]
 fn hub_cached_sharded_runs_are_bit_identical_at_every_thread_count() {
-    for generated in sharded_instances() {
+    for (generated, kinds) in sharded_cells() {
         let hub = HubCachedGraph::over(generated.clone());
-        for kind in SHARDED_PROTOCOLS {
+        for &kind in kinds {
             for base in [0u64, 5]
                 .into_iter()
                 .flat_map(|seed| sharded_specs(kind, seed, &generated))

@@ -69,11 +69,12 @@
 //! is short but made of dependent table reads and searches, so one block
 //! kernel resolves the stubs of many queries together, stage by stage, and
 //! their reads overlap: the sharded engines hand it a block of draws at a
-//! time ([`Topology::resolve_block`]), the construction degree pass 64
-//! vertices at a time, and a single query is a block of one. A tail-vertex
-//! draw then costs a few hundred nanoseconds instead of the few
-//! nanoseconds of a CSR read (README's *Random topologies* section has the
-//! measured figures). Prefer the CSR backend when the graph fits in memory
+//! time ([`Topology::resolve_block`]) and the lists of a merge window a few
+//! hundred vertices at a time ([`Topology::neighbor_lists`]), the
+//! construction degree pass 64 vertices at a time, and a single query is a
+//! block of one. A tail-vertex draw then costs a few hundred nanoseconds
+//! instead of the few nanoseconds of a CSR read (README's *Random
+//! topologies* section has the measured figures). Prefer the CSR backend when the graph fits in memory
 //! and is reused across many trials; prefer `GeneratedGraph` for scenario
 //! sweeps at scales where the CSR does not fit.
 
@@ -86,7 +87,7 @@ use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
 use crate::error::{GraphError, Result};
-use crate::graph::{index_word, sample_index, Graph, VertexId};
+use crate::graph::{index_word, prefetch, sample_index, Graph, VertexId};
 use crate::topology::{Deferred, DeferredNeighbor, DrawBlock, Topology};
 
 /// Key-derivation constant for the per-seed Philox keys (arbitrary odd
@@ -104,9 +105,13 @@ const DEGREE_PURPOSE: u64 = 2;
 const FEISTEL_ROUNDS: u64 = 4;
 /// Neighbor lists up to this many stubs are assembled on the stack; larger
 /// (hub) vertices fall back to a heap buffer.
-const STACK_NEIGHBORS: usize = 96;
+pub(crate) const STACK_NEIGHBORS: usize = 96;
 /// Vertices per block of the construction degree pass.
 const DEGREE_BLOCK: usize = 64;
+/// Stubs queued per block-kernel run of [`Topology::neighbor_lists`]: a few
+/// hundred tail vertices, enough independent reads to overlap, while the
+/// kernel's scratch stays within the L2 cache.
+const LIST_STUBS: usize = 4096;
 /// Log₂ of the stub-block size of the coarse owner index: one `u32` per
 /// 1024 stubs (0.4% of the offsets table) confines each stub→owner lookup
 /// to a couple of cache lines instead of a full binary search over the
@@ -986,34 +991,92 @@ impl GeneratedGraph {
         scratch.list(0)
     }
 
-    /// Resolves `block`: each index draw that `cached` does not answer
-    /// becomes one query of a single block-kernel run. The hub-cached
-    /// backend passes its cache lookup as `cached`; this backend, none.
-    pub(crate) fn resolve_block_with(
+    /// Opens the resolution of `block`: fills the resolved slots of its
+    /// vertex tokens and queues each index draw at output slot `k` for one
+    /// block-kernel run unless `cached(k, vertex, index)` takes it (and
+    /// answers slot `k` itself later). [`GeneratedGraph::resolve_queued`]
+    /// runs the kernel. The hub-cached backend passes its cache lookup as
+    /// `cached`; this backend, none.
+    pub(crate) fn queue_block(
         &self,
         block: &mut DrawBlock,
-        cached: impl Fn(u32, u32) -> Option<u32>,
+        mut cached: impl FnMut(usize, u32, u32) -> bool,
     ) {
         let DrawBlock {
             drawn,
             resolved,
             scratch,
+            ..
         } = block;
         resolved.clear();
         scratch.clear_queries();
         for (k, &token) in drawn.iter().enumerate() {
             resolved.push(match token.0 {
-                Deferred::Draw { vertex, index } => cached(vertex, index).unwrap_or_else(|| {
-                    scratch.push_query(vertex, index, k);
+                Deferred::Draw { vertex, index } => {
+                    if !cached(k, vertex, index) {
+                        scratch.push_query(vertex, index, k);
+                    }
                     0
-                }),
+                }
                 _ => self.resolve_deferred(token) as u32,
             });
         }
+    }
+
+    /// Resolves the draws [`GeneratedGraph::queue_block`] queued, all in one
+    /// block-kernel run.
+    pub(crate) fn resolve_queued(&self, block: &mut DrawBlock) {
+        let DrawBlock {
+            resolved, scratch, ..
+        } = block;
         self.kernel().lists_in(scratch);
         for (q, (&slot, &i)) in scratch.slots.iter().zip(&scratch.index).enumerate() {
             resolved[slot as usize] = scratch.list(q)[i as usize];
         }
+    }
+
+    /// Writes the neighbor lists of `vertices` back to back into `out`
+    /// (see [`Topology::neighbor_lists`]). `cached(u, span)` may write
+    /// `u`'s list into its span of `out` and return `true`; the block
+    /// kernel derives every other list, a run whenever [`LIST_STUBS`]
+    /// stubs are queued and once at the end, so its scratch stays small.
+    pub(crate) fn lists_with(
+        &self,
+        vertices: &[u32],
+        out: &mut [u32],
+        scratch: &mut BlockScratch,
+        cached: impl Fn(u32, &mut [u32]) -> bool,
+    ) {
+        scratch.clear_queries();
+        let (mut at, mut stubs) = (0usize, 0usize);
+        for &u in vertices {
+            let d = self.degree(u as usize);
+            if d > 0 && !cached(u, &mut out[at..at + d]) {
+                scratch.push_query(u, 0, at);
+                stubs += self.stub_degree(u as usize);
+                if stubs >= LIST_STUBS {
+                    self.write_queued_lists(scratch, out);
+                    stubs = 0;
+                }
+            }
+            at += d;
+        }
+        debug_assert_eq!(at, out.len(), "out must hold the degree sum");
+        self.write_queued_lists(scratch, out);
+    }
+
+    /// Derives the queued lists in one kernel run, copies each to its
+    /// offset in `out`, and empties the queue.
+    fn write_queued_lists(&self, scratch: &mut BlockScratch, out: &mut [u32]) {
+        if scratch.vertices.is_empty() {
+            return;
+        }
+        self.kernel().lists_in(scratch);
+        for (q, &at) in scratch.slots.iter().enumerate() {
+            let list = scratch.list(q);
+            out[at as usize..at as usize + list.len()].copy_from_slice(list);
+        }
+        scratch.clear_queries();
     }
 
     /// Maximum simple degree over all vertices (`None` only for `n == 0`,
@@ -1242,7 +1305,20 @@ impl Topology for GeneratedGraph {
 
     /// The block kernel: every index draw of the block is one query.
     fn resolve_block(&self, block: &mut DrawBlock) {
-        self.resolve_block_with(block, |_, _| None);
+        self.queue_block(block, |_, _, _| false);
+        self.resolve_queued(block);
+    }
+
+    /// Loads `u`'s degree offsets, which the draw reads first.
+    #[inline(always)]
+    fn prefetch_sampler(&self, u: VertexId) {
+        prefetch(self.slot_offsets.as_ptr().wrapping_add(u));
+    }
+
+    /// The block kernel, over many vertices per run.
+    fn neighbor_lists(&self, vertices: &[u32], out: &mut [u32], block: &mut DrawBlock) -> bool {
+        self.lists_with(vertices, out, &mut block.scratch, |_, _| false);
+        true
     }
 
     fn sample_stationary<R: Rng + ?Sized>(&self, rng: &mut R) -> VertexId {

@@ -828,7 +828,7 @@ impl crate::Topology for Graph {
 /// only: it never faults and changes no result, so any address is fine.
 #[inline(always)]
 #[allow(unsafe_code)]
-fn prefetch<T>(p: *const T) {
+pub(crate) fn prefetch<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
     // SAFETY: `_mm_prefetch` only needs SSE, which every x86_64 CPU has; a
     // prefetch does not dereference `p` architecturally and cannot fault,

@@ -64,9 +64,12 @@
 //! Queries on cached vertices cost an `O(1)` bitmap probe and popcount plus
 //! two field reads and a select instead of `O(deg)` pairing evaluations;
 //! tail vertices take the same bitmap probe and continue on the hashed
-//! path unchanged. A block of draws ([`Topology::resolve_block`]) reads its
-//! hits on the spot and resolves all of its misses in one call of the inner
-//! backend's block kernel, so their derivations overlap. The win is
+//! path unchanged. A block of draws ([`Topology::resolve_block`]) resolves
+//! all of its misses in one call of the inner backend's block kernel, so
+//! their derivations overlap, and its hits stage by stage, so their loads
+//! overlap too: a hit is a chain of dependent loads (membership word, list
+//! offset, then the entry's lower-half, sample and upper-bit lines), each
+//! likely a cache miss under stationary walks. The win is
 //! workload-dependent: agent walks
 //! (visit/meet-exchange) spend most draws on hubs and speed up by the
 //! cached fraction of stationary mass ([`HubCachedGraph::hub_hit_fraction`]);
@@ -75,8 +78,11 @@
 //! a quarter of the CSR-equivalent bytes) the budget buys 60,922 hubs at
 //! hit fraction 0.68, where fixed-width lists bought 42,327 at 0.59 while
 //! overrunning the budget. A miss there, a tail vertex of about six stubs,
-//! costs a few hundred nanoseconds when resolved in a block of misses and
-//! a hit a few tens (README has the measured figures).
+//! costs a few hundred nanoseconds when resolved in a block of misses. A
+//! hit costs a few tens of nanoseconds when its list is already cached,
+//! but in blocks of stationary draws, where it seldom is, it cost about
+//! 100–170 ns when each hit ran its chain alone and costs about half that
+//! staged (README has the measured figures).
 //! `BENCH_random.json` records the measured speedups.
 //!
 //! Lists are addressed by `u32` byte offsets, so the lists of one cache
@@ -87,7 +93,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::generated::{configured_threads, BlockScratch, GeneratedGraph};
-use crate::graph::{index_word, sample_index, VertexId};
+use crate::graph::{index_word, prefetch, sample_index, VertexId};
 use crate::topology::{Deferred, DeferredNeighbor, DrawBlock, Topology};
 
 /// Fallback hub count when the builder gets neither a count nor a budget:
@@ -218,6 +224,12 @@ fn load(bytes: &[u8], bit: usize) -> u64 {
     u64::from_le_bytes(bytes[at..at + 8].try_into().expect("eight bytes")) >> (bit & 7)
 }
 
+/// Starts loading the line holding bit `bit` of `bytes`.
+#[inline(always)]
+fn prefetch_bit(bytes: &[u8], bit: usize) {
+    prefetch(bytes.as_ptr().wrapping_add(bit >> 3));
+}
+
 /// The `width`-bit field at bit `bit` (`width ≤ 57`).
 #[inline]
 fn field(bytes: &[u8], bit: usize, width: u32) -> u64 {
@@ -282,19 +294,36 @@ impl List<'_> {
     /// by selecting entry `i`'s one, searched from its block's sample.
     #[inline]
     fn get(&self, i: usize) -> u32 {
-        let Shape { low, high, .. } = self.shape;
-        let base = self.start << 3;
-        let lower = field(self.bytes, base + i * low as usize, low);
-        let block = i >> 6;
-        let sample = field(
-            self.bytes,
-            base + self.shape.samples() + block * high as usize,
-            high,
-        );
-        let upper = base + self.shape.upper();
-        // Entry 64·block's one sits past its upper half in zeros and
-        // 64·block earlier ones.
-        let mut at = upper + sample as usize + (block << 6);
+        self.get_from(i, self.search_start(i))
+    }
+
+    /// Bit offset of entry `i`'s lower half.
+    #[inline]
+    fn lower_bit(&self, i: usize) -> usize {
+        (self.start << 3) + i * self.shape.low as usize
+    }
+
+    /// Bit offset of the select sample of entry `i`'s 64-entry block.
+    #[inline]
+    fn sample_bit(&self, i: usize) -> usize {
+        (self.start << 3) + self.shape.samples() + (i >> 6) * self.shape.high as usize
+    }
+
+    /// Bit offset of the one of entry `64·⌊i/64⌋`, where the search for
+    /// entry `i`'s one starts: past that entry's upper half in zeros and
+    /// `64·⌊i/64⌋` earlier ones. Reads the block's select sample.
+    #[inline]
+    fn search_start(&self, i: usize) -> usize {
+        let sample = field(self.bytes, self.sample_bit(i), self.shape.high);
+        (self.start << 3) + self.shape.upper() + sample as usize + (i & !63)
+    }
+
+    /// Entry `i`, its one searched from bit `at` ([`List::search_start`]).
+    #[inline]
+    fn get_from(&self, i: usize, mut at: usize) -> u32 {
+        let low = self.shape.low;
+        let lower = field(self.bytes, self.lower_bit(i), low);
+        let upper = (self.start << 3) + self.shape.upper();
         let mut rank = (i & 63) as u32;
         loop {
             match select(load(self.bytes, at), rank) {
@@ -381,6 +410,20 @@ fn encode(ids: &[u32], n: usize, out: &mut [u8], words: &mut Vec<u64>) {
     for (chunk, word) in out.chunks_mut(8).zip(words.iter()) {
         chunk.copy_from_slice(&word.to_le_bytes()[..chunk.len()]);
     }
+}
+
+/// A cache hit of a block being resolved, carried from stage to stage of
+/// [`HubCachedGraph`]'s `resolve_block`: output slot `slot` takes entry
+/// `index` of a list of `len` ids, whose hub slot `list` holds until the
+/// list's start byte replaces it; `at` is where the search for the entry's
+/// one starts ([`List::search_start`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StagedHit {
+    slot: u32,
+    index: u32,
+    len: u32,
+    list: u32,
+    at: usize,
 }
 
 /// Builder for [`HubCachedGraph`]: choose the cache size by hub count, by
@@ -710,6 +753,16 @@ impl HubCachedGraph {
         }
     }
 
+    /// The list of a staged hit whose start byte is known.
+    #[inline]
+    fn staged_list(&self, hit: &StagedHit) -> List<'_> {
+        List {
+            bytes: &self.lists,
+            start: hit.list as usize,
+            shape: Shape::new(self.inner.num_vertices(), hit.len as usize),
+        }
+    }
+
     /// The `i`-th neighbor of `u` in ascending order — identical to the
     /// inner backend's [`GeneratedGraph::nth_neighbor`], read from the
     /// cache when `u` is a hub.
@@ -847,16 +900,73 @@ impl Topology for HubCachedGraph {
         }
     }
 
-    /// Hits read their lists on the spot; the block's misses go to the
-    /// inner backend's block kernel together.
+    /// Resolves the block's hits stage by stage, so that their dependent
+    /// loads overlap across the block rather than queue behind one
+    /// another: find every hit's slot and load its list offset; then each
+    /// list's shape, loading the lines of the entry's lower half and select
+    /// sample; then, while the block's misses run through the inner
+    /// backend's block kernel together, read each sample and load the line
+    /// where the entry's one is searched; then decode.
     fn resolve_block(&self, block: &mut DrawBlock) {
-        self.inner.resolve_block_with(block, |vertex, index| {
-            let h = self.hub_slot(vertex as usize)?;
-            Some(
-                self.list(h, self.degree(vertex as usize))
-                    .get(index as usize),
-            )
+        let mut hits = std::mem::take(&mut block.hits);
+        hits.clear();
+        self.inner.queue_block(block, |slot, vertex, index| {
+            let Some(h) = self.hub_slot(vertex as usize) else {
+                return false;
+            };
+            prefetch(self.hub_offsets.as_ptr().wrapping_add(h));
+            hits.push(StagedHit {
+                slot: slot as u32,
+                index,
+                len: self.degree(vertex as usize) as u32,
+                list: h as u32,
+                at: 0,
+            });
+            true
         });
+        for hit in &mut hits {
+            hit.list = self.hub_offsets[hit.list as usize];
+            let list = self.staged_list(hit);
+            prefetch_bit(&self.lists, list.lower_bit(hit.index as usize));
+            prefetch_bit(&self.lists, list.sample_bit(hit.index as usize));
+        }
+        for hit in &mut hits {
+            hit.at = self.staged_list(hit).search_start(hit.index as usize);
+            prefetch_bit(&self.lists, hit.at);
+        }
+        self.inner.resolve_queued(block);
+        for hit in &hits {
+            block.resolved[hit.slot as usize] =
+                self.staged_list(hit).get_from(hit.index as usize, hit.at);
+        }
+        block.hits = hits;
+    }
+
+    /// Loads `u`'s degree offsets, which the draw reads, and its membership
+    /// word and rank, which [`Topology::resolve_block`] reads.
+    #[inline(always)]
+    fn prefetch_sampler(&self, u: VertexId) {
+        self.inner.prefetch_sampler(u);
+        prefetch(self.hub_bits.as_ptr().wrapping_add(u >> 6));
+        prefetch(self.hub_rank.as_ptr().wrapping_add(u >> 6));
+    }
+
+    /// Hubs' lists decode from the cache; the others go to the inner
+    /// backend's block kernel, many per run.
+    fn neighbor_lists(&self, vertices: &[u32], out: &mut [u32], block: &mut DrawBlock) -> bool {
+        self.inner
+            .lists_with(vertices, out, &mut block.scratch, |u, span| {
+                let Some(h) = self.hub_slot(u as usize) else {
+                    return false;
+                };
+                let mut at = 0;
+                self.list(h, span.len()).for_each(|v| {
+                    span[at] = v;
+                    at += 1;
+                });
+                true
+            });
+        true
     }
 
     #[inline]
@@ -1238,58 +1348,124 @@ mod tests {
         }
     }
 
+    /// Index draws of `cached`'s hubs of degree above 64: for each, entries
+    /// 0, 63 and a random one of every 64-entry block and its last entry,
+    /// so that every select sample is read. Also returns how many hubs of
+    /// degree above 128 it drew from.
+    fn deep_hub_draws(cached: &HubCachedGraph, rng: &mut StdRng) -> (Vec<DeferredNeighbor>, usize) {
+        let mut draws = Vec::new();
+        let mut above_128 = 0;
+        for u in (0..cached.num_vertices()).filter(|&u| cached.is_hub(u)) {
+            let d = cached.degree(u);
+            if d <= 64 {
+                continue;
+            }
+            above_128 += usize::from(d > 128);
+            for block in (0..d).step_by(64) {
+                let end = (block + 64).min(d);
+                for i in [block, block + 63, rng.gen_range(block..end), end - 1] {
+                    if i < d {
+                        draws.push(DeferredNeighbor::draw(u, i as u64));
+                    }
+                }
+            }
+        }
+        (draws, above_128)
+    }
+
     #[test]
     fn blocks_mixing_hits_and_misses_resolve_like_single_queries() {
-        let inner = chung_lu(2_000, 21);
-        let cached = HubCachedGraph::with_hub_count(inner.clone(), 150);
-        let mut rng = StdRng::seed_from_u64(4);
-        let (mut cached_block, mut inner_block) = (DrawBlock::default(), DrawBlock::default());
+        let sparse = chung_lu(2_000, 21);
+        // Hubs of a few hundred neighbors: select samples past the first.
+        let dense = GeneratedGraph::chung_lu(3_000, 2.1, 20.0, 8).unwrap();
         let (mut hits, mut misses) = (0, 0);
-        for size in [0usize, 1, 63, 64, 65, 127, 128, 129] {
-            for _ in 0..20 {
-                // Stationary vertices (mostly hubs) and uniform ones (mostly
-                // tail), with resolved tokens between them.
-                cached_block.clear();
-                inner_block.clear();
-                let mut drawn = Vec::new();
-                for k in 0..size {
-                    let u = if k % 2 == 0 {
-                        cached.sample_stationary(&mut rng)
-                    } else {
-                        rng.gen_range(0..2_000)
-                    };
-                    let token = if k % 7 == 3 {
-                        DeferredNeighbor::vertex(u)
-                    } else {
-                        cached.draw_deferred(u, &mut rng)
-                    };
-                    drawn.push(token);
-                    cached_block.push(token);
-                    inner_block.push(token);
-                }
-                cached.resolve_block(&mut cached_block);
-                inner.resolve_block(&mut inner_block);
-                assert_eq!(cached_block.resolved().len(), size);
-                for (k, (&token, &v)) in drawn.iter().zip(cached_block.resolved()).enumerate() {
-                    let want = match token.0 {
-                        Deferred::Draw { vertex, index } => {
-                            if cached.is_hub(vertex as usize) {
-                                hits += 1;
-                            } else {
-                                misses += 1;
-                            }
-                            inner.nth_neighbor(vertex as usize, index as usize)
+        for (inner, k) in [(&sparse, 150usize), (&dense, 200)] {
+            let n = inner.num_vertices();
+            let cached = HubCachedGraph::with_hub_count(inner.clone(), k);
+            let mut rng = StdRng::seed_from_u64(4);
+            let (deep, above_128) = deep_hub_draws(&cached, &mut rng);
+            assert!(deep.len() > 50, "{} deep hub draws", deep.len());
+            if std::ptr::eq(inner, &dense) {
+                assert!(above_128 > 5, "{above_128} hubs above degree 128");
+            }
+            let (mut cached_block, mut inner_block) = (DrawBlock::default(), DrawBlock::default());
+            // Mixed blocks, hit-only blocks and miss-only blocks.
+            for kind in 0..3 {
+                for size in [0usize, 1, 63, 64, 65, 127, 128, 129] {
+                    for _ in 0..20 {
+                        cached_block.clear();
+                        inner_block.clear();
+                        let mut drawn = Vec::new();
+                        for k in 0..size {
+                            let token = match kind {
+                                // Stationary vertices (mostly hubs), deep
+                                // hub entries and uniform vertices (mostly
+                                // tail), with resolved tokens between them.
+                                0 => {
+                                    let u = match k % 3 {
+                                        0 => cached.sample_stationary(&mut rng),
+                                        _ => rng.gen_range(0..n),
+                                    };
+                                    if k % 7 == 3 {
+                                        DeferredNeighbor::vertex(u)
+                                    } else if k % 3 == 1 {
+                                        deep[rng.gen_range(0..deep.len())]
+                                    } else {
+                                        cached.draw_deferred(u, &mut rng)
+                                    }
+                                }
+                                // Hits only: stationary hubs and deep entries.
+                                1 => {
+                                    let u = cached.sample_stationary(&mut rng);
+                                    if k % 2 == 0 && cached.is_hub(u) {
+                                        cached.draw_deferred(u, &mut rng)
+                                    } else {
+                                        deep[rng.gen_range(0..deep.len())]
+                                    }
+                                }
+                                // Misses only: tail vertices, isolated ones
+                                // staying put as resolved tokens.
+                                _ => {
+                                    let u = loop {
+                                        let u = rng.gen_range(0..n);
+                                        if !cached.is_hub(u) {
+                                            break u;
+                                        }
+                                    };
+                                    cached.draw_deferred(u, &mut rng)
+                                }
+                            };
+                            drawn.push(token);
+                            cached_block.push(token);
+                            inner_block.push(token);
                         }
-                        _ => token.resolved().unwrap(),
-                    };
-                    assert_eq!(v as usize, want, "block of {size}, entry {k}");
-                    assert_eq!(cached.resolve_deferred(token), want);
+                        cached.resolve_block(&mut cached_block);
+                        inner.resolve_block(&mut inner_block);
+                        assert_eq!(cached_block.resolved().len(), size);
+                        for (k, (&token, &v)) in
+                            drawn.iter().zip(cached_block.resolved()).enumerate()
+                        {
+                            let want = match token.0 {
+                                Deferred::Draw { vertex, index } => {
+                                    if cached.is_hub(vertex as usize) {
+                                        hits += 1;
+                                    } else {
+                                        misses += 1;
+                                    }
+                                    inner.nth_neighbor(vertex as usize, index as usize)
+                                }
+                                _ => token.resolved().unwrap(),
+                            };
+                            assert_eq!(v as usize, want, "block of {size}, entry {k}");
+                            assert_eq!(cached.resolve_deferred(token), want);
+                        }
+                        assert_eq!(
+                            cached_block.resolved(),
+                            inner_block.resolved(),
+                            "block of {size}"
+                        );
+                    }
                 }
-                assert_eq!(
-                    cached_block.resolved(),
-                    inner_block.resolved(),
-                    "block of {size}"
-                );
             }
         }
         assert!(

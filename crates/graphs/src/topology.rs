@@ -47,7 +47,8 @@
 //! token into the vertex later. [`Graph`] resolves interval-tagged lists at
 //! draw time, while CSR-tagged ones prefetch the selected adjacency slot
 //! and return it; the generated and hub-cached backends return the drawn
-//! index. The defaults resolve at draw time and do not prefetch.
+//! index. The defaults resolve at draw time and do not prefetch; every
+//! backend but the implicit one prefetches its sampling metadata.
 //!
 //! **Block resolution.** Where [`Topology::defers_reads`] holds — the
 //! generated and hub-cached backends, and CSR graphs whose read lists
@@ -58,8 +59,17 @@
 //! [`Topology::draw_deferred_with`] on every backend. The default resolves
 //! each token in turn, which is all the CSR and implicit backends need.
 //! The generated backend instead derives all of the block's neighbors in
-//! one batched kernel, and the hub-cached backend answers its hits from the
-//! cache and passes the block's misses to that kernel together.
+//! one batched kernel, and the hub-cached backend passes the block's misses
+//! to that kernel together and answers its hits from the cache, stage by
+//! stage across the block.
+//!
+//! **List resolution.** [`Topology::neighbor_lists`] writes the neighbor
+//! lists of many vertices at once, in the order
+//! [`Topology::for_each_neighbor`] enumerates each. The sharded vertex
+//! protocols' merge resolves the lists of a round's newly informed
+//! vertices through it, a bounded window at a time, on several workers.
+//! The CSR and implicit backends keep the default, which resolves nothing:
+//! their lists are a plain read, so the merge enumerates them on the spot.
 //!
 //! The trait is deliberately **not** object safe (sampling methods are
 //! generic over the RNG so they inline); engines monomorphize over it,
@@ -72,7 +82,7 @@ use rand::Rng;
 
 use crate::generated::{BlockScratch, GeneratedGraph};
 use crate::graph::{Graph, VertexId};
-use crate::hub_cached::HubCachedGraph;
+use crate::hub_cached::{HubCachedGraph, StagedHit};
 use crate::implicit::ImplicitGraph;
 
 mod sealed {
@@ -229,10 +239,32 @@ pub trait Topology: sealed::Sealed + Sync {
     }
 
     /// Hints that `u`'s sampling metadata is about to be read by a draw.
-    /// Consumes no randomness and changes no result; the default does
-    /// nothing.
+    /// Consumes no randomness and changes no result. The CSR backend loads
+    /// `u`'s sampler entry, the generated backend its degree offsets, and the
+    /// hub-cached backend those and `u`'s membership word and rank, which
+    /// [`Topology::resolve_block`] reads next; the implicit backend keeps
+    /// the default, which does nothing (its degrees are arithmetic).
     #[inline(always)]
     fn prefetch_sampler(&self, _u: VertexId) {}
+
+    /// Writes the neighbor lists of `vertices` back to back into `out`,
+    /// each in the ascending order [`Topology::for_each_neighbor`]
+    /// enumerates, and returns `true`. `out` must be exactly as long as the
+    /// vertices' degrees sum to, and `block` lends its scratch (nothing in
+    /// it is read). Returns `false` and writes nothing where enumerating a
+    /// list on the spot is already a plain read: the default, which the CSR
+    /// and implicit backends keep, so a caller may probe with empty slices.
+    ///
+    /// The generated backend derives the lists with its block kernel, many
+    /// vertices per run, so their derivations overlap like a block of
+    /// draws; the hub-cached backend decodes its hubs' lists and hands the
+    /// others to that kernel. A caller that resolves disjoint slices of
+    /// `vertices` on several threads, each with its own `block`, writes the
+    /// same `out`.
+    #[inline]
+    fn neighbor_lists(&self, _vertices: &[u32], _out: &mut [u32], _block: &mut DrawBlock) -> bool {
+        false
+    }
 
     /// Samples a vertex from the stationary distribution
     /// (degree-proportional). Panics if the graph has no edges.
@@ -345,6 +377,8 @@ pub struct DrawBlock {
     pub(crate) resolved: Vec<u32>,
     /// The generated backend's kernel scratch; other backends leave it be.
     pub(crate) scratch: BlockScratch,
+    /// The hub-cached backend's hits, resolved stage by stage.
+    pub(crate) hits: Vec<StagedHit>,
 }
 
 impl DrawBlock {
@@ -529,6 +563,76 @@ mod tests {
             cached.as_hub_cached().unwrap().num_edges()
         );
         assert!(cached.memory_bytes() > 0);
+    }
+
+    /// What [`Topology::neighbor_lists`] writes for `vertices`, resolved
+    /// as two halves with one block each (as two merge shards would) and
+    /// again whole with a reused block, or `None` where it resolves
+    /// nothing. The two must agree.
+    fn hook_lists<G: Topology>(g: &G, vertices: &[u32], block: &mut DrawBlock) -> Option<Vec<u32>> {
+        let degrees = |vs: &[u32]| -> usize { vs.iter().map(|&v| g.degree(v as usize)).sum() };
+        let (front, back) = vertices.split_at(vertices.len() / 2);
+        let mut halves = vec![u32::MAX; degrees(vertices)];
+        let (a, b) = halves.split_at_mut(degrees(front));
+        let wrote = g.neighbor_lists(front, a, block);
+        assert_eq!(g.neighbor_lists(back, b, &mut DrawBlock::default()), wrote);
+        let mut whole = vec![u32::MAX; halves.len()];
+        assert_eq!(g.neighbor_lists(vertices, &mut whole, block), wrote);
+        if !wrote {
+            assert!(halves.iter().chain(&whole).all(|&v| v == u32::MAX));
+            return None;
+        }
+        assert_eq!(halves, whole);
+        Some(whole)
+    }
+
+    /// Checks the list hook against `for_each_neighbor` over every vertex
+    /// in ascending, descending and a scrambled order with repeats.
+    fn assert_hook_matches<G: Topology>(name: &str, g: &G, resolves: bool) {
+        let n = g.num_vertices() as u32;
+        let ascending: Vec<u32> = (0..n).collect();
+        let descending: Vec<u32> = (0..n).rev().collect();
+        let scrambled: Vec<u32> = (0..2 * n).map(|i| (i * 7919 + 13) % n).collect();
+        let mut block = DrawBlock::default();
+        for vertices in [&ascending, &descending, &scrambled] {
+            let got = hook_lists(g, vertices, &mut block);
+            assert_eq!(got.is_some(), resolves, "{name}: whether the hook resolves");
+            if let Some(got) = got {
+                let mut want = Vec::new();
+                for &u in vertices.iter() {
+                    g.for_each_neighbor(u as usize, |v| want.push(v as u32));
+                }
+                assert_eq!(got, want, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn neighbor_list_hook_matches_enumeration_on_every_backend() {
+        use crate::generated::STACK_NEIGHBORS;
+        // Vertex 5 is isolated.
+        let csr = Graph::from_edges(6, &[(0, 1), (1, 2), (2, 0), (3, 4)]).unwrap();
+        assert_hook_matches("csr", &csr, false);
+        assert_hook_matches("implicit", &ImplicitGraph::star(40).unwrap(), false);
+        for generated in [
+            GeneratedGraph::chung_lu(3_000, 2.1, 16.0, 2).unwrap(),
+            GeneratedGraph::gnp(500, 0.004, 9).unwrap(),
+        ] {
+            let n = generated.num_vertices();
+            assert!(
+                (0..n).any(|u| generated.degree(u) == 0),
+                "an isolated vertex"
+            );
+            let csr = generated.materialize().unwrap();
+            assert_hook_matches("materialized", &csr, false);
+            assert_hook_matches("generated", &generated, true);
+            for k in [0, n / 64, n] {
+                let cached = HubCachedGraph::with_hub_count(generated.clone(), k);
+                assert_hook_matches("hub-cached", &cached, true);
+            }
+        }
+        let heavy = GeneratedGraph::chung_lu(3_000, 2.1, 16.0, 2).unwrap();
+        assert!((0..3_000).any(|u| heavy.stub_degree(u) > STACK_NEIGHBORS));
     }
 
     #[test]
