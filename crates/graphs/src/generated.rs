@@ -26,15 +26,17 @@
 //!    embarrassingly parallel — each vertex's draw is a pure function of
 //!    `(seed, u)`.
 //! 2. **Pairing.** The `S = Σ stubs` stub endpoints are matched by a
-//!    keyed pseudorandom permutation: a 4-round Feistel network whose round
-//!    function is `philox2x64_6`, cycle-walked onto `[0, S)`. The round
-//!    function only sees half words of at most 16 bits, so its outputs are
-//!    tabulated once at construction and every round is a table read. Stubs at
-//!    positions `2k` and `2k + 1` of the shuffled order form an edge, so the
-//!    partner of a stub is a pure `O(1)` function of `(seed, stub)` and the
-//!    partner relation is an involution — membership is symmetric by
-//!    construction. (If `S` is odd, the stub at the last position stays
-//!    unmatched.)
+//!    keyed permutation: a 4-round Feistel network whose round function is
+//!    `philox2x64_6`, cycle-walked onto `[0, S)`. Four rounds at these
+//!    half widths do not make the matching uniform: ROADMAP's pairing item
+//!    measured it biased at small `S`, and it is unmeasured at scale. The
+//!    round function only sees half words of at most 16 bits, so its
+//!    outputs are tabulated once at construction and every round is a table
+//!    read. Stubs at positions `2k` and `2k + 1` of the shuffled order form
+//!    an edge, so the partner of a stub is a pure `O(1)` function of
+//!    `(seed, stub)` and the partner relation is an involution — membership
+//!    is symmetric by construction. (If `S` is odd, the stub at the last
+//!    position stays unmatched.)
 //! 3. **Erasure.** Self-loops are dropped and parallel stub pairs merged;
 //!    the stored per-vertex degrees (a second parallel pass) are the
 //!    *simple*-graph degrees, so the backend presents an ordinary simple
@@ -63,19 +65,35 @@
 //! equivalent CSR footprint (`8m + 16n = (4d̄ + 16)n` bytes) is
 //! `≈ (d̄/2 + 2)` times larger, an order of magnitude from `d̄ ≈ 16` up
 //! (`BENCH_random.json` records the measured ratio — 22× at `d̄ = 40`).
-//! The price is per-query work: a neighbor query re-derives the vertex's
-//! stub partners — `O(deg)` cycle-walked Feistel passes of four round-table
-//! reads each, plus an owner lookup per partner — and sorts them. That work
-//! is short but made of dependent table reads and searches, so one block
-//! kernel resolves the stubs of many queries together, stage by stage, and
-//! their reads overlap: the sharded engines hand it a block of draws at a
-//! time ([`Topology::resolve_block`]) and the lists of a merge window a few
-//! hundred vertices at a time ([`Topology::neighbor_lists`]), the
-//! construction degree pass 64 vertices at a time, and a single query is a
-//! block of one. A tail-vertex draw then costs a few hundred nanoseconds
-//! instead of the few nanoseconds of a CSR read (README's *Random
-//! topologies* section has the measured figures). Prefer the CSR backend when the graph fits in memory
-//! and is reused across many trials; prefer `GeneratedGraph` for scenario
+//! The price is per-query work. Every query re-derives the vertex's stub
+//! partners: `O(deg)` cycle-walked Feistel passes of four round-table reads
+//! each. Then one of two paths follows:
+//!
+//! * a **list** searches for the owner of every partner stub, then sorts
+//!   and dedups them: one owner search per stub;
+//! * a **draw** on a *clean* vertex (no self-loop, parallel pair or
+//!   unmatched stub, so its simple degree equals its stub count) needs
+//!   only entry `i`, the owner of its `i`-th smallest partner stub: a rank
+//!   selection and one owner search. Draws on other vertices take the list
+//!   path.
+//!
+//! That work is short but made of dependent table reads and searches, so
+//! one block kernel resolves the stubs of many queries together, stage by
+//! stage, and their reads overlap: the sharded engines hand it a block of
+//! draws at a time ([`Topology::resolve_block`]) and the lists of a merge
+//! window a few hundred vertices at a time ([`Topology::neighbor_lists`]),
+//! the construction degree pass 64 vertices at a time, and a single query
+//! is a block of one.
+//!
+//! In a meet-exchange trial on the `chunglu-hub` benchmark graph (seed 5,
+//! one worker, a 2-vCPU VM with a 2 GHz TSC), a tail-vertex draw of 6.3
+//! stubs on average cost about 380 TSC cycles (190 ns) in the kernel in
+//! quiet runs: 38 gathering stubs, 93 encrypting, 12 mating, 84
+//! decrypting, 85 selecting and 69 searching for the owner. Through the
+//! list path the same draws cost about 630 cycles, of which 190 went to
+//! owner searches and 180 to the sort and dedup. A CSR read costs a few
+//! nanoseconds. Prefer the CSR backend when the graph fits in memory and
+//! is reused across many trials; prefer `GeneratedGraph` for scenario
 //! sweeps at scales where the CSR does not fit.
 
 use std::fmt;
@@ -99,9 +117,11 @@ const PAIR_PURPOSE: u64 = 1;
 /// Purpose tag for the per-vertex degree streams.
 const DEGREE_PURPOSE: u64 = 2;
 /// Feistel round count for the stub-pairing permutation (each round is one
-/// `philox2x64_6`-keyed PRF, tabulated per half word by [`Pairing::new`];
-/// 4 rounds of a keyed PRF give a pseudorandom permutation by the
-/// Luby–Rackoff bound).
+/// `philox2x64_6`-keyed function, tabulated per half word by
+/// [`Pairing::new`]). The network is a bijection at any round count, which
+/// is all the kernel relies on, but 4 rounds at these half widths leave the
+/// matching measurably non-uniform at small stub totals (ROADMAP's pairing
+/// item). Fixed: a change would move every generated graph.
 const FEISTEL_ROUNDS: u64 = 4;
 /// Neighbor lists up to this many stubs are assembled on the stack; larger
 /// (hub) vertices fall back to a heap buffer.
@@ -446,7 +466,35 @@ impl BlockScratch {
         self.slots.push(slot as u32);
     }
 
-    /// Query `k`'s sorted simple neighbor list, after [`Kernel::lists_in`].
+    /// Moves the queries whose vertex satisfies `front` ahead of the rest
+    /// and returns their count.
+    fn partition(&mut self, front: impl Fn(u32) -> bool) -> usize {
+        let mut ahead = 0;
+        for q in 0..self.vertices.len() {
+            if front(self.vertices[q]) {
+                self.vertices.swap(ahead, q);
+                self.index.swap(ahead, q);
+                self.slots.swap(ahead, q);
+                ahead += 1;
+            }
+        }
+        ahead
+    }
+
+    /// Grows the stub buffers to `stubs` entries and the bounds to one
+    /// entry more than `queries`.
+    fn fit(&mut self, stubs: usize, queries: usize) {
+        if self.values.len() < stubs {
+            self.values.resize(stubs, 0);
+            self.pending.resize(stubs, 0);
+        }
+        if self.bounds.len() <= queries {
+            self.bounds.resize(queries + 1, 0);
+        }
+    }
+
+    /// List `k` of the last [`Kernel::lists_in`] run: its `k`-th
+    /// query's sorted simple neighbor list.
     fn list(&self, k: usize) -> &[u32] {
         &self.values[self.bounds[k] as usize..self.bounds[k + 1] as usize]
     }
@@ -476,20 +524,24 @@ impl Kernel<'_> {
             .sum()
     }
 
-    /// The block kernel: writes the sorted, deduplicated simple neighbor
-    /// list of every vertex in `vertices` into `values`, list `k` at
-    /// `bounds[k]..bounds[k + 1]`. `values` and `pending` must hold the
-    /// block's stub total, `bounds` one entry more than `vertices`. Shared
-    /// by the construction degree pass, the hub-cache fill and every query,
-    /// so none of them can disagree.
+    /// The stages every query shares: gathers the stubs of `vertices` into
+    /// `values`, vertex `k`'s at `bounds[k]..bounds[k + 1]`, and replaces
+    /// each by its partner stub. `values` and `pending` must hold the
+    /// stub total, which is returned, and `bounds` one entry more than
+    /// `vertices`.
     ///
     /// The stubs of all queries are resolved together, one stage at a time,
-    /// so the many independent round-table reads and owner searches of a
-    /// stage overlap instead of waiting on each other: gather the stub
-    /// ranges; one Feistel pass over every stub, cycle-walking only those
-    /// still outside `[0, S)`; the same for the mates' decrypt walk; owner
-    /// searches in lock-step groups; then a sort and dedup per vertex.
-    fn lists(&self, vertices: &[u32], values: &mut [u32], pending: &mut [u32], bounds: &mut [u32]) {
+    /// so the many independent round-table reads of a stage overlap instead
+    /// of waiting on each other: gather the stub ranges; one Feistel pass
+    /// over every stub, cycle-walking only those still outside `[0, S)`;
+    /// then the same for the mates' decrypt walk.
+    fn partners(
+        &self,
+        vertices: &[u32],
+        values: &mut [u32],
+        pending: &mut [u32],
+        bounds: &mut [u32],
+    ) -> usize {
         let mut total = 0usize;
         for (k, &u) in vertices.iter().enumerate() {
             let (lo, hi) = (self.offsets[u as usize], self.offsets[u as usize + 1]);
@@ -509,12 +561,26 @@ impl Kernel<'_> {
         for v in values.iter_mut() {
             // Partners sit at positions 2k and 2k + 1. The unmatched last
             // position of an odd total decrypts back to its own stub
-            // instead: a self-loop, dropped with the others below.
+            // instead: a self-loop, which erasure drops.
             let mate = *v ^ 1;
             *v = if u64::from(mate) < stubs { mate } else { *v };
         }
         walk(values, pending, stubs, |x| pairing.decrypt(x));
-        for group in values.chunks_mut(OWNER_LANES) {
+        total
+    }
+
+    /// The list kernel: writes the sorted, deduplicated simple neighbor
+    /// list of every vertex in `vertices` into `values`, list `k` at
+    /// `bounds[k]..bounds[k + 1]`, with buffers as for
+    /// [`Kernel::partners`]. Shared by the construction degree pass, the
+    /// hub-cache fill, merge windows and every query the pick kernel does
+    /// not take, so none of them can disagree.
+    ///
+    /// After the partner stages, the owner of every partner stub, in
+    /// lock-step groups; then a sort and dedup per vertex.
+    fn lists(&self, vertices: &[u32], values: &mut [u32], pending: &mut [u32], bounds: &mut [u32]) {
+        let total = self.partners(vertices, values, pending, bounds);
+        for group in values[..total].chunks_mut(OWNER_LANES) {
             self.owners(group);
         }
 
@@ -544,9 +610,47 @@ impl Kernel<'_> {
         bounds[vertices.len()] = out as u32;
     }
 
-    /// [`Kernel::lists`] of the vertices queued in `scratch`, over its
-    /// buffers, grown to fit first.
-    fn lists_in(&self, scratch: &mut BlockScratch) {
+    /// The pick kernel: replaces `values[k]` by the `index[k]`-th neighbor
+    /// of `vertices[k]`, every one of which must be clean (see
+    /// [`GeneratedGraph::is_clean`]), with buffers as for
+    /// [`Kernel::partners`].
+    ///
+    /// A clean vertex's partner stubs are distinct and have distinct
+    /// owners, and owners ascend with stub id, so its `i`-th neighbor is
+    /// the owner of its `i`-th smallest partner stub: after the partner
+    /// stages, a rank selection per query and one owner search, where the
+    /// list kernel searches for every stub's owner and sorts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index is not below its vertex's stub count.
+    fn picks(
+        &self,
+        vertices: &[u32],
+        index: &[u32],
+        values: &mut [u32],
+        pending: &mut [u32],
+        bounds: &mut [u32],
+    ) {
+        self.partners(vertices, values, pending, bounds);
+        for (k, &i) in index.iter().enumerate() {
+            // Every query has at least one stub, so slot k lies at or
+            // before the start of query k's span: writing it overwrites
+            // only stubs already ranked.
+            let span = &mut values[bounds[k] as usize..bounds[k + 1] as usize];
+            values[k] = select_rank(span, i as usize);
+        }
+        for group in values[..index.len()].chunks_mut(OWNER_LANES) {
+            self.owners(group);
+        }
+    }
+
+    /// [`Kernel::lists`] of the queries queued in `scratch` from `first`
+    /// on, over its buffers, grown to fit first: list `k` is query
+    /// `first + k`'s.
+    fn lists_in(&self, scratch: &mut BlockScratch, first: usize) {
+        let queries = scratch.vertices.len() - first;
+        scratch.fit(self.stubs_of(&scratch.vertices[first..]), queries);
         let BlockScratch {
             vertices,
             values,
@@ -554,15 +658,23 @@ impl Kernel<'_> {
             bounds,
             ..
         } = scratch;
-        let stubs = self.stubs_of(vertices);
-        if values.len() < stubs {
-            values.resize(stubs, 0);
-            pending.resize(stubs, 0);
-        }
-        if bounds.len() <= vertices.len() {
-            bounds.resize(vertices.len() + 1, 0);
-        }
-        self.lists(vertices, values, pending, bounds);
+        self.lists(&vertices[first..], values, pending, bounds);
+    }
+
+    /// [`Kernel::picks`] of the first `count` queries queued in `scratch`,
+    /// over its buffers, grown to fit first: query `q`'s answer is left in
+    /// `scratch.values[q]`.
+    fn picks_in(&self, scratch: &mut BlockScratch, count: usize) {
+        scratch.fit(self.stubs_of(&scratch.vertices[..count]), count);
+        let BlockScratch {
+            vertices,
+            index,
+            values,
+            pending,
+            bounds,
+            ..
+        } = scratch;
+        self.picks(&vertices[..count], &index[..count], values, pending, bounds);
     }
 
     /// Replaces every stub `t` of `group` (at most [`OWNER_LANES`]) by its
@@ -607,6 +719,34 @@ impl Kernel<'_> {
             *owner = (base[g] + usize::from(self.offsets[base[g]] <= t[g]) - 1) as u32;
         }
     }
+}
+
+/// Spans up to this many partner stubs are ranked by counting, above it by
+/// `select_nth_unstable`: the count compares every pair without a branch,
+/// which beats the select's data-dependent branches on the few stubs of a
+/// tail vertex but grows quadratically. On random spans of one length the
+/// count took 99, 145 and 196 ns at 16, 20 and 24 entries, the select 179,
+/// 158 and 160 ns.
+const RANK_BY_COUNT: usize = 20;
+
+/// The `i`-th smallest of the distinct values in `span` (whose order it may
+/// change).
+///
+/// # Panics
+///
+/// Panics if `i` is not below the span's length.
+#[inline]
+fn select_rank(span: &mut [u32], i: usize) -> u32 {
+    assert!(i < span.len(), "neighbor index {i} out of range");
+    if span.len() > RANK_BY_COUNT {
+        return *span.select_nth_unstable(i).1;
+    }
+    let mut picked = 0;
+    for &x in span.iter() {
+        let rank = span.iter().map(|&y| usize::from(y < x)).sum::<usize>();
+        picked = select_unpredictable(rank == i, x, picked);
+    }
+    picked
 }
 
 /// One Feistel pass (`pass`) over every value, then cycle walking: further
@@ -897,7 +1037,7 @@ impl GeneratedGraph {
                 let first = (base + b * DEGREE_BLOCK) as u32;
                 scratch.vertices.clear();
                 scratch.vertices.extend(first..first + slots.len() as u32);
-                kernel.lists_in(&mut scratch);
+                kernel.lists_in(&mut scratch, 0);
                 for (k, slot) in slots.iter_mut().enumerate() {
                     *slot = scratch.list(k).len() as u32;
                 }
@@ -987,7 +1127,7 @@ impl GeneratedGraph {
     pub(crate) fn neighbors_in<'s>(&self, u: VertexId, scratch: &'s mut BlockScratch) -> &'s [u32] {
         scratch.clear_queries();
         scratch.vertices.push(u as u32);
-        self.kernel().lists_in(scratch);
+        self.kernel().lists_in(scratch, 0);
         scratch.list(0)
     }
 
@@ -1023,15 +1163,28 @@ impl GeneratedGraph {
         }
     }
 
-    /// Resolves the draws [`GeneratedGraph::queue_block`] queued, all in one
-    /// block-kernel run.
+    /// Resolves the draws [`GeneratedGraph::queue_block`] queued: those on
+    /// clean vertices in one pick-kernel run, the others, if any, in one
+    /// list-kernel run.
     pub(crate) fn resolve_queued(&self, block: &mut DrawBlock) {
         let DrawBlock {
             resolved, scratch, ..
         } = block;
-        self.kernel().lists_in(scratch);
-        for (q, (&slot, &i)) in scratch.slots.iter().zip(&scratch.index).enumerate() {
-            resolved[slot as usize] = scratch.list(q)[i as usize];
+        let kernel = self.kernel();
+        let clean = scratch.partition(|u| self.is_clean(u as usize));
+        kernel.picks_in(scratch, clean);
+        for (&slot, &v) in scratch.slots[..clean].iter().zip(&scratch.values) {
+            resolved[slot as usize] = v;
+        }
+        if clean < scratch.vertices.len() {
+            kernel.lists_in(scratch, clean);
+            for (q, (&slot, &i)) in scratch.slots[clean..]
+                .iter()
+                .zip(&scratch.index[clean..])
+                .enumerate()
+            {
+                resolved[slot as usize] = scratch.list(q)[i as usize];
+            }
         }
     }
 
@@ -1071,7 +1224,7 @@ impl GeneratedGraph {
         if scratch.vertices.is_empty() {
             return;
         }
-        self.kernel().lists_in(scratch);
+        self.kernel().lists_in(scratch, 0);
         for (q, &at) in scratch.slots.iter().enumerate() {
             let list = scratch.list(q);
             out[at as usize..at as usize + list.len()].copy_from_slice(list);
@@ -1100,34 +1253,58 @@ impl GeneratedGraph {
         self.with_neighbors(probe, |ns| ns.binary_search(&(other as u32)).is_ok())
     }
 
-    /// Runs `f` on `u`'s sorted simple neighbor list: the block kernel on a
-    /// block of one, its scratch on the stack for ordinary vertices and on
-    /// the heap for hubs beyond [`STACK_NEIGHBORS`] stubs.
-    fn with_neighbors<T>(&self, u: VertexId, f: impl FnOnce(&[u32]) -> T) -> T {
+    /// Whether `u` is clean: its simple degree equals its stub count, so
+    /// no stub of it is a self-loop, a parallel pair or the odd total's
+    /// unmatched stub. Its draws take the pick kernel.
+    #[inline]
+    fn is_clean(&self, u: VertexId) -> bool {
+        self.degree(u) == self.stub_degree(u)
+    }
+
+    /// Runs `f` on kernel buffers for `u`'s stubs: on the stack for
+    /// ordinary vertices, on the heap for hubs beyond [`STACK_NEIGHBORS`]
+    /// stubs.
+    fn with_buffers<T>(&self, u: VertexId, f: impl FnOnce(&mut [u32], &mut [u32]) -> T) -> T {
         let stubs = self.stub_degree(u);
-        let vertices = [u as u32];
-        let mut bounds = [0u32; 2];
-        let run = |values: &mut [u32], pending: &mut [u32]| {
-            self.kernel().lists(&vertices, values, pending, &mut bounds);
-            let list = &values[bounds[0] as usize..bounds[1] as usize];
-            debug_assert_eq!(list.len(), self.degree(u));
-            f(list)
-        };
         if stubs <= STACK_NEIGHBORS {
-            run(&mut [0u32; STACK_NEIGHBORS], &mut [0u32; STACK_NEIGHBORS])
+            f(&mut [0u32; STACK_NEIGHBORS], &mut [0u32; STACK_NEIGHBORS])
         } else {
-            run(&mut vec![0u32; stubs], &mut vec![0u32; stubs])
+            f(&mut vec![0u32; stubs], &mut vec![0u32; stubs])
         }
     }
 
+    /// Runs `f` on `u`'s sorted simple neighbor list: the list kernel on a
+    /// block of one.
+    fn with_neighbors<T>(&self, u: VertexId, f: impl FnOnce(&[u32]) -> T) -> T {
+        self.with_buffers(u, |values, pending| {
+            let mut bounds = [0u32; 2];
+            self.kernel()
+                .lists(&[u as u32], values, pending, &mut bounds);
+            let list = &values[bounds[0] as usize..bounds[1] as usize];
+            debug_assert_eq!(list.len(), self.degree(u));
+            f(list)
+        })
+    }
+
     /// The `i`-th neighbor of `u` in ascending (sorted) order — exactly the
-    /// value the materialized CSR stores at `adjacency[offsets[u] + i]`.
+    /// value the materialized CSR stores at `adjacency[offsets[u] + i]`:
+    /// the pick kernel on a block of one when `u` is clean, else the list
+    /// kernel.
     ///
     /// # Panics
     ///
     /// Panics if `u` or `i` is out of range.
     pub fn nth_neighbor(&self, u: VertexId, i: usize) -> VertexId {
-        self.with_neighbors(u, |ns| ns[i] as VertexId)
+        assert!(i < self.degree(u), "neighbor index {i} out of range at {u}");
+        if !self.is_clean(u) {
+            return self.with_neighbors(u, |ns| ns[i] as VertexId);
+        }
+        self.with_buffers(u, |values, pending| {
+            let mut bounds = [0u32; 2];
+            self.kernel()
+                .picks(&[u as u32], &[i as u32], values, pending, &mut bounds);
+            values[0] as VertexId
+        })
     }
 
     /// Builds the CSR [`Graph`] with the identical vertex numbering and edge
@@ -1576,7 +1753,7 @@ mod tests {
     fn assert_block_matches_reference(g: &GeneratedGraph, vertices: &[u32]) {
         let mut scratch = BlockScratch::default();
         scratch.vertices.extend_from_slice(vertices);
-        g.kernel().lists_in(&mut scratch);
+        g.kernel().lists_in(&mut scratch, 0);
         for (k, &u) in vertices.iter().enumerate() {
             let u = u as usize;
             assert_eq!(scratch.list(k), reference_neighbors(g, u), "vertex {u}");
@@ -1658,6 +1835,78 @@ mod tests {
         }
         assert!(parities[0] && parities[1], "odd and even stub totals");
         assert!(isolated && big && loops && parallel, "every erasure case");
+    }
+
+    #[test]
+    fn every_draw_matches_the_per_stub_reference() {
+        // Every (u, i < degree(u)) must resolve to entry i of the reference
+        // list, whether its vertex takes the pick kernel (clean) or the
+        // list kernel (a self-loop, a parallel pair or the odd total's
+        // unmatched stub). The dense G(n, p) instance supplies clean
+        // vertices above RANK_BY_COUNT stubs, ranked by select.
+        let graphs = [
+            GeneratedGraph::gnp(300, 0.03, 5).unwrap(),
+            GeneratedGraph::gnp(301, 0.02, 6).unwrap(),
+            GeneratedGraph::chung_lu(2000, 2.1, 12.0, 7).unwrap(),
+            GeneratedGraph::chung_lu(1999, 2.5, 4.0, 8).unwrap(),
+            GeneratedGraph::gnp(12, 0.9, 9).unwrap(),
+            GeneratedGraph::gnp_with_mean_degree(3000, 30.0, 10).unwrap(),
+        ];
+        let mut rng = StdRng::seed_from_u64(12);
+        // Draws on clean vertices up to and above RANK_BY_COUNT stubs, and
+        // on vertices with a self-loop, a parallel pair, the unmatched stub.
+        let mut kinds = [0usize; 5];
+        for g in &graphs {
+            let mut draws = Vec::new();
+            for u in 0..g.num_vertices() {
+                let reference = reference_neighbors(g, u);
+                let stubs = g.stub_degree(u);
+                let partners: Vec<Option<usize>> = (g.stub_offsets[u]..g.stub_offsets[u + 1])
+                    .map(|s| {
+                        let t = g.pairing.partner(u64::from(s));
+                        t.map(|t| owner_of(&g.stub_offsets, t))
+                    })
+                    .collect();
+                let d = reference.len();
+                let looped = partners.contains(&Some(u));
+                let unmatched = partners.contains(&None);
+                let parallel = partners.iter().flatten().filter(|&&v| v != u).count() > d;
+                assert_eq!(
+                    g.is_clean(u),
+                    !(looped || unmatched || parallel),
+                    "vertex {u}"
+                );
+                let kind = if g.is_clean(u) {
+                    usize::from(stubs > RANK_BY_COUNT)
+                } else {
+                    2 + [looped, parallel, unmatched]
+                        .iter()
+                        .position(|&k| k)
+                        .unwrap()
+                };
+                kinds[kind] += d;
+                for (i, &v) in reference.iter().enumerate() {
+                    assert_eq!(g.nth_neighbor(u, i), v as usize, "neighbor {i} of {u}");
+                    draws.push((DeferredNeighbor::draw(u, i as u64), v));
+                }
+            }
+            // Shuffled, so that blocks mix clean and unclean vertices.
+            for k in (1..draws.len()).rev() {
+                draws.swap(k, rng.gen_range(0..k + 1));
+            }
+            let mut block = DrawBlock::default();
+            for chunk in draws.chunks(61) {
+                block.clear();
+                for &(token, _) in chunk {
+                    block.push(token);
+                }
+                g.resolve_block(&mut block);
+                for (&(token, want), &v) in chunk.iter().zip(block.resolved()) {
+                    assert_eq!(v, want, "{token:?}");
+                }
+            }
+        }
+        assert!(kinds.iter().all(|&k| k > 0), "draws per kind: {kinds:?}");
     }
 
     #[test]

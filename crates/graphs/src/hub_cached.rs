@@ -42,8 +42,9 @@
 //! * index sampling flows through the same shared degree-specialized
 //!   sampler ([`crate::graph`]'s `index_word`/`sample_index`);
 //! * a sampled index resolves to the *i*-th **sorted** neighbor, and the
-//!   cached lists are produced by the same routine the hashed path sorts
-//!   with — a hub hit and a hash miss return the same vertex.
+//!   cached lists are produced by the hashed path's own list kernel, whose
+//!   entries its draws return — a hub hit and a hash miss return the same
+//!   vertex.
 //!
 //! `k = 0` degenerates to the pure hashed backend and `k = n` to a fully
 //! materialized adjacency, both bit-identical to each other — pinned by
@@ -77,12 +78,15 @@
 //! little. On perfbench's `chunglu-hub` graph (n = 2·10⁵, β = 2.5, budget
 //! a quarter of the CSR-equivalent bytes) the budget buys 60,922 hubs at
 //! hit fraction 0.68, where fixed-width lists bought 42,327 at 0.59 while
-//! overrunning the budget. A miss there, a tail vertex of about six stubs,
-//! costs a few hundred nanoseconds when resolved in a block of misses. A
-//! hit costs a few tens of nanoseconds when its list is already cached,
-//! but in blocks of stationary draws, where it seldom is, it cost about
-//! 100–170 ns when each hit ran its chain alone and costs about half that
-//! staged (README has the measured figures).
+//! overrunning the budget. A miss there, a tail vertex of about six
+//! stubs, almost always clean, takes the inner backend's draw path: in a
+//! block of misses it costs about 380 TSC cycles (190 ns) of kernel work,
+//! one owner search among them, where deriving, sorting and indexing its
+//! whole list cost about 630 (the inner backend's cost model has the stage
+//! split). A hit costs a few tens of nanoseconds when its list is already
+//! cached, but in blocks of stationary draws, where it seldom is, it cost
+//! about 100–170 ns when each hit ran its chain alone and costs about half
+//! that staged (README has the measured figures).
 //! `BENCH_random.json` records the measured speedups.
 //!
 //! Lists are addressed by `u32` byte offsets, so the lists of one cache
@@ -1378,10 +1382,20 @@ mod tests {
         let sparse = chung_lu(2_000, 21);
         // Hubs of a few hundred neighbors: select samples past the first.
         let dense = GeneratedGraph::chung_lu(3_000, 2.1, 20.0, 8).unwrap();
-        let (mut hits, mut misses) = (0, 0);
+        // Misses on clean tail vertices take the inner pick kernel, those
+        // on unclean ones (a self-loop, a parallel pair or the unmatched
+        // stub) its list kernel: both must resolve among hits.
+        let (mut hits, mut clean_misses, mut unclean_misses) = (0, 0, 0);
         for (inner, k) in [(&sparse, 150usize), (&dense, 200)] {
             let n = inner.num_vertices();
             let cached = HubCachedGraph::with_hub_count(inner.clone(), k);
+            let unclean: Vec<usize> = (0..n)
+                .filter(|&u| {
+                    let d = inner.degree(u);
+                    !cached.is_hub(u) && d > 0 && d != inner.stub_degree(u)
+                })
+                .collect();
+            assert!(!unclean.is_empty(), "no unclean tail vertex");
             let mut rng = StdRng::seed_from_u64(4);
             let (deep, above_128) = deep_hub_draws(&cached, &mut rng);
             assert!(deep.len() > 50, "{} deep hub draws", deep.len());
@@ -1399,11 +1413,13 @@ mod tests {
                         for k in 0..size {
                             let token = match kind {
                                 // Stationary vertices (mostly hubs), deep
-                                // hub entries and uniform vertices (mostly
-                                // tail), with resolved tokens between them.
+                                // hub entries, uniform vertices (mostly
+                                // tail) and unclean tail vertices, with
+                                // resolved tokens between them.
                                 0 => {
                                     let u = match k % 3 {
                                         0 => cached.sample_stationary(&mut rng),
+                                        _ if k % 5 == 2 => unclean[rng.gen_range(0..unclean.len())],
                                         _ => rng.gen_range(0..n),
                                     };
                                     if k % 7 == 3 {
@@ -1442,17 +1458,28 @@ mod tests {
                         cached.resolve_block(&mut cached_block);
                         inner.resolve_block(&mut inner_block);
                         assert_eq!(cached_block.resolved().len(), size);
+                        let block_hits = drawn
+                            .iter()
+                            .filter(|token| match token.0 {
+                                Deferred::Draw { vertex, .. } => cached.is_hub(vertex as usize),
+                                _ => false,
+                            })
+                            .count();
+                        hits += block_hits;
                         for (k, (&token, &v)) in
                             drawn.iter().zip(cached_block.resolved()).enumerate()
                         {
                             let want = match token.0 {
                                 Deferred::Draw { vertex, index } => {
-                                    if cached.is_hub(vertex as usize) {
-                                        hits += 1;
-                                    } else {
-                                        misses += 1;
+                                    let u = vertex as usize;
+                                    if !cached.is_hub(u) && block_hits > 0 {
+                                        if inner.degree(u) == inner.stub_degree(u) {
+                                            clean_misses += 1;
+                                        } else {
+                                            unclean_misses += 1;
+                                        }
                                     }
-                                    inner.nth_neighbor(vertex as usize, index as usize)
+                                    inner.nth_neighbor(u, index as usize)
                                 }
                                 _ => token.resolved().unwrap(),
                             };
@@ -1469,8 +1496,8 @@ mod tests {
             }
         }
         assert!(
-            hits > 1_000 && misses > 1_000,
-            "{hits} hits, {misses} misses"
+            hits > 1_000 && clean_misses > 1_000 && unclean_misses > 100,
+            "{hits} hits; among hits, {clean_misses} clean and {unclean_misses} unclean misses"
         );
     }
 
