@@ -25,7 +25,7 @@
 //! that decode at all.
 
 use crate::error::{GraphError, Result};
-use crate::graph::Graph;
+use crate::graph::{check_csr, Graph};
 
 /// Magic bytes opening every canonical CSR encoding.
 pub const CSR_MAGIC: &[u8; 4] = b"RCSR";
@@ -100,7 +100,9 @@ fn malformed(reason: impl Into<String>) -> GraphError {
 /// exact byte length, monotone offsets ending at `2m`, neighbor lists sorted
 /// strictly ascending (no duplicate edges), all endpoints in range, no
 /// self-loops, and edge symmetry. Violations return the precise typed
-/// [`GraphError`]; this function never panics on untrusted input.
+/// [`GraphError`]; this function never panics on untrusted input. It runs in
+/// time and memory linear in the input: the lists pass the same linear
+/// check as [`Graph::validate`].
 pub fn decode_csr(bytes: &[u8]) -> Result<Graph> {
     if bytes.len() < CSR_HEADER_BYTES {
         return Err(malformed(format!(
@@ -138,24 +140,29 @@ pub fn decode_csr(bytes: &[u8]) -> Result<Graph> {
     let adjacency_at = offsets_at + 4 * (n + 1);
     let total_degree = (2 * m) as u32;
 
-    let mut offsets = Vec::with_capacity(n + 1);
-    for i in 0..=n {
-        let value = read_u32(bytes, offsets_at + 4 * i);
-        if let Some(&prev) = offsets.last() {
-            if value < prev {
-                return Err(malformed(format!(
-                    "offsets decrease at vertex {i} ({value} < {prev})"
-                )));
-            }
-        } else if value != 0 {
-            return Err(malformed(format!("offsets[0] must be 0, got {value}")));
-        }
-        if value > total_degree {
+    let offsets = read_u32s(&bytes[offsets_at..adjacency_at]);
+    if offsets[0] != 0 {
+        return Err(malformed(format!(
+            "offsets[0] must be 0, got {}",
+            offsets[0]
+        )));
+    }
+    for (i, w) in offsets.windows(2).enumerate() {
+        if w[1] < w[0] {
             return Err(malformed(format!(
-                "offset {value} at vertex {i} exceeds adjacency length {total_degree}"
+                "offsets decrease at vertex {} ({} < {})",
+                i + 1,
+                w[1],
+                w[0]
             )));
         }
-        offsets.push(value);
+        if w[1] > total_degree {
+            return Err(malformed(format!(
+                "offset {} at vertex {} exceeds adjacency length {total_degree}",
+                w[1],
+                i + 1
+            )));
+        }
     }
     if offsets[n] != total_degree {
         return Err(malformed(format!(
@@ -163,48 +170,20 @@ pub fn decode_csr(bytes: &[u8]) -> Result<Graph> {
             offsets[n]
         )));
     }
-
-    let mut adjacency = Vec::with_capacity(2 * m);
-    for i in 0..2 * m {
-        adjacency.push(read_u32(bytes, adjacency_at + 4 * i));
-    }
-
-    for u in 0..n {
-        let row = &adjacency[offsets[u] as usize..offsets[u + 1] as usize];
-        let mut prev: Option<u32> = None;
-        for &v in row {
-            if v as usize >= n {
-                return Err(GraphError::VertexOutOfRange {
-                    vertex: v as usize,
-                    n,
-                });
-            }
-            if v as usize == u {
-                return Err(GraphError::SelfLoop { vertex: u });
-            }
-            if let Some(p) = prev {
-                if v <= p {
-                    return Err(GraphError::DuplicateEdge { u, v: v as usize });
-                }
-            }
-            prev = Some(v);
-        }
-    }
-    // Symmetry: every (u, v) must appear as (v, u). Rows are sorted, so a
-    // binary search per half-edge keeps this O(m log Δ).
-    for u in 0..n {
-        for &v in &adjacency[offsets[u] as usize..offsets[u + 1] as usize] {
-            let back = &adjacency[offsets[v as usize] as usize..offsets[v as usize + 1] as usize];
-            if back.binary_search(&(u as u32)).is_err() {
-                return Err(GraphError::GenerationFailed {
-                    reason: format!("edge ({u}, {v}) is not symmetric"),
-                });
-            }
-        }
-    }
-
-    let offsets: Vec<usize> = offsets.into_iter().map(|o| o as usize).collect();
+    let adjacency = read_u32s(&bytes[adjacency_at..]);
+    // Rows sorted strictly ascending, in range, loop-free and symmetric: one
+    // pass over the rows, then one compare per lower entry against a cursor
+    // into the row it names, O(n + m) in all.
+    check_csr(&offsets, &adjacency)?;
     Ok(Graph::from_csr(offsets, adjacency, m))
+}
+
+/// The little-endian `u32`s of `bytes` (a multiple of four long).
+fn read_u32s(bytes: &[u8]) -> Vec<u32> {
+    bytes
+        .chunks_exact(4)
+        .map(|word| u32::from_le_bytes([word[0], word[1], word[2], word[3]]))
+        .collect()
 }
 
 #[cfg(test)]
@@ -212,7 +191,7 @@ mod tests {
     use super::*;
     use crate::generators;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     fn sample() -> Graph {
         let mut rng = StdRng::seed_from_u64(42);
@@ -344,5 +323,221 @@ mod tests {
             }
             let _ = decode_csr(&framed);
         }
+    }
+
+    /// Raw CSR bytes for `rows`, whatever they hold (`m` is half the entries).
+    fn raw(rows: &[Vec<u32>]) -> Vec<u8> {
+        let entries: usize = rows.iter().map(Vec::len).sum();
+        let mut out = Vec::new();
+        out.extend_from_slice(CSR_MAGIC);
+        out.extend_from_slice(&CSR_VERSION.to_le_bytes());
+        out.extend_from_slice(&(rows.len() as u64).to_le_bytes());
+        out.extend_from_slice(&(entries as u64 / 2).to_le_bytes());
+        let mut offset = 0u32;
+        out.extend_from_slice(&offset.to_le_bytes());
+        for row in rows {
+            offset += row.len() as u32;
+            out.extend_from_slice(&offset.to_le_bytes());
+        }
+        for &v in rows.iter().flatten() {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out
+    }
+
+    /// The checks `decode_csr` made before the linear pass: every row in
+    /// order (range, loop, order), then one binary search per half-edge.
+    /// `Err(None)` stands for an asymmetric edge; `Ok` holds the half-edges
+    /// without a reverse (none on success).
+    fn reference(rows: &[Vec<u32>]) -> std::result::Result<(), Option<GraphError>> {
+        let n = rows.len();
+        for (u, row) in rows.iter().enumerate() {
+            for (k, &v) in row.iter().enumerate() {
+                if v as usize >= n {
+                    return Err(Some(GraphError::VertexOutOfRange {
+                        vertex: v as usize,
+                        n,
+                    }));
+                }
+                if v as usize == u {
+                    return Err(Some(GraphError::SelfLoop { vertex: u }));
+                }
+                if k > 0 && v <= row[k - 1] {
+                    return Err(Some(GraphError::DuplicateEdge { u, v: v as usize }));
+                }
+            }
+        }
+        let asymmetric = rows.iter().enumerate().any(|(u, row)| {
+            row.iter()
+                .any(|&v| rows[v as usize].binary_search(&(u as u32)).is_err())
+        });
+        if asymmetric {
+            Err(None)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// The half-edges `(u, v)` of `rows` whose reverse `(v, u)` is missing.
+    fn unreturned(rows: &[Vec<u32>]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for (u, row) in rows.iter().enumerate() {
+            for &v in row {
+                if !rows[v as usize].contains(&(u as u32)) {
+                    out.push((u, v as usize));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn typed_errors_for_each_malformation() {
+        // A 4-cycle 0-1-2-3 plus the chord 0-2.
+        let rows = vec![vec![1, 2, 3], vec![0, 2], vec![0, 1, 3], vec![0, 2]];
+        assert!(decode_csr(&raw(&rows)).is_ok());
+
+        // Asymmetric: 1 drops 2, and 3 drops 0 (both edge counts stay even).
+        let mut asymmetric = rows.clone();
+        asymmetric[1] = vec![0];
+        asymmetric[3] = vec![2];
+        let err = decode_csr(&raw(&asymmetric)).unwrap_err();
+        assert!(
+            matches!(&err, GraphError::GenerationFailed { reason } if reason == "edge (2, 1) is not symmetric"),
+            "{err:?}"
+        );
+        // Duplicate: row 2 lists 1 twice.
+        let mut duplicate = rows.clone();
+        duplicate[2] = vec![0, 1, 1, 3];
+        duplicate[3] = vec![0, 2, 1];
+        assert_eq!(
+            decode_csr(&raw(&duplicate)).unwrap_err(),
+            GraphError::DuplicateEdge { u: 2, v: 1 }
+        );
+        // Unsorted: row 0 lists 3 before 2.
+        let mut unsorted = rows.clone();
+        unsorted[0] = vec![1, 3, 2];
+        assert_eq!(
+            decode_csr(&raw(&unsorted)).unwrap_err(),
+            GraphError::DuplicateEdge { u: 0, v: 2 }
+        );
+        // Out of range: row 3 names vertex 4 of 4.
+        let mut ranged = rows.clone();
+        ranged[3] = vec![0, 4];
+        assert_eq!(
+            decode_csr(&raw(&ranged)).unwrap_err(),
+            GraphError::VertexOutOfRange { vertex: 4, n: 4 }
+        );
+        // Truncated anywhere: a typed encoding error, never a panic.
+        let bytes = raw(&rows);
+        for len in 0..bytes.len() {
+            assert!(matches!(
+                decode_csr(&bytes[..len]),
+                Err(GraphError::InvalidEncoding { .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn linear_check_agrees_with_the_binary_search_reference() {
+        let mut rng = StdRng::seed_from_u64(2027);
+        let (mut accepted, mut asymmetric, mut malformed) = (0, 0, 0);
+        for _ in 0..6_000 {
+            let n = rng.gen_range(1..9usize);
+            // Start from a random simple graph, then perturb a few entries.
+            let mut rows = vec![Vec::new(); n];
+            for u in 0..n {
+                for v in u + 1..n {
+                    if rng.gen_bool(0.4) {
+                        rows[u].push(v as u32);
+                        rows[v].push(u as u32);
+                    }
+                }
+            }
+            for _ in 0..rng.gen_range(0..4) {
+                let u = rng.gen_range(0..n);
+                match rng.gen_range(0..4) {
+                    0 if !rows[u].is_empty() => {
+                        // Move an entry to another row (the count stays even).
+                        let k = rng.gen_range(0..rows[u].len());
+                        let v = rows[u].remove(k);
+                        let w = rng.gen_range(0..n);
+                        rows[w].push(v);
+                        rows[w].sort_unstable();
+                    }
+                    1 => rows[u].push(rng.gen_range(0..n as u32 + 1)),
+                    2 if !rows[u].is_empty() => {
+                        let k = rng.gen_range(0..rows[u].len());
+                        rows[u][k] = rng.gen_range(0..n as u32);
+                    }
+                    _ => {}
+                }
+                if rng.gen_bool(0.8) {
+                    rows[u].sort_unstable();
+                }
+            }
+            let entries: usize = rows.iter().map(Vec::len).sum();
+            if entries % 2 == 1 {
+                continue;
+            }
+            let got = decode_csr(&raw(&rows));
+            match reference(&rows) {
+                Ok(()) => {
+                    accepted += 1;
+                    let g = got.expect("reference accepts");
+                    for (u, row) in rows.iter().enumerate() {
+                        assert_eq!(g.neighbors(u), row.as_slice());
+                    }
+                }
+                Err(Some(expected)) => {
+                    malformed += 1;
+                    assert_eq!(got.unwrap_err(), expected, "{rows:?}");
+                }
+                Err(None) => {
+                    asymmetric += 1;
+                    let Err(GraphError::GenerationFailed { reason }) = got else {
+                        panic!("{rows:?}: expected an asymmetry, got {got:?}");
+                    };
+                    let named = unreturned(&rows)
+                        .into_iter()
+                        .any(|(u, v)| reason == format!("edge ({u}, {v}) is not symmetric"));
+                    assert!(named, "{rows:?}: {reason} names no unreturned half-edge");
+                }
+            }
+        }
+        assert!(
+            accepted > 500 && asymmetric > 500 && malformed > 500,
+            "{accepted} {asymmetric} {malformed}"
+        );
+    }
+
+    #[test]
+    fn decode_time_grows_linearly() {
+        // 8x the input must cost less than 16x the time, best of 5, so that
+        // host speed cancels: a check that grew as m log m or m^2 would not.
+        let best_ms = |bytes: &[u8]| {
+            (0..5)
+                .map(|_| {
+                    let t = std::time::Instant::now();
+                    let g = decode_csr(bytes).expect("decode");
+                    std::hint::black_box(g);
+                    t.elapsed().as_secs_f64() * 1e3
+                })
+                .fold(f64::INFINITY, f64::min)
+        };
+        let small = generators::random_regular(1 << 11, 16, &mut StdRng::seed_from_u64(1));
+        let large = generators::random_regular(1 << 14, 16, &mut StdRng::seed_from_u64(1));
+        let (small, large) = (encode_csr(&small.unwrap()), encode_csr(&large.unwrap()));
+        assert_eq!(
+            large.len() - CSR_HEADER_BYTES - 4,
+            8 * (small.len() - CSR_HEADER_BYTES - 4)
+        );
+        let (t_small, t_large) = (best_ms(&small), best_ms(&large));
+        assert!(
+            t_large < 16.0 * t_small,
+            "decode took {t_large:.3} ms on {} bytes against {t_small:.3} ms on {}",
+            large.len(),
+            small.len()
+        );
     }
 }

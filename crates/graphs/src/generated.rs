@@ -1310,26 +1310,25 @@ impl GeneratedGraph {
     /// Builds the CSR [`Graph`] with the identical vertex numbering and edge
     /// set — the differential-testing anchor. Intended for tests and small
     /// instances; the backend exists precisely because this does not fit in
-    /// memory at target scales.
+    /// memory at target scales. The rows are the sorted neighbor lists laid
+    /// end to end, checked by one linear pass (sorted, in range, loop-free,
+    /// symmetric).
     ///
     /// # Errors
     ///
-    /// Propagates builder errors (none are expected: the derived edge set is
-    /// simple by construction).
+    /// Returns the first violation that check finds (none are expected: the
+    /// derived edge set is simple and symmetric by construction).
     pub fn materialize(&self) -> Result<Graph> {
-        let mut b = crate::builder::GraphBuilder::with_capacity(self.n, self.num_edges);
+        let mut offsets = Vec::with_capacity(self.n + 1);
+        let mut adjacency = Vec::with_capacity(2 * self.num_edges);
+        offsets.push(0u32);
         for u in 0..self.n {
-            self.with_neighbors(u, |ns| -> Result<()> {
-                for &v in ns {
-                    let v = v as usize;
-                    if u < v {
-                        b.add_edge(u, v)?;
-                    }
-                }
-                Ok(())
-            })?;
+            self.with_neighbors(u, |ns| adjacency.extend_from_slice(ns));
+            offsets.push(adjacency.len() as u32);
         }
-        Ok(b.build())
+        crate::graph::check_csr(&offsets, &adjacency)?;
+        let m = adjacency.len() / 2;
+        Ok(Graph::from_csr(offsets, adjacency, m))
     }
 
     /// The byte footprint the equivalent CSR build would need: adjacency

@@ -33,7 +33,7 @@ pub fn path(n: usize) -> Result<Graph> {
     for u in 1..n {
         b.add_edge(u - 1, u)?;
     }
-    Ok(b.build())
+    b.build()
 }
 
 /// A cycle `0 - 1 - ... - (n-1) - 0`. The smallest 2-regular graph family.
@@ -52,7 +52,7 @@ pub fn cycle(n: usize) -> Result<Graph> {
         b.add_edge(u - 1, u)?;
     }
     b.add_edge(n - 1, 0)?;
-    Ok(b.build())
+    b.build()
 }
 
 /// The complete graph `K_n`, an `(n-1)`-regular graph.
@@ -69,7 +69,7 @@ pub fn complete(n: usize) -> Result<Graph> {
     let mut b = GraphBuilder::with_capacity(n, n * (n - 1) / 2);
     let vertices: Vec<usize> = (0..n).collect();
     b.add_clique(&vertices)?;
-    Ok(b.build())
+    b.build()
 }
 
 /// The star `S_n` of Fig. 1(a): one center (vertex `0`) connected to
@@ -92,7 +92,7 @@ pub fn star(leaves: usize) -> Result<Graph> {
     for leaf in 1..n {
         b.add_edge(0, leaf)?;
     }
-    Ok(b.build())
+    b.build()
 }
 
 /// The center vertex of a graph produced by [`star`].
@@ -124,7 +124,7 @@ pub fn double_star(leaves_per_star: usize) -> Result<Graph> {
     for i in 0..leaves_per_star {
         b.add_edge(DOUBLE_STAR_CENTER_B, 2 + leaves_per_star + i)?;
     }
-    Ok(b.build())
+    b.build()
 }
 
 /// First center of a [`double_star`] graph.
@@ -151,7 +151,7 @@ pub fn binary_tree(depth: u32) -> Result<Graph> {
     for u in 1..n {
         b.add_edge(u, (u - 1) / 2)?;
     }
-    Ok(b.build())
+    b.build()
 }
 
 /// Number of vertices in a complete binary tree of the given depth.
@@ -193,7 +193,7 @@ pub fn grid(rows: usize, cols: usize) -> Result<Graph> {
             }
         }
     }
-    Ok(b.build())
+    b.build()
 }
 
 /// A 2-dimensional torus (grid with wrap-around), 4-regular when both
@@ -219,7 +219,7 @@ pub fn torus(rows: usize, cols: usize) -> Result<Graph> {
             b.add_edge_dedup(u, down)?;
         }
     }
-    Ok(b.build())
+    b.build()
 }
 
 /// The `dim`-dimensional hypercube: `2^dim` vertices, each of degree `dim`.
@@ -247,7 +247,7 @@ pub fn hypercube(dim: u32) -> Result<Graph> {
             }
         }
     }
-    Ok(b.build())
+    b.build()
 }
 
 #[cfg(test)]

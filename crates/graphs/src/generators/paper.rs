@@ -52,7 +52,7 @@ impl HeavyBinaryTree {
         let leaves: Vec<VertexId> = (first_leaf..n).collect();
         b.add_clique(&leaves)?;
         Ok(HeavyBinaryTree {
-            graph: b.build(),
+            graph: b.build()?,
             depth,
         })
     }
@@ -164,7 +164,7 @@ impl SiameseHeavyBinaryTree {
         b.add_clique(&leaves_b)?;
 
         Ok(SiameseHeavyBinaryTree {
-            graph: b.build(),
+            graph: b.build()?,
             depth,
             tree_size,
         })
@@ -282,7 +282,7 @@ impl CycleOfStarsOfCliques {
             }
         }
         Ok(CycleOfStarsOfCliques {
-            graph: b.build(),
+            graph: b.build()?,
             m,
         })
     }

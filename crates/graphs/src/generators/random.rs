@@ -46,7 +46,7 @@ pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result<Gra
             }
         }
     }
-    Ok(b.build())
+    b.build()
 }
 
 /// Maximum number of retries for [`connected_erdos_renyi`].
@@ -99,7 +99,7 @@ pub fn barbell(k: usize) -> Result<Graph> {
     b.add_clique(&left)?;
     b.add_clique(&right)?;
     b.add_edge(k - 1, k)?;
-    Ok(b.build())
+    b.build()
 }
 
 /// A "lollipop": a `k`-clique with a path of `tail` extra vertices attached.
@@ -129,7 +129,7 @@ pub fn lollipop(k: usize, tail: usize) -> Result<Graph> {
     for u in k + 1..n {
         b.add_edge(u - 1, u)?;
     }
-    Ok(b.build())
+    b.build()
 }
 
 #[cfg(test)]

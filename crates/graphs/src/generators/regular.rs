@@ -33,6 +33,14 @@ const RANDOM_REGULAR_MAX_ATTEMPTS: usize = 50;
 /// fixed `d`, and its mixing/expansion behaviour is indistinguishable for the
 /// purposes of the experiments.
 ///
+/// The repair hashes nothing. One counting sort of the pairs by their
+/// smaller endpoint finds the defective pairs: the self-loops, and every
+/// pair after the first with the same endpoints. That sorted array, plus
+/// two small sorted lists of the pairs the swaps have added and removed,
+/// answers each "is this edge present?" query with binary searches. The
+/// defects, the random draws and so the graph are those of a repair that
+/// keeps the present edges in a hash set.
+///
 /// # Errors
 ///
 /// Returns [`GraphError::InvalidParameters`] if `d == 0`, `d >= n`, or
@@ -80,31 +88,11 @@ pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Resul
 /// One pairing attempt followed by double-edge-swap repair; `None` if repair
 /// did not converge.
 fn pair_and_repair<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Option<Graph> {
-    use std::collections::HashSet;
-
-    let mut stubs: Vec<u32> = Vec::with_capacity(n * d);
-    for u in 0..n {
-        for _ in 0..d {
-            stubs.push(u as u32);
-        }
-    }
-    stubs.shuffle(rng);
-
-    let m = n * d / 2;
-    let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m);
-    for pair in stubs.chunks_exact(2) {
-        edges.push((pair[0], pair[1]));
-    }
-
+    let mut edges = pairing(n, d, rng);
     let key = |u: u32, v: u32| if u < v { (u, v) } else { (v, u) };
-    let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(m);
-    // Indices of edges that are self-loops or duplicates of an earlier edge.
-    let mut defective: Vec<usize> = Vec::new();
-    for (i, &(u, v)) in edges.iter().enumerate() {
-        if u == v || !seen.insert(key(u, v)) {
-            defective.push(i);
-        }
-    }
+    // `seen` holds the first occurrence of every edge; `defective` the
+    // indices of self-loops and later copies, ascending.
+    let (mut seen, mut defective) = EdgeSet::first_occurrences(n, &edges);
 
     // Repair defective edges by random double-edge swaps. Each iteration
     // either fixes a defective edge or burns one unit of budget.
@@ -126,11 +114,11 @@ fn pair_and_repair<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Option<G
         if u == x || v == y {
             continue;
         }
-        if seen.contains(&key(u, x)) || seen.contains(&key(v, y)) {
+        if seen.contains(key(u, x)) || seen.contains(key(v, y)) {
             continue;
         }
         // The partner edge (x,y) is a good edge: remove it from the seen set.
-        seen.remove(&key(x, y));
+        seen.remove(key(x, y));
         // The defective edge may or may not be present in `seen` (self-loops
         // and duplicates never were); removal is a no-op in that case because
         // the surviving original copy keeps its entry.
@@ -140,12 +128,124 @@ fn pair_and_repair<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Option<G
         edges[j] = (v, y);
         defective.pop();
     }
+    drop(seen);
 
-    let mut b = GraphBuilder::with_capacity(n, m);
+    let mut b = GraphBuilder::with_capacity(n, edges.len());
     for &(u, v) in &edges {
         b.add_edge(u as usize, v as usize).ok()?;
     }
-    Some(b.build())
+    b.build().ok()
+}
+
+/// A uniformly random pairing of `d` stubs per vertex: the configuration
+/// model's multigraph, with self-loops and repeated edges.
+fn pairing<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Vec<(u32, u32)> {
+    let mut stubs: Vec<u32> = Vec::with_capacity(n * d);
+    for u in 0..n {
+        for _ in 0..d {
+            stubs.push(u as u32);
+        }
+    }
+    stubs.shuffle(rng);
+    stubs.chunks_exact(2).map(|p| (p[0], p[1])).collect()
+}
+
+/// The repair's set of undirected edges `(a, b)`, `a < b`, without hashing.
+///
+/// The pairing's non-loop edges sit in a sorted array bucketed by the
+/// smaller endpoint, built by one counting sort. The few edges a swap adds
+/// or removes afterwards go into two small sorted overlays, `added`
+/// (never in the array) and `removed` (in the array). A query is one binary
+/// search in a bucket of at most `d` entries and one in each overlay.
+struct EdgeSet {
+    /// `pairs[start[a]..start[a + 1]]` holds `b << 32 | i` for every pairing
+    /// edge `i` with endpoints `a < b`, sorted (so by `b`, then by `i`).
+    start: Vec<u32>,
+    pairs: Vec<u64>,
+    added: Vec<(u32, u32)>,
+    removed: Vec<(u32, u32)>,
+}
+
+impl EdgeSet {
+    /// The set of `edges`' non-loop keys, and the indices (ascending) of the
+    /// edges that are self-loops or repeat the key of an earlier edge.
+    fn first_occurrences(n: usize, edges: &[(u32, u32)]) -> (Self, Vec<usize>) {
+        let mut start = vec![0u32; n + 1];
+        for &(u, v) in edges {
+            if u != v {
+                start[u.min(v) as usize + 1] += 1;
+            }
+        }
+        for a in 0..n {
+            start[a + 1] += start[a];
+        }
+        let mut cursor = start[..n].to_vec();
+        let mut pairs = vec![0u64; start[n] as usize];
+        let mut defective = Vec::new();
+        for (i, &(u, v)) in edges.iter().enumerate() {
+            if u == v {
+                defective.push(i);
+                continue;
+            }
+            let a = u.min(v) as usize;
+            pairs[cursor[a] as usize] = u64::from(u.max(v)) << 32 | i as u64;
+            cursor[a] += 1;
+        }
+        for bucket in start.windows(2) {
+            let bucket = &mut pairs[bucket[0] as usize..bucket[1] as usize];
+            bucket.sort_unstable();
+            for w in bucket.windows(2) {
+                if w[0] >> 32 == w[1] >> 32 {
+                    defective.push(w[1] as u32 as usize);
+                }
+            }
+        }
+        defective.sort_unstable();
+        let set = EdgeSet {
+            start,
+            pairs,
+            added: Vec::new(),
+            removed: Vec::new(),
+        };
+        (set, defective)
+    }
+
+    /// Whether the pairing held `(a, b)`, `a < b`.
+    fn paired(&self, (a, b): (u32, u32)) -> bool {
+        let bucket =
+            &self.pairs[self.start[a as usize] as usize..self.start[a as usize + 1] as usize];
+        bucket
+            .binary_search_by_key(&b, |&pair| (pair >> 32) as u32)
+            .is_ok()
+    }
+
+    fn contains(&self, key: (u32, u32)) -> bool {
+        if self.paired(key) {
+            self.removed.binary_search(&key).is_err()
+        } else {
+            self.added.binary_search(&key).is_ok()
+        }
+    }
+
+    fn insert(&mut self, key: (u32, u32)) {
+        if self.paired(key) {
+            if let Ok(at) = self.removed.binary_search(&key) {
+                self.removed.remove(at);
+            }
+        } else if let Err(at) = self.added.binary_search(&key) {
+            self.added.insert(at, key);
+        }
+    }
+
+    fn remove(&mut self, key: (u32, u32)) {
+        if self.paired(key) {
+            if let Err(at) = self.removed.binary_search(&key) {
+                self.removed.insert(at, key);
+            }
+        } else if let Ok(at) = self.added.binary_search(&key) {
+            self.added.remove(at);
+        }
+    }
 }
 
 /// A cycle of `num_cliques` cliques, each on `d + 1` vertices, giving a
@@ -193,7 +293,7 @@ pub fn cycle_of_cliques(num_cliques: usize, d: usize) -> Result<Graph> {
         let next_base = ((i + 1) % num_cliques) * k;
         b.add_edge(base + 1, next_base)?;
     }
-    Ok(b.build())
+    b.build()
 }
 
 /// A `d`-regular "two-community" graph: two random `d/2`-regular-ish halves
@@ -241,7 +341,7 @@ pub fn matched_communities<R: Rng + ?Sized>(half_n: usize, d: usize, rng: &mut R
     for (u, &v) in right.iter().enumerate() {
         builder.add_edge(u, v)?;
     }
-    Ok(builder.build())
+    builder.build()
 }
 
 /// Chooses an even degree close to `factor * log2(n)`, suitable for the
@@ -267,7 +367,7 @@ mod tests {
     use super::*;
     use crate::algorithms::is_connected;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn random_regular_basic_properties() {
@@ -307,6 +407,71 @@ mod tests {
         let e1: Vec<_> = g1.edges().collect();
         let e2: Vec<_> = g2.edges().collect();
         assert_eq!(e1, e2);
+    }
+
+    #[test]
+    fn pinned_restart_cases_fail_their_first_attempt() {
+        // `csr_known_answers.rs` pins these two draws as restart cases.
+        assert!(pair_and_repair(8, 6, &mut StdRng::seed_from_u64(7)).is_none());
+        let first = pair_and_repair(8, 2, &mut StdRng::seed_from_u64(1)).unwrap();
+        assert!(!is_connected(&first));
+    }
+
+    #[test]
+    fn pinned_repair_cases_start_with_loops_and_repeats() {
+        // The pairings behind `csr_known_answers.rs`'s repaired cases.
+        for (n, d, seed) in [(4096, 16, 7), (1000, 7, 3)] {
+            let edges = pairing(n, d, &mut StdRng::seed_from_u64(seed));
+            let (_, defective) = EdgeSet::first_occurrences(n, &edges);
+            let loops = defective
+                .iter()
+                .filter(|&&i| edges[i].0 == edges[i].1)
+                .count();
+            assert!(
+                loops > 0 && defective.len() > loops,
+                "n={n} d={d}: {defective:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn edge_set_matches_a_hash_set() {
+        use std::collections::HashSet;
+        let key = |u: u32, v: u32| if u < v { (u, v) } else { (v, u) };
+        let mut rng = StdRng::seed_from_u64(99);
+        for (n, d) in [(12, 5), (40, 6), (300, 8)] {
+            let edges = pairing(n, d, &mut rng);
+            // The reference: the repair's former SipHash set.
+            let mut reference = HashSet::new();
+            let mut expected_defective = Vec::new();
+            for (i, &(u, v)) in edges.iter().enumerate() {
+                if u == v || !reference.insert(key(u, v)) {
+                    expected_defective.push(i);
+                }
+            }
+            let (mut set, defective) = EdgeSet::first_occurrences(n, &edges);
+            assert_eq!(defective, expected_defective);
+            for _ in 0..20_000 {
+                let u = rng.gen_range(0..n as u32);
+                let v = rng.gen_range(0..n as u32);
+                if u == v {
+                    continue;
+                }
+                let k = key(u, v);
+                match rng.gen_range(0..3) {
+                    0 => {
+                        reference.insert(k);
+                        set.insert(k);
+                    }
+                    1 => {
+                        reference.remove(&k);
+                        set.remove(k);
+                    }
+                    _ => {}
+                }
+                assert_eq!(set.contains(k), reference.contains(&k));
+            }
+        }
     }
 
     #[test]

@@ -264,18 +264,18 @@ impl Graph {
     /// # Ok::<(), rumor_graphs::GraphError>(())
     /// ```
     pub fn from_edges(n: usize, edges: &[(VertexId, VertexId)]) -> Result<Self> {
-        let mut builder = crate::builder::GraphBuilder::new(n);
-        for &(u, v) in edges {
-            builder.add_edge(u, v)?;
-        }
-        Ok(builder.build())
+        let mut builder = crate::builder::GraphBuilder::with_capacity(n, edges.len());
+        builder.add_edges(edges.iter().copied())?;
+        builder.build()
     }
 
-    /// Internal constructor used by [`GraphBuilder`](crate::GraphBuilder).
+    /// Internal constructor used by [`GraphBuilder`](crate::GraphBuilder),
+    /// the codec and [`GeneratedGraph::materialize`](crate::GeneratedGraph::materialize).
     ///
-    /// `adjacency[offsets[u]..offsets[u+1]]` must hold the sorted neighbors of `u`.
-    pub(crate) fn from_csr(offsets: Vec<usize>, adjacency: Vec<u32>, num_edges: usize) -> Self {
-        debug_assert_eq!(*offsets.last().unwrap_or(&0), adjacency.len());
+    /// `adjacency[offsets[u]..offsets[u+1]]` must hold the sorted neighbors of
+    /// `u`, the invariants [`check_csr`] checks.
+    pub(crate) fn from_csr(offsets: Vec<u32>, adjacency: Vec<u32>, num_edges: usize) -> Self {
+        debug_assert_eq!(*offsets.last().unwrap_or(&0) as usize, adjacency.len());
         debug_assert_eq!(adjacency.len(), 2 * num_edges);
         assert!(
             adjacency.len() <= u32::MAX as usize,
@@ -284,22 +284,23 @@ impl Graph {
         let sampler: Vec<NeighborSampler> = offsets
             .windows(2)
             .enumerate()
-            .map(|(u, w)| sampler_entry(u, &adjacency[w[0]..w[1]], w[0] as u32))
+            .map(|(u, w)| sampler_entry(u, &adjacency[w[0] as usize..w[1] as usize], w[0]))
             .collect();
         let csr_slots: usize = sampler
             .iter()
             .zip(offsets.windows(2))
             .filter(|(entry, _)| entry.word != 0 && entry.word & INTERVAL_TAG == 0)
-            .map(|(_, w)| w[1] - w[0])
+            .map(|(_, w)| (w[1] - w[0]) as usize)
             .sum();
         let regular = if offsets.len() < 2 {
             None
         } else {
             let d = offsets[1];
-            offsets.windows(2).all(|w| w[1] - w[0] == d).then_some(d)
+            offsets
+                .windows(2)
+                .all(|w| w[1] - w[0] == d)
+                .then_some(d as usize)
         };
-        // The adjacency length bounds every offset, so the narrowing is lossless.
-        let offsets = offsets.into_iter().map(|o| o as u32).collect();
         Graph {
             offsets,
             adjacency,
@@ -654,7 +655,12 @@ impl Graph {
             + self.sampler.capacity() * std::mem::size_of::<NeighborSampler>()
     }
 
-    /// Checks basic invariants (sorted adjacency, symmetric edges, no loops).
+    /// Checks the CSR invariants (rows sorted strictly ascending, in range,
+    /// loop-free and symmetric) with the check [`codec::decode_csr`]
+    /// applies to untrusted bytes, and that the adjacency holds two entries
+    /// per edge, in time linear in the graph's size.
+    ///
+    /// [`codec::decode_csr`]: crate::codec::decode_csr
     ///
     /// Generators call this in debug builds; it is also handy in tests.
     ///
@@ -662,32 +668,7 @@ impl Graph {
     ///
     /// Returns a [`GraphError`] describing the first violated invariant.
     pub fn validate(&self) -> Result<()> {
-        let n = self.num_vertices();
-        for u in self.vertices() {
-            let neigh = self.neighbors(u);
-            for w in neigh.windows(2) {
-                if w[0] >= w[1] {
-                    return Err(GraphError::DuplicateEdge {
-                        u,
-                        v: w[1] as usize,
-                    });
-                }
-            }
-            for &v in neigh {
-                let v = v as usize;
-                if v >= n {
-                    return Err(GraphError::VertexOutOfRange { vertex: v, n });
-                }
-                if v == u {
-                    return Err(GraphError::SelfLoop { vertex: u });
-                }
-                if !self.has_edge(v, u) {
-                    return Err(GraphError::GenerationFailed {
-                        reason: format!("edge ({u}, {v}) is not symmetric"),
-                    });
-                }
-            }
-        }
+        check_csr(&self.offsets, &self.adjacency)?;
         if self.adjacency.len() != 2 * self.num_edges {
             return Err(GraphError::GenerationFailed {
                 reason: "edge count does not match adjacency length".to_string(),
@@ -695,6 +676,84 @@ impl Graph {
         }
         Ok(())
     }
+}
+
+/// Checks that `offsets` and `adjacency` (offsets already monotone and
+/// ending at `adjacency.len()`) are the CSR rows of a simple undirected
+/// graph on `offsets.len() - 1` vertices, in two linear passes.
+///
+/// The first pass reads each row in order. It checks that every entry is in
+/// range, is not the row's own vertex, and exceeds the entry before it, and
+/// it notes where each row's entries above its vertex begin. The second
+/// checks symmetry with one cursor per row, over those upper entries. It
+/// reads the rows in vertex order, so the lower entries `w < v` of the rows
+/// `v` that name `w` reach row `w` in ascending `v`, the order row `w` lists
+/// its upper entries. Each must find `v` at row `w`'s cursor, which then
+/// moves one entry on. The graph is symmetric if every lower entry finds its
+/// match and every cursor ends at its row's end. That is one compare per
+/// lower entry, O(n + m) in all, where a binary search per half-edge costs
+/// O(m log Δ).
+///
+/// # Errors
+///
+/// The first violation, rows in vertex order and entries in row order:
+/// [`GraphError::VertexOutOfRange`], [`GraphError::SelfLoop`] or
+/// [`GraphError::DuplicateEdge`] (also for an unsorted row) from the first
+/// pass, else [`GraphError::GenerationFailed`] naming a half-edge whose
+/// reverse is missing.
+pub(crate) fn check_csr(offsets: &[u32], adjacency: &[u32]) -> Result<()> {
+    let n = offsets.len().saturating_sub(1);
+    // `upper[u]`: row `u`'s first entry above `u` that no lower entry has
+    // matched yet.
+    let mut upper = Vec::with_capacity(n);
+    for (u, bounds) in offsets.windows(2).enumerate() {
+        let row = &adjacency[bounds[0] as usize..bounds[1] as usize];
+        let mut prev: Option<u32> = None;
+        for &v in row {
+            if v as usize >= n {
+                return Err(GraphError::VertexOutOfRange {
+                    vertex: v as usize,
+                    n,
+                });
+            }
+            if v as usize == u {
+                return Err(GraphError::SelfLoop { vertex: u });
+            }
+            if prev.is_some_and(|p| v <= p) {
+                return Err(GraphError::DuplicateEdge { u, v: v as usize });
+            }
+            prev = Some(v);
+        }
+        upper.push(bounds[0] + row.partition_point(|&v| (v as usize) < u) as u32);
+    }
+    let asymmetric = |u: usize, v: u32| GraphError::GenerationFailed {
+        reason: format!("edge ({u}, {v}) is not symmetric"),
+    };
+    for v in 0..n {
+        // Rows above `v` have not moved `upper[v]` yet: it still ends the
+        // lower entries.
+        for &w in &adjacency[offsets[v] as usize..upper[v] as usize] {
+            let w = w as usize;
+            let at = upper[w];
+            let back = (at < offsets[w + 1]).then(|| adjacency[at as usize]);
+            if back != Some(v as u32) {
+                // An unmatched `x < v` at row `w`'s cursor is a half-edge
+                // `(w, x)` that row `x`, already read, did not return;
+                // otherwise `v` is not in row `w`.
+                return Err(match back {
+                    Some(x) if (x as usize) < v => asymmetric(w, x),
+                    _ => asymmetric(v, w as u32),
+                });
+            }
+            upper[w] = at + 1;
+        }
+    }
+    for (w, &at) in upper.iter().enumerate() {
+        if at < offsets[w + 1] {
+            return Err(asymmetric(w, adjacency[at as usize]));
+        }
+    }
+    Ok(())
 }
 
 /// The CSR backend of the [`Topology`](crate::Topology) abstraction: every

@@ -112,7 +112,7 @@ mod proptests {
             for &(u, v) in &normalized {
                 b.add_edge(u, v).unwrap();
             }
-            let g = b.build();
+            let g = b.build().unwrap();
             prop_assert!(g.validate().is_ok());
             let rebuilt: std::collections::BTreeSet<(usize, usize)> = g.edges().collect();
             prop_assert_eq!(rebuilt, normalized);
@@ -182,7 +182,7 @@ mod proptests {
                 builder.add_edge(u, mid).unwrap();
                 builder.add_edge(mid, v).unwrap();
             }
-            let subdivided = builder.build();
+            let subdivided = builder.build().unwrap();
             prop_assert!(algorithms::is_bipartite(&subdivided));
             let (left, right) = algorithms::bipartition_sizes(&subdivided).unwrap();
             prop_assert_eq!(left + right, subdivided.num_vertices());
