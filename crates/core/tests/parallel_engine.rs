@@ -390,3 +390,109 @@ fn sharded_agent_engine_matches_pinned_values() {
     }
     assert_eq!(checked, 2 * 4 * 2 * 3);
 }
+
+/// Fixed-value pins of the sharded vertex engine: rounds, total messages,
+/// final informed count and a digest of the per-round history, for push,
+/// pull and push-pull at two seeds on four instances:
+///
+/// * a random 16-regular CSR graph on 2^14 vertices, large enough that the
+///   CSR backend defers reads (asserted), so the vertex pass takes its block
+///   shape, and whose push-pull and pull frontiers hold thousands of
+///   vertices: several shards at three workers, each with several 128-caller
+///   batches;
+/// * a generated Chung–Lu graph and the same graph behind a hub cache (both
+///   defer; isolated vertices make every rule stall short of completion);
+/// * a star, whose leaves have degree 1 and draw nothing under the counter
+///   contract, and whose pull rounds from a leaf split all leaves into
+///   several shards.
+///
+/// Every case runs at the auto thread count (steered by `RUMOR_THREADS` in
+/// CI) and at one and three explicit workers.
+#[test]
+fn sharded_vertex_engine_matches_pinned_values() {
+    use rumor_graphs::generators::random_regular;
+    use rumor_graphs::{GeneratedGraph, HubCachedGraph, Topology};
+
+    /// (rounds, messages, informed vertices, history digest)
+    type Pinned = (u64, u64, usize, u64);
+    #[rustfmt::skip]
+    let pinned: &[(ProtocolKind, &str, u64, Pinned)] = &[
+        (ProtocolKind::Push, "random-regular", 0, (25, 163457, 16384, 6460801567475052413)),
+        (ProtocolKind::Push, "random-regular", 11, (25, 158599, 16384, 3819057937500803641)),
+        (ProtocolKind::Pull, "random-regular", 0, (22, 277590, 16384, 9253901362236609363)),
+        (ProtocolKind::Pull, "random-regular", 11, (19, 226267, 16384, 11674047907249541671)),
+        (ProtocolKind::PushPull, "random-regular", 0, (14, 229376, 16384, 2313022038984866151)),
+        (ProtocolKind::PushPull, "random-regular", 11, (13, 212992, 16384, 9478224724706679772)),
+        (ProtocolKind::Push, "chung-lu", 0, (2333, 45328954, 19623, 7363303393093557790)),
+        (ProtocolKind::Push, "chung-lu", 11, (1206, 23220082, 19623, 6474122354358077080)),
+        (ProtocolKind::Pull, "chung-lu", 0, (18, 204415, 19623, 11094025033524223076)),
+        (ProtocolKind::Pull, "chung-lu", 11, (17, 195537, 19623, 12499107750004857059)),
+        (ProtocolKind::PushPull, "chung-lu", 0, (13, 255294, 19623, 17554188477289387852)),
+        (ProtocolKind::PushPull, "chung-lu", 11, (14, 274932, 19623, 1458222050479232319)),
+        (ProtocolKind::Push, "chung-lu-hub", 0, (2333, 45328954, 19623, 7363303393093557790)),
+        (ProtocolKind::Push, "chung-lu-hub", 11, (1206, 23220082, 19623, 6474122354358077080)),
+        (ProtocolKind::Pull, "chung-lu-hub", 0, (18, 204415, 19623, 11094025033524223076)),
+        (ProtocolKind::Pull, "chung-lu-hub", 11, (17, 195537, 19623, 12499107750004857059)),
+        (ProtocolKind::PushPull, "chung-lu-hub", 0, (13, 255294, 19623, 17554188477289387852)),
+        (ProtocolKind::PushPull, "chung-lu-hub", 11, (14, 274932, 19623, 1458222050479232319)),
+        (ProtocolKind::Push, "star", 0, (36748, 159284673, 5001, 17431268890178974429)),
+        (ProtocolKind::Push, "star", 11, (39681, 173173960, 5001, 2124598423222618297)),
+        (ProtocolKind::Pull, "star", 0, (6312, 31559999, 5001, 16257685667048833784)),
+        (ProtocolKind::Pull, "star", 11, (1657, 8284999, 5001, 6501969411557138797)),
+        (ProtocolKind::PushPull, "star", 0, (2, 10002, 5001, 10277501685599930328)),
+        (ProtocolKind::PushPull, "star", 11, (2, 10002, 5001, 10277501685599930328)),
+    ];
+    fn check<G: Topology>(
+        pinned: &[(ProtocolKind, &str, u64, Pinned)],
+        name: &str,
+        graph: &G,
+        source: usize,
+    ) -> usize {
+        let mut checked = 0;
+        for kind in [
+            ProtocolKind::Push,
+            ProtocolKind::Pull,
+            ProtocolKind::PushPull,
+        ] {
+            for seed in [0u64, 11] {
+                let spec = SimulationSpec::new(kind)
+                    .with_seed(seed)
+                    .with_max_rounds(300_000)
+                    .with_options(ProtocolOptions::with_history());
+                for threads in [0usize, 1, 3] {
+                    let out = simulate_on(graph, source, &spec.clone().with_sharded(threads));
+                    let got = (
+                        out.rounds,
+                        out.total_messages,
+                        out.informed_vertices,
+                        history_digest(&out.history),
+                    );
+                    let expected = pinned
+                        .iter()
+                        .find(|(k, n, s, _)| *k == kind && *n == name && *s == seed)
+                        .map(|case| case.3);
+                    assert_eq!(
+                        Some(got),
+                        expected,
+                        "{kind} on {name} (seed {seed}) at {threads} threads"
+                    );
+                    checked += 1;
+                }
+            }
+        }
+        checked
+    }
+
+    let regular = random_regular(1 << 14, 16, &mut StdRng::seed_from_u64(28)).unwrap();
+    assert!(
+        regular.defers_reads(),
+        "the regular instance must defer reads"
+    );
+    let generated = GeneratedGraph::chung_lu(20_000, 2.5, 8.0, 28).unwrap();
+    let hub = HubCachedGraph::over(generated.clone());
+    let mut checked = check(pinned, "random-regular", &regular, 0);
+    checked += check(pinned, "chung-lu", &generated, 0);
+    checked += check(pinned, "chung-lu-hub", &hub, 0);
+    checked += check(pinned, "star", &star(5_000).unwrap(), 3);
+    assert_eq!(checked, 4 * 3 * 2 * 3);
+}
