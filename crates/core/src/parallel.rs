@@ -15,9 +15,10 @@
 //!
 //! * **Vertex protocols** (`push`, `pull`, `push-pull`): the engine runs the
 //!   sequential protocols' [`Gossip`] state under the same compile-time
-//!   rule, so only the draws differ. Its frontier bitset is partitioned
-//!   into contiguous vertex ranges balanced by active-bit popcount; each
-//!   worker realizes the draws of its range and compacts the
+//!   rule, so only the draws differ. The frontier's summary-listed words
+//!   are cut into contiguous ranges balanced by active-bit popcount, and
+//!   each worker runs the sequential engine's vertex pass over its range
+//!   with per-vertex counter streams as the draw source, compacting the
 //!   state-changing results into a per-shard buffer. The buffers are merged
 //!   on the coordinating thread in ascending shard order (the merge is the
 //!   same `insert` + boundary-counter update loop the sequential engine
@@ -49,7 +50,7 @@
 //! invariance bit-for-bit.
 
 use rand::rngs::SmallRng;
-use rand::stream::{RoundKey, StreamKey};
+use rand::stream::StreamKey;
 use rand::SeedableRng;
 
 use rumor_graphs::{DrawBlock, Topology, VertexId};
@@ -62,7 +63,7 @@ use crate::options::ProtocolOptions;
 use crate::protocol::{FastStep, ProtocolKind};
 use crate::protocols::common::InformedSet;
 use crate::protocols::exchange::{Exchange, ExchangeRule, MeetExchange, Scan, VisitExchange};
-use crate::protocols::gossip::{call, Gossip, GossipRule, Pull, Push, PushPull};
+use crate::protocols::gossip::{Gossip, GossipRule, Pull, Push, PushPull};
 use crate::snapshot::{Checkpointable, ResumableRun, SimSnapshot};
 
 /// Minimum number of realized draws per shard before a vertex round spawns
@@ -373,118 +374,29 @@ fn sharded_zero_scan<F: Fn(usize) -> bool + Sync>(
     shards
 }
 
-/// Active vertices gathered per [`draw_batch`] call.
-const DRAW_BATCH: usize = 128;
-
-/// Realizes the draws of the active vertices in `words[lo..hi]`,
-/// compacting state-changing results into `out`: the vertex each call
-/// informs (see `gossip::call`). Every draw comes from the vertex's own
-/// counter-based stream, so the output depends only on the range
-/// content, not on who scans it.
-///
-/// Two-phase structure: active vertex ids are gathered into a small
-/// stack batch by a minimal scan loop, and the batch is drained by a
-/// deliberately **non-inlined** helper. Frontiers are sparse relative
-/// to the bitset on the paper's instances (a star mid-broadcast has one
-/// active vertex in ~1 500 words), so the skip-empty-words loop is the
-/// per-round fixed cost — inlining the draw body into it spills the
-/// scan counters to the stack and quadruples that fixed cost.
-fn draw_range<G: Topology, R: GossipRule>(
-    graph: &G,
-    informed: &InformedSet,
-    round_key: &RoundKey,
-    words: &[u64],
-    (lo, hi): (usize, usize),
-    out: &mut Vec<u32>,
-    draws: &mut DrawBlock,
-) {
-    let mut pending = [0u32; DRAW_BATCH];
-    let mut count = 0usize;
-    for (off, &word) in words[lo..hi].iter().enumerate() {
-        let mut bits = word;
-        if bits == 0 {
-            continue;
-        }
-        let base = ((lo + off) << 6) as u32;
-        while bits != 0 {
-            pending[count] = base + bits.trailing_zeros();
-            count += 1;
-            bits &= bits - 1;
-            if count == pending.len() {
-                draw_batch::<G, R>(graph, informed, round_key, &pending, out, draws);
-                count = 0;
-            }
-        }
-    }
-    draw_batch::<G, R>(graph, informed, round_key, &pending[..count], out, draws);
-}
-
-/// Drains one gathered batch of active vertices (see
-/// [`draw_range`] for why this must not inline into the
-/// scan loop): every vertex draws its call target's index, the batch
-/// resolves with one [`Topology::resolve_block`] call (so a backend
-/// that derives neighbors overlaps the batch's derivations), and the
-/// calls then run in vertex order.
-///
-/// Degree-1 vertices (star leaves — the hottest class on the paper's
-/// instances) consume no randomness at all: their call target is
-/// forced, and under the counter-based contract an entity's unused
-/// stream draws are simply never computed
-/// (`Graph::random_neighbor_with`). (A pair-lane block-sharing scheme
-/// was tried here and reverted: the pair-detection branch mispredicts
-/// on fragmented frontiers and cost more than the shared blocks saved.)
-#[inline(never)]
-fn draw_batch<G: Topology, R: GossipRule>(
-    graph: &G,
-    informed: &InformedSet,
-    round_key: &RoundKey,
-    pending: &[u32],
-    out: &mut Vec<u32>,
-    draws: &mut DrawBlock,
-) {
-    draws.clear();
-    for &id in pending {
-        let u = id as usize;
-        // Active vertices always have a neighbor (boundary invariant),
-        // so the isolation arm is unreachable.
-        draws.push(
-            graph
-                .draw_deferred_with(u, || round_key.stream(u as u64))
-                .expect("active vertex has a neighbor"),
-        );
-    }
-    graph.resolve_block(draws);
-    for (&u, &v) in pending.iter().zip(draws.resolved()) {
-        call::<R>(informed, u as usize, v as usize, out);
-    }
-}
-
-/// The sharded round of the vertex protocols: the [`Gossip`] boundary is
-/// partitioned into popcount-balanced vertex ranges whose draws come from
-/// per-vertex streams.
+/// The sharded round of the vertex protocols (see the module docs).
 impl<G: Topology, R: GossipRule> ShardedStep for Gossip<'_, G, R> {
     /// One synchronous round: sharded draws, then the sequential merge that
     /// the sequential engine also runs (insert + boundary update).
     fn sharded_step(&mut self, shards: &mut Shards, key: &StreamKey) {
         let round_key = key.round_key(self.begin_round());
-        let graph = self.graph();
-        let informed = self.informed();
-        let words = self.active().words();
+        let gossip = &*self;
+        let active = gossip.active();
 
         // At one thread there is nothing to balance: skip the popcount pass
-        // (it would double the per-round bitset traffic) and draw inline.
-        // The pass is only paid when sharding is possible, where it also
-        // yields the popcount-balanced cut points.
-        let (count, active) = if shards.threads == 1 {
-            (1, 0u64)
-        } else {
-            let active: u64 = words.iter().map(|w| u64::from(w.count_ones())).sum();
-            let count = shards
-                .threads
-                .min((active / MIN_DRAWS_PER_SHARD + 1) as usize)
-                .clamp(1, words.len().max(1));
-            (count, active)
+        // and run the pass inline. The pass is only paid when sharding is
+        // possible, where it also yields the popcount-balanced cut points.
+        let words = gossip.graph().num_vertices().div_ceil(64);
+        let total: u64 = match shards.threads {
+            1 => 0,
+            _ => active
+                .nonempty_words(0..words)
+                .map(|(_, w)| u64::from(w.count_ones()))
+                .sum(),
         };
+        let count = shards
+            .threads
+            .min((total / MIN_DRAWS_PER_SHARD + 1) as usize);
         if shards.newly.len() < count {
             shards.newly.resize_with(count, Vec::new);
             shards.blocks.resize_with(count, DrawBlock::default);
@@ -493,38 +405,29 @@ impl<G: Topology, R: GossipRule> ShardedStep for Gossip<'_, G, R> {
             buf.clear();
         }
         if count == 1 {
-            draw_range::<G, R>(
-                graph,
-                informed,
-                &round_key,
-                words,
-                (0, words.len()),
-                &mut shards.newly[0],
-                &mut shards.blocks[0],
-            );
+            let (buf, draws) = (&mut shards.newly[0], &mut shards.blocks[0]);
+            gossip.sharded_calls(&round_key, 0..words, buf, draws);
         } else {
             // Contiguous word ranges with roughly equal active popcounts
             // (the frontier can be concentrated; even word splits would idle
             // most workers on e.g. a star's leaf range).
-            let target = active.div_ceil(count as u64).max(1);
+            let target = total.div_ceil(count as u64).max(1);
             let mut ranges = Vec::with_capacity(count);
-            let mut lo = 0usize;
-            let mut acc = 0u64;
-            for (idx, w) in words.iter().enumerate() {
+            let (mut lo, mut acc) = (0usize, 0u64);
+            for (idx, w) in active.nonempty_words(0..words) {
                 acc += u64::from(w.count_ones());
                 if acc >= target && ranges.len() + 1 < count {
-                    ranges.push((lo, idx + 1));
+                    ranges.push(lo..idx + 1);
                     lo = idx + 1;
                     acc = 0;
                 }
             }
-            ranges.push((lo, words.len()));
+            ranges.push(lo..words);
             std::thread::scope(|scope| {
                 let scratch = shards.newly.iter_mut().zip(&mut shards.blocks);
                 for (range, (buf, draws)) in ranges.into_iter().zip(scratch) {
-                    scope.spawn(move || {
-                        draw_range::<G, R>(graph, informed, &round_key, words, range, buf, draws)
-                    });
+                    let round_key = &round_key;
+                    scope.spawn(move || gossip.sharded_calls(round_key, range, buf, draws));
                 }
             });
         }

@@ -1,5 +1,7 @@
 //! Shared hot-path data structures for the protocol implementations.
 
+use std::ops::Range;
+
 use rumor_graphs::{Topology, VertexId};
 
 /// Records one edge-traffic entry per agent that traversed an edge in the
@@ -141,46 +143,24 @@ impl InformedSet {
     }
 
     /// Iterator over the informed items in ascending order.
-    pub(crate) fn ones(&self) -> Ones<'_> {
-        Ones {
-            words: &self.bits,
-            current: self.bits.first().copied().unwrap_or(0),
-            word_idx: 0,
-        }
+    pub(crate) fn ones(&self) -> SetBits<impl Iterator<Item = (usize, u64)> + '_> {
+        SetBits::new(self.bits.iter().copied().enumerate())
     }
 
     /// Iterator over the *uninformed* items in ascending order.
-    pub(crate) fn zeros(&self) -> Zeros<'_> {
-        let first = self.complement_word(0);
-        Zeros {
-            set: self,
-            current: first,
-            word_idx: 0,
-        }
-    }
-
-    /// The `idx`-th word of the complement, with out-of-universe bits cleared.
-    #[inline]
-    fn complement_word(&self, idx: usize) -> u64 {
-        match self.bits.get(idx) {
-            None => 0,
-            Some(&w) => {
-                let inverted = !w;
-                let bits_before = idx * 64;
-                if self.universe - bits_before >= 64 {
-                    inverted
+    pub(crate) fn zeros(&self) -> SetBits<impl Iterator<Item = (usize, u64)> + '_> {
+        SetBits::new(self.bits.iter().enumerate().map(|(idx, &w)| {
+            // The complement, with out-of-universe bits cleared.
+            let rest = self.universe - idx * 64;
+            (
+                idx,
+                if rest >= 64 {
+                    !w
                 } else {
-                    inverted & ((1u64 << (self.universe - bits_before)) - 1)
-                }
-            }
-        }
-    }
-
-    /// Iterator over the informed items in ascending order (compatibility
-    /// alias used by tests and metrics code).
-    #[allow(dead_code)]
-    pub(crate) fn iter(&self) -> impl Iterator<Item = VertexId> + '_ {
-        self.ones()
+                    !w & ((1u64 << rest) - 1)
+                },
+            )
+        }))
     }
 
     /// The raw membership words (bit `i` set ⇔ item `i` informed), for the
@@ -191,53 +171,37 @@ impl InformedSet {
     }
 }
 
-/// Ascending iterator over set bits (see [`InformedSet::ones`]).
+/// The set bits of a sequence of `(index, word)` pairs with ascending
+/// indices, in ascending order: item `64 · index + bit`.
 #[derive(Debug, Clone)]
-pub(crate) struct Ones<'a> {
-    words: &'a [u64],
+pub(crate) struct SetBits<I> {
+    words: I,
+    /// Bits of word `word_idx` not yet yielded.
     current: u64,
     word_idx: usize,
 }
 
-impl Iterator for Ones<'_> {
-    type Item = VertexId;
-
-    #[inline]
-    fn next(&mut self) -> Option<VertexId> {
-        while self.current == 0 {
-            self.word_idx += 1;
-            self.current = *self.words.get(self.word_idx)?;
+impl<I> SetBits<I> {
+    fn new(words: I) -> Self {
+        SetBits {
+            words,
+            current: 0,
+            word_idx: 0,
         }
-        let bit = self.current.trailing_zeros() as usize;
-        self.current &= self.current - 1;
-        Some(self.word_idx * 64 + bit)
     }
 }
 
-/// Ascending iterator over unset bits within the universe
-/// (see [`InformedSet::zeros`]).
-#[derive(Debug, Clone)]
-pub(crate) struct Zeros<'a> {
-    set: &'a InformedSet,
-    current: u64,
-    word_idx: usize,
-}
-
-impl Iterator for Zeros<'_> {
+impl<I: Iterator<Item = (usize, u64)>> Iterator for SetBits<I> {
     type Item = VertexId;
 
     #[inline]
     fn next(&mut self) -> Option<VertexId> {
         while self.current == 0 {
-            self.word_idx += 1;
-            if self.word_idx * 64 >= self.set.universe {
-                return None;
-            }
-            self.current = self.set.complement_word(self.word_idx);
+            (self.word_idx, self.current) = self.words.next()?;
         }
         let bit = self.current.trailing_zeros() as usize;
         self.current &= self.current - 1;
-        Some(self.word_idx * 64 + bit)
+        Some((self.word_idx << 6) | bit)
     }
 }
 
@@ -298,22 +262,33 @@ impl Bits {
 
     /// Iterator over set bits in ascending order: walks the summary, then
     /// only the non-empty words it names.
-    pub(crate) fn ones(&self) -> BitsOnes<'_> {
-        BitsOnes {
-            words: &self.words,
-            summary: &self.summary,
-            summary_bits: self.summary.first().copied().unwrap_or(0),
-            summary_idx: 0,
-            current: 0,
-            word_idx: 0,
-        }
+    pub(crate) fn ones(&self) -> SetBits<NonEmptyWords<'_>> {
+        self.ones_in(0..self.words.len())
     }
 
-    /// The raw words (bit `i` set ⇔ item `i` active), for the sharded
-    /// engine's popcount-balanced word-range partitioning.
-    #[inline]
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
+    /// [`Bits::ones`] over the items of the words `words` only (the sharded
+    /// engine's ranges), still through the summary.
+    pub(crate) fn ones_in(&self, words: Range<usize>) -> SetBits<NonEmptyWords<'_>> {
+        SetBits::new(self.nonempty_words(words))
+    }
+
+    /// The non-empty words among the words `words`, in ascending order, as
+    /// `(index, word)`, found through the summary (the sharded engine cuts
+    /// its popcount-balanced ranges from them).
+    pub(crate) fn nonempty_words(&self, words: Range<usize>) -> NonEmptyWords<'_> {
+        debug_assert!(words.start <= words.end && words.end <= self.words.len());
+        let first = words.start >> 6;
+        NonEmptyWords {
+            words: &self.words,
+            summary: &self.summary[..words.end.div_ceil(64)],
+            // Summary bits below the first word are masked off.
+            summary_bits: self
+                .summary
+                .get(first)
+                .map_or(0, |&s| s & (!0 << (words.start & 63))),
+            summary_idx: first,
+            end: words.end,
+        }
     }
 
     /// `true` if no bit is set — for the boundary tracker this means no
@@ -325,37 +300,32 @@ impl Bits {
     }
 }
 
-/// Ascending iterator over the set bits of a [`Bits`] (see [`Bits::ones`]).
+/// Ascending iterator over the non-empty words of a [`Bits`] range (see
+/// [`Bits::nonempty_words`]).
 #[derive(Debug, Clone)]
-pub(crate) struct BitsOnes<'a> {
+pub(crate) struct NonEmptyWords<'a> {
     words: &'a [u64],
+    /// The summary words that cover the range.
     summary: &'a [u64],
     /// Summary bits of `summary[summary_idx]` not yet visited.
     summary_bits: u64,
     summary_idx: usize,
-    /// Bits of `words[word_idx]` not yet yielded.
-    current: u64,
-    word_idx: usize,
+    /// One past the range's last word.
+    end: usize,
 }
 
-impl Iterator for BitsOnes<'_> {
-    type Item = VertexId;
+impl Iterator for NonEmptyWords<'_> {
+    type Item = (usize, u64);
 
     #[inline]
-    fn next(&mut self) -> Option<VertexId> {
-        while self.current == 0 {
-            while self.summary_bits == 0 {
-                self.summary_idx += 1;
-                self.summary_bits = *self.summary.get(self.summary_idx)?;
-            }
-            let bit = self.summary_bits.trailing_zeros() as usize;
-            self.summary_bits &= self.summary_bits - 1;
-            self.word_idx = (self.summary_idx << 6) | bit;
-            self.current = self.words[self.word_idx];
+    fn next(&mut self) -> Option<(usize, u64)> {
+        while self.summary_bits == 0 {
+            self.summary_idx += 1;
+            self.summary_bits = *self.summary.get(self.summary_idx)?;
         }
-        let bit = self.current.trailing_zeros() as usize;
-        self.current &= self.current - 1;
-        Some((self.word_idx << 6) | bit)
+        let idx = (self.summary_idx << 6) | self.summary_bits.trailing_zeros() as usize;
+        self.summary_bits &= self.summary_bits - 1;
+        (idx < self.end).then(|| (idx, self.words[idx]))
     }
 }
 
@@ -384,7 +354,7 @@ mod tests {
             s.insert(i);
         }
         assert!(s.is_full());
-        assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 1, 2]);
+        assert_eq!(s.ones().collect::<Vec<_>>(), vec![0, 1, 2]);
         assert_eq!(s.zeros().count(), 0);
     }
 
@@ -445,11 +415,39 @@ mod tests {
     }
 
     /// `b` agrees with the naive model: `ones()` lists exactly the set
-    /// items in ascending order and `none_set()` answers emptiness.
+    /// items in ascending order, `ones_in` those of a word range,
+    /// `nonempty_words` the occupied words, and `none_set()` answers
+    /// emptiness.
     fn assert_bits_match(b: &Bits, model: &[bool], context: &str) {
         let expected: Vec<usize> = (0..model.len()).filter(|&i| model[i]).collect();
         assert_eq!(b.ones().collect::<Vec<_>>(), expected, "{context}");
         assert_eq!(b.none_set(), expected.is_empty(), "{context}");
+        let words = model.len().div_ceil(64);
+        let occupied: Vec<usize> = (0..words)
+            .filter(|&k| model[k * 64..model.len().min(k * 64 + 64)].contains(&true))
+            .collect();
+        let listed: Vec<(usize, u64)> = b.nonempty_words(0..words).collect();
+        assert_eq!(
+            listed.iter().map(|&(k, _)| k).collect::<Vec<_>>(),
+            occupied,
+            "{context}"
+        );
+        assert!(listed.iter().all(|&(k, w)| w == b.words[k]), "{context}");
+        for lo in [0, 1, 63, 64, 65, words / 2, words] {
+            for hi in [lo, lo + 1, lo + 64, lo + 65, words] {
+                let (lo, hi) = (lo.min(words), hi.min(words));
+                if lo > hi {
+                    continue;
+                }
+                let inside: Vec<usize> = expected
+                    .iter()
+                    .copied()
+                    .filter(|&i| (lo * 64..hi * 64).contains(&i))
+                    .collect();
+                let got: Vec<usize> = b.ones_in(lo..hi).collect();
+                assert_eq!(got, inside, "{context}, words {lo}..{hi}");
+            }
+        }
     }
 
     #[test]

@@ -10,13 +10,24 @@
 //! time. The same rule and boundary tracker (`Frontier`) serve the
 //! sequential protocols, the sharded engine, the combined protocol's vertex
 //! phase and the asynchronous variants.
+//!
+//! Every engine runs a synchronous round's calls in one vertex pass
+//! (`Pass`) with two sources and two shapes: it draws from the sequential
+//! generator in ascending caller order (`Sequential`) or from one counter
+//! stream per caller (`Counter`, so the sharded engine runs it per word
+//! range), and it draws and calls each caller in turn or, where
+//! [`Topology::defers_reads`] holds, a gathered block at a time. The fast
+//! mode walks the summary-indexed boundary; the edge-traffic mode walks the
+//! rule's whole caller set and records every realized call.
 
 use std::fmt;
 use std::marker::PhantomData;
+use std::ops::Range;
 
+use rand::stream::RoundKey;
 use rand::{Rng, RngCore};
 
-use rumor_graphs::{Graph, Topology, VertexId};
+use rumor_graphs::{DeferredNeighbor, DrawBlock, Graph, Topology, VertexId};
 
 use crate::metrics::{EdgeTraffic, EdgeTrafficStats, RoundRecord};
 use crate::options::ProtocolOptions;
@@ -34,7 +45,7 @@ mod sealed {
 ///
 /// Whoever calls, a call between `u` and `v` informs the uninformed one
 /// when exactly one of them was informed before the round.
-pub trait GossipRule: sealed::Sealed + Copy + Eq + fmt::Debug + 'static {
+pub trait GossipRule: sealed::Sealed + Copy + Eq + fmt::Debug + Send + Sync + 'static {
     /// The protocol name ([`Protocol::name`]).
     const NAME: &'static str;
     /// Whether informed vertices call (the push side).
@@ -87,39 +98,125 @@ pub(crate) fn calls<R: GossipRule>(u_informed: bool) -> bool {
     }
 }
 
-/// Applies one realized call from `u` to `v`: pushes the vertex it informs,
-/// if any, to `out`. The caller's membership comes from the rule alone when
-/// only one side calls, so push and pull load just `v`'s bit.
-#[inline(always)]
-pub(crate) fn call<R: GossipRule>(informed: &InformedSet, u: usize, v: usize, out: &mut Vec<u32>) {
-    let u_informed = if R::INFORMED_CALL && R::UNINFORMED_CALL {
-        informed.contains(u)
-    } else {
-        R::INFORMED_CALL
-    };
-    exchange(u_informed, informed, u, v, out);
+/// Callers the block shape of the vertex pass gathers before it draws.
+const BATCH: usize = 128;
+
+/// Where a vertex pass draws its randomness. The pass asks for one caller
+/// at a time, in ascending vertex order, and every caller has a neighbor.
+trait DrawSource {
+    /// Draws the call target of `u`: through [`Topology::draw_deferred`]
+    /// when `DEFER`, resolved on the spot otherwise.
+    fn draw<G: Topology, const DEFER: bool>(&mut self, graph: &G, u: usize) -> DeferredNeighbor;
 }
 
-/// The exchange of one call from `u` (informed iff `u_informed`) to `v`.
-#[inline(always)]
-fn exchange(u_informed: bool, informed: &InformedSet, u: usize, v: usize, out: &mut Vec<u32>) {
-    if u_informed != informed.contains(v) {
-        out.push(if u_informed { v as u32 } else { u as u32 });
+/// The sequential engine's source: one shared generator, so the ascending
+/// caller order of the pass is the order of the draws.
+struct Sequential<'a, X: ?Sized>(&'a mut X);
+
+impl<X: Rng + ?Sized> DrawSource for Sequential<'_, X> {
+    #[inline(always)]
+    fn draw<G: Topology, const DEFER: bool>(&mut self, graph: &G, u: usize) -> DeferredNeighbor {
+        if DEFER {
+            graph.draw_deferred(u, self.0)
+        } else {
+            DeferredNeighbor::vertex(graph.random_neighbor_nonisolated(u, self.0))
+        }
     }
 }
 
-/// Runs `f(u, u_informed)` for every vertex that calls under `R`, in
-/// ascending order: the informed set's word scan for push, its complement's
-/// for pull, every vertex for push-pull.
-fn for_each_caller<R: GossipRule, G: Topology>(
-    graph: &G,
-    informed: &InformedSet,
-    mut f: impl FnMut(usize, bool),
-) {
-    match (R::INFORMED_CALL, R::UNINFORMED_CALL) {
-        (true, false) => informed.ones().for_each(|u| f(u, true)),
-        (false, true) => informed.zeros().for_each(|u| f(u, false)),
-        _ => graph.vertices().for_each(|u| f(u, informed.contains(u))),
+/// The sharded engine's source: caller `u` draws from its own stream of the
+/// round, `round_key.stream(u)`, so a draw does not depend on which shard
+/// makes it. A degree-1 caller's target is forced, and it draws nothing
+/// ([`Topology::draw_deferred_with`]); star leaves, the hottest class on the
+/// paper's instances, skip the block function that way. (A pair-lane
+/// block-sharing scheme was tried here and reverted: its pair-detection
+/// branch mispredicts on fragmented frontiers and cost more than the shared
+/// blocks saved.)
+struct Counter<'a>(&'a RoundKey);
+
+impl DrawSource for Counter<'_> {
+    #[inline(always)]
+    fn draw<G: Topology, const DEFER: bool>(&mut self, graph: &G, u: usize) -> DeferredNeighbor {
+        let key = self.0;
+        graph
+            .draw_deferred_with(u, || key.stream(u as u64))
+            .expect("a caller has a neighbor")
+    }
+}
+
+/// The vertex pass: one round's calls, for both engines and both modes.
+/// Every caller draws its target from `source`; each call is recorded in
+/// `traffic`, if any, and pushes the vertex it informs to `out`.
+struct Pass<'a, G, S> {
+    graph: &'a G,
+    informed: &'a InformedSet,
+    source: S,
+    out: &'a mut Vec<u32>,
+    traffic: Option<&'a mut EdgeTraffic>,
+}
+
+impl<G: Topology, S: DrawSource> Pass<'_, G, S> {
+    /// Runs the calls of `callers`, ascending and each with a neighbor, in
+    /// the shape [`Topology::defers_reads`] picks. `draws` holds the block
+    /// shape's tokens.
+    #[inline(always)]
+    fn run<R: GossipRule>(mut self, callers: impl Iterator<Item = usize>, draws: &mut DrawBlock) {
+        if self.graph.defers_reads() {
+            let mut batch = [0u32; BATCH];
+            let mut count = 0;
+            for u in callers {
+                batch[count] = u as u32;
+                count += 1;
+                if count == BATCH {
+                    self.drain::<R>(&batch, draws);
+                    count = 0;
+                }
+            }
+            self.drain::<R>(&batch[..count], draws);
+        } else {
+            for u in callers {
+                let v = self
+                    .graph
+                    .resolve_deferred(self.source.draw::<G, false>(self.graph, u));
+                self.call::<R>(u, v);
+            }
+        }
+    }
+
+    /// Draws a gathered batch's tokens, resolves them with one
+    /// [`Topology::resolve_block`] call, then runs the calls in caller order.
+    /// Never inlined into the gather loop: on a sparse frontier (star push:
+    /// ~1.6·10^5 rounds of one caller) that loop is the per-round fixed
+    /// cost, and inlining the draw body into it quadrupled that cost.
+    #[inline(never)]
+    fn drain<R: GossipRule>(&mut self, batch: &[u32], draws: &mut DrawBlock) {
+        draws.clear();
+        for &u in batch {
+            draws.push(self.source.draw::<G, true>(self.graph, u as usize));
+        }
+        self.graph.resolve_block(draws);
+        for (&u, &v) in batch.iter().zip(draws.resolved()) {
+            self.call::<R>(u as usize, v as usize);
+        }
+    }
+
+    /// Applies the call from `u` to `v`. The caller's membership comes from
+    /// the rule alone when only one side calls, so push and pull load just
+    /// `v`'s bit.
+    #[inline(always)]
+    fn call<R: GossipRule>(&mut self, u: usize, v: usize) {
+        if let Some(traffic) = self.traffic.as_deref_mut() {
+            traffic.record(u, v);
+        }
+        let informed = self.informed;
+        let u_informed = if R::INFORMED_CALL && R::UNINFORMED_CALL {
+            informed.contains(u)
+        } else {
+            R::INFORMED_CALL
+        };
+        if u_informed != informed.contains(v) {
+            self.out.push(if u_informed { v as u32 } else { u as u32 });
+        }
     }
 }
 
@@ -262,7 +359,8 @@ impl<R: GossipRule> Frontier<R> {
 /// are counted arithmetically. With [`ProtocolOptions::record_edge_traffic`]
 /// every caller's draw is realized (per-edge traffic must observe it),
 /// which is also the mode that is draw-for-draw identical to a naive full
-/// `0..n` scan.
+/// `0..n` scan. Either way a round is one vertex pass, with one of two draw
+/// sources and in one of two shapes (see the module documentation).
 #[derive(Debug, Clone)]
 pub struct Gossip<'g, G: Topology, R: GossipRule> {
     graph: &'g G,
@@ -275,6 +373,9 @@ pub struct Gossip<'g, G: Topology, R: GossipRule> {
     frontier: Frontier<R>,
     /// Reusable per-round buffer (never reallocated after warm-up).
     newly_informed: Vec<u32>,
+    /// The vertex pass's tokens in its block shape (boxed, so that the
+    /// workspace's protocol slots, which embed this state, stay compact).
+    draws: Box<DrawBlock>,
     round: u64,
     messages_total: u64,
     messages_last: u64,
@@ -378,6 +479,7 @@ impl<'g, G: Topology, R: GossipRule> Gossip<'g, G, R> {
             informed: InformedSet::new(graph.num_vertices()),
             frontier: Frontier::new(graph),
             newly_informed: Vec::new(),
+            draws: Box::default(),
             round: 0,
             messages_total: 0,
             messages_last: 0,
@@ -487,29 +589,51 @@ impl<'g, G: Topology, R: GossipRule> Gossip<'g, G, R> {
     /// that hold a trait object.
     pub fn step_with<X: Rng + ?Sized>(&mut self, rng: &mut X) {
         self.begin_round();
-        let graph = self.graph;
-        let informed = &self.informed;
-        let newly = &mut self.newly_informed;
-        newly.clear();
-        if let Some(traffic) = self.edge_traffic.as_mut() {
-            // Observability mode: realize every caller's draw so per-edge
-            // traffic is complete.
-            for_each_caller::<R, G>(graph, informed, |u, u_informed| {
-                if let Some(v) = graph.random_neighbor(u, rng) {
-                    traffic.record(u, v);
-                    exchange(u_informed, informed, u, v, newly);
-                }
-            });
-        } else {
+        self.newly_informed.clear();
+        let (graph, informed, draws) = (self.graph, &self.informed, &mut self.draws);
+        let pass = Pass {
+            graph,
+            informed,
+            source: Sequential(rng),
+            out: &mut self.newly_informed,
+            traffic: self.edge_traffic.as_mut(),
+        };
+        if pass.traffic.is_none() {
             // Fast mode: only boundary callers draw.
-            for u in self.frontier.active.ones() {
-                let v = graph.random_neighbor_nonisolated(u, rng);
-                call::<R>(informed, u, v, newly);
+            pass.run::<R>(self.frontier.active.ones(), draws);
+        } else {
+            // Observability mode: every caller with a neighbor draws, so
+            // per-edge traffic is complete.
+            let nonisolated = |u: &usize| graph.degree(*u) > 0;
+            match (R::INFORMED_CALL, R::UNINFORMED_CALL) {
+                (true, false) => pass.run::<R>(informed.ones().filter(nonisolated), draws),
+                (false, true) => pass.run::<R>(informed.zeros().filter(nonisolated), draws),
+                _ => pass.run::<R>(graph.vertices().filter(nonisolated), draws),
             }
         }
         for i in 0..self.newly_informed.len() {
             self.inform(self.newly_informed[i] as usize);
         }
+    }
+
+    /// The sharded engine's calls of one round over the boundary words
+    /// `words`, each caller drawing from its own stream of `round_key`:
+    /// pushes the vertices they inform to `out`.
+    pub(crate) fn sharded_calls(
+        &self,
+        round_key: &RoundKey,
+        words: Range<usize>,
+        out: &mut Vec<u32>,
+        draws: &mut DrawBlock,
+    ) {
+        let pass = Pass {
+            graph: self.graph,
+            informed: &self.informed,
+            source: Counter(round_key),
+            out,
+            traffic: None,
+        };
+        pass.run::<R>(self.frontier.active.ones_in(words), draws);
     }
 }
 

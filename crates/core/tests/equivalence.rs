@@ -44,9 +44,10 @@ use rand::{Rng, SeedableRng};
 
 use rumor_core::{Protocol, ProtocolOptions, Pull, Push, PushPull};
 use rumor_graphs::generators::{
-    complete, connected_erdos_renyi, cycle, double_star, path, star, HeavyBinaryTree,
+    complete, connected_erdos_renyi, cycle, double_star, path, random_regular, star,
+    HeavyBinaryTree,
 };
-use rumor_graphs::Graph;
+use rumor_graphs::{Graph, Topology};
 
 #[derive(Clone, Copy, PartialEq)]
 enum Rule {
@@ -199,9 +200,20 @@ fn assert_trajectories_match<P, S>(
     );
 }
 
+/// The vertex-protocol families. The random 16-regular graph on 2^14
+/// vertices is large enough that the CSR backend defers reads, so the
+/// engine's vertex pass runs there in its block shape (gathered callers
+/// resolved a batch at a time); every other family takes the immediate
+/// shape.
 fn families() -> Vec<(&'static str, Graph, usize)> {
+    let regular = random_regular(1 << 14, 16, &mut StdRng::seed_from_u64(28)).unwrap();
+    assert!(
+        regular.defers_reads(),
+        "the regular family must defer reads"
+    );
     let mut rng = StdRng::seed_from_u64(999);
     vec![
+        ("random-regular", regular, 0),
         ("complete", complete(40).unwrap(), 0),
         ("star-from-center", star(60).unwrap(), 0),
         ("star-from-leaf", star(60).unwrap(), 7),

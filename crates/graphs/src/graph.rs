@@ -79,8 +79,6 @@ struct NeighborSampler {
     outlier: u32,
 }
 
-/// Tag bit marking a sampler word's index draw as a power-of-two shift.
-const POW2_TAG: u32 = 1 << 31;
 /// Tag bit marking the neighbor list as a contiguous id interval (possibly
 /// with a hole at the vertex itself), sampled arithmetically with **no
 /// adjacency read**.
@@ -88,7 +86,7 @@ const INTERVAL_TAG: u32 = 1 << 30;
 /// Tag bit (implies `INTERVAL_TAG`) marking an interval list with one
 /// neighbor outside the interval, stored in `NeighborSampler::outlier`.
 const OUTLIER_TAG: u32 = 1 << 29;
-/// Low bits of the sampler word (degree / shift payload).
+/// Low bits of the sampler word (the degree).
 const WORD_PAYLOAD: u32 = OUTLIER_TAG - 1;
 
 /// Entries of CSR-tagged lists (4 bytes each, so 1 MiB) from which the CSR
@@ -101,19 +99,14 @@ const DEFER_MIN_SLOTS: usize = 1 << 18;
 /// builds a word whose payload collides with the tag bits.
 pub(crate) const MAX_SAMPLER_DEGREE: usize = (WORD_PAYLOAD - 1) as usize;
 
-/// The index-draw word for a positive degree `d`: the power-of-two shift
-/// encoding when `d` is a power of two, otherwise `d` itself driving Lemire's
-/// widening multiply. This is exactly the index portion of a CSR
+/// The index-draw word for a positive degree `d`: `d` itself, driving
+/// Lemire's widening multiply. This is exactly the index portion of a CSR
 /// [`sampler_entry`] word, shared with the implicit and generated backends
 /// so every backend consumes the RNG stream identically for equal degrees.
 #[inline]
 pub(crate) fn index_word(d: usize) -> u32 {
     debug_assert!(d > 0 && d < WORD_PAYLOAD as usize);
-    if d.is_power_of_two() {
-        POW2_TAG | (64 - d.trailing_zeros())
-    } else {
-        d as u32
-    }
+    d as u32
 }
 
 /// Samples a uniform index in `0..deg` from an index-draw word (see
@@ -125,30 +118,20 @@ pub(crate) fn index_word(d: usize) -> u32 {
 /// Requires a non-sentinel word (`deg > 0`).
 #[inline(always)]
 pub(crate) fn sample_index<R: Rng + ?Sized>(word: u32, rng: &mut R) -> u64 {
-    if word & POW2_TAG != 0 {
-        // Power-of-two degree: top log2(d) bits of one draw.
-        let x = rng.next_u64();
-        let shift = word & 0x7f;
-        if shift >= 64 {
-            0 // deg 1: the draw is consumed, the index is forced.
-        } else {
-            x >> shift
+    // Lemire widening multiply with bounded rejection; the threshold is only
+    // computed in the (probability d/2^64) rejection branch, mirroring the
+    // generic sampler exactly. A degree-1 draw is consumed and its index
+    // forced to 0.
+    let d = u64::from(word & WORD_PAYLOAD);
+    let mut m = u128::from(rng.next_u64()) * u128::from(d);
+    let lo = m as u64;
+    if lo < d {
+        let threshold = d.wrapping_neg() % d;
+        while (m as u64) < threshold {
+            m = u128::from(rng.next_u64()) * u128::from(d);
         }
-    } else {
-        // Lemire widening multiply with bounded rejection; the threshold is
-        // only computed in the (probability d/2^64) rejection branch,
-        // mirroring the generic sampler exactly.
-        let d = u64::from(word & WORD_PAYLOAD);
-        let mut m = u128::from(rng.next_u64()) * u128::from(d);
-        let lo = m as u64;
-        if lo < d {
-            let threshold = d.wrapping_neg() % d;
-            while (m as u64) < threshold {
-                m = u128::from(rng.next_u64()) * u128::from(d);
-            }
-        }
-        (m >> 64) as u64
     }
+    (m >> 64) as u64
 }
 
 /// If the sorted, strictly ascending `list` is a contiguous id range — or a
@@ -181,17 +164,15 @@ fn contiguous_span(u: usize, list: &[u32]) -> Option<u32> {
 ///
 /// The word packs two independent specializations:
 ///
-/// * **Index draw** (bit 31): degree a power of two (including `1`) →
-///   `POW2_TAG | (64 - log2(d))`: one draw, take the **top** `log2(d)` bits —
-///   exactly the value Lemire's widening multiply `(x * d) >> 64` produces
-///   when the rejection threshold is zero, so the mask fast path is
-///   bit-identical to the general one; it only skips the 128-bit multiply.
-///   Otherwise the payload is `d` itself, driving Lemire's widening multiply
-///   with bounded rejection; the threshold `2^64 mod d` is computed only
-///   inside the rejection branch, whose probability is `d / 2^64` — i.e.
-///   essentially never — which keeps the entry compact (precomputing the
-///   threshold measured slower: a fatter table spills out of L2 to save a
-///   modulo that never runs).
+/// * **Index draw** (the low bits): the degree `d` itself, driving Lemire's
+///   widening multiply `(x * d) >> 64` with bounded rejection. The threshold
+///   `2^64 mod d` is computed only inside the rejection branch, whose
+///   probability is `d / 2^64` — i.e. essentially never — which keeps the
+///   entry compact (precomputing the threshold measured slower: a fatter
+///   table spills out of L2 to save a modulo that never runs). For a power
+///   of two `d = 2^k` the threshold is 0 and the multiply is the shift
+///   `x >> (64 - k)`, so one path serves every degree without a
+///   power-of-two special case or a branch on it.
 /// * **Interval elision** (bits 30/29): when the neighbor list is a
 ///   contiguous id range — optionally with a single hole at `u` itself, and
 ///   optionally with a single *outlier* neighbor outside the range — the
@@ -201,9 +182,9 @@ fn contiguous_span(u: usize, list: &[u32]) -> Option<u32> {
 ///   Fig. 1 families (a clique member's list is its clique's id range plus
 ///   one link vertex).
 ///
-/// Degree `0` → word `0`, the one word no positive degree produces (non-pow2
-/// degrees are ≥ 3 and tagged words carry a tag bit), so the samplers'
-/// isolation check is simply `word == 0`.
+/// Degree `0` → word `0`, the one word no positive degree produces (its
+/// degree bits are non-zero), so the samplers' isolation check is simply
+/// `word == 0`.
 fn sampler_entry(u: usize, list: &[u32], csr_start: u32) -> NeighborSampler {
     let d = list.len();
     if d == 0 {
@@ -366,7 +347,7 @@ impl Graph {
     /// `push-pull` and the random-walk agents all move to a uniform neighbor.
     /// It sits on the innermost simulation loop, so all vertex metadata comes
     /// from one 12-byte `NeighborSampler` load (adjacency start plus a
-    /// power-of-two shift or Lemire bound, or an interval description that
+    /// Lemire bound, or an interval description that
     /// needs no adjacency read at all) and the CSR branch's
     /// adjacency read skips bounds checks (safe by the CSR invariant
     /// `start + i < start + deg <= adjacency.len()`, which
@@ -389,11 +370,7 @@ impl Graph {
     /// Degree encoded in a non-sentinel sampler word.
     #[inline]
     fn entry_degree(word: u32) -> u64 {
-        if word & POW2_TAG != 0 {
-            1u64 << (64 - (word & 0x7f))
-        } else {
-            u64::from(word & WORD_PAYLOAD)
-        }
+        u64::from(word & WORD_PAYLOAD)
     }
 
     /// The `i`-th sorted member of the interval starting at `start`, skipping
@@ -1116,33 +1093,55 @@ mod tests {
     fn sampler_words_cover_the_shapes() {
         let entry = |u: usize, list: &[u32]| sampler_entry(u, list, 77);
         assert_eq!(entry(5, &[]).word, 0, "isolation sentinel");
-        // Degree 1: power-of-two draw, trivially an interval.
-        assert_eq!(entry(0, &[7]).word, POW2_TAG | INTERVAL_TAG | 64);
+        // Degree 1: trivially an interval.
+        assert_eq!(entry(0, &[7]).word, INTERVAL_TAG | 1);
         assert_eq!(entry(0, &[7]).start, 7, "interval start is the neighbor");
         // Contiguous pure range (star center): interval.
-        assert_eq!(entry(0, &[1, 2]).word, POW2_TAG | INTERVAL_TAG | 63);
+        assert_eq!(entry(0, &[1, 2]).word, INTERVAL_TAG | 2);
         assert_eq!(entry(0, &[1, 2, 3]).word, INTERVAL_TAG | 3);
         // Range with the hole exactly at the vertex (clique / cycle member).
-        assert_eq!(entry(2, &[1, 3]).word, POW2_TAG | INTERVAL_TAG | 63);
-        assert_eq!(entry(2, &[0, 1, 3, 4]).word, POW2_TAG | INTERVAL_TAG | 62);
+        assert_eq!(entry(2, &[1, 3]).word, INTERVAL_TAG | 2);
+        assert_eq!(entry(2, &[0, 1, 3, 4]).word, INTERVAL_TAG | 4);
         assert_eq!(entry(2, &[0, 1, 3, 4]).start, 0, "hole interval start");
         // One low-side outlier plus a range (clique member + its link).
         let e = entry(11, &[3, 10, 12, 13]);
-        assert_eq!(e.word, POW2_TAG | INTERVAL_TAG | OUTLIER_TAG | 62);
+        assert_eq!(e.word, INTERVAL_TAG | OUTLIER_TAG | 4);
         assert_eq!((e.start, e.outlier), (10, 3));
         // One high-side outlier.
         let e = entry(0, &[4, 5, 6, 90]);
-        assert_eq!(e.word, POW2_TAG | INTERVAL_TAG | OUTLIER_TAG | 62);
+        assert_eq!(e.word, INTERVAL_TAG | OUTLIER_TAG | 4);
         assert_eq!((e.start, e.outlier), (4, 90));
         // A gap that is NOT the vertex itself: plain CSR sampling.
         let e = entry(9, &[1, 3, 5]);
         assert_eq!(e.word, 3);
         assert_eq!(e.start, 77, "CSR start preserved");
-        // Scattered non-pow2 list: Lemire bound is the degree itself.
-        for d in [5usize, 6, 7, 9, 100, 999] {
+        // Scattered list: the index bits are the degree itself.
+        for d in [5usize, 6, 7, 8, 9, 100, 999, 1024] {
             let list: Vec<u32> = (0..d as u32).map(|i| 2 * i + 2).collect();
             let w = entry(0, &list).word;
             assert_eq!(w, d as u32);
+        }
+    }
+
+    #[test]
+    fn index_draw_is_gen_range_at_every_power_of_two() {
+        // For each d = 2^k up to the largest encodable degree, and the odd
+        // degrees beside it, the one-multiply index draw returns the value
+        // of the generic `gen_range(0..d)` and leaves the stream where it
+        // does.
+        let degrees = (0..usize::BITS)
+            .map(|k| 1usize << k)
+            .take_while(|&d| d <= MAX_SAMPLER_DEGREE)
+            .flat_map(|d| [d - 1, d, d + 1])
+            .filter(|&d| (1..=MAX_SAMPLER_DEGREE).contains(&d));
+        for d in degrees {
+            let mut specialized = StdRng::seed_from_u64(d as u64);
+            let mut generic = specialized.clone();
+            for _ in 0..200 {
+                let i = sample_index(index_word(d), &mut specialized);
+                assert_eq!(i, generic.gen_range(0..d as u64), "degree {d}");
+            }
+            assert_eq!(specialized.next_u64(), generic.next_u64(), "degree {d}");
         }
     }
 

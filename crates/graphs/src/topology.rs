@@ -54,9 +54,10 @@
 //! generated and hub-cached backends, and CSR graphs whose read lists
 //! outgrow the cache — walker passes, sequential and sharded, draw a whole
 //! 64-agent block and resolve it with one [`Topology::resolve_block`]
-//! call; elsewhere they draw and store each agent on the spot. The sharded
-//! vertex protocols draw their blocks through
-//! [`Topology::draw_deferred_with`] on every backend. The default resolves
+//! call; elsewhere they draw and store each agent on the spot. The vertex
+//! protocols' pass takes the same two shapes with 128-caller blocks,
+//! drawing through [`Topology::draw_deferred`] on the sequential engine and
+//! [`Topology::draw_deferred_with`] on the sharded one. The default resolves
 //! each token in turn, which is all the CSR and implicit backends need.
 //! The generated backend instead derives all of the block's neighbors in
 //! one batched kernel, and the hub-cached backend passes the block's misses
@@ -159,9 +160,10 @@ pub trait Topology: sealed::Sealed + Sync {
         make_rng: F,
     ) -> Option<VertexId>;
 
-    /// Which shape a walker pass takes. `true`: the block shape, which
-    /// draws a 64-agent block through [`Topology::draw_deferred`] (with
-    /// [`Topology::prefetch_sampler`] ahead) and resolves it with one
+    /// Which shape a walker or vertex pass takes. `true`: the block shape,
+    /// which draws a block of tokens — 64 agents through
+    /// [`Topology::draw_deferred`], with [`Topology::prefetch_sampler`]
+    /// ahead, or 128 vertex-protocol callers — and resolves it with one
     /// [`Topology::resolve_block`] call — for backends where reading a drawn
     /// neighbor waits on memory that a block can overlap. `false` (the
     /// default): the immediate shape, which resolves every draw on the spot
