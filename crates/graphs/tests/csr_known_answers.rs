@@ -7,8 +7,9 @@
 //! deduplicated or repaired that alters a single neighbor, or the order of
 //! the random draws a generator makes, moves a digest.
 //!
-//! The random regular cases cover a size whose pairing leaves self-loops
-//! and parallel pairs to repair, a small case whose first pairing fails to
+//! The random regular cases cover sizes whose pairing leaves self-loops
+//! and parallel pairs to repair (among them Theorem 1's `2^16` vertices of
+//! degree 16, as the benchmark builds them), a small case whose first pairing fails to
 //! repair within budget and restarts, and one whose first repaired pairing
 //! is disconnected and restarts (the unit tests in `generators/regular.rs`
 //! show that both first attempts fail).
@@ -76,6 +77,26 @@ fn random_regular_with_repaired_defects() {
         &g,
         3_500,
         (0xfac5_0e6f_b253_8410, 0x0769_8d78_ab11_8c89),
+    );
+}
+
+#[test]
+fn random_regular_at_theorem1_size() {
+    // The Thm 1 workload's size: each pairing leaves tens of loops and
+    // repeats, so the swaps both add edges and remove pairing edges.
+    let g = generators::random_regular(1 << 16, 16, &mut rng(2)).unwrap();
+    pin(
+        "random_regular(1 << 16, 16, 2)",
+        &g,
+        1 << 19,
+        (0xf5b0_cd24_1a0d_a085, 0x7e08_f110_9edc_d121),
+    );
+    let g = generators::random_regular(1 << 16, 16, &mut rng(13)).unwrap();
+    pin(
+        "random_regular(1 << 16, 16, 13)",
+        &g,
+        1 << 19,
+        (0xf5b0_cd24_1a0d_a085, 0x76ae_22f1_cdab_f9dd),
     );
 }
 
