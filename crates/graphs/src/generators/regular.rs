@@ -39,7 +39,14 @@ const RANDOM_REGULAR_MAX_ATTEMPTS: usize = 50;
 /// two small sorted lists of the pairs the swaps have added and removed,
 /// answers each "is this edge present?" query with binary searches. The
 /// defects, the random draws and so the graph are those of a repair that
-/// keeps the present edges in a hash set.
+/// keeps the present edges in a hash set. The swaps rewrite the shuffled
+/// stub array in place, as pairs.
+///
+/// The repaired edge set is the upper half of the graph's CSR: each
+/// vertex's neighbors above it, in ascending order. One transpose, which
+/// visits those rows in vertex order and writes every edge into both of
+/// its rows, fills every row already sorted. No builder copies the edges
+/// and no row is sorted.
 ///
 /// # Errors
 ///
@@ -88,11 +95,19 @@ pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Resul
 /// One pairing attempt followed by double-edge-swap repair; `None` if repair
 /// did not converge.
 fn pair_and_repair<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Option<Graph> {
-    let mut edges = pairing(n, d, rng);
+    let mut stubs = pairing(n, d, rng);
+    let repaired = repair(n, stubs.as_chunks_mut().0, rng)?;
+    drop(stubs);
+    Some(repaired.into_graph())
+}
+
+/// Repairs the pairing `edges` in place by double-edge swaps and returns
+/// the set of its repaired edges; `None` if the swap budget ran out.
+fn repair<R: Rng + ?Sized>(n: usize, edges: &mut [[u32; 2]], rng: &mut R) -> Option<EdgeSet> {
     let key = |u: u32, v: u32| if u < v { (u, v) } else { (v, u) };
     // `seen` holds the first occurrence of every edge; `defective` the
     // indices of self-loops and later copies, ascending.
-    let (mut seen, mut defective) = EdgeSet::first_occurrences(n, &edges);
+    let (mut seen, mut defective) = EdgeSet::first_occurrences(n, edges);
 
     // Repair defective edges by random double-edge swaps. Each iteration
     // either fixes a defective edge or burns one unit of budget.
@@ -102,12 +117,12 @@ fn pair_and_repair<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Option<G
             return None;
         }
         budget -= 1;
-        let (u, v) = edges[i];
+        let [u, v] = edges[i];
         let j = rng.gen_range(0..edges.len());
         if j == i || defective.contains(&j) {
             continue;
         }
-        let (x, y) = edges[j];
+        let [x, y] = edges[j];
         // Propose replacing (u,v),(x,y) with (u,x),(v,y); randomize orientation
         // of the partner edge so both swap variants are reachable.
         let (x, y) = if rng.gen_bool(0.5) { (x, y) } else { (y, x) };
@@ -124,22 +139,17 @@ fn pair_and_repair<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Option<G
         // the surviving original copy keeps its entry.
         seen.insert(key(u, x));
         seen.insert(key(v, y));
-        edges[i] = (u, x);
-        edges[j] = (v, y);
+        edges[i] = [u, x];
+        edges[j] = [v, y];
         defective.pop();
     }
-    drop(seen);
-
-    let mut b = GraphBuilder::with_capacity(n, edges.len());
-    for &(u, v) in &edges {
-        b.add_edge(u as usize, v as usize).ok()?;
-    }
-    b.build().ok()
+    Some(seen)
 }
 
 /// A uniformly random pairing of `d` stubs per vertex: the configuration
-/// model's multigraph, with self-loops and repeated edges.
-fn pairing<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Vec<(u32, u32)> {
+/// model's multigraph, with self-loops and repeated edges. Stubs `2i` and
+/// `2i + 1` are paired.
+fn pairing<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Vec<u32> {
     let mut stubs: Vec<u32> = Vec::with_capacity(n * d);
     for u in 0..n {
         for _ in 0..d {
@@ -147,7 +157,7 @@ fn pairing<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Vec<(u32, u32)> 
         }
     }
     stubs.shuffle(rng);
-    stubs.chunks_exact(2).map(|p| (p[0], p[1])).collect()
+    stubs
 }
 
 /// The repair's set of undirected edges `(a, b)`, `a < b`, without hashing.
@@ -157,6 +167,11 @@ fn pairing<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Vec<(u32, u32)> 
 /// or removes afterwards go into two small sorted overlays, `added`
 /// (never in the array) and `removed` (in the array). A query is one binary
 /// search in a bucket of at most `d` entries and one in each overlay.
+///
+/// Once the repair is done the set is the upper half of the graph's CSR:
+/// vertex `a`'s neighbors above it, ascending, are its bucket with repeats
+/// skipped, minus `removed`, merged with `added`. [`EdgeSet::into_graph`]
+/// transposes those rows in one pass, which fills every row in order.
 struct EdgeSet {
     /// `pairs[start[a]..start[a + 1]]` holds `b << 32 | i` for every pairing
     /// edge `i` with endpoints `a < b`, sorted (so by `b`, then by `i`).
@@ -169,9 +184,9 @@ struct EdgeSet {
 impl EdgeSet {
     /// The set of `edges`' non-loop keys, and the indices (ascending) of the
     /// edges that are self-loops or repeat the key of an earlier edge.
-    fn first_occurrences(n: usize, edges: &[(u32, u32)]) -> (Self, Vec<usize>) {
+    fn first_occurrences(n: usize, edges: &[[u32; 2]]) -> (Self, Vec<usize>) {
         let mut start = vec![0u32; n + 1];
-        for &(u, v) in edges {
+        for &[u, v] in edges {
             if u != v {
                 start[u.min(v) as usize + 1] += 1;
             }
@@ -182,7 +197,7 @@ impl EdgeSet {
         let mut cursor = start[..n].to_vec();
         let mut pairs = vec![0u64; start[n] as usize];
         let mut defective = Vec::new();
-        for (i, &(u, v)) in edges.iter().enumerate() {
+        for (i, &[u, v]) in edges.iter().enumerate() {
             if u == v {
                 defective.push(i);
                 continue;
@@ -210,11 +225,71 @@ impl EdgeSet {
         (set, defective)
     }
 
+    /// Calls `f(a, b)` for every edge `a < b` of the set, in ascending
+    /// order: each bucket's keys with repeats skipped and `removed` left
+    /// out, merged with `added`. The overlays are sorted, so each is read
+    /// with one cursor.
+    fn for_each(&self, mut f: impl FnMut(u32, u32)) {
+        let mut added = self.added.iter().copied().peekable();
+        let mut removed = self.removed.iter().copied().peekable();
+        for (a, bucket) in self.start.windows(2).enumerate() {
+            let a = a as u32;
+            let mut last = None;
+            for &pair in &self.pairs[bucket[0] as usize..bucket[1] as usize] {
+                let b = (pair >> 32) as u32;
+                if last == Some(b) {
+                    continue;
+                }
+                last = Some(b);
+                while let Some((x, c)) = added.next_if(|&key| key < (a, b)) {
+                    f(x, c);
+                }
+                if removed.next_if_eq(&(a, b)).is_none() {
+                    f(a, b);
+                }
+            }
+            while let Some((x, c)) = added.next_if(|&(x, _)| x == a) {
+                f(x, c);
+            }
+        }
+    }
+
+    /// The CSR graph of the set. Offsets are counted in a first pass over
+    /// the upper rows; the second pass writes each edge `(a, b)` at the
+    /// next slot of both rows. Rows are visited in ascending order, so row
+    /// `u` receives its lower neighbors, ascending, before its own upper
+    /// row: every row fills sorted, with no sort.
+    fn into_graph(self) -> Graph {
+        let n = self.start.len() - 1;
+        let mut offsets = vec![0u32; n + 1];
+        self.for_each(|a, b| {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
+        });
+        for u in 0..n {
+            offsets[u + 1] += offsets[u];
+        }
+        let mut cursor = offsets[..n].to_vec();
+        let mut adjacency = vec![0u32; offsets[n] as usize];
+        self.for_each(|a, b| {
+            adjacency[cursor[b as usize] as usize] = a;
+            cursor[b as usize] += 1;
+            adjacency[cursor[a as usize] as usize] = b;
+            cursor[a as usize] += 1;
+        });
+        drop(self);
+        let m = adjacency.len() / 2;
+        Graph::from_csr(offsets, adjacency, m)
+    }
+
+    /// The pairing's edges `(a, b)` with `a` the smaller endpoint.
+    fn bucket(&self, a: u32) -> &[u64] {
+        &self.pairs[self.start[a as usize] as usize..self.start[a as usize + 1] as usize]
+    }
+
     /// Whether the pairing held `(a, b)`, `a < b`.
     fn paired(&self, (a, b): (u32, u32)) -> bool {
-        let bucket =
-            &self.pairs[self.start[a as usize] as usize..self.start[a as usize + 1] as usize];
-        bucket
+        self.bucket(a)
             .binary_search_by_key(&b, |&pair| (pair >> 32) as u32)
             .is_ok()
     }
@@ -421,11 +496,12 @@ mod tests {
     fn pinned_repair_cases_start_with_loops_and_repeats() {
         // The pairings behind `csr_known_answers.rs`'s repaired cases.
         for (n, d, seed) in [(4096, 16, 7), (1000, 7, 3)] {
-            let edges = pairing(n, d, &mut StdRng::seed_from_u64(seed));
-            let (_, defective) = EdgeSet::first_occurrences(n, &edges);
+            let stubs = pairing(n, d, &mut StdRng::seed_from_u64(seed));
+            let edges = stubs.as_chunks().0;
+            let (_, defective) = EdgeSet::first_occurrences(n, edges);
             let loops = defective
                 .iter()
-                .filter(|&&i| edges[i].0 == edges[i].1)
+                .filter(|&&i| edges[i][0] == edges[i][1])
                 .count();
             assert!(
                 loops > 0 && defective.len() > loops,
@@ -440,16 +516,17 @@ mod tests {
         let key = |u: u32, v: u32| if u < v { (u, v) } else { (v, u) };
         let mut rng = StdRng::seed_from_u64(99);
         for (n, d) in [(12, 5), (40, 6), (300, 8)] {
-            let edges = pairing(n, d, &mut rng);
+            let stubs = pairing(n, d, &mut rng);
+            let edges = stubs.as_chunks().0;
             // The reference: the repair's former SipHash set.
             let mut reference = HashSet::new();
             let mut expected_defective = Vec::new();
-            for (i, &(u, v)) in edges.iter().enumerate() {
+            for (i, &[u, v]) in edges.iter().enumerate() {
                 if u == v || !reference.insert(key(u, v)) {
                     expected_defective.push(i);
                 }
             }
-            let (mut set, defective) = EdgeSet::first_occurrences(n, &edges);
+            let (mut set, defective) = EdgeSet::first_occurrences(n, edges);
             assert_eq!(defective, expected_defective);
             for _ in 0..20_000 {
                 let u = rng.gen_range(0..n as u32);
@@ -471,6 +548,59 @@ mod tests {
                 }
                 assert_eq!(set.contains(k), reference.contains(&k));
             }
+        }
+    }
+
+    #[test]
+    fn assembled_graph_matches_the_builder_on_the_repaired_pairs() {
+        // Small graphs, where loops, repeats and swaps are frequent.
+        let (mut assembled, mut removed_repeats) = (0, 0);
+        for (n, d) in [(10, 3), (24, 7), (64, 9), (200, 15)] {
+            for seed in 0..500 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut stubs = pairing(n, d, &mut rng);
+                let edges = stubs.as_chunks_mut().0;
+                let Some(set) = repair(n, edges, &mut rng) else {
+                    continue;
+                };
+                // A removed pairing edge that its bucket holds twice: the
+                // swaps took both copies away, so the skip of repeats and
+                // `removed` must agree.
+                removed_repeats += set
+                    .removed
+                    .iter()
+                    .filter(|&&(a, b)| {
+                        set.bucket(a)
+                            .iter()
+                            .filter(|&&p| p >> 32 == u64::from(b))
+                            .count()
+                            > 1
+                    })
+                    .count();
+                let mut builder = GraphBuilder::with_capacity(n, edges.len());
+                for &[u, v] in edges.iter() {
+                    builder.add_edge(u as usize, v as usize).unwrap();
+                }
+                let expected = builder.build().unwrap();
+                assert_eq!(set.into_graph(), expected, "n={n} d={d} seed={seed}");
+                assembled += 1;
+            }
+        }
+        assert!(assembled > 1500, "{assembled} repaired pairings");
+        assert!(removed_repeats > 0);
+    }
+
+    #[test]
+    fn theorem1_size_repairs_use_both_overlays() {
+        // The first pairings behind `csr_known_answers.rs`'s Thm 1 pins.
+        for seed in [2, 13] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut stubs = pairing(1 << 16, 16, &mut rng);
+            let set = repair(1 << 16, stubs.as_chunks_mut().0, &mut rng).unwrap();
+            assert!(
+                !set.added.is_empty() && !set.removed.is_empty(),
+                "seed {seed}"
+            );
         }
     }
 
