@@ -46,7 +46,9 @@ const RANDOM_REGULAR_MAX_ATTEMPTS: usize = 50;
 /// vertex's neighbors above it, in ascending order. One transpose, which
 /// visits those rows in vertex order and writes every edge into both of
 /// its rows, fills every row already sorted. No builder copies the edges
-/// and no row is sorted.
+/// and no row is sorted. The transpose writes into the stub array, whose
+/// `n * d` entries are the adjacency's, so the adjacency is never
+/// allocated beside it.
 ///
 /// # Errors
 ///
@@ -97,8 +99,8 @@ pub fn random_regular<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Resul
 fn pair_and_repair<R: Rng + ?Sized>(n: usize, d: usize, rng: &mut R) -> Option<Graph> {
     let mut stubs = pairing(n, d, rng);
     let repaired = repair(n, stubs.as_chunks_mut().0, rng)?;
-    drop(stubs);
-    Some(repaired.into_graph())
+    // The repaired set holds every edge; the stubs become the adjacency.
+    Some(repaired.into_graph(stubs))
 }
 
 /// Repairs the pairing `edges` in place by double-edge swaps and returns
@@ -254,12 +256,13 @@ impl EdgeSet {
         }
     }
 
-    /// The CSR graph of the set. Offsets are counted in a first pass over
-    /// the upper rows; the second pass writes each edge `(a, b)` at the
-    /// next slot of both rows. Rows are visited in ascending order, so row
-    /// `u` receives its lower neighbors, ascending, before its own upper
-    /// row: every row fills sorted, with no sort.
-    fn into_graph(self) -> Graph {
+    /// The CSR graph of the set, its rows written over `adjacency` (twice
+    /// the set's length; its contents are ignored). Offsets are counted in
+    /// a first pass over the upper rows; the second pass writes each edge
+    /// `(a, b)` at the next slot of both rows. Rows are visited in
+    /// ascending order, so row `u` receives its lower neighbors, ascending,
+    /// before its own upper row: every row fills sorted, with no sort.
+    fn into_graph(self, mut adjacency: Vec<u32>) -> Graph {
         let n = self.start.len() - 1;
         let mut offsets = vec![0u32; n + 1];
         self.for_each(|a, b| {
@@ -270,7 +273,7 @@ impl EdgeSet {
             offsets[u + 1] += offsets[u];
         }
         let mut cursor = offsets[..n].to_vec();
-        let mut adjacency = vec![0u32; offsets[n] as usize];
+        assert_eq!(adjacency.len(), offsets[n] as usize);
         self.for_each(|a, b| {
             adjacency[cursor[b as usize] as usize] = a;
             cursor[b as usize] += 1;
@@ -582,7 +585,7 @@ mod tests {
                     builder.add_edge(u as usize, v as usize).unwrap();
                 }
                 let expected = builder.build().unwrap();
-                assert_eq!(set.into_graph(), expected, "n={n} d={d} seed={seed}");
+                assert_eq!(set.into_graph(stubs), expected, "n={n} d={d} seed={seed}");
                 assembled += 1;
             }
         }
