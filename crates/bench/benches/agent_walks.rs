@@ -15,9 +15,9 @@
 //! mean-time speedup; the measured ratio is printed, recorded in
 //! `BENCH_walks.json`, and (when `RUMOR_BENCH_ENFORCE=1`) asserted.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rumor_bench::summary::record_summary_in;
@@ -156,7 +156,7 @@ fn measure<F: FnMut(u64) -> u64>(samples: u64, mut f: F) -> (Duration, f64) {
     (total / samples as u32, rounds as f64 / samples as f64)
 }
 
-fn agent_walks(c: &mut Criterion) {
+fn main() {
     let fast = std::env::var("RUMOR_BENCH_FAST")
         .map(|v| v == "1")
         .unwrap_or(false);
@@ -165,33 +165,12 @@ fn agent_walks(c: &mut Criterion) {
     let n = family.graph().num_vertices();
     let graph = family.graph();
 
-    // Criterion-style groups for the usual reporting…
-    let samples = if fast { 1u64 } else { 3 };
-    let mut group = c.benchmark_group("agent_walks_meetx_cycle_of_stars");
-    group.sample_size(samples.max(2) as usize);
-    group.warm_up_time(Duration::from_millis(200));
-    group.measurement_time(Duration::from_secs(30));
-    let mut seed = 1000u64;
-    group.bench_function("flat_engine", |b| {
-        b.iter(|| {
-            seed = seed.wrapping_add(1);
-            engine_meet_exchange_broadcast(graph, source, seed)
-        })
-    });
-    let mut seed = 2000u64;
-    group.bench_function("naive_substrate", |b| {
-        b.iter(|| {
-            seed = seed.wrapping_add(1);
-            naive_meet_exchange_broadcast(graph, source, seed)
-        })
-    });
-    group.finish();
-
-    // …and an explicit paired measurement for the speedup ratio. The two
+    // A paired measurement for the speedup ratio. The two
     // sides consume different RNGs (by design: the baseline is the *seed*
     // cost model), so they are timed over the same seed set independently;
     // the mean round counts are reported so per-round costs can be compared
     // even when the heavy-tailed broadcast lengths differ.
+    let samples = if fast { 1u64 } else { 3 };
     let (engine, engine_rounds) = measure(samples, |s| {
         engine_meet_exchange_broadcast(graph, source, s)
     });
@@ -247,6 +226,3 @@ fn agent_walks(c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, agent_walks);
-criterion_main!(benches);

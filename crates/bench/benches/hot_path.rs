@@ -12,9 +12,9 @@
 //! engine is a ≥ 5x mean-time speedup; the measured ratio is printed at the
 //! end and (when `RUMOR_BENCH_ENFORCE=1`) asserted.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use rumor_bench::summary::record_summary_in;
@@ -80,7 +80,7 @@ fn measure<F: FnMut(u64) -> u64>(samples: u64, mut f: F) -> Duration {
     total / samples as u32
 }
 
-fn hot_path(c: &mut Criterion) {
+fn main() {
     let fast = std::env::var("RUMOR_BENCH_FAST")
         .map(|v| v == "1")
         .unwrap_or(false);
@@ -89,29 +89,8 @@ fn hot_path(c: &mut Criterion) {
     let n = family.graph().num_vertices();
     let graph = family.graph();
 
-    // Criterion-style groups for the usual reporting…
+    // A paired measurement for the speedup ratio.
     let samples = if fast { 1u64 } else { 5 };
-    let mut group = c.benchmark_group("hot_path_push_cycle_of_stars");
-    group.sample_size(samples as usize);
-    group.warm_up_time(Duration::from_millis(200));
-    group.measurement_time(Duration::from_secs(20));
-    let mut seed = 1000u64;
-    group.bench_function("frontier_engine", |b| {
-        b.iter(|| {
-            seed = seed.wrapping_add(1);
-            frontier_push_broadcast(graph, source, seed)
-        })
-    });
-    let mut seed = 2000u64;
-    group.bench_function("naive_full_scan", |b| {
-        b.iter(|| {
-            seed = seed.wrapping_add(1);
-            naive_push_broadcast(graph, source, seed)
-        })
-    });
-    group.finish();
-
-    // …and an explicit paired measurement for the speedup ratio.
     let frontier = measure(samples, |s| frontier_push_broadcast(graph, source, s));
     let naive = measure(samples, |s| naive_push_broadcast(graph, source, s));
     let speedup = naive.as_secs_f64() / frontier.as_secs_f64();
@@ -153,6 +132,3 @@ fn hot_path(c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, hot_path);
-criterion_main!(benches);

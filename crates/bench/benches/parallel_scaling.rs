@@ -31,9 +31,9 @@
 //! Results land in `BENCH_parallel.json` under the unified summary schema
 //! (host metadata + per-thread-count means).
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rumor_bench::summary::record_summary_in;
 use rumor_core::{simulate_on, ProtocolKind, SimulationSpec};
 use rumor_graphs::generators::CycleOfStarsOfCliques;
@@ -134,44 +134,13 @@ fn scaling_grid(
     }
 }
 
-fn parallel_scaling(c: &mut Criterion) {
+fn main() {
     let fast = std::env::var("RUMOR_BENCH_FAST")
         .map(|v| v == "1")
         .unwrap_or(false);
     let enforce = std::env::var("RUMOR_BENCH_ENFORCE")
         .map(|v| v == "1")
         .unwrap_or(false);
-
-    // Criterion-style group on the smaller instance, for the usual reports.
-    let small = CycleOfStarsOfCliques::with_at_least(if fast { 20_000 } else { 100_000 })
-        .expect("fig 1e generator");
-    let small_source = small.a_clique_source();
-    let mut group = c.benchmark_group("parallel_scaling_push");
-    group.sample_size(if fast { 2 } else { 10 });
-    group.warm_up_time(Duration::from_millis(200));
-    group.measurement_time(Duration::from_secs(if fast { 1 } else { 5 }));
-    let mut seed = 0u64;
-    group.bench_function("sequential", |b| {
-        b.iter(|| {
-            seed = seed.wrapping_add(1);
-            simulate_on(small.graph(), small_source, &push_spec(seed))
-        })
-    });
-    for threads in THREADS {
-        let mut seed = 0u64;
-        let id = format!("sharded_t{threads}");
-        group.bench_function(id.as_str(), |b| {
-            b.iter(|| {
-                seed = seed.wrapping_add(1);
-                simulate_on(
-                    small.graph(),
-                    small_source,
-                    &push_spec(seed).with_sharded(threads),
-                )
-            })
-        });
-    }
-    group.finish();
 
     // Scaling grids with summary entries.
     let push_family = if fast {
@@ -222,6 +191,3 @@ fn parallel_scaling(c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, parallel_scaling);
-criterion_main!(benches);

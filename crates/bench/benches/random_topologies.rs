@@ -29,7 +29,6 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rumor_bench::summary::{peak_rss_bytes, record_summary_in};
 use rumor_core::{simulate_on, ProtocolKind, SimulationSpec};
 use rumor_graphs::{GeneratedGraph, HubCacheBuilder, Topology};
@@ -92,7 +91,7 @@ fn gnp_scale_point(key: &str, n: usize, mean_degree: f64, seed: u64) -> f64 {
     memory_ratio
 }
 
-fn random_topologies(_c: &mut Criterion) {
+fn main() {
     // ---- Memory: measured CSR at a materializable size. ----
     // The formula used at scale must be a conservative floor of a real
     // build, so cross-check both against a size where the CSR fits.
@@ -373,6 +372,3 @@ fn random_topologies(_c: &mut Criterion) {
         }
     }
 }
-
-criterion_group!(benches, random_topologies);
-criterion_main!(benches);

@@ -19,7 +19,6 @@
 
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rumor_bench::summary::{peak_rss_bytes, record_summary_in};
 use rumor_core::{
     simulate_on, simulate_resumable_in, CheckpointCadence, ProtocolKind, SimSnapshot, SimWorkspace,
@@ -46,7 +45,7 @@ fn min_seconds(reps: usize, mut f: impl FnMut()) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-fn robustness(_c: &mut Criterion) {
+fn main() {
     let n = 1_000_000usize;
     // d̄ = 40 as in the random-topologies bench: comfortably past the
     // connectivity threshold (ln 10⁶ ≈ 13.8), so push always completes.
@@ -236,6 +235,3 @@ fn robustness(_c: &mut Criterion) {
         );
     }
 }
-
-criterion_group!(benches, robustness);
-criterion_main!(benches);

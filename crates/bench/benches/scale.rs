@@ -25,9 +25,9 @@
 //!   instance, whose CSR build is unrepresentable (adjacency would exceed
 //!   `u32` indexing) and which must stay under 4 GB resident implicitly.
 
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use rumor_bench::summary::{peak_rss_bytes, record_summary_in};
 use rumor_core::{simulate_on, ProtocolKind, SimulationSpec};
 use rumor_experiments::{run_trials, ExperimentConfig};
@@ -77,7 +77,7 @@ fn enforce() -> bool {
         .unwrap_or(false)
 }
 
-fn scale(c: &mut Criterion) {
+fn main() {
     let fast = std::env::var("RUMOR_BENCH_FAST")
         .map(|v| v == "1")
         .unwrap_or(false);
@@ -140,18 +140,6 @@ fn scale(c: &mut Criterion) {
         .with_seed(900)
         .with_max_rounds(u64::MAX);
     let samples = if fast { 1u64 } else { 5 };
-
-    let mut group = c.benchmark_group("scale_sweep_100_trials");
-    group.sample_size(samples as usize);
-    group.warm_up_time(Duration::from_millis(200));
-    group.measurement_time(Duration::from_secs(10));
-    group.bench_function("windowed_pooled_workspace", |b| {
-        b.iter(|| pooled_sweep(&sweep_graph, sweep_source, &windowed, trials))
-    });
-    group.bench_function("windowed_fresh_per_trial", |b| {
-        b.iter(|| fresh_sweep(&sweep_graph, sweep_source, &windowed, trials))
-    });
-    group.finish();
 
     // Sanity: pooling must not change a single outcome.
     assert_eq!(
@@ -277,6 +265,3 @@ fn scale(c: &mut Criterion) {
         }
     }
 }
-
-criterion_group!(benches, scale);
-criterion_main!(benches);

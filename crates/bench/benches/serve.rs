@@ -38,7 +38,6 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use rumor_bench::summary::record_summary_in;
 use rumor_experiments::serve::protocol::{upload_begin_line, upload_chunk_line};
 use rumor_experiments::serve::store::manifest_for;
@@ -73,7 +72,7 @@ fn job(client: &str, seed: u64, trials: usize) -> SubmitRequest {
     request
 }
 
-fn serve_bench(_c: &mut Criterion) {
+fn main() {
     let fast = std::env::var("RUMOR_BENCH_FAST")
         .map(|v| v == "1")
         .unwrap_or(false);
@@ -490,6 +489,3 @@ fn serve_bench(_c: &mut Criterion) {
         ],
     );
 }
-
-criterion_group!(benches, serve_bench);
-criterion_main!(benches);

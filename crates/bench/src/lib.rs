@@ -1,4 +1,4 @@
-//! Shared helpers for the criterion benchmark harness.
+//! Shared helpers for the benchmark binaries.
 //!
 //! The bench targets are perf-regression benches for the engine layers
 //! (vertex frontiers, agent walks, the sharded engine, topology backends,
@@ -11,7 +11,7 @@ pub mod summary {
     //!
     //! The perf-tracking benches append their mean times and speedup ratios
     //! to small JSON objects at the workspace root, so the perf trajectory
-    //! is tracked from run to run without scraping criterion output. Seven
+    //! is tracked from run to run without scraping console output. Seven
     //! files share **one schema** (see [`SUMMARY_FILES`]):
     //!
     //! * `BENCH_hot_path.json` — the vertex-protocol engine (`hot_path`);

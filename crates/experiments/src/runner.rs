@@ -1,5 +1,15 @@
 //! Parallel execution of repeated simulation trials.
 //!
+//! Every trial of every caller — [`run_trials`], [`run_trials_guarded`],
+//! both [`ScalingSweep`](crate::ScalingSweep) paths, and the serve
+//! scheduler — runs under one policy, defined here: a panicking attempt is
+//! replayed with the same seed up to [`TrialPolicy::max_retries`] times
+//! before the trial reports [`TrialOutcome::Panicked`], finished and
+//! suspended runs map to [`TrialOutcome`]s through one pair of
+//! constructors, and a spec-keyed manifest is recovered and rewritten by
+//! one type. [`run_trials`] is [`run_trials_guarded`] with no retry, no
+//! budget and no manifest.
+//!
 //! Trials are distributed with a lock-free ticket counter: workers claim the
 //! next trial index with a single `fetch_add` and write the outcome into that
 //! trial's pre-allocated result slot, so there is no shared queue, no mutex,
@@ -7,8 +17,8 @@
 //! back ordered by trial index regardless of which worker ran what, which is
 //! what makes single- and multi-threaded runs bit-identical.
 //!
-//! Per-trial heap churn is designed out: the graph (either [`Topology`]
-//! backend — [`run_trials`] is generic) is built once per sweep point by the
+//! Per-trial heap churn is designed out: the graph (any [`Topology`]
+//! backend — the runner is generic) is built once per sweep point by the
 //! caller, each worker clones the spec **once** and only rewrites its seed
 //! per trial, and each worker owns a pooled
 //! [`SimWorkspace`](rumor_core::SimWorkspace) whose protocol state (bitsets,
@@ -24,6 +34,7 @@
 //! sharded engine is thread-invariant, so this budgeting never changes
 //! results — only wall-clock.
 
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -43,12 +54,14 @@ use crate::config::ExperimentConfig;
 /// configured worker threads, and returns the outcomes ordered by trial index.
 ///
 /// Each trial is a pure function of its derived seed, so the result is
-/// independent of the thread count and of scheduling order.
+/// independent of the thread count and of scheduling order. This is
+/// [`run_trials_guarded`] with no retry, no budget and no manifest.
 ///
 /// # Panics
 ///
-/// Panics if `trials == 0`, if `source` is out of range, or if any worker
-/// thread panics.
+/// Panics if `trials == 0`, if `source` is out of range, or if any trial
+/// panics; the panic names the lowest-index panicked trial and carries its
+/// message.
 ///
 /// # Examples
 ///
@@ -71,58 +84,19 @@ pub fn run_trials<G: Topology>(
     trials: usize,
     config: &ExperimentConfig,
 ) -> Vec<BroadcastOutcome> {
-    assert!(trials > 0, "run_trials requires at least one trial");
-    assert!(source < graph.num_vertices(), "source out of range");
-
-    let workers = config.resolved_workers(trials);
-
-    // Nested-parallelism budget: an auto-threaded sharded spec splits the
-    // total thread budget (`RUMOR_THREADS` if the operator set one, else
-    // the host's parallelism) across the trial workers, so trials × shards
-    // stays within that budget. Explicit shard counts are respected as-is.
-    // Thread-invariance of the sharded engine guarantees this cannot
-    // change any outcome.
-    let spec_storage;
-    let spec = if spec.engine == (Engine::Sharded { threads: 0 }) {
-        let budget = (rumor_core::resolve_threads(0) / workers).max(1);
-        spec_storage = spec.clone().with_sharded(budget);
-        &spec_storage
-    } else {
-        spec
+    let no_retry = TrialPolicy {
+        max_retries: 0,
+        ..TrialPolicy::new()
     };
-
-    // One write-once slot per trial, pre-partitioned so workers never touch
-    // each other's results; a ticket counter hands out trial indices.
-    let slots: Vec<OnceLock<BroadcastOutcome>> = (0..trials).map(|_| OnceLock::new()).collect();
-    let ticket = AtomicUsize::new(0);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                // One spec clone and one pooled workspace per *worker* (not
-                // per trial): the loop only rewrites the seed, and the
-                // workspace's protocol state is reset — not reallocated —
-                // between the trials this worker claims.
-                let mut trial_spec = spec.clone();
-                let mut workspace = SimWorkspace::new();
-                loop {
-                    let trial = ticket.fetch_add(1, Ordering::Relaxed);
-                    if trial >= trials {
-                        break;
-                    }
-                    trial_spec.seed = spec.seed.wrapping_add(trial as u64);
-                    let outcome = simulate_in(graph, source, &trial_spec, &mut workspace);
-                    slots[trial]
-                        .set(outcome)
-                        .unwrap_or_else(|_| unreachable!("trial {trial} claimed twice"));
-                }
-            });
-        }
-    });
-
-    slots
+    run_trials_guarded(graph, source, spec, trials, config, &no_retry, None)
+        .outcomes
         .into_iter()
-        .map(|slot| slot.into_inner().expect("every trial index was filled"))
+        .enumerate()
+        .map(|(trial, outcome)| match outcome {
+            TrialOutcome::Completed(o) | TrialOutcome::RoundCapped(o) => o,
+            TrialOutcome::Panicked { message, .. } => panic!("trial {trial} panicked: {message}"),
+            other => unreachable!("trial {trial} ended {other:?} with no budget or stop armed"),
+        })
         .collect()
 }
 
@@ -188,6 +162,90 @@ impl TrialOutcome {
             _ => None,
         }
     }
+
+    /// The outcome of a run that finished: completed, or round-capped.
+    pub(crate) fn finished(outcome: BroadcastOutcome) -> Self {
+        if outcome.completed {
+            TrialOutcome::Completed(outcome)
+        } else {
+            TrialOutcome::RoundCapped(outcome)
+        }
+    }
+
+    /// The outcome of a run whose budget expired, reporting the state at
+    /// its suspension `snapshot`.
+    pub(crate) fn suspended(snapshot: &SimSnapshot) -> Self {
+        TrialOutcome::TimedOut {
+            round: snapshot.round(),
+            informed_vertices: snapshot.informed_vertex_count(),
+            informed_agents: snapshot.informed_agent_count(),
+            messages: snapshot.messages_total(),
+        }
+    }
+
+    /// The status name of this outcome in manifest records and wire trial
+    /// lines.
+    pub(crate) fn status(&self) -> &'static str {
+        match self {
+            TrialOutcome::Completed(_) => "completed",
+            TrialOutcome::RoundCapped(_) => "round-capped",
+            TrialOutcome::TimedOut { .. } => "timed-out",
+            TrialOutcome::Panicked { .. } => "panicked",
+            TrialOutcome::NotRun => "not-run",
+        }
+    }
+
+    /// `(rounds, informed vertices, informed agents, messages)` of a trial
+    /// that ran to a round: finished, or suspended by its budget.
+    pub(crate) fn counts(&self) -> Option<(u64, usize, usize, u64)> {
+        match self {
+            TrialOutcome::Completed(o) | TrialOutcome::RoundCapped(o) => Some((
+                o.rounds,
+                o.informed_vertices,
+                o.informed_agents,
+                o.total_messages,
+            )),
+            TrialOutcome::TimedOut {
+                round,
+                informed_vertices,
+                informed_agents,
+                messages,
+            } => Some((*round, *informed_vertices, *informed_agents, *messages)),
+            TrialOutcome::Panicked { .. } | TrialOutcome::NotRun => None,
+        }
+    }
+}
+
+/// Runs one trial's `attempt` (called with its 1-based attempt number)
+/// inside `catch_unwind`, replaying it after a panic up to `max_retries`
+/// times. A trial seed is a pure function of the trial index, so a replay
+/// re-runs the identical trajectory: a panic that reproduces is reported
+/// as [`TrialOutcome::Panicked`] with the last payload and
+/// `max_retries + 1` attempts, one that came from a poisoned workspace is
+/// absorbed. `None` from an attempt (a suspension that records nothing)
+/// passes through.
+pub(crate) fn run_with_retries(
+    max_retries: u32,
+    mut attempt: impl FnMut(u32) -> Option<TrialOutcome>,
+) -> Option<TrialOutcome> {
+    let attempts = max_retries.saturating_add(1);
+    let mut message = String::new();
+    for number in 1..=attempts {
+        match catch_unwind(AssertUnwindSafe(|| attempt(number))) {
+            Ok(outcome) => return outcome,
+            Err(payload) => message = panic_message(payload.as_ref()),
+        }
+    }
+    Some(TrialOutcome::Panicked { message, attempts })
+}
+
+/// A panic payload rendered as text.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// Per-trial budgets, retry policy, and fault injection for
@@ -413,53 +471,52 @@ pub(crate) struct Manifest {
 
 impl Manifest {
     pub(crate) fn status_line(index: usize, outcome: &TrialOutcome) -> Option<String> {
-        let (status, rounds, iv, ia, msgs) = match outcome {
-            TrialOutcome::Completed(o) => (
-                "completed",
-                o.rounds,
-                o.informed_vertices,
-                o.informed_agents,
-                o.total_messages,
-            ),
-            TrialOutcome::RoundCapped(o) => (
-                "round-capped",
-                o.rounds,
-                o.informed_vertices,
-                o.informed_agents,
-                o.total_messages,
-            ),
-            TrialOutcome::TimedOut {
-                round,
-                informed_vertices,
-                informed_agents,
-                messages,
-            } => (
-                "timed-out",
-                *round,
-                *informed_vertices,
-                *informed_agents,
-                *messages,
-            ),
+        let status = outcome.status();
+        match outcome {
             TrialOutcome::Panicked { attempts, .. } => {
-                return Some(format!("trial {index} panicked attempts={attempts}"))
+                Some(format!("trial {index} {status} attempts={attempts}"))
             }
-            TrialOutcome::NotRun => return None,
+            _ => {
+                let (rounds, iv, ia, msgs) = outcome.counts()?;
+                Some(format!(
+                    "trial {index} {status} rounds={rounds} iv={iv} ia={ia} msgs={msgs}"
+                ))
+            }
+        }
+    }
+
+    /// Opens the manifest at `path` for a run of `trials` trials of the
+    /// spec named by `digest`, creating its directory, and returns it with
+    /// the outcomes a previous run of the same digest recorded there. The
+    /// recovered records stay in the manifest, so later rewrites keep them.
+    pub(crate) fn recover(
+        path: &Path,
+        digest: u64,
+        trials: usize,
+        protocol: &str,
+    ) -> (Manifest, Vec<Option<TrialOutcome>>) {
+        if let Some(parent) = path.parent() {
+            let _ = std::fs::create_dir_all(parent);
+        }
+        let recovered = Manifest::load(path, digest, trials, protocol);
+        let lines = recovered
+            .iter()
+            .enumerate()
+            .map(|(index, outcome)| Manifest::status_line(index, outcome.as_ref()?))
+            .collect();
+        let manifest = Manifest {
+            path: path.to_path_buf(),
+            digest,
+            lines,
         };
-        Some(format!(
-            "trial {index} {status} rounds={rounds} iv={iv} ia={ia} msgs={msgs}"
-        ))
+        (manifest, recovered)
     }
 
     /// Parses an existing manifest into reusable outcomes. Only
     /// `completed` / `round-capped` records are reusable (they are full
     /// summaries of deterministic runs); stale manifests (digest mismatch)
     /// and malformed or truncated lines are ignored rather than fatal.
-    pub(crate) fn load(
-        path: &Path,
-        digest: u64,
-        trials: usize,
-        protocol: &str,
-    ) -> Vec<Option<TrialOutcome>> {
+    fn load(path: &Path, digest: u64, trials: usize, protocol: &str) -> Vec<Option<TrialOutcome>> {
         let mut reused = vec![None; trials];
         let Ok(text) = std::fs::read_to_string(path) else {
             return reused;
@@ -483,9 +540,6 @@ impl Manifest {
                 continue;
             }
             let Some(status) = parts.next() else { continue };
-            if status != "completed" && status != "round-capped" {
-                continue;
-            }
             let mut field = |key: &str| -> Option<u64> {
                 parts
                     .next()
@@ -497,7 +551,7 @@ impl Manifest {
             else {
                 continue;
             };
-            let outcome = BroadcastOutcome {
+            let outcome = TrialOutcome::finished(BroadcastOutcome {
                 protocol: protocol.to_string(),
                 rounds,
                 completed: status == "completed",
@@ -506,12 +560,11 @@ impl Manifest {
                 total_messages: msgs,
                 history: Vec::new(),
                 edge_traffic: None,
-            };
-            reused[index] = Some(if status == "completed" {
-                TrialOutcome::Completed(outcome)
-            } else {
-                TrialOutcome::RoundCapped(outcome)
             });
+            // Any other status (timed-out, panicked) is not reusable.
+            if outcome.status() == status {
+                reused[index] = Some(outcome);
+            }
         }
         reused
     }
@@ -580,10 +633,17 @@ pub fn run_trials_guarded<G: Topology>(
     policy: &TrialPolicy,
     manifest: Option<&Path>,
 ) -> GuardedSweep {
-    assert!(trials > 0, "run_trials_guarded requires at least one trial");
+    assert!(trials > 0, "a trial run requires at least one trial");
     assert!(source < graph.num_vertices(), "source out of range");
 
     let workers = config.resolved_workers(trials);
+
+    // Nested-parallelism budget: an auto-threaded sharded spec splits the
+    // total thread budget (`RUMOR_THREADS` if the operator set one, else
+    // the host's parallelism) across the trial workers, so trials × shards
+    // stays within that budget. Explicit shard counts are respected as-is.
+    // Thread-invariance of the sharded engine guarantees this cannot
+    // change any outcome.
     let spec_storage;
     let spec = if spec.engine == (Engine::Sharded { threads: 0 }) {
         let budget = (rumor_core::resolve_threads(0) / workers).max(1);
@@ -592,30 +652,29 @@ pub fn run_trials_guarded<G: Topology>(
     } else {
         spec
     };
-    let digest = spec.digest();
-    let manifest_reusable = !spec.options.record_history && !spec.options.record_edge_traffic;
 
+    // One write-once slot per trial, pre-partitioned so workers never touch
+    // each other's results; a ticket counter hands out trial indices.
     let slots: Vec<OnceLock<TrialOutcome>> = (0..trials).map(|_| OnceLock::new()).collect();
     let mut reused_trials = 0usize;
-    let manifest_state = manifest.map(|path| {
-        let mut lines = vec![None; trials];
-        if manifest_reusable {
-            for (index, outcome) in Manifest::load(path, digest, trials, spec.kind.name())
-                .into_iter()
-                .enumerate()
-            {
-                if let Some(outcome) = outcome {
-                    lines[index] = Manifest::status_line(index, &outcome);
-                    slots[index].set(outcome).ok();
-                    reused_trials += 1;
-                }
+    let manifest = manifest.map(|path| {
+        let digest = spec.digest();
+        if spec.options.record_history || spec.options.record_edge_traffic {
+            // The manifest stores summaries, not curves: record, never reuse.
+            return Mutex::new(Manifest {
+                path: path.to_path_buf(),
+                digest,
+                lines: vec![None; trials],
+            });
+        }
+        let (manifest, recovered) = Manifest::recover(path, digest, trials, spec.kind.name());
+        for (slot, outcome) in slots.iter().zip(recovered) {
+            if let Some(outcome) = outcome {
+                slot.set(outcome).ok();
+                reused_trials += 1;
             }
         }
-        Mutex::new(Manifest {
-            path: path.to_path_buf(),
-            digest,
-            lines,
-        })
+        Mutex::new(manifest)
     });
 
     let ticket = AtomicUsize::new(0);
@@ -632,12 +691,14 @@ pub fn run_trials_guarded<G: Topology>(
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
+                // One spec clone and one pooled workspace per *worker* (not
+                // per trial): the loop only rewrites the seed, and the
+                // workspace's protocol state is reset — not reallocated —
+                // between the trials this worker claims.
                 let mut trial_spec = spec.clone();
                 let mut workspace = SimWorkspace::new();
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
+                let mut poisoned = false;
+                while !stop.load(Ordering::Relaxed) {
                     let trial = ticket.fetch_add(1, Ordering::Relaxed);
                     if trial >= trials {
                         break;
@@ -647,61 +708,40 @@ pub fn run_trials_guarded<G: Topology>(
                     }
                     trial_spec.seed = spec.seed.wrapping_add(trial as u64);
 
-                    let mut outcome = None;
-                    let mut attempts = 0u32;
-                    let mut last_panic = String::new();
-                    while attempts <= policy.max_retries {
-                        attempts += 1;
-                        let attempt_result = catch_unwind(AssertUnwindSafe(|| {
-                            if attempts == 1 && policy.fault.panic_at_trial == Some(trial) {
-                                panic!("injected fault: trial {trial}");
-                            }
-                            run_guarded_trial(
-                                graph,
-                                &trial_spec,
-                                source,
-                                &mut workspace,
-                                policy,
-                                &stop,
-                                &stop_cause,
-                            )
-                        }));
-                        match attempt_result {
-                            Ok(result) => {
-                                outcome = Some(result);
-                                break;
-                            }
-                            Err(payload) => {
-                                last_panic = payload
-                                    .downcast_ref::<&str>()
-                                    .map(|s| s.to_string())
-                                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                                // The panic may have left mid-round protocol
-                                // state behind; a fresh workspace restores
-                                // the clean-slate invariant for the replay.
-                                workspace = SimWorkspace::new();
-                            }
+                    let outcome = run_with_retries(policy.max_retries, |attempt| {
+                        // A panicked attempt may have left mid-round protocol
+                        // state behind; a fresh workspace restores the
+                        // clean-slate invariant for whatever runs next.
+                        if poisoned {
+                            workspace = SimWorkspace::new();
                         }
-                    }
-                    let outcome = match outcome {
-                        Some(Some(outcome)) => outcome,
-                        // The memory watchdog suspended this trial: its slot
-                        // stays empty and the sweep stops.
-                        Some(None) => continue,
-                        None => TrialOutcome::Panicked {
-                            message: last_panic,
-                            attempts,
-                        },
-                    };
-                    if let Some(manifest) = &manifest_state {
+                        poisoned = true;
+                        if attempt == 1 && policy.fault.panic_at_trial == Some(trial) {
+                            panic!("injected fault: trial {trial}");
+                        }
+                        let outcome = run_guarded_trial(
+                            graph,
+                            &trial_spec,
+                            source,
+                            &mut workspace,
+                            policy,
+                            &stop,
+                            &stop_cause,
+                        );
+                        poisoned = false;
+                        outcome
+                    });
+                    // `None`: the memory watchdog suspended this trial; its
+                    // slot stays empty and the sweep stops.
+                    let Some(outcome) = outcome else { continue };
+                    if let Some(manifest) = &manifest {
                         manifest.lock().unwrap().record(trial, &outcome);
                     }
                     slots[trial]
                         .set(outcome)
                         .unwrap_or_else(|_| unreachable!("trial {trial} claimed twice"));
-                    let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
                     if let Some(limit) = policy.fault.stop_after_trials {
+                        let done = finished.fetch_add(1, Ordering::Relaxed) + 1;
                         if done >= limit && !stop.swap(true, Ordering::Relaxed) {
                             *stop_cause.lock().unwrap() = Some(StopCause::InjectedStop);
                         }
@@ -734,17 +774,11 @@ fn run_guarded_trial<'g, G: Topology>(
     stop: &AtomicBool,
     stop_cause: &Mutex<Option<StopCause>>,
 ) -> Option<TrialOutcome> {
-    let classify = |outcome: BroadcastOutcome| {
-        if outcome.completed {
-            TrialOutcome::Completed(outcome)
-        } else {
-            TrialOutcome::RoundCapped(outcome)
-        }
-    };
     if !policy.needs_resumable_path() || trial_spec.options.record_edge_traffic {
         // No mid-run hooks armed (or the spec cannot checkpoint): plain
         // fast path, still panic-isolated by the caller.
-        return Some(classify(simulate_in(graph, source, trial_spec, workspace)));
+        let outcome = simulate_in(graph, source, trial_spec, workspace);
+        return Some(TrialOutcome::finished(outcome));
     }
     let deadline = policy.wall_clock.map(|budget| Instant::now() + budget);
     let mut memory_tripped = false;
@@ -780,16 +814,11 @@ fn run_guarded_trial<'g, G: Topology>(
             deadline.is_none_or(|deadline| Instant::now() < deadline)
         },
     );
-    Some(match run {
-        ResumableRun::Finished(outcome) => classify(outcome),
-        ResumableRun::Suspended(_) if memory_tripped => return None,
-        ResumableRun::Suspended(snapshot) => TrialOutcome::TimedOut {
-            round: snapshot.round(),
-            informed_vertices: snapshot.informed_vertex_count(),
-            informed_agents: snapshot.informed_agent_count(),
-            messages: snapshot.messages_total(),
-        },
-    })
+    match run {
+        ResumableRun::Finished(outcome) => Some(TrialOutcome::finished(outcome)),
+        ResumableRun::Suspended(_) if memory_tripped => None,
+        ResumableRun::Suspended(snapshot) => Some(TrialOutcome::suspended(&snapshot)),
+    }
 }
 
 #[cfg(test)]
@@ -797,6 +826,7 @@ mod tests {
     use super::*;
     use rumor_core::ProtocolKind;
     use rumor_graphs::generators::{complete, star};
+    use rumor_graphs::Graph;
 
     #[test]
     fn trials_are_reproducible_and_ordered() {
@@ -921,6 +951,63 @@ mod tests {
         let a = run_trials(&csr, 0, &spec, 5, &cfg);
         let b = run_trials(&generated, 0, &spec, 5, &cfg);
         assert_eq!(a, b, "backends must agree bit-for-bit");
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "trial 0 panicked: invalid simulation spec: agent protocol visit-exchange"
+    )]
+    fn run_trials_panics_with_the_trial_message() {
+        // Agents cannot walk on an edgeless graph, so every trial panics;
+        // the caller must see the trial's own message, not only that a
+        // worker thread died.
+        let g = Graph::from_edges(4, &[]).unwrap();
+        let spec = SimulationSpec::new(ProtocolKind::VisitExchange).with_seed(2);
+        let _ = run_trials(&g, 0, &spec, 3, &ExperimentConfig::smoke().with_threads(2));
+    }
+
+    #[test]
+    fn a_first_attempt_panic_is_absorbed_by_the_retry() {
+        let mut calls = Vec::new();
+        let outcome = run_with_retries(1, |attempt| {
+            calls.push(attempt);
+            if attempt == 1 {
+                panic!("transient");
+            }
+            Some(TrialOutcome::NotRun)
+        });
+        assert_eq!(outcome, Some(TrialOutcome::NotRun));
+        assert_eq!(calls, [1, 2]);
+    }
+
+    #[test]
+    fn a_persistent_panic_reports_every_attempt() {
+        for max_retries in [0, 1, 3] {
+            let outcome = run_with_retries(max_retries, |attempt| panic!("attempt {attempt}"));
+            assert_eq!(
+                outcome,
+                Some(TrialOutcome::Panicked {
+                    message: format!("attempt {}", max_retries + 1),
+                    attempts: max_retries + 1,
+                })
+            );
+        }
+    }
+
+    #[test]
+    fn a_non_string_panic_payload_is_rendered() {
+        let outcome = run_with_retries(0, |_| std::panic::panic_any(7u8));
+        assert_eq!(
+            outcome,
+            Some(TrialOutcome::Panicked {
+                message: "non-string panic payload".to_string(),
+                attempts: 1,
+            })
+        );
+        let outcome = run_with_retries(0, |_| std::panic::panic_any("static text"));
+        assert!(
+            matches!(outcome, Some(TrialOutcome::Panicked { message, .. }) if message == "static text")
+        );
     }
 
     #[test]

@@ -48,6 +48,7 @@
 //! a hostile client cannot grow server buffers without limit).
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::io::{BufRead, Read};
 
 use rumor_core::{ProtocolKind, SimulationSpec};
@@ -971,31 +972,27 @@ pub fn with_session(line: &str, job: u64, seq: u64) -> String {
 /// those that survive a manifest round-trip, so live, recovered, and cached
 /// streams are byte-identical.
 pub fn trial_line(index: usize, outcome: &TrialOutcome) -> String {
-    match outcome {
-        TrialOutcome::Completed(o) => format!(
-            "{{\"type\":\"trial\",\"index\":{index},\"status\":\"completed\",\"rounds\":{},\"iv\":{},\"ia\":{},\"msgs\":{}}}",
-            o.rounds, o.informed_vertices, o.informed_agents, o.total_messages
-        ),
-        TrialOutcome::RoundCapped(o) => format!(
-            "{{\"type\":\"trial\",\"index\":{index},\"status\":\"round-capped\",\"rounds\":{},\"iv\":{},\"ia\":{},\"msgs\":{}}}",
-            o.rounds, o.informed_vertices, o.informed_agents, o.total_messages
-        ),
-        TrialOutcome::TimedOut {
-            round,
-            informed_vertices,
-            informed_agents,
-            messages,
-        } => format!(
-            "{{\"type\":\"trial\",\"index\":{index},\"status\":\"timed-out\",\"rounds\":{round},\"iv\":{informed_vertices},\"ia\":{informed_agents},\"msgs\":{messages}}}"
-        ),
-        TrialOutcome::Panicked { message, attempts } => format!(
-            "{{\"type\":\"trial\",\"index\":{index},\"status\":\"panicked\",\"attempts\":{attempts},\"message\":\"{}\"}}",
+    let mut line = format!(
+        "{{\"type\":\"trial\",\"index\":{index},\"status\":\"{}\"",
+        outcome.status()
+    );
+    // `write!` into a `String` cannot fail.
+    let _ = match outcome {
+        TrialOutcome::Panicked { message, attempts } => write!(
+            line,
+            ",\"attempts\":{attempts},\"message\":\"{}\"",
             escape_json(message)
         ),
-        TrialOutcome::NotRun => {
-            format!("{{\"type\":\"trial\",\"index\":{index},\"status\":\"not-run\"}}")
-        }
-    }
+        _ => match outcome.counts() {
+            Some((rounds, iv, ia, msgs)) => write!(
+                line,
+                ",\"rounds\":{rounds},\"iv\":{iv},\"ia\":{ia},\"msgs\":{msgs}"
+            ),
+            None => Ok(()),
+        },
+    };
+    line.push('}');
+    line
 }
 
 /// The terminal `done` line of a job's response stream (`seq` is

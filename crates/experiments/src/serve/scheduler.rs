@@ -28,7 +28,6 @@
 //! and cached response streams are byte-identical.
 
 use std::collections::{HashMap, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -36,11 +35,11 @@ use std::time::{Duration, Instant};
 
 use rumor_core::{
     resume_in, simulate_resumable_in, CheckpointCadence, ResumableRun, SimSnapshot, SimWorkspace,
-    SimulationSpec,
+    SimulationSpec, SpecError,
 };
 use rumor_graphs::{AnyTopology, Topology, VertexId};
 
-use crate::runner::{Manifest, TrialOutcome, TrialTaxonomy};
+use crate::runner::{run_with_retries, Manifest, TrialOutcome, TrialPolicy, TrialTaxonomy};
 use crate::serve::protocol::{
     done_line, draining_line, trial_line, with_session, SubmitRequest, MAX_LINE_BYTES,
 };
@@ -577,27 +576,20 @@ impl Scheduler {
             }
         };
         let source: VertexId = 0;
-        // One match at admission: adapt (the paper's bipartite remedy) and
-        // validate against the actual graph, so workers only ever see
-        // well-formed jobs.
-        let spec = {
-            let adapted = match &topology {
-                AnyTopology::Csr(g) => base.adapted_to(g),
-                AnyTopology::Implicit(g) => base.adapted_to(g),
-                AnyTopology::Generated(g) => base.adapted_to(g),
-                AnyTopology::HubCached(g) => base.adapted_to(g),
-            };
-            let check = match &topology {
-                AnyTopology::Csr(g) => adapted.validate(g, source),
-                AnyTopology::Implicit(g) => adapted.validate(g, source),
-                AnyTopology::Generated(g) => adapted.validate(g, source),
-                AnyTopology::HubCached(g) => adapted.validate(g, source),
-            };
-            if let Err(e) = check {
+        // One match at admission: adapt and validate against the actual
+        // graph, so workers only ever see well-formed jobs.
+        let checked = match &topology {
+            AnyTopology::Csr(g) => adapt_and_validate(base, g, source),
+            AnyTopology::Implicit(g) => adapt_and_validate(base, g, source),
+            AnyTopology::Generated(g) => adapt_and_validate(base, g, source),
+            AnyTopology::HubCached(g) => adapt_and_validate(base, g, source),
+        };
+        let spec = match checked {
+            Ok(spec) => spec,
+            Err(e) => {
                 unpin_on_exit(upload_pin);
                 return Submission::Rejected(e.to_string());
             }
-            adapted
         };
 
         let mut state = lock_recover(&self.shared.state);
@@ -635,37 +627,17 @@ impl Scheduler {
         // Manifest recovery: completed trials recorded by a previous run of
         // this digest (possibly by a server that was killed) are reused.
         let trials = request.trials;
-        let manifest_path = self
-            .shared
-            .config
-            .state_dir
-            .as_ref()
-            .map(|dir| dir.join(format!("job-{digest:016x}.rman")));
-        let mut outcomes: Vec<Option<TrialOutcome>> = vec![None; trials];
-        let mut manifest_lines: Vec<Option<String>> = vec![None; trials];
-        if let Some(path) = &manifest_path {
-            for (index, outcome) in Manifest::load(path, digest, trials, spec.kind.name())
-                .into_iter()
-                .enumerate()
-            {
-                if let Some(outcome) = outcome {
-                    manifest_lines[index] = Manifest::status_line(index, &outcome);
-                    outcomes[index] = Some(outcome);
-                }
+        let (manifest, outcomes) = match &self.shared.config.state_dir {
+            Some(dir) => {
+                let path = dir.join(format!("job-{digest:016x}.rman"));
+                let (manifest, recovered) =
+                    Manifest::recover(&path, digest, trials, spec.kind.name());
+                (Some(manifest), recovered)
             }
-        }
+            None => (None, vec![None; trials]),
+        };
         let reused = outcomes.iter().filter(|o| o.is_some()).count();
         let prefilled: Vec<bool> = outcomes.iter().map(|o| o.is_some()).collect();
-        let manifest = manifest_path.map(|path| {
-            if let Some(parent) = path.parent() {
-                let _ = std::fs::create_dir_all(parent);
-            }
-            Manifest {
-                path,
-                digest,
-                lines: manifest_lines,
-            }
-        });
         let mut job_state = JobState {
             outcomes,
             recorded: reused,
@@ -791,6 +763,18 @@ impl Drop for Scheduler {
         self.begin_drain();
         self.finish_drain();
     }
+}
+
+/// Adapts `base` to `graph` (the paper's bipartite remedy: lazy walks for
+/// meet-exchange on bipartite graphs) and validates the result against it.
+fn adapt_and_validate<G: Topology>(
+    base: SimulationSpec,
+    graph: &G,
+    source: VertexId,
+) -> Result<SimulationSpec, SpecError> {
+    let spec = base.adapted_to(graph);
+    spec.validate(graph, source)?;
+    Ok(spec)
 }
 
 /// Retires a job whose every trial is recorded: removes it from `running`,
@@ -937,53 +921,20 @@ fn execute_trial(shared: &Shared, job: &Job, trial: usize) -> Option<TrialOutcom
     if job.deadline.is_some_and(|d| Instant::now() >= d) {
         return Some(TrialOutcome::NotRun);
     }
-    let ckpt_dir = shared.config.state_dir.as_ref().map(|dir| {
+    let ckpt_path = shared.config.state_dir.as_ref().map(|dir| {
         dir.join(format!("ckpt-{:016x}", job.digest))
             .join(format!("t{trial}"))
     });
-    match &job.topology {
-        AnyTopology::Csr(g) => run_one(shared, g, job, &spec, ckpt_dir),
-        AnyTopology::Implicit(g) => run_one(shared, g, job, &spec, ckpt_dir),
-        AnyTopology::Generated(g) => run_one(shared, g, job, &spec, ckpt_dir),
-        AnyTopology::HubCached(g) => run_one(shared, g, job, &spec, ckpt_dir),
-    }
-}
-
-fn run_one<G: Topology>(
-    shared: &Shared,
-    graph: &G,
-    job: &Job,
-    spec: &SimulationSpec,
-    ckpt_dir: Option<PathBuf>,
-) -> Option<TrialOutcome> {
-    // One deterministic same-seed replay after a panic, mirroring
-    // `run_trials_guarded`: a panic that reproduces is reported with its
-    // payload, one left by a poisoned workspace is absorbed.
-    let mut last_panic = String::new();
-    for attempt in 1..=2u32 {
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            run_one_attempt(shared, graph, job, spec, ckpt_dir.as_deref())
-        }));
-        match result {
-            Ok(outcome) => return outcome,
-            Err(payload) => {
-                last_panic = payload
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| payload.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "non-string panic payload".to_string());
-                if attempt == 2 {
-                    return Some(TrialOutcome::Panicked {
-                        message: last_panic,
-                        attempts: attempt,
-                    });
-                }
-            }
-        }
-    }
-    Some(TrialOutcome::Panicked {
-        message: last_panic,
-        attempts: 2,
+    let ckpt_dir = ckpt_path.as_deref();
+    // The runner's trial policy with its default retry: one same-seed
+    // replay after a panic. A panic that reproduces is reported with its
+    // payload; one left by a poisoned workspace is absorbed (each attempt
+    // builds a fresh workspace).
+    run_with_retries(TrialPolicy::new().max_retries, |_| match &job.topology {
+        AnyTopology::Csr(g) => run_one_attempt(shared, g, job, &spec, ckpt_dir),
+        AnyTopology::Implicit(g) => run_one_attempt(shared, g, job, &spec, ckpt_dir),
+        AnyTopology::Generated(g) => run_one_attempt(shared, g, job, &spec, ckpt_dir),
+        AnyTopology::HubCached(g) => run_one_attempt(shared, g, job, &spec, ckpt_dir),
     })
 }
 
@@ -1034,19 +985,10 @@ fn run_one_attempt<G: Topology>(
             if let Some(dir) = ckpt_dir {
                 let _ = std::fs::remove_dir_all(dir);
             }
-            Some(if outcome.completed {
-                TrialOutcome::Completed(outcome)
-            } else {
-                TrialOutcome::RoundCapped(outcome)
-            })
+            Some(TrialOutcome::finished(outcome))
         }
         ResumableRun::Suspended(_) if drained => None,
-        ResumableRun::Suspended(snapshot) => Some(TrialOutcome::TimedOut {
-            round: snapshot.round(),
-            informed_vertices: snapshot.informed_vertex_count(),
-            informed_agents: snapshot.informed_agent_count(),
-            messages: snapshot.messages_total(),
-        }),
+        ResumableRun::Suspended(snapshot) => Some(TrialOutcome::suspended(&snapshot)),
     }
 }
 

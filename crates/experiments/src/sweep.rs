@@ -7,7 +7,7 @@ use rumor_core::{AgentConfig, ProtocolKind, ProtocolOptions, SimulationSpec};
 use rumor_graphs::{Graph, VertexId};
 
 use crate::config::ExperimentConfig;
-use crate::runner::{run_trials, run_trials_guarded, TrialOutcome, TrialPolicy, TrialTaxonomy};
+use crate::runner::{run_trials_guarded, TrialOutcome, TrialPolicy, TrialTaxonomy};
 
 /// One protocol entry of a sweep: which protocol, with which agent
 /// configuration, under which display label.
@@ -99,50 +99,25 @@ pub struct ScalingSweep {
 }
 
 impl ScalingSweep {
-    /// Runs every cell and produces a [`SweepResult`].
+    /// Runs every cell and produces a [`SweepResult`]: this is
+    /// [`ScalingSweep::run_guarded`] with no retry, no budget and no
+    /// manifest.
     ///
     /// # Panics
     ///
-    /// Panics if the sweep has no points, no protocols, or zero trials.
+    /// Panics if the sweep has no points, no protocols, or zero trials, or
+    /// if any trial panics (with the first panicked cell's message).
     pub fn run(&self, config: &ExperimentConfig) -> SweepResult {
-        assert!(!self.points.is_empty(), "sweep needs at least one point");
-        assert!(
-            !self.protocols.is_empty(),
-            "sweep needs at least one protocol"
-        );
-        assert!(self.trials > 0, "sweep needs at least one trial");
-        let mut measurements = Vec::with_capacity(self.points.len());
-        for (point_idx, point) in self.points.iter().enumerate() {
-            let mut summaries = Vec::with_capacity(self.protocols.len());
-            let mut truncated = Vec::with_capacity(self.protocols.len());
-            let mut taxonomy = Vec::with_capacity(self.protocols.len());
-            for proto_idx in 0..self.protocols.len() {
-                let spec = self.cell_spec(point_idx, proto_idx, config);
-                let outcomes = run_trials(&point.graph, point.source, &spec, self.trials, config);
-                let times: Vec<u64> = outcomes.iter().map(|o| o.rounds).collect();
-                let capped = outcomes.iter().filter(|o| !o.completed).count();
-                truncated.push(capped);
-                taxonomy.push(TrialTaxonomy {
-                    completed: outcomes.len() - capped,
-                    round_capped: capped,
-                    ..TrialTaxonomy::default()
-                });
-                summaries.push(Summary::of_u64(&times));
-            }
-            let cells = summaries.len();
-            measurements.push(SweepMeasurement {
-                n: point.graph.num_vertices(),
-                label: point.label.clone(),
-                summaries,
-                truncated,
-                taxonomy,
-                panic_notes: vec![None; cells],
-            });
+        let no_retry = TrialPolicy {
+            max_retries: 0,
+            ..TrialPolicy::new()
+        };
+        let result = self.run_guarded(config, &no_retry, None);
+        let mut notes = result.measurements.iter().flat_map(|m| &m.panic_notes);
+        if let Some(note) = notes.find_map(Option::as_ref) {
+            panic!("a sweep trial panicked: {note}");
         }
-        SweepResult {
-            protocols: self.protocols.iter().map(|p| p.label.clone()).collect(),
-            measurements,
-        }
+        result
     }
 
     /// Fault-tolerant variant of [`ScalingSweep::run`]: every cell runs
@@ -152,8 +127,9 @@ impl ScalingSweep {
     /// spec-keyed manifest file there (`cell-<point>-<protocol>.rman`) and a
     /// re-run of the same sweep resumes from the completed trials.
     ///
-    /// Trials that finish are bit-identical to [`ScalingSweep::run`]'s; a
-    /// timed-out trial contributes its suspension round to the summary
+    /// Trials that finish are bit-identical under every policy (a retry
+    /// replays the same seed; budgets only stop trials); a timed-out trial
+    /// contributes its suspension round to the summary
     /// (the truncated-mean convention), panicked and not-run trials
     /// contribute nothing.
     ///
@@ -197,11 +173,7 @@ impl ScalingSweep {
                 let times: Vec<u64> = guarded
                     .outcomes
                     .iter()
-                    .filter_map(|trial| match trial {
-                        TrialOutcome::Completed(o) | TrialOutcome::RoundCapped(o) => Some(o.rounds),
-                        TrialOutcome::TimedOut { round, .. } => Some(*round),
-                        _ => None,
-                    })
+                    .filter_map(|trial| Some(trial.counts()?.0))
                     .collect();
                 let tax = guarded.taxonomy();
                 truncated.push(tax.round_capped);
@@ -234,8 +206,8 @@ impl ScalingSweep {
         }
     }
 
-    /// The spec of one sweep cell (shared by the plain and guarded paths so
-    /// their trials are seed-for-seed identical).
+    /// The spec of one sweep cell: `config.seed` offset by the point and
+    /// protocol indices.
     fn cell_spec(
         &self,
         point_idx: usize,
@@ -492,6 +464,18 @@ mod tests {
     fn unknown_label_panics() {
         let result = small_sweep().run(&ExperimentConfig::smoke());
         let _ = result.scaling_points("pull");
+    }
+
+    #[test]
+    #[should_panic(expected = "a sweep trial panicked: invalid simulation spec")]
+    fn run_panics_with_a_panicked_trial_message() {
+        let sweep = ScalingSweep {
+            points: vec![SweepPoint::new(Graph::from_edges(4, &[]).unwrap(), 0)],
+            protocols: vec![ProtocolSetup::new(ProtocolKind::VisitExchange)],
+            trials: 2,
+            max_rounds: 10,
+        };
+        let _ = sweep.run(&ExperimentConfig::smoke());
     }
 
     #[test]

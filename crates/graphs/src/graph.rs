@@ -357,7 +357,6 @@ impl Graph {
     ///
     /// Panics if `u >= self.num_vertices()`.
     #[inline(always)]
-    #[allow(unsafe_code)]
     pub fn random_neighbor<R: Rng + ?Sized>(&self, u: VertexId, rng: &mut R) -> Option<VertexId> {
         let entry = self.sampler[u];
         if entry.word == 0 {
@@ -436,7 +435,6 @@ impl Graph {
     ///
     /// Panics if `u >= self.num_vertices()` or if `deg(u) == 0`.
     #[inline(always)]
-    #[allow(unsafe_code)]
     pub fn random_neighbor_nonisolated<R: Rng + ?Sized>(
         &self,
         u: VertexId,
