@@ -12,8 +12,11 @@
 //! stub totals just below and just above a power of four (so the Feistel
 //! half width changes and the cycle walk over the ~4× larger domain gets
 //! long), and one hub-cached instance read through `for_each_neighbor`.
+//! One larger Chung–Lu instance, split across workers by every
+//! construction pass and by the hub-cache fill, pins its two offset tables
+//! and its cache's hub lists instead of a full adjacency digest.
 
-use rumor_graphs::{GeneratedGraph, HubCachedGraph, Topology};
+use rumor_graphs::{GeneratedGraph, HubCacheBuilder, HubCachedGraph, Topology};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -29,18 +32,25 @@ fn fnv1a(hash: &mut u64, word: u32) {
     }
 }
 
+/// FNV-1a-64 over the prefix table of `degree(u)` for `u < n` (`n + 1`
+/// little-endian `u32`s, from the leading zero).
+fn prefix_digest(n: usize, degree: impl Fn(usize) -> usize) -> u64 {
+    let mut hash = FNV_OFFSET;
+    let mut offset = 0u32;
+    fnv1a(&mut hash, offset);
+    for u in 0..n {
+        offset += degree(u) as u32;
+        fnv1a(&mut hash, offset);
+    }
+    hash
+}
+
 /// FNV-1a-64 over the CSR offsets (`n + 1` little-endian `u32`s) followed
 /// by the concatenated sorted neighbor lists, as any [`Topology`] reports
 /// them.
 fn adjacency_digest<T: Topology>(g: &T) -> u64 {
     let n = g.num_vertices();
-    let mut hash = FNV_OFFSET;
-    let mut offset = 0u32;
-    fnv1a(&mut hash, offset);
-    for u in 0..n {
-        offset += g.degree(u) as u32;
-        fnv1a(&mut hash, offset);
-    }
+    let mut hash = prefix_digest(n, |u| g.degree(u));
     for u in 0..n {
         g.for_each_neighbor(u, |v| fnv1a(&mut hash, v as u32));
     }
@@ -103,4 +113,43 @@ fn hub_cached_edge_set_is_pinned() {
         got, CHUNG_LU_DIGEST,
         "hub-cached adjacency digest {got:#018x}"
     );
+}
+
+#[test]
+fn multi_worker_chung_lu_construction_is_pinned() {
+    // Large enough that the construction passes and the hub-cache fill
+    // split across several workers, with the hubs at the low ids, so the
+    // pin covers where each pass cuts its worker ranges. The stub offsets
+    // come from the degree pass, the slot offsets from the simple-degree
+    // pass; the cache (a quarter of the CSR-equivalent bytes, as the
+    // `chunglu-hub` benchmark builds it) is read back hub by hub, which
+    // fixes its bytes: the encoding is a pure function of `n` and the
+    // lists.
+    let g = GeneratedGraph::chung_lu(60_000, 2.5, 12.0, 5).unwrap();
+    let n = g.num_vertices();
+    assert_eq!(stub_total(&g), 701_734, "stub total");
+    let stubs = prefix_digest(n, |u| g.stub_degree(u));
+    assert_eq!(
+        stubs, 0x304c_ac95_e188_ce85,
+        "stub offsets digest {stubs:#018x}"
+    );
+    let slots = prefix_digest(n, |u| g.degree(u));
+    assert_eq!(
+        slots, 0x3b95_8be9_b42e_b1a0,
+        "slot offsets digest {slots:#018x}"
+    );
+
+    let budget = g.csr_equivalent_bytes() / 4;
+    let h = HubCacheBuilder::new().cache_budget_bytes(budget).build(g);
+    assert_eq!(
+        (h.hub_count(), h.cache_bytes()),
+        (23_060, 935_720),
+        "hub count, cache bytes"
+    );
+    let mut hash = FNV_OFFSET;
+    for u in (0..n).filter(|&u| h.is_hub(u)) {
+        fnv1a(&mut hash, u as u32);
+        h.for_each_neighbor(u, |v| fnv1a(&mut hash, v as u32));
+    }
+    assert_eq!(hash, 0xbfb4_6e3c_f1ef_fc22, "hub lists digest {hash:#018x}");
 }
