@@ -82,8 +82,8 @@
 //! stage, and their reads overlap: the sharded engines hand it a block of
 //! draws at a time ([`Topology::resolve_block`]) and the lists of a merge
 //! window a few hundred vertices at a time ([`Topology::neighbor_lists`]),
-//! the construction degree pass 64 vertices at a time, and a single query
-//! is a block of one.
+//! the construction degree pass and the hub-cache fill about 4,096 stubs
+//! at a time, and a single query is a block of one.
 //!
 //! In a meet-exchange trial on the `chunglu-hub` benchmark graph (seed 5,
 //! one worker, a 2-vCPU VM with a 2 GHz TSC), a tail-vertex draw of 6.3
@@ -95,6 +95,23 @@
 //! nanoseconds. Prefer the CSR backend when the graph fits in memory and
 //! is reused across many trials; prefer `GeneratedGraph` for scenario
 //! sweeps at scales where the CSR does not fit.
+//!
+//! Construction is four stages: the Chung–Lu normalising sum (serial, in
+//! ascending vertex order), the degree draws, the simple-degree pass (the
+//! list kernel over every vertex) and, behind a hub cache, its fill (the
+//! list kernel over every hub). The Chung–Lu weights need `x^γ` through
+//! [`det_pow_frac`]'s chain of up to 53 dependent square roots, so both
+//! weight stages compute eight vertices per call, whose chains overlap;
+//! each lane stays bit-identical to a lone computation. The simple-degree
+//! pass cuts its worker ranges at equal shares of the stubs, because
+//! Chung–Lu puts its hubs at the low ids, where equal vertex counts gave
+//! the first of two workers 79% of the stubs. On the `chunglu-hub` graph
+//! (`chung_lu(2·10⁵, 2.5, 12)` at seed 5 behind a quarter-CSR hub cache,
+//! 2,353,534 stubs and 60,922 hubs; medians of 8 interleaved runs per side
+//! on a 2-vCPU VM, two workers) the stages took 13, 23, 80 and 63 ms, 187
+//! ms in all, where the one-base power, vertex-count cuts and one kernel
+//! run per hub took 66, 58, 115 and 78 ms, 321 ms in all. At one worker
+//! they took 13, 35, 119 and 95 ms against 61, 99, 109 and 104.
 
 use std::fmt;
 use std::hint::select_unpredictable;
@@ -126,12 +143,14 @@ const FEISTEL_ROUNDS: u64 = 4;
 /// Neighbor lists up to this many stubs are assembled on the stack; larger
 /// (hub) vertices fall back to a heap buffer.
 pub(crate) const STACK_NEIGHBORS: usize = 96;
-/// Vertices per block of the construction degree pass.
-const DEGREE_BLOCK: usize = 64;
-/// Stubs queued per block-kernel run of [`Topology::neighbor_lists`]: a few
-/// hundred tail vertices, enough independent reads to overlap, while the
-/// kernel's scratch stays within the L2 cache.
+/// Stubs queued per list-kernel run of [`Topology::neighbor_lists`], the
+/// construction degree pass and the hub-cache fill: a few hundred tail
+/// vertices, enough independent reads to overlap, while the kernel's
+/// scratch stays within the L2 cache.
 const LIST_STUBS: usize = 4096;
+/// Construction passes over fewer vertices than this per worker stay on
+/// fewer workers.
+const PAR_FLOOR: usize = 16_384;
 /// Log₂ of the stub-block size of the coarse owner index: one `u32` per
 /// 1024 stubs (0.4% of the offsets table) confines each stub→owner lookup
 /// to a couple of cache lines instead of a full binary search over the
@@ -207,6 +226,51 @@ enum Model {
         /// Maximum weight `√(d̄ · n)` (the classic Chung–Lu cap).
         cap: f64,
     },
+}
+
+impl Model {
+    /// The model discriminant the Philox keys are derived from.
+    fn tag(&self) -> u64 {
+        match self {
+            Model::Gnp { .. } => 1,
+            Model::ChungLu { .. } => 2,
+        }
+    }
+
+    /// The per-trial success probabilities `q_u` of the binomial stub
+    /// draws of the vertices `first..first + POW_LANES` of an `n`-vertex
+    /// graph (lanes past `n` are computed all the same).
+    #[inline]
+    fn success_probabilities(&self, n: usize, first: usize) -> [f64; POW_LANES] {
+        match *self {
+            Model::Gnp { p } => [p; POW_LANES],
+            Model::ChungLu {
+                gamma, scale, cap, ..
+            } => raw_weights(n, gamma, first)
+                .map(|raw| ((scale * raw).min(cap) / (n - 1) as f64).min(1.0)),
+        }
+    }
+
+    /// Pass 1 of the construction: writes the stub count of every vertex
+    /// `u` of an `n`-vertex graph to `out[u]`, split across `workers` at
+    /// equal vertex counts. Each count is a pure function of `(seed, u)`: a
+    /// binomial draw from one counter-based stream per vertex, with success
+    /// probabilities computed [`POW_LANES`] vertices at a time.
+    fn stub_degrees(&self, n: usize, seed: u64, out: &mut [u32], workers: usize) {
+        let key = GeneratedGraph::derive_key(seed, self.tag(), DEGREE_PURPOSE);
+        let round = StreamKey::from_seed(key).round_key(0);
+        let cuts: Vec<usize> = (0..=workers).map(|w| n * w / workers).collect();
+        par_fill(out, &cuts, |first, counts| {
+            for (c, slots) in counts.chunks_mut(POW_LANES).enumerate() {
+                let lane0 = first + c * POW_LANES;
+                let q = self.success_probabilities(n, lane0);
+                for (l, slot) in slots.iter_mut().enumerate() {
+                    let mut stream = round.stream((lane0 + l) as u64);
+                    *slot = sample_binomial(&mut stream, n - 1, q[l]) as u32;
+                }
+            }
+        });
+    }
 }
 
 /// The keyed stub-pairing permutation: a 4-round Feistel network over a
@@ -339,15 +403,24 @@ impl Pairing {
     }
 }
 
-/// Deterministic `x^e` for `x > 0`, `0 ≤ e < 1`, via the binary expansion of
-/// the exponent and repeated square roots. Every step is an IEEE
-/// exactly-rounded operation (`sqrt`, `×`), so the result is bit-identical
-/// on every conforming platform — unlike libm `powf`.
-fn det_pow_frac(x: f64, e: f64) -> f64 {
-    debug_assert!(x > 0.0 && (0.0..1.0).contains(&e));
-    let mut result = 1.0f64;
+/// Bases per call of [`det_pow_frac`].
+const POW_LANES: usize = 8;
+
+/// Deterministic `x^e` for `POW_LANES` bases `x > 0` at once, `0 ≤ e < 1`,
+/// via the binary expansion of the exponent and repeated square roots.
+/// Every step is an IEEE exactly-rounded operation (`sqrt`, `×`), so the
+/// result is bit-identical on every conforming platform — unlike libm
+/// `powf`. Which steps multiply depends only on `e`, so every lane runs the
+/// same exactly-rounded operations in the same order as a lone base would,
+/// and Rust never contracts a multiply and an add into a fused
+/// multiply-add: each lane is bit-identical to the one-base computation.
+/// The lanes are independent, so their `sqrt` chains overlap, where one
+/// base waits on each of its up-to-53 dependent square roots in turn.
+fn det_pow_frac(x: [f64; POW_LANES], e: f64) -> [f64; POW_LANES] {
+    debug_assert!(x.iter().all(|&x| x > 0.0) && (0.0..1.0).contains(&e));
+    let mut result = [1.0f64; POW_LANES];
     let mut frac = e;
-    let mut base = x.sqrt();
+    let mut base = x.map(f64::sqrt);
     for _ in 0..64 {
         if frac == 0.0 {
             break;
@@ -355,11 +428,35 @@ fn det_pow_frac(x: f64, e: f64) -> f64 {
         frac *= 2.0; // exact: scaling by a power of two
         if frac >= 1.0 {
             frac -= 1.0; // exact: frac < 2
-            result *= base;
+            for (r, b) in result.iter_mut().zip(&base) {
+                *r *= b;
+            }
         }
-        base = base.sqrt();
+        base = base.map(f64::sqrt);
     }
     result
+}
+
+/// The raw Chung–Lu weights `(n / (u + 1))^γ` of the vertices
+/// `first..first + POW_LANES` (lanes past `n` are computed all the same).
+#[inline]
+fn raw_weights(n: usize, gamma: f64, first: usize) -> [f64; POW_LANES] {
+    det_pow_frac(
+        std::array::from_fn(|l| n as f64 / (first + l + 1) as f64),
+        gamma,
+    )
+}
+
+/// `Σ_{u < n} (n / (u + 1))^γ`, accumulated in ascending vertex order — a
+/// fixed, documented order, so it is part of the determinism contract.
+fn raw_weight_sum(n: usize, gamma: f64) -> f64 {
+    let mut sum = 0.0f64;
+    for first in (0..n).step_by(POW_LANES) {
+        for w in &raw_weights(n, gamma, first)[..POW_LANES.min(n - first)] {
+            sum += w;
+        }
+    }
+    sum
 }
 
 /// Deterministic `x^k` for integer `k ≥ 0` by binary exponentiation
@@ -516,12 +613,15 @@ struct Kernel<'a> {
 }
 
 impl Kernel<'_> {
+    /// The stub count of `u`.
+    #[inline]
+    fn stubs(&self, u: u32) -> usize {
+        (self.offsets[u as usize + 1] - self.offsets[u as usize]) as usize
+    }
+
     /// The stub total of `vertices`.
     fn stubs_of(&self, vertices: &[u32]) -> usize {
-        vertices
-            .iter()
-            .map(|&u| (self.offsets[u as usize + 1] - self.offsets[u as usize]) as usize)
-            .sum()
+        vertices.iter().map(|&u| self.stubs(u)).sum()
     }
 
     /// The stages every query shares: gathers the stubs of `vertices` into
@@ -677,6 +777,54 @@ impl Kernel<'_> {
         self.picks(&vertices[..count], &index[..count], values, pending, bounds);
     }
 
+    /// Hands `f(slot, list)` the list of every query queued in `scratch`,
+    /// from one list-kernel run, and empties the queue.
+    fn run_queued(&self, scratch: &mut BlockScratch, mut f: impl FnMut(usize, &[u32])) {
+        if scratch.vertices.is_empty() {
+            return;
+        }
+        self.lists_in(scratch, 0);
+        for (q, &slot) in scratch.slots.iter().enumerate() {
+            f(slot as usize, scratch.list(q));
+        }
+        scratch.clear_queries();
+    }
+
+    /// Hands `f(k, list)` the sorted simple neighbor list of the `k`-th of
+    /// `vertices`, in order, from list-kernel runs of about [`LIST_STUBS`]
+    /// stubs each: the construction degree pass and the hub-cache fill.
+    fn for_each_list(
+        &self,
+        vertices: impl IntoIterator<Item = u32>,
+        mut f: impl FnMut(usize, &[u32]),
+    ) {
+        let mut scratch = BlockScratch::default();
+        let mut stubs = 0usize;
+        for (k, u) in vertices.into_iter().enumerate() {
+            scratch.push_query(u, 0, k);
+            stubs += self.stubs(u);
+            if stubs >= LIST_STUBS {
+                self.run_queued(&mut scratch, &mut f);
+                stubs = 0;
+            }
+        }
+        self.run_queued(&mut scratch, f);
+    }
+
+    /// Pass 2 of the construction: writes every vertex's simple degree to
+    /// `out[u]`, through the list kernel every query takes, so stored
+    /// degrees and query-time neighbor lists can never disagree. The
+    /// workers' ranges hold equal shares of the stubs, not of the
+    /// vertices: Chung–Lu puts its hubs at the low ids.
+    fn simple_degrees(&self, out: &mut [u32], workers: usize) {
+        par_fill(out, &equal_shares(self.offsets, workers), |first, slots| {
+            let end = first + slots.len();
+            self.for_each_list(first as u32..end as u32, |k, list| {
+                slots[k] = list.len() as u32;
+            });
+        });
+    }
+
     /// Replaces every stub `t` of `group` (at most [`OWNER_LANES`]) by its
     /// owner — the same value a full [`owner_of`] search returns. Each
     /// search is confined by the coarse index to the bracket between two
@@ -791,22 +939,43 @@ pub(crate) fn configured_threads() -> usize {
         })
 }
 
-/// Splits `0..n` into contiguous ranges and runs `f` on each range in a
-/// scoped worker (honoring `RUMOR_THREADS` like the simulation engines);
-/// each worker writes a disjoint sub-slice of `out`, so the pass is
-/// deterministic at every thread count.
-fn par_fill<F: Fn(usize, &mut [u32]) + Sync>(out: &mut [u32], f: F) {
-    let n = out.len();
-    let workers = configured_threads().min(n.div_ceil(16_384)).max(1);
-    if workers == 1 {
+/// Cuts the items of the prefix table `offsets` (item `i` spans
+/// `offsets[i]..offsets[i + 1]`, from `offsets[0] = 0`) into `workers`
+/// contiguous ranges of about equal weight: cut `w` is the first item
+/// starting at or past `w / workers` of the total, so one heavy item cannot
+/// serialize a pass behind it. Returns the `workers + 1` ascending cuts,
+/// from 0 to the item count.
+pub(crate) fn equal_shares(offsets: &[u32], workers: usize) -> Vec<usize> {
+    let items = offsets.len() - 1;
+    let total = u64::from(offsets[items]);
+    let mut cuts = vec![0usize];
+    for w in 1..workers {
+        let target = (total * w as u64 / workers as u64) as u32;
+        let cut = offsets.partition_point(|&o| o < target);
+        cuts.push(cut.min(items).max(cuts[w - 1]));
+    }
+    cuts.push(items);
+    cuts
+}
+
+/// Runs `f(first, &mut out[first..end])` for every range `first..end`
+/// between consecutive `cuts`, each non-empty range in a scoped worker.
+/// The workers write disjoint sub-slices of `out`, so the pass is
+/// deterministic at every worker count and cut.
+fn par_fill<F: Fn(usize, &mut [u32]) + Sync>(out: &mut [u32], cuts: &[usize], f: F) {
+    if cuts.len() <= 2 {
         f(0, out);
         return;
     }
-    let chunk = n.div_ceil(workers);
     std::thread::scope(|scope| {
-        for (i, slice) in out.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || f(i * chunk, slice));
+        let mut rest = out;
+        for range in cuts.windows(2) {
+            let (slice, tail) = std::mem::take(&mut rest).split_at_mut(range[1] - range[0]);
+            rest = tail;
+            if !slice.is_empty() {
+                let (f, first) = (&f, range[0]);
+                scope.spawn(move || f(first, slice));
+            }
         }
     });
 }
@@ -886,14 +1055,8 @@ impl GeneratedGraph {
             return Err(Self::invalid("chung_lu requires mean_degree in (0, n-1]"));
         }
         let gamma = 1.0 / (exponent - 1.0);
-        // Normalize the raw weights (n/(u+1))^γ to average mean_degree. The
-        // sum is accumulated in ascending vertex order — a fixed, documented
-        // order, so it is part of the determinism contract.
-        let mut raw_sum = 0.0f64;
-        for u in 0..n {
-            raw_sum += det_pow_frac(n as f64 / (u + 1) as f64, gamma);
-        }
-        let scale = mean_degree * n as f64 / raw_sum;
+        // Normalize the raw weights to average mean_degree.
+        let scale = mean_degree * n as f64 / raw_weight_sum(n, gamma);
         let cap = (mean_degree * n as f64).sqrt();
         Self::build(
             Model::ChungLu {
@@ -913,21 +1076,8 @@ impl GeneratedGraph {
     /// self-loops and parallel stubs pulls realized degrees slightly below
     /// this; the property tests bound the gap.
     pub fn expected_degree(&self, u: VertexId) -> f64 {
-        (self.n - 1) as f64 * self.success_probability(u)
-    }
-
-    /// The per-trial success probability `q_u` of `u`'s binomial stub draw.
-    fn success_probability(&self, u: VertexId) -> f64 {
         debug_assert!(u < self.n);
-        match self.model {
-            Model::Gnp { p } => p,
-            Model::ChungLu {
-                gamma, scale, cap, ..
-            } => {
-                let w = (scale * det_pow_frac(self.n as f64 / (u + 1) as f64, gamma)).min(cap);
-                (w / (self.n - 1) as f64).min(1.0)
-            }
-        }
+        (self.n - 1) as f64 * self.model.success_probabilities(self.n, u)[0]
     }
 
     fn build(model: Model, n: usize, seed: u64) -> Result<Self> {
@@ -958,40 +1108,14 @@ impl GeneratedGraph {
                 limit: STUB_LIMIT,
             });
         }
-        let model_tag = match model {
-            Model::Gnp { .. } => 1,
-            Model::ChungLu { .. } => 2,
-        };
-        let degree_key = StreamKey::from_seed(Self::derive_key(seed, model_tag, DEGREE_PURPOSE));
-        let shell = GeneratedGraph {
-            model,
-            seed,
-            n,
-            num_edges: 0,
-            pairing: Pairing::new(Self::derive_key(seed, model_tag, PAIR_PURPOSE), 0),
-            stub_offsets: Vec::new(),
-            stub_coarse: Vec::new(),
-            slot_offsets: Vec::new(),
-            regular: None,
-            bipartite: OnceLock::new(),
-        };
+        let workers = configured_threads().min(n.div_ceil(PAR_FLOOR)).max(1);
 
-        // Pass 1 (parallel): per-vertex stub degrees, each a pure function
-        // of (seed, u) — one counter-based stream per vertex. Counts are
-        // written straight into the offsets table (position u + 1) and
-        // prefix-summed in place, so construction never allocates a
-        // separate degree vector — peak RSS stays at the two tables the
-        // finished graph keeps.
+        // Pass 1: per-vertex stub degrees. Counts are written straight
+        // into the offsets table (position u + 1) and prefix-summed in
+        // place, so construction never allocates a separate degree vector —
+        // peak RSS stays at the two tables the finished graph keeps.
         let mut stub_offsets = vec![0u32; n + 1];
-        par_fill(&mut stub_offsets[1..], |base, out| {
-            let round = degree_key.round_key(0);
-            for (i, slot) in out.iter_mut().enumerate() {
-                let u = base + i;
-                let q = shell.success_probability(u);
-                let mut stream = round.stream(u as u64);
-                *slot = sample_binomial(&mut stream, n - 1, q) as u32;
-            }
-        });
+        model.stub_degrees(n, seed, &mut stub_offsets[1..], workers);
         let mut total: u64 = 0;
         for slot in stub_offsets.iter_mut().skip(1) {
             total += u64::from(*slot);
@@ -1007,7 +1131,7 @@ impl GeneratedGraph {
             }
             *slot = total as u32;
         }
-        let pairing = Pairing::new(Self::derive_key(seed, model_tag, PAIR_PURPOSE), total);
+        let pairing = Pairing::new(Self::derive_key(seed, model.tag(), PAIR_PURPOSE), total);
 
         // The coarse owner index: one anchor per stub block, built by a
         // single monotone sweep with exactly `owner_of`'s tie semantics.
@@ -1022,27 +1146,14 @@ impl GeneratedGraph {
             stub_coarse.push(anchor as u32);
         }
 
-        // Pass 2 (parallel): simple degrees through the block kernel every
-        // query takes, so stored degrees and query-time neighbor lists can
-        // never disagree. Same in-place prefix trick.
+        // Pass 2: simple degrees, with the same in-place prefix trick.
         let mut slot_offsets = vec![0u32; n + 1];
         let kernel = Kernel {
             offsets: &stub_offsets,
             coarse: &stub_coarse,
             pairing: &pairing,
         };
-        par_fill(&mut slot_offsets[1..], |base, out| {
-            let mut scratch = BlockScratch::default();
-            for (b, slots) in out.chunks_mut(DEGREE_BLOCK).enumerate() {
-                let first = (base + b * DEGREE_BLOCK) as u32;
-                scratch.vertices.clear();
-                scratch.vertices.extend(first..first + slots.len() as u32);
-                kernel.lists_in(&mut scratch, 0);
-                for (k, slot) in slots.iter_mut().enumerate() {
-                    *slot = scratch.list(k).len() as u32;
-                }
-            }
-        });
+        kernel.simple_degrees(&mut slot_offsets[1..], workers);
         let mut slots: u64 = 0;
         let mut max_degree = 0u32;
         let first = slot_offsets.get(1).copied().unwrap_or(0);
@@ -1120,15 +1231,13 @@ impl GeneratedGraph {
         }
     }
 
-    /// `u`'s sorted simple neighbor list, from the block kernel on a block
-    /// of one over caller-owned scratch. The hub-cache fill materializes
-    /// exact adjacency this way, through the kernel every query takes, so
-    /// the cache can never disagree with the hashed path.
-    pub(crate) fn neighbors_in<'s>(&self, u: VertexId, scratch: &'s mut BlockScratch) -> &'s [u32] {
-        scratch.clear_queries();
-        scratch.vertices.push(u as u32);
-        self.kernel().lists_in(scratch, 0);
-        scratch.list(0)
+    /// Hands `f(k, list)` the sorted simple neighbor list of the `k`-th of
+    /// `vertices`, in order, from list-kernel runs of about [`LIST_STUBS`]
+    /// stubs. The hub-cache fill materializes exact adjacency this way,
+    /// through the kernel every query takes, so the cache can never
+    /// disagree with the hashed path.
+    pub(crate) fn for_each_list(&self, vertices: &[u32], f: impl FnMut(usize, &[u32])) {
+        self.kernel().for_each_list(vertices.iter().copied(), f);
     }
 
     /// Opens the resolution of `block`: fills the resolved slots of its
@@ -1221,15 +1330,9 @@ impl GeneratedGraph {
     /// Derives the queued lists in one kernel run, copies each to its
     /// offset in `out`, and empties the queue.
     fn write_queued_lists(&self, scratch: &mut BlockScratch, out: &mut [u32]) {
-        if scratch.vertices.is_empty() {
-            return;
-        }
-        self.kernel().lists_in(scratch, 0);
-        for (q, &at) in scratch.slots.iter().enumerate() {
-            let list = scratch.list(q);
-            out[at as usize..at as usize + list.len()].copy_from_slice(list);
-        }
-        scratch.clear_queries();
+        self.kernel().run_queued(scratch, |at, list| {
+            out[at..at + list.len()].copy_from_slice(list);
+        });
     }
 
     /// Maximum simple degree over all vertices (`None` only for `n == 0`,
@@ -1655,6 +1758,25 @@ mod tests {
         assert_involution(&Pairing::new(0xDEAD_BEEF, (1 << 20) + 3));
     }
 
+    /// The one-base power the lanes replaced, kept as their reference.
+    fn scalar_det_pow_frac(x: f64, e: f64) -> f64 {
+        let mut result = 1.0f64;
+        let mut frac = e;
+        let mut base = x.sqrt();
+        for _ in 0..64 {
+            if frac == 0.0 {
+                break;
+            }
+            frac *= 2.0;
+            if frac >= 1.0 {
+                frac -= 1.0;
+                result *= base;
+            }
+            base = base.sqrt();
+        }
+        result
+    }
+
     #[test]
     fn det_pow_frac_matches_powf_closely() {
         for &(x, e) in &[
@@ -1664,14 +1786,110 @@ mod tests {
             (123_456.0, 1.0 / 1.5),
             (3.3, 0.666_666),
         ] {
-            let got = det_pow_frac(x, e);
+            let got = det_pow_frac([x; POW_LANES], e);
             let want = f64::powf(x, e);
-            assert!(
-                (got - want).abs() <= 1e-12 * want.max(1.0),
-                "{x}^{e}: {got} vs {want}"
-            );
+            for got in got {
+                assert!(
+                    (got - want).abs() <= 1e-12 * want.max(1.0),
+                    "{x}^{e}: {got} vs {want}"
+                );
+            }
         }
-        assert_eq!(det_pow_frac(7.0, 0.0), 1.0);
+        assert_eq!(det_pow_frac([7.0; POW_LANES], 0.0), [1.0; POW_LANES]);
+    }
+
+    #[test]
+    fn lane_powers_and_weight_sums_are_bit_identical_to_one_base() {
+        // n = 7, 8, 9 leave a short, no and a one-lane tail; γ = 1/2 has a
+        // terminating expansion, the others run all 53 steps.
+        for n in [1usize, 7, 8, 9, 200_000] {
+            for gamma in [2.0 / 3.0, 0.5, 1.0 / 1.1, 1.0 / 1.9] {
+                let mut sum = 0.0f64;
+                for first in (0..n).step_by(POW_LANES) {
+                    let lanes = raw_weights(n, gamma, first);
+                    for (u, &got) in (first..n).zip(&lanes) {
+                        let want = scalar_det_pow_frac(n as f64 / (u + 1) as f64, gamma);
+                        assert_eq!(got.to_bits(), want.to_bits(), "n {n}, γ {gamma}, u {u}");
+                        sum += want;
+                    }
+                }
+                assert_eq!(
+                    raw_weight_sum(n, gamma).to_bits(),
+                    sum.to_bits(),
+                    "n {n}, γ {gamma}: normalising sum"
+                );
+            }
+        }
+    }
+
+    /// The cuts of `equal_shares(offsets, workers)`, checked to ascend
+    /// from 0 to the item count, so that they cover every item once.
+    fn checked_shares(offsets: &[u32], workers: usize) -> Vec<usize> {
+        let cuts = equal_shares(offsets, workers);
+        assert_eq!(cuts.len(), workers + 1);
+        assert_eq!((cuts[0], cuts[workers]), (0, offsets.len() - 1));
+        assert!(cuts.windows(2).all(|c| c[0] <= c[1]), "{cuts:?}");
+        cuts
+    }
+
+    #[test]
+    fn equal_shares_cover_every_item_once() {
+        // Every stub on one vertex (first, inside, last), no stubs at all,
+        // more workers than non-empty items, and a plain ramp.
+        let one = |at: usize, n: usize| -> Vec<u32> {
+            (0..=n).map(|i| if i > at { 100 } else { 0 }).collect()
+        };
+        for workers in [1, 2, 3, 8, 20] {
+            for at in [0, 4, 9] {
+                // Every inner cut falls just past the heavy item.
+                let cuts = checked_shares(&one(at, 10), workers);
+                assert!(cuts[1..workers].iter().all(|&c| c == at + 1), "{cuts:?}");
+            }
+            assert_eq!(
+                checked_shares(&[0; 6], workers),
+                [vec![0; workers], vec![5]].concat()
+            );
+            checked_shares(&[0, 0, 5, 5, 5, 7, 7], workers);
+            let ramp: Vec<u32> = (0..=1000).collect();
+            let cuts = checked_shares(&ramp, workers);
+            for (w, &cut) in cuts.iter().enumerate() {
+                assert_eq!(cut, 1000 * w / workers, "ramp, {workers} workers");
+            }
+        }
+    }
+
+    #[test]
+    fn degree_tables_are_identical_at_every_worker_count() {
+        // Hubs at the low ids, an edgeless graph and fewer non-empty
+        // vertices than workers.
+        for g in [
+            GeneratedGraph::chung_lu(3000, 2.2, 6.0, 1).unwrap(),
+            GeneratedGraph::gnp(500, 0.01, 2).unwrap(),
+            GeneratedGraph::gnp(400, 0.0, 3).unwrap(),
+            GeneratedGraph::gnp(5, 0.9, 4).unwrap(),
+        ] {
+            let n = g.num_vertices();
+            let stubs: Vec<u32> = g.stub_offsets.windows(2).map(|o| o[1] - o[0]).collect();
+            let simple: Vec<u32> = g.slot_offsets.windows(2).map(|o| o[1] - o[0]).collect();
+            for workers in [1, 2, 3, 8] {
+                let mut out = vec![u32::MAX; n];
+                g.model.stub_degrees(n, g.seed, &mut out, workers);
+                assert_eq!(
+                    out,
+                    stubs,
+                    "{}: stub degrees, {workers} workers",
+                    g.family_name()
+                );
+                out.fill(u32::MAX);
+                g.kernel().simple_degrees(&mut out, workers);
+                assert_eq!(
+                    out,
+                    simple,
+                    "{}: simple degrees, {workers} workers",
+                    g.family_name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! same worker discipline as the generated backend's construction passes —
 //! then materializes each hub's exact sorted neighbor list through the
 //! *identical* enumeration path every hashed query takes
-//! (`GeneratedGraph`'s block kernel) and stores it
+//! (`GeneratedGraph`'s block kernel, a batch of hubs per run) and stores it
 //! as an **Elias–Fano list**. For `d` ids below `n`, each id keeps its low
 //! `l = ⌊log₂(n/d)⌋` bits in a fixed-width array, and its high bits go in
 //! unary: entry `i` sets bit `(id >> l) + i` of an upper bit array. A select
@@ -93,10 +93,12 @@
 //! total at most 4 GiB: selection stops at the longest prefix within that,
 //! even under an explicit hub count.
 
+use std::ops::Range;
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::generated::{configured_threads, BlockScratch, GeneratedGraph};
+use crate::generated::{configured_threads, equal_shares, GeneratedGraph};
 use crate::graph::{index_word, prefetch, sample_index, VertexId};
 use crate::topology::{Deferred, DeferredNeighbor, DrawBlock, Topology};
 
@@ -615,46 +617,38 @@ fn select_hubs(inner: &GeneratedGraph, k_limit: Option<usize>, budget: Option<us
 }
 
 /// Materializes every hub's exact sorted neighbor list into one byte
-/// array, splitting the hub range across `workers` scoped threads at
-/// byte-balanced boundaries (the first hub at or past each equal share of
-/// the bytes, so one giant hub cannot serialize the pass behind it).
+/// array, splitting the hub range across `workers` scoped threads at equal
+/// shares of the bytes (so one giant hub cannot serialize the pass behind
+/// it). Each worker derives its hubs' lists in list-kernel runs of many
+/// hubs.
 fn fill_cache(
     inner: &GeneratedGraph,
     hub_ids: &[u32],
     hub_offsets: &[u32],
     workers: usize,
 ) -> Vec<u8> {
-    let hubs = hub_ids.len();
-    let total = u64::from(hub_offsets[hubs]);
-    let mut bounds = vec![0usize];
-    for w in 1..workers {
-        let target = (total * w as u64 / workers as u64) as u32;
-        let idx = hub_offsets.partition_point(|&o| o < target);
-        bounds.push(idx.min(hubs).max(bounds[w - 1]));
-    }
-    bounds.push(hubs);
     fill_lists(
         inner.num_vertices(),
         hub_offsets,
-        &bounds,
-        |h, ids, scratch| {
-            ids.clear();
-            ids.extend_from_slice(inner.neighbors_in(hub_ids[h] as usize, scratch));
+        &equal_shares(hub_offsets, workers),
+        |hubs, emit| {
+            let first = hubs.start;
+            inner.for_each_list(&hub_ids[hubs], |k, list| emit(first + k, list));
         },
     )
 }
 
 /// Encodes lists `0..offsets.len() − 1` into their byte ranges
 /// `offsets[h]..offsets[h + 1]`, one scoped worker per range of
-/// `bounds`. `list(h, ids, scratch)` replaces the contents of `ids` with
-/// list `h`, using the worker's block-kernel scratch as it needs. Lists
-/// are byte-aligned, so workers write disjoint slices and the bytes do not
-/// depend on where `bounds` cut.
+/// `bounds`. `lists(range, emit)` calls `emit(h, list)` with list `h` for
+/// every `h` of `range`, in order. Lists are byte-aligned, so workers
+/// write disjoint slices and the bytes do not depend on where `bounds`
+/// cut.
 fn fill_lists(
     n: usize,
     offsets: &[u32],
     bounds: &[usize],
-    list: impl Fn(usize, &mut Vec<u32>, &mut BlockScratch) + Sync,
+    lists: impl Fn(Range<usize>, &mut dyn FnMut(usize, &[u32])) + Sync,
 ) -> Vec<u8> {
     let total = *offsets.last().expect("offsets never empty") as usize;
     let mut bytes = vec![0u8; total + READ_PAD];
@@ -665,15 +659,13 @@ fn fill_lists(
             let len = (offsets[range.end] - first) as usize;
             let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(len);
             rest = tail;
-            let list = &list;
+            let lists = &lists;
             scope.spawn(move || {
-                let (mut ids, mut words) = (Vec::new(), Vec::new());
-                let mut scratch = BlockScratch::default();
-                for h in range {
-                    list(h, &mut ids, &mut scratch);
+                let mut words = Vec::new();
+                lists(range, &mut |h, ids| {
                     let span = (offsets[h] - first) as usize..(offsets[h + 1] - first) as usize;
-                    encode(&ids, n, &mut chunk[span], &mut words);
-                }
+                    encode(ids, n, &mut chunk[span], &mut words);
+                });
             });
         }
     });
@@ -1018,9 +1010,10 @@ mod tests {
         for ids in lists {
             offsets.push(offsets.last().unwrap() + Shape::bytes(n, ids.len()) as u32);
         }
-        let bytes = fill_lists(n, &offsets, bounds, |h, ids, _| {
-            ids.clear();
-            ids.extend_from_slice(&lists[h]);
+        let bytes = fill_lists(n, &offsets, bounds, |range, emit| {
+            for h in range {
+                emit(h, &lists[h]);
+            }
         });
         (bytes, offsets)
     }
